@@ -3,7 +3,7 @@
 Modules:
 
 * ``arith``      -- Moebius function, divisors, extended and Gaussian
-  binomials, coprime factorials.
+  binomials, and the ``Report`` every check returns.
 * ``partitions`` -- integer partitions and symmetric-group characters.
 * ``qa``         -- exact Laurent / rational algebra in q^(1/2), a^(1/2),
   quantum integers, Adams operations, the z^2 basis.

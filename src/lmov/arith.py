@@ -1,13 +1,51 @@
-"""Number-theoretic and combinatorial primitives.
+"""Number-theoretic and combinatorial primitives, and the check report.
 
 Everything is exact integer arithmetic; trial division is plenty at the
-scales the invariant tables need (n well below 10^6).
+scales the invariant tables need (n well below 10^6).  This module is the
+leaf of the package: it imports nothing from lmov, so every layer above
+can share ``Report``, ``TheoremViolation`` and ``certified_int``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
 from math import factorial, isqrt
+
+
+class TheoremViolation(AssertionError):
+    """A certified-integral quantity came out non-integral.
+
+    Raised only for statements proved in the underlying theory; reaching
+    this is a bug in the implementation, never expected data.
+    """
+
+
+def certified_int(x: Fraction | int, what: str) -> int:
+    f = Fraction(x)
+    if f.denominator != 1:
+        raise TheoremViolation(f"{what} is not an integer: {f}")
+    return int(f)
+
+
+@dataclass
+class Report:
+    """Outcome of one check; empty ``failures`` means success.
+
+    ``notes`` are soft observations that never fail the check, and
+    ``seconds`` is the wall time the verification sweep measured for it.
+    """
+
+    name: str
+    params: dict
+    failures: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
+    seconds: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 @cache
@@ -41,17 +79,6 @@ def divisors(n: int) -> list[int]:
             if d != n // d:
                 large.append(n // d)
     return small + large[::-1]
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return True
 
 
 def binomial_ext(n: int, k: int) -> int:
@@ -94,17 +121,3 @@ def gaussian_binomial(m: int, r: int) -> list[int]:
                 out[t + j] += c
             row[j] = out
     return row[r] if row[r] else [1]
-
-
-@cache
-def fp_factor(p: int, n: int) -> int:
-    """Product of the integers in [1, n] coprime to the prime p."""
-    if not is_prime(p):
-        raise ValueError("fp_factor needs a prime p")
-    if n < 0:
-        raise ValueError("fp_factor needs n >= 0")
-    out = 1
-    for i in range(1, n + 1):
-        if i % p:
-            out *= i
-    return out

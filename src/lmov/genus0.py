@@ -19,30 +19,14 @@ Q = (m1+m2)/2 after restoring x = (-1)^tau a^(1/2) X).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import binomial_ext, divisors, moebius
+from .arith import Report, binomial_ext, certified_int, divisors, moebius
 from .partitions import Partition, parts_gcd, scale_down
 from .qa import LaurentQA, exact_div
 from .series import CoeffRing, Series1, Series2, series2_log, series_log, solve_functional
-
-
-class TheoremViolation(AssertionError):
-    """A certified-integral quantity came out non-integral.
-
-    Raised only for statements proved in the underlying theory; reaching
-    this is a bug in the implementation, never expected data.
-    """
-
-
-def certified_int(x: Fraction | int, what: str) -> int:
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise TheoremViolation(f"{what} is not an integer: {f}")
-    return int(f)
 
 
 # ---------------------------------------------------------------------------
@@ -76,19 +60,6 @@ def disc_n(m: int, l: int, tau: int) -> int:
     return certified_int(total, f"n_({m},{l})(tau={tau})")
 
 
-@dataclass
-class TableReport:
-    """Outcome of a verification run; empty mismatches means success."""
-
-    name: str
-    params: dict
-    mismatches: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
 _A = LaurentQA.monomial(v=2)  # the variable a
 _LRING = CoeffRing(zero=LaurentQA.zero(), one=LaurentQA.one())
 
@@ -111,7 +82,7 @@ def mirror_series(tau: int, order: int) -> Series1:
     return solve_functional(_mirror_phi(tau, order), _LRING, order)
 
 
-def disc_series_check(tau: int, max_m: int) -> TableReport:
+def disc_series_check(tau: int, max_m: int) -> Report:
     """Check the mirror-curve series route against -c_{m,l} for m <= max_m.
 
     Expands log(1 - Y(X)), integrates termwise (X^m coefficient divided
@@ -120,7 +91,7 @@ def disc_series_check(tau: int, max_m: int) -> TableReport:
     """
     if max_m < 1:
         raise ValueError("disc_series_check needs max_m >= 1")
-    rep = TableReport("disc-series", {"tau": tau, "max_m": max_m})
+    rep = Report("disc-series", {"tau": tau, "max_m": max_m})
     y = mirror_series(tau, max_m)
     one = Series1.constant(_LRING, max_m)
     logy = series_log(one - y)
@@ -132,16 +103,14 @@ def disc_series_check(tau: int, max_m: int) -> TableReport:
             got = Fraction(coeff.coeff(0, 2 * l)) * sign
             want = -disc_c(m, l, tau)
             if got != want:
-                rep.mismatches.append(
-                    {"m": m, "l": l, "got": got, "want": want}
-                )
+                rep.failures.append({"m": m, "l": l, "got": got, "want": want})
         extra = [
             (u, v)
             for (u, v), _ in coeff.items()
             if u != 0 or v < 0 or v > 2 * m or v % 2
         ]
         if extra:
-            rep.mismatches.append({"m": m, "unexpected_support": extra})
+            rep.failures.append({"m": m, "unexpected_support": extra})
     return rep
 
 
@@ -260,121 +229,3 @@ def multihole_cover_check(mu: Partition, tau: int) -> bool:
         scaled = scale_down(mu, d)
         acc += d ** (length - 3) * multihole_n(scaled, tau)
     return multihole_K(mu, tau) == (-1) ** (length % 2) * acc
-
-
-# ---------------------------------------------------------------------------
-# assembled tables
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DiscTable:
-    tau: int
-    max_m: int
-    rows: list  # (m, l, value: int)
-
-    @classmethod
-    def compute(cls, tau: int, max_m: int) -> DiscTable:
-        rows = [
-            (m, l, disc_n(m, l, tau))
-            for m in range(1, max_m + 1)
-            for l in range(0, m + 1)
-        ]
-        return cls(tau, max_m, rows)
-
-    def json_obj(self) -> dict:
-        return {
-            "table": "disc",
-            "tau": self.tau,
-            "max_m": self.max_m,
-            "rows": [
-                {"m": m, "l": l, "n": v, "integral": True} for m, l, v in self.rows
-            ],
-        }
-
-    def csv_rows(self):
-        yield ["m", "l", "tau", "value", "integral"]
-        for m, l, v in self.rows:
-            yield [m, l, self.tau, v, True]
-
-
-@dataclass
-class AnnulusTable:
-    tau: int
-    max_total: int
-    rows: list  # (m1, m2, l, value: Fraction, integral: bool, certified: bool)
-
-    @classmethod
-    def compute(cls, tau: int, max_total: int) -> AnnulusTable:
-        rows = []
-        for m1 in range(1, max_total):
-            for m2 in range(1, max_total + 1 - m1):
-                for l in range(0, m1 + m2 + 1):
-                    v, ok = annulus_n(m1, m2, l, tau, order=max_total)
-                    rows.append((m1, m2, l, Fraction(v), bool(ok)))
-        return cls(tau, max_total, rows)
-
-    def json_obj(self) -> dict:
-        return {
-            "table": "annulus",
-            "tau": self.tau,
-            "max_total": self.max_total,
-            "rows": [
-                {
-                    "m1": m1,
-                    "m2": m2,
-                    "l": l,
-                    "n": _frac_json(v),
-                    "integral": ok,
-                }
-                for m1, m2, l, v, ok in self.rows
-            ],
-        }
-
-    def csv_rows(self):
-        yield ["m1", "m2", "l", "tau", "value", "integral"]
-        for m1, m2, l, v, ok in self.rows:
-            yield [m1, m2, l, self.tau, _frac_str(v), ok]
-
-
-@dataclass
-class MultiHoleTable:
-    tau: int
-    max_size: int
-    rows: list  # (mu, value: int)
-
-    @classmethod
-    def compute(cls, tau: int, max_size: int) -> MultiHoleTable:
-        from .partitions import partitions_of
-
-        rows = []
-        for size in range(3, max_size + 1):
-            for mu in partitions_of(size):
-                if len(mu) >= 3:
-                    rows.append((mu, multihole_n(mu, tau)))
-        return cls(tau, max_size, rows)
-
-    def json_obj(self) -> dict:
-        from .partitions import to_json_obj
-
-        return {
-            "table": "multihole",
-            "tau": self.tau,
-            "max_size": self.max_size,
-            "rows": [
-                {"mu": to_json_obj(mu), "n": v, "integral": True}
-                for mu, v in self.rows
-            ],
-        }
-
-    def csv_rows(self):
-        yield ["mu", "tau", "value", "integral"]
-        for mu, v in self.rows:
-            yield [" ".join(map(str, mu)), self.tau, v, True]
-
-
-def _frac_json(v: Fraction):
-    return int(v) if v.denominator == 1 else {"num": v.numerator, "den": v.denominator}
-
-
-def _frac_str(v: Fraction) -> str:
-    return str(int(v)) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"

@@ -21,17 +21,14 @@ extracted c_{n,k} must be nonnegative integers with finite support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .genus0 import TheoremViolation
-from .onehole import CheckReport
-from .qa import RationalQ, one_minus_q_pow
+from .arith import Report, TheoremViolation
+from .qa import ONE_MINUS_Q, RationalQ, one_minus_q_pow
 from .series import CoeffRing, Series1, plethystic_log, series_exp
 
 _QRING = CoeffRing(zero=RationalQ.zero(), one=RationalQ.one())
-
-ONE_MINUS_Q = one_minus_q_pow(1)
 
 
 def _q_factorial_den(n: int) -> RationalQ:
@@ -81,27 +78,7 @@ class OVTable:
     tau: int
     max_m: int
     rows: dict  # m -> {k: N}
-    report: CheckReport = field(default_factory=lambda: CheckReport("ov", {}))
-
-    def json_obj(self) -> dict:
-        return {
-            "tau": self.tau,
-            "rows": [
-                {
-                    "m": m,
-                    "entries": [
-                        {"k": k, "N": self.rows[m][k]} for k in sorted(self.rows[m])
-                    ],
-                }
-                for m in sorted(self.rows)
-            ],
-        }
-
-    def csv_rows(self):
-        yield ["tau", "m", "k", "N"]
-        for m in sorted(self.rows):
-            for k in sorted(self.rows[m]):
-                yield [self.tau, m, k, self.rows[m][k]]
+    report: Report
 
 
 def _laurent_from_rational(r: RationalQ, what: str) -> dict:
@@ -120,7 +97,7 @@ def ooguri_vafa(tau: int, max_m: int, reconstruct: bool = True) -> OVTable:
     """
     if max_m < 1:
         raise ValueError("ooguri_vafa needs max_m >= 1")
-    rep = CheckReport("ov", {"tau": tau, "max_m": max_m})
+    rep = Report("ov", {"tau": tau, "max_m": max_m})
     z = z_tau_series(tau, max_m)
     fs = plethystic_log(z)
     rows: dict = {}
@@ -187,30 +164,6 @@ class DTTable:
     max_n: int
     rows: dict  # n -> {k: c}
 
-    def json_obj(self) -> dict:
-        return {
-            "loops": self.loops,
-            "rows": [
-                {
-                    "n": n,
-                    "entries": [
-                        {"k": k, "c": self.rows[n][k]} for k in sorted(self.rows[n])
-                    ],
-                }
-                for n in sorted(self.rows)
-            ],
-        }
-
-    def csv_rows(self):
-        yield ["loops", "n", "k", "c"]
-        for n in sorted(self.rows):
-            for k in sorted(self.rows[n]):
-                yield [self.loops, n, k, self.rows[n][k]]
-
-    def dt_polynomial(self, n: int) -> dict:
-        """DT_n(q) = sum_k c_{n,k} q^k as {k: c}."""
-        return dict(self.rows[n])
-
 
 def dt_extract(loops: int, max_n: int) -> DTTable:
     """Quantum DT invariants of the loop quiver, certified nonnegative.
@@ -263,12 +216,12 @@ def dt_extract(loops: int, max_n: int) -> DTTable:
 # ---------------------------------------------------------------------------
 
 
-def gwdt_check(tau: int, order: int) -> CheckReport:
+def gwdt_check(tau: int, order: int) -> Report:
     """Exact equality Z_tau(q, x) = P_{-tau}(q, (-1)^(tau-1) x q^(1/2))
     coefficient by coefficient up to x^order; needs tau <= -1."""
     if tau > -1:
         raise ValueError("gwdt_check needs tau <= -1")
-    rep = CheckReport("gwdt-identity", {"tau": tau, "order": order})
+    rep = Report("gwdt-identity", {"tau": tau, "order": order})
     z = z_tau_series(tau, order)
     p = coha_series(-tau, order)
     for n in range(order + 1):
@@ -278,7 +231,7 @@ def gwdt_check(tau: int, order: int) -> CheckReport:
     return rep
 
 
-def ov_dt_shift_check(tau: int, max_n: int) -> CheckReport:
+def ov_dt_shift_check(tau: int, max_n: int) -> Report:
     """Empirical dictionary between the two integer tables for tau <= -1:
 
     N_{n, n-2k-1}(tau) = -(-1)^((tau-1) n) c_{n,k} of the (-tau)-loop
@@ -287,7 +240,7 @@ def ov_dt_shift_check(tau: int, max_n: int) -> CheckReport:
     """
     if tau > -1:
         raise ValueError("ov_dt_shift_check needs tau <= -1")
-    rep = CheckReport("ov-dt-shift", {"tau": tau, "max_n": max_n})
+    rep = Report("ov-dt-shift", {"tau": tau, "max_n": max_n})
     ov = ooguri_vafa(tau, max_n, reconstruct=False)
     dt = dt_extract(-tau, max_n)
     for n in range(1, max_n + 1):

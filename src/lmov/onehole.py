@@ -20,12 +20,11 @@ raised), via characters and the log on the power-sum partition algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import divisors, gaussian_binomial, moebius
-from .genus0 import TheoremViolation
+from .arith import Report, TheoremViolation, divisors, gaussian_binomial, moebius
 from .partitions import (
     Partition,
     kappa,
@@ -87,18 +86,6 @@ def framed_row(n: int, tau: int) -> RationalQA:
     return unknot_row(n).mul_rational(twist)
 
 
-@dataclass
-class CheckReport:
-    name: str
-    params: dict
-    failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)  # soft observations, never failing
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 @lru_cache(maxsize=None)
 def _recursion_pair(n: int) -> tuple:
     # tau-independent cores of the two recursion sides at step n
@@ -107,7 +94,7 @@ def _recursion_pair(n: int) -> tuple:
     return lead0 * _row_numerator(n + 1), hook0 * (_row_numerator(n) * quantum_int(n + 1))
 
 
-def verify_recursion(tau: int, max_n: int) -> CheckReport:
+def verify_recursion(tau: int, max_n: int) -> Report:
     """Exact check of the framed row recursion for all n < max_n:
 
     (-1)^tau (q^(n+1) - 1) H_{n+1}
@@ -118,7 +105,7 @@ def verify_recursion(tau: int, max_n: int) -> CheckReport:
     """
     if max_n < 1:
         raise ValueError("verify_recursion needs max_n >= 1")
-    rep = CheckReport("framed-row-recursion", {"tau": tau, "max_n": max_n})
+    rep = Report("framed-row-recursion", {"tau": tau, "max_n": max_n})
     for n in range(0, max_n):
         p, r = _recursion_pair(n)
         sign_l = (-1) ** ((tau + (n + 1) * tau) % 2)
@@ -221,21 +208,6 @@ def g_m(m: int, tau: int) -> RationalQA:
     return total
 
 
-@dataclass
-class OneHoleTable:
-    """Integer table n_{m,g,Q}(tau), keyed by (g, two_q)."""
-
-    m: int
-    tau: int
-    table: ZBasisTable
-
-    def json_obj(self) -> dict:
-        return {"m": self.m, "tau": self.tau, "entries": self.table.rows()}
-
-    def entries(self) -> dict:
-        return dict(self.table.entries)
-
-
 def z2_g_m(m: int, tau: int) -> LaurentQA:
     """z^2 g_m as a Laurent polynomial, via exact division."""
     cleared = g_m_cleared(m, tau)
@@ -249,8 +221,9 @@ def z2_g_m(m: int, tau: int) -> LaurentQA:
         ) from e
 
 
-def lmov_one_hole(m: int, tau: int) -> OneHoleTable:
-    """Certified integer one-hole table for winding m and framing tau."""
+def lmov_one_hole(m: int, tau: int) -> ZBasisTable:
+    """Certified integer one-hole table n_{m,g,Q}(tau) for winding m and
+    framing tau, keyed by (g, two_q)."""
     f = z2_g_m(m, tau)
     try:
         table = to_z_basis(f)
@@ -262,7 +235,7 @@ def lmov_one_hole(m: int, tau: int) -> OneHoleTable:
         raise TheoremViolation(
             f"non-integer one-hole invariant at m={m}, tau={tau}: {table.entries}"
         )
-    return OneHoleTable(m, tau, table)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +352,7 @@ class GeneralHoleResult:
     tau: int
     rational: RationalQA  # z^2 * z_mu * g-hat_mu
     table: ZBasisTable | None
-    report: CheckReport
+    report: Report
 
 
 def g_mu_general(mu: Partition, tau: int) -> GeneralHoleResult:
@@ -393,7 +366,7 @@ def g_mu_general(mu: Partition, tau: int) -> GeneralHoleResult:
     mu = tuple(sorted(mu, reverse=True))
     if not mu:
         raise ValueError("g_mu_general needs a nonempty partition")
-    rep = CheckReport("general-one-hole", {"mu": mu, "tau": tau})
+    rep = Report("general-one-hole", {"mu": mu, "tau": tau})
     ghat = RationalQA.zero()
     for d in divisors(parts_gcd(mu)):
         mo = moebius(d)

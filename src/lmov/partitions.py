@@ -10,19 +10,8 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial, gcd
-from typing import Iterable
 
 Partition = tuple
-
-_CANONICAL_ORDER = "reverse lexicographic"  # (4) before (3,1) before (2,2) ...
-
-
-def as_partition(parts: Iterable[int]) -> Partition:
-    """Validate and canonicalize an iterable of parts."""
-    t = tuple(sorted((int(p) for p in parts), reverse=True))
-    if any(p <= 0 for p in t):
-        raise ValueError(f"parts must be positive integers, got {t}")
-    return t
 
 
 @cache
@@ -50,17 +39,6 @@ def z_factor(mu: Partition) -> int:
         mult[p] = mult.get(p, 0) + 1
     for p, a in mult.items():
         out *= p ** a * factorial(a)
-    return out
-
-
-def aut_order(mu: Partition) -> int:
-    """Product of a_i! over the part multiplicities."""
-    out = 1
-    mult: dict = {}
-    for p in mu:
-        mult[p] = mult.get(p, 0) + 1
-    for a in mult.values():
-        out *= factorial(a)
     return out
 
 
@@ -122,7 +100,3 @@ def permutation_count(mu: Partition) -> int:
     """Number of permutations of S_|mu| with cycle type mu."""
     n = sum(mu)
     return factorial(n) // z_factor(mu)
-
-
-def to_json_obj(mu: Partition) -> list:
-    return list(mu)

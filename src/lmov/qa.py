@@ -205,19 +205,6 @@ class LaurentQA:
         """Substitute q -> q^(-1) (a untouched)."""
         return LaurentQA._make({(-u, v): c for (u, v), c in self._c.items()})
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json_obj(self) -> list:
-        rows = []
-        for (u, v) in sorted(self._c):
-            c = Fraction(self._c[(u, v)])
-            rows.append({"u": u, "v": v, "num": c.numerator, "den": c.denominator})
-        return rows
-
-    @classmethod
-    def from_json_obj(cls, rows: Iterable) -> LaurentQA:
-        return cls({(r["u"], r["v"]): Fraction(r["num"], r["den"]) for r in rows})
-
     def __repr__(self) -> str:
         if not self._c:
             return "0"
@@ -400,12 +387,6 @@ class ZBasisTable:
 
     def __eq__(self, other):
         return isinstance(other, ZBasisTable) and self.entries == other.entries
-
-    def rows(self) -> list:
-        return [
-            {"g": g, "two_q": v, "n": self.entries[(g, v)]}
-            for (g, v) in sorted(self.entries)
-        ]
 
     def __repr__(self):
         return f"ZBasisTable({self.entries!r})"
@@ -622,13 +603,6 @@ class RationalQ:
         return cls((1,), (1,), 0, _normalized=True)
 
     @classmethod
-    def from_scalar(cls, c: Rat) -> RationalQ:
-        c = _norm_c(c)
-        if not c:
-            return cls.zero()
-        return cls((c,), (1,), 0, _normalized=True)
-
-    @classmethod
     def monomial(cls, u: int, c: Rat = 1) -> RationalQ:
         c = _norm_c(c)
         if not c:
@@ -786,10 +760,6 @@ class RationalQA:
     @classmethod
     def one(cls) -> RationalQA:
         return cls({0: RationalQ.one()})
-
-    @classmethod
-    def from_rational(cls, r: RationalQ, v: int = 0) -> RationalQA:
-        return cls({v: r})
 
     @classmethod
     def from_laurent(cls, f: LaurentQA) -> RationalQA:

@@ -137,9 +137,6 @@ class Series1:
             inv[k] = self.ring.zero - acc
         return Series1(self.ring, n, inv)
 
-    def truncate(self, order: int) -> Series1:
-        return Series1(self.ring, order, self.coeffs[: order + 1])
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 

@@ -7,12 +7,10 @@ rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .arith import divisors, moebius
-from .genus0 import certified_int
+from .arith import certified_int, divisors, moebius
 
 
 def _validate(p: int, r: int) -> None:
@@ -50,27 +48,3 @@ def b_plus(p: int, r: int) -> int:
         else:
             total += mu * (-1) ** (d % 2) * comb((2 * p + 2) * d - 1, d - 1)
     return certified_int(Fraction(total, r * r), f"b_plus(p={p}, r={r})")
-
-
-@dataclass
-class TwistTable:
-    rows: list  # (p, r, b_minus, b_plus)
-
-    @classmethod
-    def compute(cls, ps: list, max_r: int) -> "TwistTable":
-        rows = [(p, r, b_minus(p, r), b_plus(p, r)) for p in ps for r in range(1, max_r + 1)]
-        return cls(rows)
-
-    def json_obj(self) -> dict:
-        return {
-            "table": "twist",
-            "rows": [
-                {"p": p, "r": r, "b_minus": bm, "b_plus": bp}
-                for p, r, bm, bp in self.rows
-            ],
-        }
-
-    def csv_rows(self):
-        yield ["p", "r", "b_minus", "b_plus"]
-        for p, r, bm, bp in self.rows:
-            yield [p, r, bm, bp]

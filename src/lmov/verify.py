@@ -1,25 +1,27 @@
 """Property suites behind ``lmov verify-all`` and the acceptance tests.
 
-Each suite returns a CheckReport; a theorem-level failure in any suite is
-what the CLI maps to exit status 2.  Bounds are parameters so the same
-code runs the quick CLI sweep and the full acceptance sweep.
+Each suite returns a Report; a failure in any suite is what the CLI maps
+to exit status 2.  Bounds are parameters so the same code runs the quick
+CLI sweep and the full acceptance sweep.  ``run_all`` is the one driver
+of the sweep.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
 from . import genus0, gwdt, onehole, twist
-from .onehole import CheckReport
+from .arith import Report, TheoremViolation
 from .partitions import mn_character, partitions_of, permutation_count, z_factor
 from .qa import LaurentQA, quantum_int, to_z_basis
 from .series import CoeffRing, Series1, plethystic_exp, plethystic_log, series_exp, series_log
 
 
-def check_disc_integrality(max_m: int, tau_range: range) -> CheckReport:
-    rep = CheckReport("disc-integrality", {"max_m": max_m, "tau": list(tau_range)})
+def check_disc_integrality(max_m: int, tau_range: range) -> Report:
+    rep = Report("disc-integrality", {"max_m": max_m, "tau": list(tau_range)})
     for tau in tau_range:
         for m in range(1, max_m + 1):
             for l in range(0, m + 1):
@@ -27,16 +29,16 @@ def check_disc_integrality(max_m: int, tau_range: range) -> CheckReport:
     return rep
 
 
-def check_disc_oracle(max_m: int, tau_range: range) -> CheckReport:
-    rep = CheckReport("disc-series-oracle", {"max_m": max_m, "tau": list(tau_range)})
+def check_disc_oracle(max_m: int, tau_range: range) -> Report:
+    rep = Report("disc-series-oracle", {"max_m": max_m, "tau": list(tau_range)})
     for tau in tau_range:
         sub = genus0.disc_series_check(tau, max_m)
-        rep.failures.extend({"tau": tau, **m} for m in sub.mismatches)
+        rep.failures.extend({"tau": tau, **m} for m in sub.failures)
     return rep
 
 
-def check_annulus(max_total: int, tau_range: range) -> CheckReport:
-    rep = CheckReport("annulus", {"max_total": max_total, "tau": list(tau_range)})
+def check_annulus(max_total: int, tau_range: range) -> Report:
+    rep = Report("annulus", {"max_total": max_total, "tau": list(tau_range)})
     for tau in tau_range:
         for m1 in range(1, max_total):
             for m2 in range(1, max_total + 1 - m1):
@@ -55,8 +57,8 @@ def check_annulus(max_total: int, tau_range: range) -> CheckReport:
     return rep
 
 
-def check_multihole(max_size: int, tau_range: range) -> CheckReport:
-    rep = CheckReport("multihole", {"max_size": max_size, "tau": list(tau_range)})
+def check_multihole(max_size: int, tau_range: range) -> Report:
+    rep = Report("multihole", {"max_size": max_size, "tau": list(tau_range)})
     for tau in tau_range:
         for size in range(3, max_size + 1):
             for mu in partitions_of(size):
@@ -68,18 +70,18 @@ def check_multihole(max_size: int, tau_range: range) -> CheckReport:
     return rep
 
 
-def check_recursion(max_n: int, tau_range: range) -> CheckReport:
-    rep = CheckReport("row-recursion", {"max_n": max_n, "tau": list(tau_range)})
+def check_recursion(max_n: int, tau_range: range) -> Report:
+    rep = Report("row-recursion", {"max_n": max_n, "tau": list(tau_range)})
     for tau in tau_range:
         sub = onehole.verify_recursion(tau, max_n)
         rep.failures.extend({"tau": tau, **f} for f in sub.failures)
     return rep
 
 
-def check_onehole_chain(max_m: int, tau_range: range) -> CheckReport:
+def check_onehole_chain(max_m: int, tau_range: range) -> Report:
     """Cleared-sum integrality, exact divisibility, z^2 membership, and
     integer tables, plus the pinned m = 1 table."""
-    rep = CheckReport("one-hole-chain", {"max_m": max_m, "tau": list(tau_range)})
+    rep = Report("one-hole-chain", {"max_m": max_m, "tau": list(tau_range)})
     for tau in tau_range:
         for m in range(1, max_m + 1):
             cleared = onehole.cal_z_cleared(m, tau)
@@ -91,13 +93,13 @@ def check_onehole_chain(max_m: int, tau_range: range) -> CheckReport:
             table = onehole.lmov_one_hole(m, tau)  # z-basis + integrality
             if m == 1:
                 s = (-1) ** (tau % 2)
-                if table.entries() != {(0, 1): s, (0, -1): -s}:
+                if table.entries != {(0, 1): s, (0, -1): -s}:
                     rep.failures.append({"tau": tau, "reason": "m=1 table wrong"})
     return rep
 
 
-def check_gaussian_form(max_m: int, tau_range: range) -> CheckReport:
-    rep = CheckReport("gaussian-closed-form", {"max_m": max_m, "tau": list(tau_range)})
+def check_gaussian_form(max_m: int, tau_range: range) -> Report:
+    rep = Report("gaussian-closed-form", {"max_m": max_m, "tau": list(tau_range)})
     for tau in tau_range:
         if tau < 1:
             raise ValueError("gaussian closed form needs tau >= 1")
@@ -107,9 +109,9 @@ def check_gaussian_form(max_m: int, tau_range: range) -> CheckReport:
     return rep
 
 
-def check_general_partition(max_size: int, tau_range: range) -> CheckReport:
+def check_general_partition(max_size: int, tau_range: range) -> Report:
     """Conjecture-level sweep: integral tables for every partition."""
-    rep = CheckReport("general-partition", {"max_size": max_size, "tau": list(tau_range)})
+    rep = Report("general-partition", {"max_size": max_size, "tau": list(tau_range)})
     for tau in tau_range:
         for size in range(1, max_size + 1):
             for mu in partitions_of(size):
@@ -120,16 +122,16 @@ def check_general_partition(max_size: int, tau_range: range) -> CheckReport:
     return rep
 
 
-def check_gwdt_identity(order: int, tau_range: range) -> CheckReport:
-    rep = CheckReport("gwdt-identity", {"order": order, "tau": list(tau_range)})
+def check_gwdt_identity(order: int, tau_range: range) -> Report:
+    rep = Report("gwdt-identity", {"order": order, "tau": list(tau_range)})
     for tau in tau_range:
         sub = gwdt.gwdt_check(tau, order)
         rep.failures.extend({"tau": tau, **f} for f in sub.failures)
     return rep
 
 
-def check_dt(max_loops: int, max_n: int) -> CheckReport:
-    rep = CheckReport("dt-extraction", {"max_loops": max_loops, "max_n": max_n})
+def check_dt(max_loops: int, max_n: int) -> Report:
+    rep = Report("dt-extraction", {"max_loops": max_loops, "max_n": max_n})
     for loops in range(1, max_loops + 1):
         table = gwdt.dt_extract(loops, max_n)  # raises on any violation
         if table.rows[1] != {0: 1}:
@@ -137,8 +139,8 @@ def check_dt(max_loops: int, max_n: int) -> CheckReport:
     return rep
 
 
-def check_ov(max_m: int, tau_range: range) -> CheckReport:
-    rep = CheckReport("ov-extraction", {"max_m": max_m, "tau": list(tau_range)})
+def check_ov(max_m: int, tau_range: range) -> Report:
+    rep = Report("ov-extraction", {"max_m": max_m, "tau": list(tau_range)})
     for tau in tau_range:
         table = gwdt.ooguri_vafa(tau, max_m, reconstruct=True)
         rep.failures.extend({"tau": tau, **f} for f in table.report.failures)
@@ -151,8 +153,8 @@ def check_ov(max_m: int, tau_range: range) -> CheckReport:
     return rep
 
 
-def check_twist(p_values: list, max_r: int) -> CheckReport:
-    rep = CheckReport("twist-integrality", {"p": p_values, "max_r": max_r})
+def check_twist(p_values: list, max_r: int) -> Report:
+    rep = Report("twist-integrality", {"p": p_values, "max_r": max_r})
     for p in p_values:
         for r in range(1, max_r + 1):
             twist.b_minus(p, r)
@@ -173,9 +175,9 @@ def _random_symmetric_laurent(rng: random.Random) -> LaurentQA:
     return out
 
 
-def check_infrastructure(max_n: int, samples: int, seed: int) -> CheckReport:
+def check_infrastructure(max_n: int, samples: int, seed: int) -> Report:
     """Character orthogonality, z-basis round trip, plethystic round trip."""
-    rep = CheckReport(
+    rep = Report(
         "infrastructure", {"max_n": max_n, "samples": samples, "seed": seed}
     )
     # first and second orthogonality
@@ -259,17 +261,31 @@ FULL = {
 
 
 def run_all(bounds: dict, seed: int = 0):
-    """Run every suite; yields CheckReports in a fixed order."""
-    yield check_disc_integrality(**bounds["disc"])
-    yield check_disc_oracle(**bounds["disc_oracle"])
-    yield check_annulus(**bounds["annulus"])
-    yield check_multihole(**bounds["multihole"])
-    yield check_recursion(**bounds["recursion"])
-    yield check_onehole_chain(**bounds["onehole"])
-    yield check_gaussian_form(**bounds["gaussian"])
-    yield check_general_partition(**bounds["general"])
-    yield check_gwdt_identity(**bounds["gwdt"])
-    yield check_dt(**bounds["dt"])
-    yield check_ov(**bounds["ov"])
-    yield check_twist(**bounds["twist"])
-    yield check_infrastructure(seed=seed, **bounds["infra"])
+    """Run every suite in a fixed order; yields one Report per suite, with
+    its wall time in ``seconds``.  A TheoremViolation fails only the suite
+    that raised it: its report carries the suite name, its parameters and
+    the message, and the later suites still run."""
+    suites = [
+        ("disc-integrality", check_disc_integrality, bounds["disc"]),
+        ("disc-series-oracle", check_disc_oracle, bounds["disc_oracle"]),
+        ("annulus", check_annulus, bounds["annulus"]),
+        ("multihole", check_multihole, bounds["multihole"]),
+        ("row-recursion", check_recursion, bounds["recursion"]),
+        ("one-hole-chain", check_onehole_chain, bounds["onehole"]),
+        ("gaussian-closed-form", check_gaussian_form, bounds["gaussian"]),
+        ("general-partition", check_general_partition, bounds["general"]),
+        ("gwdt-identity", check_gwdt_identity, bounds["gwdt"]),
+        ("dt-extraction", check_dt, bounds["dt"]),
+        ("ov-extraction", check_ov, bounds["ov"]),
+        ("twist-integrality", check_twist, bounds["twist"]),
+        ("infrastructure", check_infrastructure, dict(bounds["infra"], seed=seed)),
+    ]
+    for name, check, params in suites:
+        start = time.perf_counter()
+        try:
+            rep = check(**params)
+        except TheoremViolation as e:
+            safe = {k: list(v) if isinstance(v, range) else v for k, v in params.items()}
+            rep = Report(name, safe, [{"violation": str(e)}])
+        rep.seconds = time.perf_counter() - start
+        yield rep

@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lmov.arith import (
-    binomial_ext,
-    divisors,
-    fp_factor,
-    gaussian_binomial,
-    is_prime,
-    moebius,
-)
+from helpers import fp_factor, is_prime
+from lmov.arith import binomial_ext, divisors, gaussian_binomial, moebius
 
 
 def test_moebius_small_values():

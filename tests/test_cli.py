@@ -1,8 +1,27 @@
 import json
+import re
 
 import pytest
 
+from lmov import cli, genus0, gwdt, verify
+from lmov.arith import TheoremViolation
 from lmov.cli import EXIT_OK, EXIT_THEOREM, EXIT_USAGE, main
+
+SUITES = [
+    "disc-integrality",
+    "disc-series-oracle",
+    "annulus",
+    "multihole",
+    "row-recursion",
+    "one-hole-chain",
+    "gaussian-closed-form",
+    "general-partition",
+    "gwdt-identity",
+    "dt-extraction",
+    "ov-extraction",
+    "twist-integrality",
+    "infrastructure",
+]
 
 
 def run(argv, capsys):
@@ -79,8 +98,10 @@ def test_gwdt_check_pass(capsys):
 
 
 def test_gwdt_check_usage_guard(capsys):
-    code = main(["gwdt-check", "--tau", "0", "--order", "4"])
-    assert code == EXIT_USAGE
+    with pytest.raises(SystemExit) as ei:
+        main(["gwdt-check", "--tau", "0", "--order", "4"])
+    assert ei.value.code == EXIT_USAGE
+    assert "--tau: must be <= -1" in capsys.readouterr().err
 
 
 def test_twist_cli(capsys):
@@ -114,12 +135,58 @@ def test_deterministic_output(tmp_path):
         assert a.read_bytes() == b.read_bytes(), argv
 
 
-def test_jobs_flag_matches_serial(tmp_path):
-    a = tmp_path / "serial.json"
-    b = tmp_path / "jobs.json"
-    assert main(["disc", "--tau", "2", "--max-m", "10", "--out", str(a)]) == EXIT_OK
-    assert main(["disc", "--tau", "2", "--max-m", "10", "--jobs", "4", "--out", str(b)]) == EXIT_OK
-    assert a.read_bytes() == b.read_bytes()
+BAD_INPUT = [
+    ["ov", "--tau", "1", "--max-m", "0"],
+    ["dt", "--loops", "0"],
+    ["gwdt-check", "--tau", "-1", "--order", "-1"],
+    ["gwdt-check", "--tau", "0"],
+    ["disc", "--tau", "1", "--out", "/nonexistent/x"],
+    ["verify-all", "--quick", "--out", "/nonexistent/x"],
+    ["disc", "--tau", "1", "--max-m", "-3"],
+    ["onehole", "--tau", "1", "--max-m", "0"],
+    ["annulus", "--tau", "1", "--max-total", "0"],
+    ["multihole", "--tau", "1", "--max-size", "-1"],
+    ["twist", "--max-r", "0"],
+    ["twist", "--p-min", "3", "--p-max", "2"],
+    ["twist", "--p-min", "0", "--p-max", "1"],
+    ["disc", "--tau", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+def test_bad_input_exits_1_before_computation(argv, monkeypatch, capsys):
+    def computed(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    for owner, name in [(cli, "_table"), (gwdt, "gwdt_check"), (verify, "run_all")]:
+        monkeypatch.setattr(owner, name, computed)
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"lmov( [a-z-]+)?: error: [^\n]+\n", captured.err), captured.err
+
+
+def _failing_replace(src, dst):
+    raise PermissionError(13, "Permission denied")
+
+
+def test_out_is_atomic(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "disc.json"
+    out.write_bytes(b"previous")
+    argv = ["disc", "--tau", "1", "--max-m", "2", "--out", str(out)]
+    with monkeypatch.context() as m:
+        m.setattr("os.replace", _failing_replace)
+        assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"lmov: error: cannot write {out}: Permission denied\n"
+    # the failed write left the old file and no temporary file behind
+    assert out.read_bytes() == b"previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["disc.json"]
+    assert main(argv) == EXIT_OK
+    assert json.loads(out.read_bytes())["table"] == "disc"
+    assert [p.name for p in tmp_path.iterdir()] == ["disc.json"]
 
 
 def test_verify_all_quick(capsys):
@@ -128,3 +195,29 @@ def test_verify_all_quick(capsys):
     lines = [l for l in text.splitlines() if l.strip()]
     assert len(lines) == 13
     assert all(l.startswith("PASS") for l in lines)
+    assert [re.fullmatch(r"PASS  (\S+)  \[\d+\.\ds\]", l).group(1) for l in lines] == SUITES
+
+
+def test_violation_fails_only_its_suite(tmp_path, monkeypatch, capsys):
+    def broken(m, l, tau):
+        raise TheoremViolation(f"n_({m},{l})(tau={tau}) is not an integer: 1/2")
+
+    monkeypatch.setattr(genus0, "disc_n", broken)
+    reports = list(verify.run_all(verify.QUICK, seed=6))
+    assert [r.name for r in reports] == SUITES
+    assert [r.name for r in reports if not r.ok] == ["disc-integrality"]
+    failed = reports[0]
+    assert failed.params == {"max_m": 12, "tau_range": list(range(-3, 4))}
+    assert failed.failures == [{"violation": "n_(1,0)(tau=-3) is not an integer: 1/2"}]
+
+    out = tmp_path / "sweep.json"
+    code = main(["verify-all", "--quick", "--seed", "6", "--out", str(out)])
+    assert code == EXIT_THEOREM
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL  disc-integrality  [")
+    assert lines[1] == "      {'violation': 'n_(1,0)(tau=-3) is not an integer: 1/2'}"
+    assert sum(l.startswith("PASS  ") for l in lines) == 12
+    suites = json.loads(out.read_bytes())["suites"]
+    assert [s["suite"] for s in suites] == SUITES
+    assert suites[0]["status"] == "FAIL" and suites[0]["failures"] == failed.failures
+    assert all(set(s) == {"suite", "status", "params", "seconds", "failures"} for s in suites)

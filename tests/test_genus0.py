@@ -1,14 +1,12 @@
+import json
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from lmov.arith import binomial_ext, divisors, moebius
+from helpers import cli_output
+from lmov.arith import TheoremViolation, binomial_ext, divisors, moebius
 from lmov.genus0 import (
-    AnnulusTable,
-    DiscTable,
-    MultiHoleTable,
-    TheoremViolation,
     annulus_c,
     annulus_n,
     annulus_top_closed_form,
@@ -61,16 +59,17 @@ def test_disc_n_moebius_inverts():
 def test_disc_series_oracle_small():
     for tau in (0, -1, 3):
         rep = disc_series_check(tau, 6)
-        assert rep.ok, rep.mismatches[:3]
+        assert rep.ok, rep.failures[:3]
 
 
 def test_disc_table_shape():
-    t = DiscTable.compute(-2, 4)
-    assert len(t.rows) == sum(m + 1 for m in range(1, 5))
-    assert all(isinstance(v, int) for _, _, v in t.rows)
-    header, *rows = list(t.csv_rows())
-    assert header == ["m", "l", "tau", "value", "integral"]
-    assert len(rows) == len(t.rows)
+    argv = ["disc", "--tau", "-2", "--max-m", "4"]
+    rows = json.loads(cli_output(*argv))["rows"]
+    assert [(r["m"], r["l"]) for r in rows] == [(m, l) for m in range(1, 5) for l in range(m + 1)]
+    assert all(r["n"] == disc_n(r["m"], r["l"], -2) and r["integral"] for r in rows)
+    header, *lines = cli_output(*argv, "--format", "csv").splitlines()
+    assert header == "m,l,tau,value,integral"
+    assert lines == [f"{r['m']},{r['l']},-2,{r['n']},True" for r in rows]
 
 
 # --- annulus ------------------------------------------------------------------
@@ -144,10 +143,12 @@ def test_annulus_truncation_guard():
 
 
 def test_annulus_table_shape():
-    t = AnnulusTable.compute(1, 4)
-    assert all(ok for m1, m2, l, v, ok in t.rows if l == m1 + m2)
-    header, *_ = list(t.csv_rows())
-    assert header == ["m1", "m2", "l", "tau", "value", "integral"]
+    argv = ["annulus", "--tau", "1", "--max-total", "4"]
+    rows = json.loads(cli_output(*argv))["rows"]
+    assert all(r["integral"] for r in rows if r["l"] == r["m1"] + r["m2"])
+    header, *lines = cli_output(*argv, "--format", "csv").splitlines()
+    assert header == "m1,m2,l,tau,value,integral"
+    assert len(lines) == len(rows)
 
 
 # --- multihole ----------------------------------------------------------------
@@ -182,9 +183,13 @@ def test_multihole_cover_consistency():
 
 
 def test_multihole_table():
-    t = MultiHoleTable.compute(1, 5)
-    assert all(len(mu) >= 3 for mu, _ in t.rows)
-    assert all(isinstance(v, int) for _, v in t.rows)
+    argv = ["multihole", "--tau", "1", "--max-size", "5"]
+    rows = json.loads(cli_output(*argv))["rows"]
+    assert all(len(r["mu"]) >= 3 for r in rows)
+    assert all(r["n"] == multihole_n(tuple(r["mu"]), 1) for r in rows)
+    header, *lines = cli_output(*argv, "--format", "csv").splitlines()
+    assert header == "mu,tau,value,integral"
+    assert lines == [f"{' '.join(map(str, r['mu']))},1,{r['n']},True" for r in rows]
 
 
 # --- p-adic structure behind the integrality proofs -----------------------------

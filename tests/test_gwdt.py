@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from helpers import cli_output
 from lmov.arith import binomial_ext
 from lmov.gwdt import (
     DTTable,
@@ -111,10 +113,14 @@ def test_ov_negative_entries_are_notes_not_failures():
 
 
 def test_ov_json_shape():
-    table = ooguri_vafa(1, 2)
-    obj = table.json_obj()
+    obj = json.loads(cli_output("ov", "--tau", "1", "--max-m", "2"))
     assert obj["tau"] == 1
     assert obj["rows"][0] == {"m": 1, "entries": [{"k": 0, "N": -1}]}
+    table = ooguri_vafa(1, 2)
+    assert obj["rows"] == [
+        {"m": m, "entries": [{"k": k, "N": n} for k, n in sorted(table.rows[m].items())]}
+        for m in (1, 2)
+    ]
 
 
 # --- Donaldson-Thomas -------------------------------------------------------------
@@ -144,13 +150,14 @@ def test_dt_nonnegative_and_finite():
 
 
 def test_dt_json_shape():
-    t = dt_extract(2, 2)
-    obj = t.json_obj()
+    obj = json.loads(cli_output("dt", "--loops", "2", "--max-n", "2"))
     assert obj["loops"] == 2
     assert obj["rows"] == [
         {"n": 1, "entries": [{"k": 0, "c": 1}]},
         {"n": 2, "entries": [{"k": 1, "c": 1}]},
     ]
+    csv = cli_output("dt", "--loops", "2", "--max-n", "2", "--format", "csv")
+    assert csv.splitlines() == ["loops,n,k,c", "2,1,0,1", "2,2,1,1"]
 
 
 # --- OV/DT dictionary ---------------------------------------------------------------

@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from lmov.genus0 import TheoremViolation, disc_n
+from helpers import cli_output
+from lmov.arith import TheoremViolation
+from lmov.genus0 import disc_n
 from lmov.onehole import (
     _multiset_decompositions,
     cal_z,
@@ -153,14 +156,14 @@ def test_z2_g_m_mirror_symmetric():
 def test_lmov_one_hole_m1_table():
     for tau in range(-4, 5):
         s = (-1) ** (tau % 2)
-        assert lmov_one_hole(1, tau).entries() == {(0, 1): s, (0, -1): -s}
+        assert lmov_one_hole(1, tau).entries == {(0, 1): s, (0, -1): -s}
 
 
 def test_lmov_one_hole_charge_bound():
     # max |Q| = m/2, i.e. |two_q| <= m; finitely many (g, Q)
     for tau in (-2, 1):
         for m in range(1, 6):
-            entries = lmov_one_hole(m, tau).entries()
+            entries = lmov_one_hole(m, tau).entries
             assert entries
             assert all(abs(v) <= m for _, v in entries)
             assert all(g >= 0 for g, _ in entries)
@@ -168,9 +171,9 @@ def test_lmov_one_hole_charge_bound():
 
 def test_lmov_one_hole_tau_zero_vanishing():
     # only m = 1 survives at tau = 0
-    assert lmov_one_hole(1, 0).entries() == {(0, 1): 1, (0, -1): -1}
+    assert lmov_one_hole(1, 0).entries == {(0, 1): 1, (0, -1): -1}
     for m in (2, 3, 4, 5):
-        assert lmov_one_hole(m, 0).entries() == {}
+        assert lmov_one_hole(m, 0).entries == {}
 
 
 def test_disc_onehole_sign_dictionary():
@@ -180,19 +183,19 @@ def test_disc_onehole_sign_dictionary():
             disc = {2 * l - m: disc_n(m, l, tau) for l in range(0, m + 1)}
             disc = {k: v for k, v in disc.items() if v}
             one = {
-                v: n for (g, v), n in lmov_one_hole(m, tau).entries().items() if g == 0
+                v: n for (g, v), n in lmov_one_hole(m, tau).entries.items() if g == 0
             }
             assert disc == {k: -v for k, v in one.items()}, (m, tau)
 
 
 def test_one_hole_json_shape():
-    t = lmov_one_hole(2, 1)
-    obj = t.json_obj()
-    assert obj["m"] == 2 and obj["tau"] == 1
-    assert obj["entries"] == [
+    obj = json.loads(cli_output("onehole", "--tau", "1", "--max-m", "2"))
+    assert obj["rows"][1]["m"] == 2 and obj["rows"][1]["tau"] == 1
+    assert obj["rows"][1]["entries"] == [
         {"g": 0, "two_q": 0, "n": -1},
         {"g": 0, "two_q": 2, "n": 1},
     ]
+    assert lmov_one_hole(2, 1).entries == {(0, 0): -1, (0, 2): 1}
 
 
 # --- M matrix -------------------------------------------------------------------
@@ -252,7 +255,7 @@ def test_g_mu_general_single_row_matches_one_hole():
             r = g_mu_general((m,), tau)
             assert r.report.ok
             assert r.table is not None
-            assert r.table.entries == lmov_one_hole(m, tau).entries(), (m, tau)
+            assert r.table.entries == lmov_one_hole(m, tau).entries, (m, tau)
 
 
 def test_g_mu_general_two_rows_frozen_values():

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import as_partition, aut_order
 from lmov.partitions import (
-    as_partition,
-    aut_order,
     kappa,
     mn_character,
     partitions_of,

@@ -1,9 +1,10 @@
+import json
 from math import comb
 
 import pytest
 
-from lmov.arith import fp_factor, is_prime
-from lmov.twist import TwistTable, b_minus, b_plus
+from helpers import cli_output, fp_factor, is_prime
+from lmov.twist import b_minus, b_plus
 
 
 def test_b_minus_values():
@@ -57,10 +58,13 @@ def test_binomial_difference_congruence():
 
 
 def test_table():
-    t = TwistTable.compute([-2, 2], 3)
-    assert len(t.rows) == 6
-    obj = t.json_obj()
+    argv = ["twist", "--p-min", "-2", "--p-max", "2", "--max-r", "3"]
+    obj = json.loads(cli_output(*argv))
+    assert [(row["p"], row["r"]) for row in obj["rows"]] == [
+        (p, r) for p in (-2, -1, 2) for r in (1, 2, 3)
+    ]
     assert obj["rows"][0] == {"p": -2, "r": 1, "b_minus": -1, "b_plus": 1}
-    header, *rows = list(t.csv_rows())
-    assert header == ["p", "r", "b_minus", "b_plus"]
-    assert len(rows) == 6
+    header, *rows = cli_output(*argv, "--format", "csv").splitlines()
+    assert header == "p,r,b_minus,b_plus"
+    assert rows[0] == "-2,1,-1,1"
+    assert len(rows) == 9
