@@ -262,9 +262,9 @@ FULL = {
 
 def run_all(bounds: dict, seed: int = 0):
     """Run every suite in a fixed order; yields one Report per suite, with
-    its wall time in ``seconds``.  A TheoremViolation fails only the suite
-    that raised it: its report carries the suite name, its parameters and
-    the message, and the later suites still run."""
+    the bounds it ran at (ranges as lists) in ``params`` and its wall time
+    in ``seconds``.  A TheoremViolation fails only the suite that raised
+    it: its report carries the message, and the later suites still run."""
     suites = [
         ("disc-integrality", check_disc_integrality, bounds["disc"]),
         ("disc-series-oracle", check_disc_oracle, bounds["disc_oracle"]),
@@ -281,11 +281,11 @@ def run_all(bounds: dict, seed: int = 0):
         ("infrastructure", check_infrastructure, dict(bounds["infra"], seed=seed)),
     ]
     for name, check, params in suites:
+        ran_at = {k: list(v) if isinstance(v, range) else v for k, v in params.items()}
         start = time.perf_counter()
         try:
             rep = check(**params)
         except TheoremViolation as e:
-            safe = {k: list(v) if isinstance(v, range) else v for k, v in params.items()}
-            rep = Report(name, safe, [{"violation": str(e)}])
-        rep.seconds = time.perf_counter() - start
+            rep = Report(name, ran_at, [{"violation": str(e)}])
+        rep.params, rep.seconds = ran_at, time.perf_counter() - start
         yield rep

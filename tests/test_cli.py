@@ -209,6 +209,7 @@ def test_violation_fails_only_its_suite(tmp_path, monkeypatch, capsys):
     failed = reports[0]
     assert failed.params == {"max_m": 12, "tau_range": list(range(-3, 4))}
     assert failed.failures == [{"violation": "n_(1,0)(tau=-3) is not an integer: 1/2"}]
+    assert reports[-1].params == {"max_n": 5, "samples": 40, "seed": 6}
 
     out = tmp_path / "sweep.json"
     code = main(["verify-all", "--quick", "--seed", "6", "--out", str(out)])
