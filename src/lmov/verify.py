@@ -2,8 +2,8 @@
 
 Each suite returns a Report; a failure in any suite is what the CLI maps
 to exit status 2.  Bounds are parameters so the same code runs the quick
-CLI sweep and the full acceptance sweep.  ``run_all`` is the one driver
-of the sweep.
+CLI sweep and the full acceptance sweep.  ``run_all`` runs the whole
+sweep, for the CLI and for any other caller.
 """
 
 from __future__ import annotations
