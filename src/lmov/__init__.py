@@ -5,8 +5,9 @@ Modules:
 * ``arith``      -- Moebius function, divisors, extended and Gaussian
   binomials, and the ``Report`` every check returns.
 * ``partitions`` -- integer partitions and symmetric-group characters.
-* ``qa``         -- exact Laurent / rational algebra in q^(1/2), a^(1/2),
-  quantum integers, Adams operations, the z^2 basis.
+* ``qa``         -- exact Laurent polynomials in q^(1/2), a^(1/2), their
+  quotients by the q-Pochhammer symbol (q;q)_n, quantum integers, Adams
+  operations, exact division, the z^2 basis.
 * ``series``     -- truncated power series, functional-equation solving,
   plethystic logarithm and exponential.
 * ``genus0``     -- disc, annulus and multi-hole invariants with their

@@ -23,9 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import Report, binomial_ext, certified_int, divisors, moebius
+from .arith import Report, TheoremViolation, binomial_ext, certified_int, divisors, moebius
 from .partitions import Partition, parts_gcd, scale_down
-from .qa import LaurentQA, exact_div
+from .qa import ExactDivisionError, LaurentQA, exact_div
 from .series import CoeffRing, Series1, Series2, series2_log, series_log, solve_functional
 
 
@@ -124,7 +124,15 @@ def _annulus_log(tau: int, order: int) -> Series2:
     y = mirror_series(tau, order + 1)
     b1 = y.coeff(1)  # equals 1 - a
     kern: dict = {}
-    level = {n: exact_div(y.coeff(n + 1), b1) for n in range(order + 1)}
+    level = {}
+    for n in range(order + 1):
+        try:
+            level[n] = exact_div(y.coeff(n + 1), b1)
+        except ExactDivisionError as e:
+            raise TheoremViolation(
+                f"Y_{n + 1} of the mirror curve not divisible by 1 - a "
+                f"(tau={tau}, order={order}, n={n})"
+            ) from e
     for i in range(order + 1):
         for j in range(order + 1 - i):
             kern[(i, j)] = level[i + j]

@@ -1,9 +1,10 @@
 """Reduced open-string partition function, Ooguri-Vafa and
 Donaldson-Thomas extraction, and the GW/DT series identity.
 
-Everything here is a-free: coefficients are exact rational functions of
-q on the half-integer exponent lattice (RationalQ).  "Is a Laurent
-polynomial" decisions are exact divisions, never numeric truncations.
+Everything here is a-free.  The x^n coefficient of every series is a
+PochFrac, an exact Laurent numerator over the known denominator (q;q)_n,
+so "is a Laurent polynomial" decisions are exact divisions by known
+products of factors 1 - q^i, never numeric truncations.
 
 Ooguri-Vafa route: the reduced series Z_tau(q, x) = sum H_n(q) x^n is
 fed to the plethystic logarithm; each level f_m must collapse to
@@ -11,8 +12,8 @@ fed to the plethystic logarithm; each level f_m must collapse to
 the numerator at q^((k+1)/2).  The product-form reconstruction
 prod (1 - q^((k+1)/2 + l) x^m)^N_{m,k} over l >= 0 is verified exactly
 by summing the geometric layers into 1/(1-q^d) factors and comparing
-rational functions coefficient by coefficient, which implies agreement
-to every finite q-order.
+the numerators over (q;q)_n coefficient by coefficient, which implies
+agreement to every finite q-order.
 
 Donaldson-Thomas route: identical plumbing applied to the loop-quiver
 Hilbert-Poincare series P_m(q, t) with t twisted by (-1)^(m-1); the
@@ -25,33 +26,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Report, TheoremViolation
-from .qa import ONE_MINUS_Q, RationalQ, one_minus_q_pow
+from .qa import ExactDivisionError, LaurentQA, PochFrac, exact_div, one_minus_q_prod
 from .series import CoeffRing, Series1, plethystic_log, series_exp
 
-_QRING = CoeffRing(zero=RationalQ.zero(), one=RationalQ.one())
+_RING = CoeffRing(zero=PochFrac.zero(), one=PochFrac.one())
 
 
-def _q_factorial_den(n: int) -> RationalQ:
-    """(1-q)(1-q^2)...(1-q^n) as a RationalQ (n >= 0)."""
-    out = RationalQ.one()
-    for i in range(1, n + 1):
-        out = out * one_minus_q_pow(i)
-    return out
-
-
-def h_top(n: int, tau: int) -> RationalQ:
+def h_top(n: int, tau: int) -> PochFrac:
     """Top-charge row coefficient
     (-1)^(n(tau-1)) q^(n(n-1)tau/2 + n^2/2) / prod_{i<=n}(1-q^i)."""
     if n < 0:
         raise ValueError("h_top needs n >= 0")
     sign = (-1) ** ((n * (tau - 1)) % 2)
-    num = RationalQ.monomial(n * (n - 1) * tau + n * n, sign)
-    return num / _q_factorial_den(n)
+    return PochFrac(LaurentQA.monomial(n * (n - 1) * tau + n * n, c=sign), n)
 
 
 def z_tau_series(tau: int, order: int) -> Series1:
     """Reduced partition function sum_n H_n(q) x^n truncated at x^order."""
-    return Series1(_QRING, order, [h_top(n, tau) for n in range(order + 1)])
+    return Series1(_RING, order, [h_top(n, tau) for n in range(order + 1)])
 
 
 def coha_series(loops: int, order: int) -> Series1:
@@ -59,11 +51,18 @@ def coha_series(loops: int, order: int) -> Series1:
     sum_n q^(-(m-1) n(n-1)/2) / prod_{i<=n}(1-q^i) t^n."""
     if loops < 1:
         raise ValueError("coha_series needs loops >= 1")
-    coeffs = []
-    for n in range(order + 1):
-        num = RationalQ.monomial(-(loops - 1) * n * (n - 1), 1)
-        coeffs.append(num / _q_factorial_den(n))
-    return Series1(_QRING, order, coeffs)
+    coeffs = [
+        PochFrac(LaurentQA.monomial(-(loops - 1) * n * (n - 1)), n)
+        for n in range(order + 1)
+    ]
+    return Series1(_RING, order, coeffs)
+
+
+def _times_one_minus_q(f: PochFrac, n: int) -> LaurentQA:
+    """(1-q) f for f of degree n, as a Laurent polynomial: one exact
+    division of the numerator by (q;q)_n / (1-q).  Raises
+    ExactDivisionError when (1-q) f is not a Laurent polynomial."""
+    return exact_div(f.num, one_minus_q_prod(range(2, n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +80,6 @@ class OVTable:
     report: Report
 
 
-def _laurent_from_rational(r: RationalQ, what: str) -> dict:
-    """u -> coefficient of the Laurent polynomial r, or raise."""
-    if not r.is_laurent():
-        raise ValueError(f"{what} is not a Laurent polynomial: {r!r}")
-    return {r.off + i: c for i, c in enumerate(r.num) if c}
-
-
 def ooguri_vafa(tau: int, max_m: int, reconstruct: bool = True) -> OVTable:
     """Extract N_{m,k}(tau) for m <= max_m from the reduced series.
 
@@ -102,15 +94,15 @@ def ooguri_vafa(tau: int, max_m: int, reconstruct: bool = True) -> OVTable:
     fs = plethystic_log(z)
     rows: dict = {}
     for m in range(1, max_m + 1):
-        g = fs[m - 1] * ONE_MINUS_Q
         try:
-            coeffs = _laurent_from_rational(g, f"(1-q) f_{m}")
-        except ValueError as e:
-            rep.failures.append({"m": m, "reason": str(e)})
+            g = _times_one_minus_q(fs[m - 1], m)
+        except ExactDivisionError:
+            reason = f"(1-q) f_{m} is not a Laurent polynomial: {fs[m - 1]!r}"
+            rep.failures.append({"m": m, "reason": reason})
             rows[m] = {}
             continue
         entries: dict = {}
-        for u, c in coeffs.items():
+        for (u, _), c in sorted(g.items()):
             k = u - 1  # exponent q^(u/2) = q^((k+1)/2)
             val = -Fraction(c)
             if val.denominator != 1:
@@ -135,15 +127,17 @@ def ov_reconstruction_residue(table: OVTable):
     over l, the exact log sum_{d} -(1/d) N_{m,k} q^(d(k+1)/2)/(1-q^d) x^(dm).
     """
     order = table.max_m
-    acc = [RationalQ.zero() for _ in range(order + 1)]
+    acc = [PochFrac.zero() for _ in range(order + 1)]
     for m, entries in table.rows.items():
         for d in range(1, order // m + 1):
-            inv = one_minus_q_pow(d)
-            layer = RationalQ.zero()
+            # 1/(1-q^d) at x-degree n = dm is prod_{i<=n, i != d} (1-q^i) / (q;q)_n
+            n = d * m
+            inv = one_minus_q_prod(i for i in range(1, n + 1) if i != d)
+            layer = LaurentQA.zero()
             for k, nmk in entries.items():
-                layer = layer + RationalQ.monomial(d * (k + 1), -Fraction(nmk, d))
-            acc[d * m] = acc[d * m] + layer / inv
-    z_rec = series_exp(Series1(_QRING, order, acc))
+                layer = layer + LaurentQA.monomial(d * (k + 1), c=-Fraction(nmk, d))
+            acc[n] = acc[n] + PochFrac(layer * inv, n)
+    z_rec = series_exp(Series1(_RING, order, acc))
     z = z_tau_series(table.tau, order)
     for n in range(order + 1):
         if z_rec.coeff(n) != z.coeff(n):
@@ -177,21 +171,22 @@ def dt_extract(loops: int, max_n: int) -> DTTable:
     p = coha_series(loops, max_n)
     twist = (-1) ** ((loops - 1) % 2)
     twisted = Series1(
-        _QRING,
+        _RING,
         max_n,
         [c.scale(twist ** (n % 2)) if twist < 0 else c for n, c in enumerate(p.coeffs)],
     )
     ls = plethystic_log(twisted)
     rows: dict = {}
     for n in range(1, max_n + 1):
-        g = ls[n - 1] * ONE_MINUS_Q
-        if not g.is_laurent():
+        try:
+            g = _times_one_minus_q(ls[n - 1], n)
+        except ExactDivisionError as e:
             raise TheoremViolation(
-                f"(1-q) L_{n} is not a Laurent polynomial (loops={loops})"
-            )
+                f"(1-q) L_{n} is not a Laurent polynomial (loops={loops}, max_n={max_n})"
+            ) from e
         sign = (-1) ** (((loops - 1) * n) % 2)
         entries: dict = {}
-        for u, c in _laurent_from_rational(g, f"(1-q) L_{n}").items():
+        for (u, _), c in sorted(g.items()):
             if u % 2:
                 raise TheoremViolation(
                     f"half-integer q-power in DT level {n} (loops={loops})"
@@ -225,7 +220,7 @@ def gwdt_check(tau: int, order: int) -> Report:
     z = z_tau_series(tau, order)
     p = coha_series(-tau, order)
     for n in range(order + 1):
-        sub = RationalQ.monomial(n, (-1) ** ((n * (tau - 1)) % 2))
+        sub = PochFrac(LaurentQA.monomial(n, c=(-1) ** ((n * (tau - 1)) % 2)), 0)
         if z.coeff(n) != p.coeff(n) * sub:
             rep.failures.append({"n": n})
     return rep

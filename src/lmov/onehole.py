@@ -16,6 +16,9 @@ collapses Z_m to {m}_a / {m}^2 and switches the divisor to {m}^2/{1}^2.
 ``g_mu_general`` runs the same pipeline for an arbitrary partition mu
 (a conjectural statement for l(mu) >= 2, so failures are reported, not
 raised), via characters and the log on the power-sum partition algebra.
+Its coefficients of size n are PochFracs, numerators over (q;q)_n, using
+1/{sigma} = (-1)^l(sigma) q^(|sigma|/2) / prod_i (1 - q^(sigma_i)); the
+one rational step left is a single exact division by {mu} (q;q)_|mu|.
 """
 
 from __future__ import annotations
@@ -37,11 +40,12 @@ from .partitions import (
 from .qa import (
     ExactDivisionError,
     LaurentQA,
-    RationalQ,
-    RationalQA,
+    PochFrac,
+    Z_SQUARED,
     ZBasisError,
     ZBasisTable,
     exact_div,
+    one_minus_q_prod,
     quantum_int,
     quantum_prod,
     quantum_ratio,
@@ -62,28 +66,6 @@ def _row_numerator(n: int) -> LaurentQA:
     i = n - 1
     factor = LaurentQA({(i, 1): 1, (-i, -1): -1})
     return prev * factor
-
-
-@lru_cache(maxsize=None)
-def _row_denominator(n: int) -> LaurentQA:
-    # product over i of (q^(i/2) - q^(-i/2))
-    return quantum_prod(range(1, n + 1))
-
-
-def unknot_row(n: int) -> RationalQA:
-    """Row-colored invariant W_n(q, a); W_0 = 1."""
-    if n < 0:
-        raise ValueError("unknot_row needs n >= 0")
-    num = RationalQA.from_laurent(_row_numerator(n))
-    den = RationalQ.from_laurent(_row_denominator(n))
-    return num.div_rational(den)
-
-
-def framed_row(n: int, tau: int) -> RationalQA:
-    """Framed row invariant (-1)^(n tau) q^(n(n-1) tau / 2) W_n."""
-    sign = (-1) ** ((n * tau) % 2)
-    twist = RationalQ.monomial(n * (n - 1) * tau, sign)
-    return unknot_row(n).mul_rational(twist)
 
 
 @lru_cache(maxsize=None)
@@ -146,13 +128,6 @@ def _cleared_divisor(m: int, tau: int) -> LaurentQA:
     return first * second
 
 
-def cal_z(m: int, tau: int) -> RationalQA:
-    """Z_m(q, a) as an a-graded rational function of q."""
-    cleared = cal_z_cleared(m, tau)
-    div = _cleared_divisor(m, tau) * quantum_int(1) * quantum_int(1)
-    return RationalQA.from_laurent(cleared).div_rational(RationalQ.from_laurent(div))
-
-
 def cal_z_gaussian(m: int, tau: int) -> LaurentQA:
     """Gaussian-binomial closed form of {m}{m tau} Z_m, valid for tau >= 1.
 
@@ -198,16 +173,6 @@ def g_m_cleared(m: int, tau: int) -> LaurentQA:
     return total
 
 
-def g_m(m: int, tau: int) -> RationalQA:
-    """g_m(q, a) = sum over d | m of moebius(d) Z_{m/d}(q^d, a^d)."""
-    total = RationalQA.zero()
-    for d in divisors(m):
-        mu = moebius(d)
-        if mu:
-            total = total + cal_z(m // d, tau).adams(d).scale(mu)
-    return total
-
-
 def z2_g_m(m: int, tau: int) -> LaurentQA:
     """z^2 g_m as a Laurent polynomial, via exact division."""
     cleared = g_m_cleared(m, tau)
@@ -239,23 +204,8 @@ def lmov_one_hole(m: int, tau: int) -> ZBasisTable:
 
 
 # ---------------------------------------------------------------------------
-# the matrix M and the general-partition pipeline
+# the general-partition pipeline
 # ---------------------------------------------------------------------------
-
-
-def m_matrix(lam: Partition, mu: Partition) -> LaurentQA:
-    """Pairing matrix entry: sum over classes nu of
-    chi_lam(nu) chi_mu(nu) / z_nu * prod_j (q^(-nu_j/2) - q^(nu_j/2))."""
-    if sum(lam) != sum(mu):
-        raise ValueError("m_matrix needs |lam| = |mu|")
-    total = LaurentQA.zero()
-    for nu in partitions_of(sum(lam)):
-        c = mn_character(lam, nu) * mn_character(mu, nu)
-        if not c:
-            continue
-        prod = quantum_prod(nu).scale((-1) ** (len(nu) % 2))
-        total = total + prod.scale(Fraction(c, z_factor(nu)))
-    return total
 
 
 @lru_cache(maxsize=None)
@@ -271,19 +221,24 @@ def _phi(nu: Partition, sigma: Partition, tau: int) -> LaurentQA:
 
 
 @lru_cache(maxsize=None)
-def cal_z_partition(nu: Partition, tau: int) -> RationalQA:
+def _inv_quantum_prod(sigma: Partition) -> PochFrac:
+    # 1/{sigma} of degree |sigma|, from 1/{s} = -q^(s/2) (q;q)_(s-1) / (q;q)_s
+    out = PochFrac.one()
+    for s in sigma:
+        out = out * PochFrac(one_minus_q_prod(range(1, s)).shift(du=s).scale(-1), s)
+    return out
+
+
+@lru_cache(maxsize=None)
+def cal_z_partition(nu: Partition, tau: int) -> PochFrac:
     """Character-transformed colored invariant for cycle type nu."""
-    total = RationalQA.zero()
+    total = PochFrac.zero()
     size = sum(nu)
     for sigma in partitions_of(size):
         phi = _phi(nu, sigma, tau)
         if phi.is_zero():
             continue
-        num = phi * quantum_prod(sigma, "a")
-        den = quantum_prod(sigma)
-        term = RationalQA.from_laurent(num).div_rational(
-            RationalQ.from_laurent(den)
-        )
+        term = PochFrac(phi * quantum_prod(sigma, "a"), 0) * _inv_quantum_prod(sigma)
         total = total + term.scale(Fraction(1, z_factor(sigma)))
     return total.scale((-1) ** ((size * tau) % 2))
 
@@ -332,14 +287,14 @@ def _multiset_decompositions(mu: Partition):
         yield canon, count
 
 
-def f_mu(mu: Partition, tau: int) -> RationalQA:
+def f_mu(mu: Partition, tau: int) -> PochFrac:
     """Connected (log) coefficient of the partition-sum expansion at mu."""
     if not mu:
         raise ValueError("f_mu needs a nonempty partition")
-    total = RationalQA.zero()
+    total = PochFrac.zero()
     for blocks, count in _multiset_decompositions(mu):
         n = len(blocks)
-        term = RationalQA.one()
+        term = PochFrac.one()
         for b in blocks:
             term = term * cal_z_partition(b, tau).scale(Fraction(1, z_factor(b)))
         total = total + term.scale(Fraction((-1) ** (n - 1) * count, n))
@@ -350,7 +305,7 @@ def f_mu(mu: Partition, tau: int) -> RationalQA:
 class GeneralHoleResult:
     mu: Partition
     tau: int
-    rational: RationalQA  # z^2 * z_mu * g-hat_mu
+    target: LaurentQA | None  # z^2 * z_mu * g-hat_mu, when it is a Laurent polynomial
     table: ZBasisTable | None
     report: Report
 
@@ -360,31 +315,30 @@ def g_mu_general(mu: Partition, tau: int) -> GeneralHoleResult:
 
     Computes g-hat_mu = sum over d | mu of (moebius(d)/d) adams_d of
     (F_{mu/d} / {mu/d}), then z^2 z_mu g-hat_mu, and attempts the z^2-basis
-    rewrite.  Failures are reported, not raised: only the single-row case
-    is a theorem.
+    rewrite.  Since adams_d({mu/d}) = {mu}, g-hat_mu = S / {mu} with
+    S = sum_d (moebius(d)/d) adams_d(F_{mu/d}) = num / (q;q)_|mu|, so the
+    target is Laurent exactly when {mu} (q;q)_|mu| divides z^2 z_mu num.
+    Failures are reported, not raised: only the single-row case is a
+    theorem.
     """
     mu = tuple(sorted(mu, reverse=True))
     if not mu:
         raise ValueError("g_mu_general needs a nonempty partition")
     rep = Report("general-one-hole", {"mu": mu, "tau": tau})
-    ghat = RationalQA.zero()
+    s = PochFrac.zero()
     for d in divisors(parts_gcd(mu)):
         mo = moebius(d)
-        if not mo:
-            continue
-        scaled = scale_down(mu, d)
-        fhat = f_mu(scaled, tau).div_rational(
-            RationalQ.from_laurent(quantum_prod(scaled))
-        )
-        ghat = ghat + fhat.adams(d).scale(Fraction(mo, d))
-    z2 = RationalQ.from_laurent(quantum_int(1) * quantum_int(1))
-    target = ghat.mul_rational(z2).scale(z_factor(mu))
-    laurent = target.as_laurent()
-    if laurent is None:
-        rep.failures.append({"mu": mu, "reason": "denominator did not clear"})
-        return GeneralHoleResult(mu, tau, target, None, rep)
+        if mo:
+            s = s + f_mu(scale_down(mu, d), tau).adams(d).scale(Fraction(mo, d))
+    num = (s.num * Z_SQUARED).scale(z_factor(mu))
+    den = quantum_prod(mu) * one_minus_q_prod(range(1, sum(mu) + 1))
     try:
-        table = to_z_basis(laurent)
+        target = exact_div(num, den)
+    except ExactDivisionError:
+        rep.failures.append({"mu": mu, "reason": "denominator did not clear"})
+        return GeneralHoleResult(mu, tau, None, None, rep)
+    try:
+        table = to_z_basis(target)
     except ZBasisError as e:
         rep.failures.append({"mu": mu, "reason": f"z-basis: {e}"})
         return GeneralHoleResult(mu, tau, target, None, rep)

@@ -1,12 +1,14 @@
 """Exact algebra in the variables q^(1/2) and a^(1/2).
 
-Three layers, all over exact rational coefficients:
+Two layers, both over exact rational coefficients:
 
-* ``LaurentQA``  -- Laurent polynomials in q^(1/2), a^(1/2).
-* ``RationalQ``  -- univariate rational functions of q (num/den Laurent
-  polynomials in q^(1/2), gcd-reduced, monic denominator).
-* ``RationalQA`` -- finitely many a^(1/2)-monomials with RationalQ
-  coefficients, i.e. the a-graded extension of RationalQ.
+* ``LaurentQA`` -- Laurent polynomials in q^(1/2), a^(1/2).
+* ``PochFrac``  -- a LaurentQA numerator over the q-Pochhammer symbol
+  (q;q)_n, the denominator that every x^n coefficient of the reduced
+  partition function and of the loop-quiver series carries.  Since the
+  denominator is known in advance, no rational-function normal form is
+  ever built: "is a Laurent polynomial" is one ``exact_div`` by a known
+  product of factors 1 - q^i.
 
 Exponents live on the half-integer lattice and are stored doubled:
 ``u`` counts powers of q^(1/2) and ``v`` counts powers of a^(1/2), so all
@@ -22,8 +24,11 @@ is the genus-graded form used by the one-hole invariant tables.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from functools import lru_cache
+from math import comb
 from typing import Iterable, Mapping
+
+from .arith import gaussian_binomial
 
 Rat = int | Fraction
 
@@ -100,15 +105,9 @@ class LaurentQA:
     def is_zero(self) -> bool:
         return not self._c
 
-    def is_one(self) -> bool:
-        return self._c == {(0, 0): 1}
-
     def is_integral(self) -> bool:
         """Certify that every stored coefficient is an integer."""
         return all(isinstance(c, int) for c in self._c.values())
-
-    def support(self) -> list:
-        return sorted(self._c)
 
     def a_slices(self) -> dict:
         """Group coefficients by a-exponent: v -> {u: coefficient}."""
@@ -424,439 +423,96 @@ def to_z_basis(f: LaurentQA) -> ZBasisTable:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers (internal, used by RationalQ)
+# coefficients over the q-Pochhammer symbol (q;q)_n
 # ---------------------------------------------------------------------------
 
-def _pt(coeffs) -> tuple:
-    c = list(coeffs)
-    while c and not c[-1]:
-        c.pop()
-    return tuple(c)
+def one_minus_q_prod(exponents: Iterable[int]) -> LaurentQA:
+    """prod over i in exponents of (1 - q^i); the empty product is 1."""
+    c = {0: 1}
+    for i in exponents:
+        nxt = dict(c)
+        for e, x in c.items():
+            nxt[e + i] = nxt.get(e + i, 0) - x
+        c = {e: x for e, x in nxt.items() if x}
+    return LaurentQA._make({(2 * e, 0): x for e, x in c.items()})
 
 
-def _p_add(a, b):
-    n = max(len(a), len(b))
-    return _pt(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+@lru_cache(maxsize=None)
+def _q_binomial(n: int, k: int) -> LaurentQA:
+    # [n choose k]_q = (q;q)_n / ((q;q)_k (q;q)_(n-k))
+    return LaurentQA._make(
+        {(2 * e, 0): c for e, c in enumerate(gaussian_binomial(n, k)) if c}
     )
 
 
-def _p_neg(a):
-    return tuple(-x for x in a)
+@lru_cache(maxsize=None)
+def _adams_factor(n: int, d: int) -> LaurentQA:
+    # (q;q)_(dn) / (q^d;q^d)_n: the factors 1 - q^i, i <= dn, d not dividing i
+    return one_minus_q_prod(i for i in range(1, d * n + 1) if i % d)
 
 
-def _p_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return _pt(out)
+class PochFrac:
+    """The value num / (q;q)_n, with (q;q)_n = (1-q)(1-q^2)...(1-q^n).
 
-
-def _p_divmod(a, b):
-    """Polynomial divmod over exact rationals (b != 0)."""
-    if not b:
-        raise ZeroDivisionError
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return (), _pt(a)
-    r = list(a)
-    lead = Fraction(b[-1])
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = r[i + db]
-        if not c:
-            continue
-        t = Fraction(c) / lead
-        q[i] = t
-        for j, y in enumerate(b):
-            r[i + j] -= t * y
-    return _pt(q), _pt(r)
-
-
-def _int_primitive(a):
-    """Scale a rational coefficient list to primitive integers (positive lead)."""
-    if not a:
-        return ()
-    den = 1
-    for c in a:
-        d = Fraction(c).denominator
-        den = den * d // gcd(den, d)
-    ints = [int(Fraction(c) * den) for c in a]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
-
-
-def _pseudo_rem(a, b):
-    """Pseudo-remainder of integer coefficient lists, deg a >= deg b >= 0."""
-    db = len(b) - 1
-    lead = b[-1]
-    r = list(a)
-    while len(r) - 1 >= db and any(r):
-        top = r[-1]
-        if not top:
-            r.pop()
-            continue
-        shift = len(r) - 1 - db
-        r = [lead * c for c in r]
-        for j, y in enumerate(b):
-            r[shift + j] -= top * y
-        r = list(_pt(r))
-    return _pt(r)
-
-
-def _p_gcd(a, b):
-    """Monic gcd via a primitive integer remainder sequence."""
-    a = _int_primitive(a)
-    b = _int_primitive(b)
-    if not a:
-        base = b
-    elif not b:
-        base = a
-    else:
-        if len(a) < len(b):
-            a, b = b, a
-        while b:
-            r = _int_primitive(_pseudo_rem(a, b))
-            a, b = b, r
-        base = a
-    if not base:
-        return ()
-    lead = Fraction(base[-1])
-    return tuple(_norm_c(Fraction(c) / lead) for c in base)
-
-
-def _p_stretch(a, d):
-    if not a:
-        return ()
-    out = [0] * ((len(a) - 1) * d + 1)
-    for i, c in enumerate(a):
-        out[i * d] = c
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# RationalQ
-# ---------------------------------------------------------------------------
-
-class RationalQ:
-    """Rational function of q on the q^(1/2) exponent lattice.
-
-    Value = q^(off/2) * num(s) / den(s) with s = q^(1/2).  Canonical form:
-    den is a monic polynomial in s with nonzero constant term, num has
-    nonzero constant term (the monomial shift lives in ``off``), and
-    gcd(num, den) = 1.  Equality is structural.
+    Immutable by convention.  A series whose x^n coefficient has this
+    shape keeps it under products (the denominators combine through a
+    q-binomial), Adams operations and sums of equal degree, which is all
+    that the log, exp and plethystic log of ``lmov.series`` do.  Zero has
+    no degree; adding nonzero values of different degrees raises.
+    Equality compares (num, n), so at equal n it is equality of rational
+    functions.
     """
 
-    __slots__ = ("off", "num", "den")
+    __slots__ = ("num", "n")
 
-    def __init__(self, num=(1,), den=(1,), off=0, _normalized=False):
-        if _normalized:
-            self.num, self.den, self.off = _pt(num), _pt(den), off
-            if not self.num:
-                self.den, self.off = (1,), 0
-            return
-        num = _pt(num)
-        den = _pt(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        i = 0
-        while i < len(num) and not num[i]:
-            i += 1
-        j = 0
-        while j < len(den) and not den[j]:
-            j += 1
-        num = num[i:]
-        den = den[j:]
-        off += i - j
-        if not num:
-            self.num, self.den, self.off = (), (1,), 0
-            return
-        g = _p_gcd(num, den)
-        if len(g) > 1:
-            num, _ = _p_divmod(num, g)
-            den, _ = _p_divmod(den, g)
-        lead = Fraction(den[-1])
-        self.num = tuple(_norm_c(Fraction(c) / lead) for c in num)
-        self.den = tuple(_norm_c(Fraction(c) / lead) for c in den)
-        self.off = off
-
-    # -- constructors -------------------------------------------------------
+    def __init__(self, num: LaurentQA, n: int):
+        self.num = num
+        self.n = n if num else 0
 
     @classmethod
-    def zero(cls) -> RationalQ:
-        return cls((), (1,), 0, _normalized=True)
+    def zero(cls) -> PochFrac:
+        return cls(LaurentQA.zero(), 0)
 
     @classmethod
-    def one(cls) -> RationalQ:
-        return cls((1,), (1,), 0, _normalized=True)
-
-    @classmethod
-    def monomial(cls, u: int, c: Rat = 1) -> RationalQ:
-        c = _norm_c(c)
-        if not c:
-            return cls.zero()
-        return cls((c,), (1,), u, _normalized=True)
-
-    @classmethod
-    def from_laurent(cls, f: LaurentQA) -> RationalQ:
-        sl = f.a_slices()
-        if not sl:
-            return cls.zero()
-        if set(sl) != {0}:
-            raise ValueError("LaurentQA has a-dependence; use RationalQA")
-        lo, dense = _slice_to_dense(sl[0])
-        return cls(tuple(dense), (1,), lo, _normalized=True)
-
-    # -- inspection ---------------------------------------------------------
+    def one(cls) -> PochFrac:
+        return cls(LaurentQA.one(), 0)
 
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_laurent(self) -> bool:
-        return self.den == (1,)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PochFrac) and self.n == other.n and self.num == other.num
 
-    def to_laurent(self) -> LaurentQA:
-        if not self.is_laurent():
-            raise ExactDivisionError(
-                "denominator is nontrivial", remainder=None
-            )
-        return LaurentQA(
-            {(self.off + i, 0): c for i, c in enumerate(self.num) if c}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalQ)
-            and self.off == other.off
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.off, self.num, self.den))
-
-    def __bool__(self):
-        return bool(self.num)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, RationalQ):
+    def __add__(self, other: PochFrac) -> PochFrac:
+        if not isinstance(other, PochFrac):
             return NotImplemented
-        if self.is_zero():
+        if not other.num:
+            return self
+        if not self.num:
             return other
-        if other.is_zero():
+        if self.n != other.n:
+            raise ValueError(f"cannot add over (q;q)_{self.n} and (q;q)_{other.n}")
+        return PochFrac(self.num + other.num, self.n)
+
+    def __mul__(self, other: PochFrac) -> PochFrac:
+        if not isinstance(other, PochFrac):
+            return NotImplemented
+        if not self.num or not other.num:
+            return PochFrac.zero()
+        n = self.n + other.n
+        num = self.num * other.num
+        if self.n and other.n:
+            num = num * _q_binomial(n, self.n)
+        return PochFrac(num, n)
+
+    def scale(self, c: Rat) -> PochFrac:
+        return PochFrac(self.num.scale(c), self.n)
+
+    def adams(self, d: int) -> PochFrac:
+        """Substitute q -> q^d, a -> a^d; the degree becomes d n."""
+        if d == 1 or not self.num:
             return self
-        off = min(self.off, other.off)
-        a = (0,) * (self.off - off) + self.num
-        b = (0,) * (other.off - off) + other.num
-        num = _p_add(_p_mul(a, other.den), _p_mul(b, self.den))
-        den = _p_mul(self.den, other.den)
-        return RationalQ(num, den, off)
+        return PochFrac(self.num.adams(d) * _adams_factor(self.n, d), d * self.n)
 
-    def __neg__(self):
-        return RationalQ(_p_neg(self.num), self.den, self.off, _normalized=True)
-
-    def __sub__(self, other):
-        if not isinstance(other, RationalQ):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, RationalQ):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return RationalQ.zero()
-        return RationalQ(
-            _p_mul(self.num, other.num),
-            _p_mul(self.den, other.den),
-            self.off + other.off,
-        )
-
-    def __truediv__(self, other):
-        if not isinstance(other, RationalQ):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero RationalQ")
-        if self.is_zero():
-            return RationalQ.zero()
-        return RationalQ(
-            _p_mul(self.num, other.den),
-            _p_mul(self.den, other.num),
-            self.off - other.off,
-        )
-
-    def scale(self, c: Rat) -> RationalQ:
-        c = _norm_c(c)
-        if not c:
-            return RationalQ.zero()
-        return RationalQ(
-            tuple(_norm_c(x * c) for x in self.num),
-            self.den,
-            self.off,
-            _normalized=True,
-        )
-
-    def adams(self, d: int) -> RationalQ:
-        """Substitute q -> q^d; canonical form is preserved by stretching."""
-        if d < 1:
-            raise ValueError("adams operation needs d >= 1")
-        if d == 1:
-            return self
-        return RationalQ(
-            _p_stretch(self.num, d),
-            _p_stretch(self.den, d),
-            self.off * d,
-            _normalized=True,
-        )
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        n = LaurentQA({(self.off + i, 0): c for i, c in enumerate(self.num) if c})
-        if self.is_laurent():
-            return repr(n)
-        d = LaurentQA({(i, 0): c for i, c in enumerate(self.den) if c})
-        return f"({n!r}) / ({d!r})"
-
-
-ONE_MINUS_Q = RationalQ((1, 0, -1), (1,), 0, _normalized=True)  # 1 - q
-
-
-def one_minus_q_pow(i: int) -> RationalQ:
-    """1 - q^i as a RationalQ (i >= 1)."""
-    c = [1] + [0] * (2 * i - 1) + [-1]
-    return RationalQ(tuple(c), (1,), 0, _normalized=True)
-
-
-# ---------------------------------------------------------------------------
-# RationalQA
-# ---------------------------------------------------------------------------
-
-class RationalQA:
-    """Finitely supported map a-exponent v -> RationalQ; no zero entries."""
-
-    __slots__ = ("_m",)
-
-    def __init__(self, m: Mapping | None = None):
-        self._m = {v: r for v, r in (m or {}).items() if not r.is_zero()}
-
-    @classmethod
-    def zero(cls) -> RationalQA:
-        return cls({})
-
-    @classmethod
-    def one(cls) -> RationalQA:
-        return cls({0: RationalQ.one()})
-
-    @classmethod
-    def from_laurent(cls, f: LaurentQA) -> RationalQA:
-        out = {}
-        for v, sl in f.a_slices().items():
-            lo, dense = _slice_to_dense(sl)
-            out[v] = RationalQ(tuple(dense), (1,), lo, _normalized=True)
-        return cls(out)
-
-    def items(self):
-        return iter(self._m.items())
-
-    def slice(self, v: int) -> RationalQ:
-        return self._m.get(v, RationalQ.zero())
-
-    def top_a(self) -> tuple:
-        """(v, coefficient) at the highest a-exponent."""
-        if not self._m:
-            return 0, RationalQ.zero()
-        v = max(self._m)
-        return v, self._m[v]
-
-    def is_zero(self) -> bool:
-        return not self._m
-
-    def __eq__(self, other):
-        return isinstance(other, RationalQA) and self._m == other._m
-
-    def __add__(self, other):
-        if not isinstance(other, RationalQA):
-            return NotImplemented
-        m = dict(self._m)
-        for v, r in other._m.items():
-            s = m.get(v)
-            s = r if s is None else s + r
-            if s.is_zero():
-                m.pop(v, None)
-            else:
-                m[v] = s
-        return RationalQA(m)
-
-    def __neg__(self):
-        return RationalQA({v: -r for v, r in self._m.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, RationalQA):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, RationalQA):
-            return NotImplemented
-        m: dict = {}
-        for v1, r1 in self._m.items():
-            for v2, r2 in other._m.items():
-                v = v1 + v2
-                p = r1 * r2
-                s = m.get(v)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    m.pop(v, None)
-                else:
-                    m[v] = s
-        return RationalQA(m)
-
-    def scale(self, c: Rat) -> RationalQA:
-        if not c:
-            return RationalQA.zero()
-        return RationalQA({v: r.scale(c) for v, r in self._m.items()})
-
-    def mul_rational(self, r: RationalQ) -> RationalQA:
-        if r.is_zero():
-            return RationalQA.zero()
-        return RationalQA({v: x * r for v, x in self._m.items()})
-
-    def div_rational(self, r: RationalQ) -> RationalQA:
-        return RationalQA({v: x / r for v, x in self._m.items()})
-
-    def adams(self, d: int) -> RationalQA:
-        if d < 1:
-            raise ValueError("adams operation needs d >= 1")
-        if d == 1:
-            return self
-        return RationalQA({v * d: r.adams(d) for v, r in self._m.items()})
-
-    def as_laurent(self) -> LaurentQA | None:
-        """Collapse to LaurentQA if every slice has trivial denominator."""
-        out: dict = {}
-        for v, r in self._m.items():
-            if not r.is_laurent():
-                return None
-            for i, c in enumerate(r.num):
-                if c:
-                    out[(r.off + i, v)] = c
-        return LaurentQA._make(out)
-
-    def __repr__(self):
-        if not self._m:
-            return "0"
-        return " + ".join(f"a^({v}/2)*[{self._m[v]!r}]" for v in sorted(self._m))
+    def __repr__(self) -> str:
+        return f"({self.num!r}) / (q;q)_{self.n}"

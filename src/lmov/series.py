@@ -2,8 +2,11 @@
 
 Coefficients can be any value supporting ``+``, ``-``, ``*``, ``scale``
 (multiplication by an exact rational), ``is_zero`` and -- where the
-plethystic operations are used -- ``adams``.  LaurentQA, RationalQ and
-RationalQA from :mod:`lmov.qa` all qualify.
+plethystic operations are used -- ``adams``.  LaurentQA from
+:mod:`lmov.qa` qualifies.  So does PochFrac for ``series_log``,
+``series_exp`` and ``plethystic_log``, which only add, multiply, scale
+and take Adams operations: slot n of every series they build holds a
+value of x-degree n, so the sums they form are always over one (q;q)_n.
 
 ``Series1`` stores a dense coefficient list up to a fixed order N and
 arithmetic never reads beyond N.  ``Series2`` is the bivariate analogue
@@ -46,10 +49,6 @@ class Series1:
     @classmethod
     def constant(cls, ring: CoeffRing, order: int, c=None) -> Series1:
         return cls(ring, order, [c if c is not None else ring.one])
-
-    @classmethod
-    def x(cls, ring: CoeffRing, order: int) -> Series1:
-        return cls(ring, order, [ring.zero, ring.one])
 
     def coeff(self, n: int):
         if n > self.order:

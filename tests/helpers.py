@@ -2,9 +2,10 @@
 
 They restate textbook definitions next to the library so that the tests
 can check the library's structure (the p-adic congruences behind the
-integrality proofs, partition multiplicities, a JSON round trip of
-LaurentQA) without the library shipping them, plus a runner that
-captures the command line's output.
+integrality proofs, partition multiplicities, the pairing matrix M, a JSON
+round trip of LaurentQA) without the library shipping them, plus a runner
+that captures the command line's output.  The slow rational-function
+reference lives in ``reference.py``.
 """
 
 import io
@@ -14,7 +15,9 @@ from functools import cache
 from math import factorial
 
 from lmov.cli import EXIT_OK, main
-from lmov.qa import LaurentQA
+from lmov.partitions import mn_character, partitions_of, z_factor
+from lmov.qa import LaurentQA, quantum_prod
+from lmov.series import CoeffRing, Series1
 
 
 def is_prime(n: int) -> bool:
@@ -56,6 +59,35 @@ def aut_order(mu: tuple) -> int:
     for p in set(mu):
         out *= factorial(mu.count(p))
     return out
+
+
+def is_one(f: LaurentQA) -> bool:
+    return dict(f.items()) == {(0, 0): 1}
+
+
+def support(f: LaurentQA) -> list:
+    """The sorted exponent pairs (u, v) with a nonzero coefficient."""
+    return sorted(k for k, _ in f.items())
+
+
+def series_x(ring: CoeffRing, order: int) -> Series1:
+    """The series x, truncated at ``order``."""
+    return Series1(ring, order, [ring.zero, ring.one])
+
+
+def m_matrix(lam: tuple, mu: tuple) -> LaurentQA:
+    """Pairing matrix entry: sum over classes nu of
+    chi_lam(nu) chi_mu(nu) / z_nu * prod_j (q^(-nu_j/2) - q^(nu_j/2))."""
+    if sum(lam) != sum(mu):
+        raise ValueError("m_matrix needs |lam| = |mu|")
+    total = LaurentQA.zero()
+    for nu in partitions_of(sum(lam)):
+        c = mn_character(lam, nu) * mn_character(mu, nu)
+        if not c:
+            continue
+        prod = quantum_prod(nu).scale((-1) ** (len(nu) % 2))
+        total = total + prod.scale(Fraction(c, z_factor(nu)))
+    return total
 
 
 def laurent_to_json(f: LaurentQA) -> list:

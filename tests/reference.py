@@ -1,0 +1,654 @@
+"""The slow reference: generic rational functions of q with a gcd normal form.
+
+``RationalQ`` (a gcd-reduced num/den pair on the q^(1/2) lattice) and
+``RationalQA`` (an a-graded map to RationalQ) never assume a denominator.
+The tests check the library's known-denominator coefficients
+(``lmov.qa.PochFrac``), and the pipelines built on them, against them:
+``as_rational`` converts a PochFrac, and below it are the colored-row
+oracles (``unknot_row``, ``framed_row``, ``cal_z``, ``g_m``) and the OV,
+DT and general-partition pipelines computed over RationalQ / RationalQA.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from math import gcd
+from typing import Mapping
+
+from lmov.arith import divisors, moebius
+from lmov.onehole import (
+    _cleared_divisor,
+    _multiset_decompositions,
+    _phi,
+    _row_numerator,
+    cal_z_cleared,
+)
+from lmov.partitions import Partition, parts_gcd, partitions_of, scale_down, z_factor
+from lmov.qa import (
+    ExactDivisionError,
+    LaurentQA,
+    PochFrac,
+    Rat,
+    _norm_c,
+    _slice_to_dense,
+    one_minus_q_prod,
+    quantum_int,
+    quantum_prod,
+)
+from lmov.series import CoeffRing, Series1, plethystic_log
+
+# ---------------------------------------------------------------------------
+# dense univariate helpers (internal, used by RationalQ)
+# ---------------------------------------------------------------------------
+
+def _pt(coeffs) -> tuple:
+    c = list(coeffs)
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+def _p_add(a, b):
+    n = max(len(a), len(b))
+    return _pt(
+        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+    )
+
+
+def _p_neg(a):
+    return tuple(-x for x in a)
+
+
+def _p_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                out[i + j] += x * y
+    return _pt(out)
+
+
+def _p_divmod(a, b):
+    """Polynomial divmod over exact rationals (b != 0)."""
+    if not b:
+        raise ZeroDivisionError
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return (), _pt(a)
+    r = list(a)
+    lead = Fraction(b[-1])
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - db - 1, -1, -1):
+        c = r[i + db]
+        if not c:
+            continue
+        t = Fraction(c) / lead
+        q[i] = t
+        for j, y in enumerate(b):
+            r[i + j] -= t * y
+    return _pt(q), _pt(r)
+
+
+def _int_primitive(a):
+    """Scale a rational coefficient list to primitive integers (positive lead)."""
+    if not a:
+        return ()
+    den = 1
+    for c in a:
+        d = Fraction(c).denominator
+        den = den * d // gcd(den, d)
+    ints = [int(Fraction(c) * den) for c in a]
+    g = 0
+    for c in ints:
+        g = gcd(g, abs(c))
+    if g > 1:
+        ints = [c // g for c in ints]
+    if ints[-1] < 0:
+        ints = [-c for c in ints]
+    return tuple(ints)
+
+
+def _pseudo_rem(a, b):
+    """Pseudo-remainder of integer coefficient lists, deg a >= deg b >= 0."""
+    db = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    while len(r) - 1 >= db and any(r):
+        top = r[-1]
+        if not top:
+            r.pop()
+            continue
+        shift = len(r) - 1 - db
+        r = [lead * c for c in r]
+        for j, y in enumerate(b):
+            r[shift + j] -= top * y
+        r = list(_pt(r))
+    return _pt(r)
+
+
+def _p_gcd(a, b):
+    """Monic gcd via a primitive integer remainder sequence."""
+    a = _int_primitive(a)
+    b = _int_primitive(b)
+    if not a:
+        base = b
+    elif not b:
+        base = a
+    else:
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            r = _int_primitive(_pseudo_rem(a, b))
+            a, b = b, r
+        base = a
+    if not base:
+        return ()
+    lead = Fraction(base[-1])
+    return tuple(_norm_c(Fraction(c) / lead) for c in base)
+
+
+def _p_stretch(a, d):
+    if not a:
+        return ()
+    out = [0] * ((len(a) - 1) * d + 1)
+    for i, c in enumerate(a):
+        out[i * d] = c
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# RationalQ
+# ---------------------------------------------------------------------------
+
+class RationalQ:
+    """Rational function of q on the q^(1/2) exponent lattice.
+
+    Value = q^(off/2) * num(s) / den(s) with s = q^(1/2).  Canonical form:
+    den is a monic polynomial in s with nonzero constant term, num has
+    nonzero constant term (the monomial shift lives in ``off``), and
+    gcd(num, den) = 1.  Equality is structural.
+    """
+
+    __slots__ = ("off", "num", "den")
+
+    def __init__(self, num=(1,), den=(1,), off=0, _normalized=False):
+        if _normalized:
+            self.num, self.den, self.off = _pt(num), _pt(den), off
+            if not self.num:
+                self.den, self.off = (1,), 0
+            return
+        num = _pt(num)
+        den = _pt(den)
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        i = 0
+        while i < len(num) and not num[i]:
+            i += 1
+        j = 0
+        while j < len(den) and not den[j]:
+            j += 1
+        num = num[i:]
+        den = den[j:]
+        off += i - j
+        if not num:
+            self.num, self.den, self.off = (), (1,), 0
+            return
+        g = _p_gcd(num, den)
+        if len(g) > 1:
+            num, _ = _p_divmod(num, g)
+            den, _ = _p_divmod(den, g)
+        lead = Fraction(den[-1])
+        self.num = tuple(_norm_c(Fraction(c) / lead) for c in num)
+        self.den = tuple(_norm_c(Fraction(c) / lead) for c in den)
+        self.off = off
+
+    # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def zero(cls) -> RationalQ:
+        return cls((), (1,), 0, _normalized=True)
+
+    @classmethod
+    def one(cls) -> RationalQ:
+        return cls((1,), (1,), 0, _normalized=True)
+
+    @classmethod
+    def monomial(cls, u: int, c: Rat = 1) -> RationalQ:
+        c = _norm_c(c)
+        if not c:
+            return cls.zero()
+        return cls((c,), (1,), u, _normalized=True)
+
+    @classmethod
+    def from_laurent(cls, f: LaurentQA) -> RationalQ:
+        sl = f.a_slices()
+        if not sl:
+            return cls.zero()
+        if set(sl) != {0}:
+            raise ValueError("LaurentQA has a-dependence; use RationalQA")
+        lo, dense = _slice_to_dense(sl[0])
+        return cls(tuple(dense), (1,), lo, _normalized=True)
+
+    # -- inspection ---------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def is_laurent(self) -> bool:
+        return self.den == (1,)
+
+    def to_laurent(self) -> LaurentQA:
+        if not self.is_laurent():
+            raise ExactDivisionError(
+                "denominator is nontrivial", remainder=None
+            )
+        return LaurentQA(
+            {(self.off + i, 0): c for i, c in enumerate(self.num) if c}
+        )
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, RationalQ)
+            and self.off == other.off
+            and self.num == other.num
+            and self.den == other.den
+        )
+
+    def __hash__(self):
+        return hash((self.off, self.num, self.den))
+
+    def __bool__(self):
+        return bool(self.num)
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, RationalQ):
+            return NotImplemented
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        off = min(self.off, other.off)
+        a = (0,) * (self.off - off) + self.num
+        b = (0,) * (other.off - off) + other.num
+        num = _p_add(_p_mul(a, other.den), _p_mul(b, self.den))
+        den = _p_mul(self.den, other.den)
+        return RationalQ(num, den, off)
+
+    def __neg__(self):
+        return RationalQ(_p_neg(self.num), self.den, self.off, _normalized=True)
+
+    def __sub__(self, other):
+        if not isinstance(other, RationalQ):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, RationalQ):
+            return NotImplemented
+        if self.is_zero() or other.is_zero():
+            return RationalQ.zero()
+        return RationalQ(
+            _p_mul(self.num, other.num),
+            _p_mul(self.den, other.den),
+            self.off + other.off,
+        )
+
+    def __truediv__(self, other):
+        if not isinstance(other, RationalQ):
+            return NotImplemented
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero RationalQ")
+        if self.is_zero():
+            return RationalQ.zero()
+        return RationalQ(
+            _p_mul(self.num, other.den),
+            _p_mul(self.den, other.num),
+            self.off - other.off,
+        )
+
+    def scale(self, c: Rat) -> RationalQ:
+        c = _norm_c(c)
+        if not c:
+            return RationalQ.zero()
+        return RationalQ(
+            tuple(_norm_c(x * c) for x in self.num),
+            self.den,
+            self.off,
+            _normalized=True,
+        )
+
+    def adams(self, d: int) -> RationalQ:
+        """Substitute q -> q^d; canonical form is preserved by stretching."""
+        if d < 1:
+            raise ValueError("adams operation needs d >= 1")
+        if d == 1:
+            return self
+        return RationalQ(
+            _p_stretch(self.num, d),
+            _p_stretch(self.den, d),
+            self.off * d,
+            _normalized=True,
+        )
+
+    def __repr__(self):
+        if self.is_zero():
+            return "0"
+        n = LaurentQA({(self.off + i, 0): c for i, c in enumerate(self.num) if c})
+        if self.is_laurent():
+            return repr(n)
+        d = LaurentQA({(i, 0): c for i, c in enumerate(self.den) if c})
+        return f"({n!r}) / ({d!r})"
+
+
+ONE_MINUS_Q = RationalQ((1, 0, -1), (1,), 0, _normalized=True)  # 1 - q
+
+
+def one_minus_q_pow(i: int) -> RationalQ:
+    """1 - q^i as a RationalQ (i >= 1)."""
+    c = [1] + [0] * (2 * i - 1) + [-1]
+    return RationalQ(tuple(c), (1,), 0, _normalized=True)
+
+
+# ---------------------------------------------------------------------------
+# RationalQA
+# ---------------------------------------------------------------------------
+
+class RationalQA:
+    """Finitely supported map a-exponent v -> RationalQ; no zero entries."""
+
+    __slots__ = ("_m",)
+
+    def __init__(self, m: Mapping | None = None):
+        self._m = {v: r for v, r in (m or {}).items() if not r.is_zero()}
+
+    @classmethod
+    def zero(cls) -> RationalQA:
+        return cls({})
+
+    @classmethod
+    def one(cls) -> RationalQA:
+        return cls({0: RationalQ.one()})
+
+    @classmethod
+    def from_laurent(cls, f: LaurentQA) -> RationalQA:
+        out = {}
+        for v, sl in f.a_slices().items():
+            lo, dense = _slice_to_dense(sl)
+            out[v] = RationalQ(tuple(dense), (1,), lo, _normalized=True)
+        return cls(out)
+
+    def items(self):
+        return iter(self._m.items())
+
+    def slice(self, v: int) -> RationalQ:
+        return self._m.get(v, RationalQ.zero())
+
+    def top_a(self) -> tuple:
+        """(v, coefficient) at the highest a-exponent."""
+        if not self._m:
+            return 0, RationalQ.zero()
+        v = max(self._m)
+        return v, self._m[v]
+
+    def is_zero(self) -> bool:
+        return not self._m
+
+    def __eq__(self, other):
+        return isinstance(other, RationalQA) and self._m == other._m
+
+    def __add__(self, other):
+        if not isinstance(other, RationalQA):
+            return NotImplemented
+        m = dict(self._m)
+        for v, r in other._m.items():
+            s = m.get(v)
+            s = r if s is None else s + r
+            if s.is_zero():
+                m.pop(v, None)
+            else:
+                m[v] = s
+        return RationalQA(m)
+
+    def __neg__(self):
+        return RationalQA({v: -r for v, r in self._m.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, RationalQA):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, RationalQA):
+            return NotImplemented
+        m: dict = {}
+        for v1, r1 in self._m.items():
+            for v2, r2 in other._m.items():
+                v = v1 + v2
+                p = r1 * r2
+                s = m.get(v)
+                s = p if s is None else s + p
+                if s.is_zero():
+                    m.pop(v, None)
+                else:
+                    m[v] = s
+        return RationalQA(m)
+
+    def scale(self, c: Rat) -> RationalQA:
+        if not c:
+            return RationalQA.zero()
+        return RationalQA({v: r.scale(c) for v, r in self._m.items()})
+
+    def mul_rational(self, r: RationalQ) -> RationalQA:
+        if r.is_zero():
+            return RationalQA.zero()
+        return RationalQA({v: x * r for v, x in self._m.items()})
+
+    def div_rational(self, r: RationalQ) -> RationalQA:
+        return RationalQA({v: x / r for v, x in self._m.items()})
+
+    def adams(self, d: int) -> RationalQA:
+        if d < 1:
+            raise ValueError("adams operation needs d >= 1")
+        if d == 1:
+            return self
+        return RationalQA({v * d: r.adams(d) for v, r in self._m.items()})
+
+    def as_laurent(self) -> LaurentQA | None:
+        """Collapse to LaurentQA if every slice has trivial denominator."""
+        out: dict = {}
+        for v, r in self._m.items():
+            if not r.is_laurent():
+                return None
+            for i, c in enumerate(r.num):
+                if c:
+                    out[(r.off + i, v)] = c
+        return LaurentQA._make(out)
+
+    def __repr__(self):
+        if not self._m:
+            return "0"
+        return " + ".join(f"a^({v}/2)*[{self._m[v]!r}]" for v in sorted(self._m))
+
+
+_QRING = CoeffRing(zero=RationalQ.zero(), one=RationalQ.one())
+
+
+def as_rational(f: PochFrac) -> RationalQA:
+    """num / (q;q)_n as an a-graded rational function."""
+    den = RationalQ.from_laurent(one_minus_q_prod(range(1, f.n + 1)))
+    return RationalQA.from_laurent(f.num).div_rational(den)
+
+
+# ---------------------------------------------------------------------------
+# colored rows and the one-hole generating functions
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _row_denominator(n: int) -> LaurentQA:
+    # product over i of (q^(i/2) - q^(-i/2))
+    return quantum_prod(range(1, n + 1))
+
+
+def unknot_row(n: int) -> RationalQA:
+    """Row-colored invariant W_n(q, a); W_0 = 1."""
+    if n < 0:
+        raise ValueError("unknot_row needs n >= 0")
+    num = RationalQA.from_laurent(_row_numerator(n))
+    den = RationalQ.from_laurent(_row_denominator(n))
+    return num.div_rational(den)
+
+
+def framed_row(n: int, tau: int) -> RationalQA:
+    """Framed row invariant (-1)^(n tau) q^(n(n-1) tau / 2) W_n."""
+    sign = (-1) ** ((n * tau) % 2)
+    twist = RationalQ.monomial(n * (n - 1) * tau, sign)
+    return unknot_row(n).mul_rational(twist)
+
+
+def cal_z(m: int, tau: int) -> RationalQA:
+    """Z_m(q, a) as an a-graded rational function of q."""
+    cleared = cal_z_cleared(m, tau)
+    div = _cleared_divisor(m, tau) * quantum_int(1) * quantum_int(1)
+    return RationalQA.from_laurent(cleared).div_rational(RationalQ.from_laurent(div))
+
+
+def g_m(m: int, tau: int) -> RationalQA:
+    """g_m(q, a) = sum over d | m of moebius(d) Z_{m/d}(q^d, a^d)."""
+    total = RationalQA.zero()
+    for d in divisors(m):
+        mu = moebius(d)
+        if mu:
+            total = total + cal_z(m // d, tau).adams(d).scale(mu)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# the reduced series, OV and DT over RationalQ
+# ---------------------------------------------------------------------------
+
+
+def _q_factorial_den(n: int) -> RationalQ:
+    """(1-q)(1-q^2)...(1-q^n) as a RationalQ (n >= 0)."""
+    out = RationalQ.one()
+    for i in range(1, n + 1):
+        out = out * one_minus_q_pow(i)
+    return out
+
+
+def h_top(n: int, tau: int) -> RationalQ:
+    """Top-charge row coefficient
+    (-1)^(n(tau-1)) q^(n(n-1)tau/2 + n^2/2) / prod_{i<=n}(1-q^i)."""
+    if n < 0:
+        raise ValueError("h_top needs n >= 0")
+    sign = (-1) ** ((n * (tau - 1)) % 2)
+    num = RationalQ.monomial(n * (n - 1) * tau + n * n, sign)
+    return num / _q_factorial_den(n)
+
+
+def z_tau_series(tau: int, order: int) -> Series1:
+    """Reduced partition function sum_n H_n(q) x^n truncated at x^order."""
+    return Series1(_QRING, order, [h_top(n, tau) for n in range(order + 1)])
+
+
+def coha_series(loops: int, order: int) -> Series1:
+    """Hilbert-Poincare series of the loop quiver:
+    sum_n q^(-(m-1) n(n-1)/2) / prod_{i<=n}(1-q^i) t^n."""
+    if loops < 1:
+        raise ValueError("coha_series needs loops >= 1")
+    coeffs = []
+    for n in range(order + 1):
+        num = RationalQ.monomial(-(loops - 1) * n * (n - 1), 1)
+        coeffs.append(num / _q_factorial_den(n))
+    return Series1(_QRING, order, coeffs)
+
+
+def _laurent_from_rational(r: RationalQ, what: str) -> dict:
+    """u -> coefficient of the Laurent polynomial r, or raise."""
+    if not r.is_laurent():
+        raise ValueError(f"{what} is not a Laurent polynomial: {r!r}")
+    return {r.off + i: c for i, c in enumerate(r.num) if c}
+
+
+def ov_rows(tau: int, max_m: int) -> dict:
+    """N_{m,k}(tau) from the plethystic log over RationalQ, or raise."""
+    fs = plethystic_log(z_tau_series(tau, max_m))
+    rows = {}
+    for m in range(1, max_m + 1):
+        coeffs = _laurent_from_rational(fs[m - 1] * ONE_MINUS_Q, f"(1-q) f_{m}")
+        rows[m] = {u - 1: -Fraction(c) for u, c in coeffs.items()}
+    return rows
+
+
+def dt_rows(loops: int, max_n: int) -> dict:
+    """c_{n,k} of the loop quiver from the plethystic log over RationalQ."""
+    p = coha_series(loops, max_n)
+    twist = (-1) ** ((loops - 1) % 2)
+    twisted = Series1(_QRING, max_n, [c.scale(twist ** n) for n, c in enumerate(p.coeffs)])
+    ls = plethystic_log(twisted)
+    rows = {}
+    for n in range(1, max_n + 1):
+        coeffs = _laurent_from_rational(ls[n - 1] * ONE_MINUS_Q, f"(1-q) L_{n}")
+        sign = (-1) ** ((loops - 1) * n)
+        rows[n] = {-u // 2: sign * Fraction(c) for u, c in coeffs.items()}
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# the general-partition pipeline over RationalQA
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def cal_z_partition(nu: Partition, tau: int) -> RationalQA:
+    """Character-transformed colored invariant for cycle type nu."""
+    total = RationalQA.zero()
+    size = sum(nu)
+    for sigma in partitions_of(size):
+        phi = _phi(nu, sigma, tau)
+        if phi.is_zero():
+            continue
+        num = phi * quantum_prod(sigma, "a")
+        den = quantum_prod(sigma)
+        term = RationalQA.from_laurent(num).div_rational(
+            RationalQ.from_laurent(den)
+        )
+        total = total + term.scale(Fraction(1, z_factor(sigma)))
+    return total.scale((-1) ** ((size * tau) % 2))
+
+
+def f_mu(mu: Partition, tau: int) -> RationalQA:
+    """Connected (log) coefficient of the partition-sum expansion at mu."""
+    if not mu:
+        raise ValueError("f_mu needs a nonempty partition")
+    total = RationalQA.zero()
+    for blocks, count in _multiset_decompositions(mu):
+        n = len(blocks)
+        term = RationalQA.one()
+        for b in blocks:
+            term = term * cal_z_partition(b, tau).scale(Fraction(1, z_factor(b)))
+        total = total + term.scale(Fraction((-1) ** (n - 1) * count, n))
+    return total
+
+
+def g_mu_target(mu: Partition, tau: int) -> RationalQA:
+    """z^2 z_mu g-hat_mu, g-hat_mu = sum_d (moebius(d)/d) adams_d(F_{mu/d} / {mu/d})."""
+    ghat = RationalQA.zero()
+    for d in divisors(parts_gcd(mu)):
+        mo = moebius(d)
+        if not mo:
+            continue
+        scaled = scale_down(mu, d)
+        fhat = f_mu(scaled, tau).div_rational(
+            RationalQ.from_laurent(quantum_prod(scaled))
+        )
+        ghat = ghat + fhat.adams(d).scale(Fraction(mo, d))
+    z2 = RationalQ.from_laurent(quantum_int(1) * quantum_int(1))
+    return ghat.mul_rational(z2).scale(z_factor(mu))

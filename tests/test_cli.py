@@ -5,6 +5,7 @@ import pytest
 
 from lmov import cli, genus0, gwdt, verify
 from lmov.arith import TheoremViolation
+from lmov.qa import ExactDivisionError
 from lmov.cli import EXIT_OK, EXIT_THEOREM, EXIT_USAGE, main
 
 SUITES = [
@@ -222,3 +223,20 @@ def test_violation_fails_only_its_suite(tmp_path, monkeypatch, capsys):
     assert [s["suite"] for s in suites] == SUITES
     assert suites[0]["status"] == "FAIL" and suites[0]["failures"] == failed.failures
     assert all(set(s) == {"suite", "status", "params", "seconds", "failures"} for s in suites)
+
+
+def test_annulus_division_failure_exits_2(monkeypatch, capsys):
+    def not_divisible(f, g):
+        raise ExactDivisionError("not divisible")
+
+    monkeypatch.setattr(genus0, "exact_div", not_divisible)
+    genus0._annulus_log.cache_clear()
+    try:
+        assert main(["annulus", "--tau", "1", "--max-total", "3"]) == EXIT_THEOREM
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "tau=1, order=3, n=0" in err
+        reports = list(verify.run_all(verify.QUICK))
+        assert [r.name for r in reports if not r.ok] == ["annulus"]
+    finally:
+        genus0._annulus_log.cache_clear()

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import cli_output
 from lmov.arith import binomial_ext
+from lmov.genus0 import disc_n
 from lmov.gwdt import (
     DTTable,
     OVTable,
@@ -17,8 +18,13 @@ from lmov.gwdt import (
     ov_reconstruction_residue,
     z_tau_series,
 )
-from lmov.onehole import framed_row
-from lmov.qa import RationalQ, one_minus_q_pow
+from lmov.qa import PochFrac
+from lmov.twist import b_minus, b_plus
+from reference import RationalQ, as_rational, dt_rows, framed_row, one_minus_q_pow, ov_rows
+
+
+def _rational(f: PochFrac) -> RationalQ:
+    return as_rational(f).slice(0)
 
 
 # --- building blocks ----------------------------------------------------------
@@ -26,14 +32,14 @@ from lmov.qa import RationalQ, one_minus_q_pow
 
 def test_h_top_base_values():
     for tau in (-3, 0, 2):
-        assert h_top(0, tau) == RationalQ.one()
+        assert h_top(0, tau) == PochFrac.one()
         want = RationalQ.monomial(1, (-1) ** ((tau - 1) % 2)) / one_minus_q_pow(1)
-        assert h_top(1, tau) == want
+        assert _rational(h_top(1, tau)) == want
 
 
 def test_h_top_tau0_quadratic():
     want = RationalQ.monomial(4) / (one_minus_q_pow(1) * one_minus_q_pow(2))
-    assert h_top(2, 0) == want
+    assert _rational(h_top(2, 0)) == want
 
 
 def test_h_top_equals_framed_row_top_slice():
@@ -41,26 +47,26 @@ def test_h_top_equals_framed_row_top_slice():
         for n in range(0, 6):
             v, top = framed_row(n, tau).top_a()
             assert v == n
-            assert top == h_top(n, tau), (n, tau)
+            assert top == _rational(h_top(n, tau)), (n, tau)
 
 
 def test_z_tau_series_shape():
     z = z_tau_series(1, 5)
-    assert z.coeff(0) == RationalQ.one()
+    assert z.coeff(0) == PochFrac.one()
     assert z.coeff(1) == h_top(1, 1)
 
 
 def test_coha_series_values():
     p = coha_series(3, 4)
-    assert p.coeff(0) == RationalQ.one()
-    assert p.coeff(1) == RationalQ.one() / one_minus_q_pow(1)
+    assert p.coeff(0) == PochFrac.one()
+    assert _rational(p.coeff(1)) == RationalQ.one() / one_minus_q_pow(1)
     # loops = 1: no numerator twist
     p1 = coha_series(1, 4)
     for n in range(1, 5):
         den = RationalQ.one()
         for i in range(1, n + 1):
             den = den * one_minus_q_pow(i)
-        assert p1.coeff(n) == RationalQ.one() / den
+        assert _rational(p1.coeff(n)) == RationalQ.one() / den
 
 
 # --- GW/DT identity -------------------------------------------------------------
@@ -78,7 +84,22 @@ def test_gwdt_n1_slice():
     # H_1 = (-1)^(tau-1) q^(1/2)/(1-q) matches the substituted 1/(1-q) term
     for tau in (-4, -1):
         sub = RationalQ.monomial(1, (-1) ** ((tau - 1) % 2))
-        assert h_top(1, tau) == (RationalQ.one() / one_minus_q_pow(1)) * sub
+        assert _rational(h_top(1, tau)) == (RationalQ.one() / one_minus_q_pow(1)) * sub
+
+
+# --- against the RationalQ reference ---------------------------------------------
+
+
+@pytest.mark.parametrize("tau", range(-3, 4))
+def test_ov_matches_reference(tau):
+    table = ooguri_vafa(tau, 5)
+    assert table.report.ok
+    assert table.rows == ov_rows(tau, 5)
+
+
+@pytest.mark.parametrize("loops", [1, 2, 3])
+def test_dt_matches_reference(loops):
+    assert dt_extract(loops, 5).rows == dt_rows(loops, 5)
 
 
 # --- Ooguri-Vafa -----------------------------------------------------------------
@@ -160,6 +181,23 @@ def test_dt_json_shape():
     assert csv.splitlines() == ["loops,n,k,c", "2,1,0,1", "2,2,1,1"]
 
 
+def test_dt_at_q1_matches_extremal_and_disc():
+    # summed over k at q = 1, the DT tables of the 3-, 5- and 2-loop quivers
+    # are the twist-knot extremal invariants and the disc invariants
+    def at_q1(loops):
+        rows = dt_extract(loops, 6).rows
+        return [sum(rows[n].values()) for n in range(1, 7)]
+
+    ns = range(1, 7)
+    assert at_q1(3) == [1, 1, 3, 10, 40, 171]
+    assert at_q1(3) == [b_plus(-1, n) for n in ns] == [-b_minus(-1, n) for n in ns]
+    assert at_q1(3) == [disc_n(n, n, -3) for n in ns] == [disc_n(n, 0, -2) for n in ns]
+    assert at_q1(5) == [1, 2, 10, 60, 425, 3296] == [b_plus(-2, n) for n in ns]
+    assert at_q1(2) == [1, 1, 1, 2, 5, 13]
+    assert at_q1(2) == [(-1) ** n * b_minus(2, n) for n in ns]
+    assert at_q1(2) == [(-1) ** n * disc_n(n, 0, -1) for n in ns]
+
+
 # --- OV/DT dictionary ---------------------------------------------------------------
 
 
@@ -194,8 +232,9 @@ def _win_mul(a, b, umax):
     return _win_trim(out, umax)
 
 
-def _win_rational(r: RationalQ):
+def _win_rational(f: PochFrac):
     # expand num/den upward to the window using the den linear recurrence
+    r = _rational(f)
     if r.is_zero():
         return {}
     den = r.den

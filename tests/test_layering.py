@@ -2,7 +2,9 @@
 
 Layers, bottom up: the leaves (``arith``, ``partitions``, ``io``), the
 exact algebra (``qa``, ``series``), the four invariant modules, which never
-import one another, and on top ``verify`` and ``cli``.
+import one another, and on top ``verify`` and ``cli``.  Every module-level
+function and class is used by the package itself: what only the tests use
+lives in ``tests/``.
 """
 
 import ast
@@ -57,3 +59,30 @@ def test_invariant_modules_import_none_of_each_other(module):
 
 def test_only_cli_imports_verify():
     assert [m for m in MODULES if "verify" in lmov_imports(m)] == ["cli"]
+
+
+def unused_definitions(src) -> list:
+    """Module-level functions and classes of the package that no code of
+    the package references outside their own definition."""
+    defs, used = [], set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = top.name
+                defs.append(f"{path.stem}.{own}")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return [d for d in defs if d.split(".")[1] not in used]
+
+
+def test_every_definition_is_used_by_the_package():
+    # test-only helpers belong in tests/, not in src/
+    assert unused_definitions(SRC) == []

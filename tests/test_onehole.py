@@ -3,35 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cli_output
-from lmov.arith import TheoremViolation
+import reference
+from helpers import cli_output, m_matrix
 from lmov.genus0 import disc_n
 from lmov.onehole import (
     _multiset_decompositions,
-    cal_z,
     cal_z_cleared,
     cal_z_gaussian,
     cal_z_partition,
     f_mu,
-    framed_row,
-    g_m,
-    g_m_cleared,
     g_mu_general,
     lmov_one_hole,
-    m_matrix,
-    unknot_row,
     verify_recursion,
     z2_g_m,
 )
 from lmov.partitions import partitions_of, z_factor
-from lmov.qa import (
-    LaurentQA,
-    RationalQ,
-    RationalQA,
-    quantum_int,
-    quantum_prod,
-    to_z_basis,
-)
+from lmov.qa import LaurentQA, quantum_int, quantum_prod
+from reference import RationalQ, RationalQA, as_rational, cal_z, framed_row, g_m, unknot_row
 
 
 # --- colored rows -------------------------------------------------------------
@@ -265,6 +253,20 @@ def test_g_mu_general_two_rows_frozen_values():
     r0 = g_mu_general((1, 1), 0)
     assert r0.report.ok
     assert r0.table.entries == {}
+
+
+def test_general_partition_matches_reference():
+    # PochFrac pipeline against the same pipeline over RationalQA
+    for tau in (-2, 0, 1):
+        for size in (1, 2, 3, 4):
+            for mu in partitions_of(size):
+                assert as_rational(cal_z_partition(mu, tau)) == reference.cal_z_partition(
+                    mu, tau
+                ), (mu, tau)
+                assert as_rational(f_mu(mu, tau)) == reference.f_mu(mu, tau), (mu, tau)
+                want = reference.g_mu_target(mu, tau).as_laurent()
+                assert want is not None
+                assert g_mu_general(mu, tau).target == want, (mu, tau)
 
 
 def test_g_mu_general_integral_sweep():

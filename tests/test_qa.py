@@ -4,21 +4,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import laurent_from_json, laurent_to_json
+from helpers import is_one, laurent_from_json, laurent_to_json, support
 from lmov.arith import divisors
 from lmov.qa import (
     ExactDivisionError,
     LaurentQA,
-    RationalQ,
-    RationalQA,
+    PochFrac,
     ZBasisError,
     exact_div,
-    one_minus_q_pow,
+    one_minus_q_prod,
     quantum_int,
     quantum_prod,
     quantum_ratio,
     to_z_basis,
 )
+from reference import RationalQ, RationalQA, as_rational, one_minus_q_pow
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -40,10 +40,11 @@ def test_quantum_int_values():
     assert quantum_int(2) == LaurentQA({(2, 0): 1, (-2, 0): -1})
     assert quantum_int(-3) == quantum_int(3).scale(-1)
     assert quantum_int(3, "a") == LaurentQA({(0, 3): 1, (0, -3): -1})
+    assert support(quantum_int(2)) == [(-2, 0), (2, 0)]
 
 
 def test_quantum_prod():
-    assert quantum_prod(()).is_one()
+    assert is_one(quantum_prod(()))
     assert quantum_prod((2, 1)) == quantum_int(2) * quantum_int(1)
 
 
@@ -208,7 +209,54 @@ def test_quantum_int_cyclotomic_factorization():
 
 
 # ---------------------------------------------------------------------------
-# RationalQ / RationalQA
+# PochFrac against the reference RationalQA
+# ---------------------------------------------------------------------------
+
+small_laurents = st.dictionaries(
+    st.tuples(st.integers(-6, 6), st.integers(-2, 2)),
+    st.fractions(-4, 4, max_denominator=3),
+    max_size=4,
+).map(LaurentQA)
+
+
+@given(
+    small_laurents,
+    small_laurents,
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.fractions(-3, 3, max_denominator=4),
+    st.integers(1, 3),
+)
+def test_pochfrac_matches_reference(f, g, n, k, c, d):
+    a, b, b_n = PochFrac(f, n), PochFrac(g, k), PochFrac(g, n)
+    ra = as_rational(a)
+    assert as_rational(a * b) == ra * as_rational(b)
+    assert as_rational(a + b_n) == ra + as_rational(b_n)
+    assert (a == b_n) == (ra == as_rational(b_n))
+    assert as_rational(a.scale(c)) == ra.scale(c)
+    assert as_rational(a.adams(d)) == ra.adams(d)
+
+
+def test_pochfrac_degrees():
+    one_minus_q = LaurentQA({(0, 0): 1, (2, 0): -1})
+    assert one_minus_q_prod([]) == LaurentQA.one()
+    assert one_minus_q_prod([1, 1]) == one_minus_q * one_minus_q
+    # zero is degree-free, and a cancelled sum is zero again
+    x = PochFrac(LaurentQA.monomial(1), 3)
+    assert PochFrac(LaurentQA.zero(), 5) == PochFrac.zero()
+    assert x + PochFrac.zero() == x and (x + x.scale(-1)).is_zero()
+    assert (x + x.scale(-1)) + PochFrac.one() == PochFrac.one()
+    with pytest.raises(ValueError):
+        x + PochFrac.one()
+    # 1/(1-q) * 1/(1-q) = (1+q)/(q;q)_2
+    inv = PochFrac(LaurentQA.one(), 1)
+    assert inv * inv == PochFrac(LaurentQA({(0, 0): 1, (2, 0): 1}), 2)
+    # adams_2(1/(1-q)) = 1/(1-q^2) = (1-q)/(q;q)_2
+    assert inv.adams(2) == PochFrac(one_minus_q, 2)
+
+
+# ---------------------------------------------------------------------------
+# RationalQ / RationalQA (the reference)
 # ---------------------------------------------------------------------------
 
 

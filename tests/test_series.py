@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lmov.qa import LaurentQA, RationalQ, quantum_int
+from helpers import series_x
+from lmov.qa import LaurentQA, quantum_int
 from lmov.series import (
     CoeffRing,
     Series1,
@@ -18,7 +19,6 @@ from lmov.series import (
 )
 
 LRING = CoeffRing(zero=LaurentQA.zero(), one=LaurentQA.one())
-QRING = CoeffRing(zero=RationalQ.zero(), one=RationalQ.one())
 
 small_coeff = st.dictionaries(
     st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
@@ -55,7 +55,7 @@ def test_series_log_examples():
 
 
 def test_series_exp_log_inverse_on_example():
-    x = Series1.x(LRING, 9)
+    x = series_x(LRING, 9)
     assert series_log(series_exp(x)).coeffs == x.coeffs
 
 
@@ -68,7 +68,7 @@ def test_series_exp_log_roundtrip(tail):
 
 def test_solve_functional_identity_phi():
     y = solve_functional(lambda s: Series1.constant(LRING, 6), LRING, 6)
-    assert y.coeffs == Series1.x(LRING, 6).coeffs
+    assert y.coeffs == series_x(LRING, 6).coeffs
 
 
 def test_solve_functional_rejects_zero_phi0():
@@ -83,7 +83,7 @@ def test_solve_functional_residual_is_zero():
         return one + y + (y * y).scale(3)
 
     y = solve_functional(phi, LRING, 10)
-    x = Series1.x(LRING, 10)
+    x = series_x(LRING, 10)
     residual = y - x * phi(y)
     assert residual.is_zero()
     # first coefficient is phi(0)
