@@ -157,7 +157,10 @@ def annulus_c(m1: int, m2: int, tau: int, order: int | None = None) -> dict:
     out: dict = {}
     for (u, v), c in coeff.items():
         if u != 0 or v % 2:
-            raise AssertionError("annulus kernel coefficient is not an a-polynomial")
+            raise TheoremViolation(
+                "annulus kernel coefficient is not an a-polynomial "
+                f"(tau={tau}, m1={m1}, m2={m2})"
+            )
         out[v // 2] = Fraction(c)
     return out
 

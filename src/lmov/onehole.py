@@ -3,15 +3,16 @@
 The chain for a winding number m and framing tau:
 
 1. ``cal_z_cleared`` -- the denominator-cleared colored-invariant sum
-   {m}{m tau} * Z_m, assembled term by term so every intermediate value
-   is a Laurent polynomial (never a generic rational-function sum).
+   {m}{m tau} * Z_m, an integer Laurent polynomial from its q-binomial
+   closed form; ``colored_sum`` is the definition (the sum over partitions
+   of m), and the verification suites hold the two equal.
 2. ``g_m_cleared``  -- Moebius/Adams combination over divisors of m.
 3. ``lmov_one_hole`` -- exact division by {m}{m tau}/{1}^2 followed by
-   the z^2-basis rewrite; all resulting entries must be integers.
+   the z^2-basis rewrite; all resulting entries must be integers.  The
+   divisor's leading coefficient is +-1, so the whole chain runs on ints.
 
-tau = 0 degenerates: the per-part ratio {m nu_i tau}/{m tau} is replaced
-by its algebraic limit (quantum_ratio handles the base-0 case), which
-collapses Z_m to {m}_a / {m}^2 and switches the divisor to {m}^2/{1}^2.
+tau = 0 degenerates: Z_m collapses to {m}_a / {m}^2, so the cleared sum
+is {m}_a and the divisor switches to {m}^2/{1}^2.
 
 ``g_mu_general`` runs the same pipeline for an arbitrary partition mu
 (a conjectural statement for l(mu) >= 2, so failures are reported, not
@@ -26,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .arith import Report, TheoremViolation, divisors, gaussian_binomial, moebius
 from .partitions import (
@@ -106,19 +108,54 @@ def verify_recursion(tau: int, max_n: int) -> Report:
 
 @lru_cache(maxsize=None)
 def cal_z_cleared(m: int, tau: int) -> LaurentQA:
-    """Denominator-cleared partition sum: {m}{m tau} Z_m for tau != 0,
-    and its degenerate substitute {m}^2 Z_m = {m}_a at tau = 0."""
+    """{m}{m tau} Z_m for tau != 0, and {m}^2 Z_m = {m}_a at tau = 0, from the
+    q-binomial closed form: with t = |tau|, the sum over j + k = m of
+    (-1)^(j + m t) q^((j(j-1) - (m t - 1) m)/2) a^(+-(k-j)/2) qbin(m t, j)
+    qbin(m t + k - 1, k), the a-sign that of tau (tau -> -tau is a -> 1/a)."""
     if m < 1:
         raise ValueError("cal_z_cleared needs m >= 1")
     if tau == 0:
         return quantum_int(m, "a")
-    total = LaurentQA.zero()
-    for nu in partitions_of(m):
-        term = LaurentQA.one()
-        for p in nu:
-            term = term * quantum_ratio(m * tau, p) * quantum_int(p, "a")
-        total = total + term.scale(Fraction(1, z_factor(nu)))
-    return total.scale((-1) ** ((m * tau) % 2))
+    mt = m * abs(tau)
+    out: dict = {}
+    for j in range(min(m, mt) + 1):  # each j fills its own a-slice
+        k = m - j
+        bj, bk = gaussian_binomial(mt, j), gaussian_binomial(mt + k - 1, k)
+        prod = [0] * (len(bj) + len(bk) - 1)
+        for dj, cj in enumerate(bj):
+            for dk, ck in enumerate(bk):
+                prod[dj + dk] += cj * ck
+        u0, v = j * (j - 1) - (mt - 1) * m, (k - j) * (1 if tau > 0 else -1)
+        sign = (-1) ** ((j + mt) % 2)
+        out.update({(u0 + 2 * e, v): sign * c for e, c in enumerate(prod) if c})
+    return LaurentQA(out)
+
+
+def colored_sum(m: int, tau: int) -> LaurentQA:
+    """{m}{m tau} Z_m by its definition, the colored sum over |nu| = m,
+    for tau != 0: (-1)^(m tau) [x^m] exp(sum_k f_k x^k / k) with
+    f_k = {m tau k}/{k} {k}_a.
+
+    The exp recurrence runs on n! [x^n], which stays integral:
+    E_n = sum_k f_k (n-1)!/(n-k)! E_(n-k).  Each coefficient of E_m is then
+    divided by m!; a nonzero remainder keeps a Fraction, so that a
+    non-integral sum still fails the integrality check.
+    """
+    if tau == 0:
+        raise ValueError("colored_sum needs tau != 0")
+    f = [quantum_ratio(m * tau, k) * quantum_int(k, "a") for k in range(m + 1)]
+    e = [LaurentQA.one()]
+    for n in range(1, m + 1):
+        acc, falling = LaurentQA.zero(), 1  # falling = (n-1)!/(n-k)!
+        for k in range(1, n + 1):
+            acc = acc + (f[k] * e[n - k]).scale(falling)
+            falling *= n - k
+        e.append(acc)
+    fact, out = factorial(m), {}
+    for key, c in e[m].items():
+        quo, rem = divmod(c, fact)
+        out[key] = Fraction(c, fact) if rem else quo
+    return LaurentQA(out).scale((-1) ** ((m * tau) % 2))
 
 
 def _cleared_divisor(m: int, tau: int) -> LaurentQA:
@@ -126,41 +163,6 @@ def _cleared_divisor(m: int, tau: int) -> LaurentQA:
     first = quantum_ratio(m, 1)
     second = quantum_ratio(m, 1) if tau == 0 else quantum_ratio(m * tau, 1)
     return first * second
-
-
-def cal_z_gaussian(m: int, tau: int) -> LaurentQA:
-    """Gaussian-binomial closed form of {m}{m tau} Z_m, valid for tau >= 1.
-
-    Independent cross-check route: sum over j + k = m of
-    (-1)^j q^((j(j-1) - (m tau - 1) m)/2) a^((k-j)/2) qbin(m tau, j) qbin(m tau + k - 1, k).
-    The sign (-1)^j comes from expanding prod_s (1 - q^(c_s) a^(-1/2) x)
-    over prod_s (1 - q^(c_s) a^(1/2) x) with exp(sum u^j / j) = 1/(1-u).
-    """
-    if tau < 1:
-        raise ValueError("cal_z_gaussian needs tau >= 1")
-    if m < 1:
-        raise ValueError("cal_z_gaussian needs m >= 1")
-    mt = m * tau
-    total = LaurentQA.zero()
-    for j in range(0, m + 1):
-        k = m - j
-        if j > mt:
-            continue
-        bj = gaussian_binomial(mt, j)
-        bk = gaussian_binomial(mt + k - 1, k) if k else [1]
-        term: dict = {}
-        base_u = j * (j - 1) - (mt - 1) * m
-        for dj, cj in enumerate(bj):
-            if not cj:
-                continue
-            for dk, ck in enumerate(bk):
-                if not ck:
-                    continue
-                key = (base_u + 2 * (dj + dk), k - j)
-                term[key] = term.get(key, 0) + cj * ck
-        sgn = (-1) ** (j % 2)
-        total = total + LaurentQA(term).scale(sgn)
-    return total.scale((-1) ** ((m * tau) % 2))
 
 
 def g_m_cleared(m: int, tau: int) -> LaurentQA:

@@ -47,7 +47,7 @@ class ZBasisError(ValueError):
 
 def _norm_c(c):
     # canonical scalar: collapse integral Fractions to int
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
 
@@ -107,7 +107,7 @@ class LaurentQA:
 
     def is_integral(self) -> bool:
         """Certify that every stored coefficient is an integer."""
-        return all(isinstance(c, int) for c in self._c.values())
+        return all(type(c) is int for c in self._c.values())
 
     def a_slices(self) -> dict:
         """Group coefficients by a-exponent: v -> {u: coefficient}."""
@@ -288,13 +288,14 @@ def _dense_div(f_lo: int, f: list, g_lo: int, g: list):
         return None
     q = [0] * (len(f) - dg)
     r = list(f)
-    glead = Fraction(g[-1])
+    glead = g[-1]
+    unit = glead in (1, -1)  # then 1/glead = glead, and int stays int
     for i in range(len(f) - 1 - dg, -1, -1):
         c = r[i + dg]
         if not c:
             continue
-        t = Fraction(c) / glead
-        q[i] = _norm_c(t)
+        t = c * glead if unit else _norm_c(Fraction(c) / glead)
+        q[i] = t
         for j, gc in enumerate(g):
             r[i + j] -= t * gc
     if any(r[:dg]):
@@ -360,9 +361,10 @@ def exact_div(f: LaurentQA, g: LaurentQA) -> LaurentQA:
 # z^2 basis
 # ---------------------------------------------------------------------------
 
-def _z2_power_dense(k: int) -> dict:
-    # (q^(1/2) - q^(-1/2))^(2k) as {u: int}
-    return {2 * (k - i): (-1) ** i * comb(2 * k, i) for i in range(2 * k + 1)}
+@lru_cache(maxsize=None)
+def _z2_power_dense(k: int) -> tuple:
+    # (q^(1/2) - q^(-1/2))^(2k): entry i is the coefficient of q^(k - i)
+    return tuple((-1) ** i * comb(2 * k, i) for i in range(2 * k + 1))
 
 
 class ZBasisTable:
@@ -376,7 +378,7 @@ class ZBasisTable:
         self.entries = {k: _norm_c(c) for k, c in (entries or {}).items() if c}
 
     def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.entries.values())
+        return all(type(c) is int for c in self.entries.values())
 
     def expand(self) -> LaurentQA:
         out = LaurentQA.zero()
@@ -413,7 +415,8 @@ def to_z_basis(f: LaurentQA) -> ZBasisTable:
             g = top // 2
             c = work[top]
             table[(g, v)] = c
-            for u, zc in _z2_power_dense(g).items():
+            for i, zc in enumerate(_z2_power_dense(g)):
+                u = top - 2 * i
                 s = work.get(u, 0) - c * zc
                 if s:
                     work[u] = _norm_c(s)

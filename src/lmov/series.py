@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Any, Callable
 
 from .arith import divisors, moebius
@@ -141,34 +140,39 @@ class Series1:
 
 
 def series_log(s: Series1) -> Series1:
-    """log of a series with constant term exactly one, truncated alike."""
+    """log of a series with constant term exactly one, truncated alike.
+
+    D_n = n L_n obeys D_n = n S_n - sum_{k<n} D_k S_(n-k) (x S' = S x L'):
+    O(N^2) ring products, on integers whenever S has integer coefficients."""
     if s.coeffs[0] != s.ring.one:
         raise ValueError("series_log needs constant term 1")
-    n = s.order
-    u = Series1(s.ring, n, [s.ring.zero] + s.coeffs[1:])
-    out = Series1(s.ring, n)
-    power = Series1.constant(s.ring, n)
-    for k in range(1, n + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        out = out + power.scale(Fraction((-1) ** (k + 1), k))
-    return out
+    d = [s.ring.zero]
+    for n in range(1, s.order + 1):
+        acc = s.ring.zero
+        for k in range(1, n):
+            if not d[k].is_zero() and not s.coeffs[n - k].is_zero():
+                acc = acc + d[k] * s.coeffs[n - k]
+        d.append(s.coeffs[n].scale(n) + acc.scale(-1))
+    logs = [c.scale(Fraction(1, n)) for n, c in enumerate(d) if n]
+    return Series1(s.ring, s.order, [s.ring.zero] + logs)
 
 
 def series_exp(s: Series1) -> Series1:
-    """exp of a series with zero constant term, truncated alike."""
+    """exp of a series with zero constant term, truncated alike.
+
+    n E_n = sum_{k<=n} D_k E_(n-k), D_k = k S_k (x E' = x S' E): O(N^2)
+    ring products."""
     if not s.coeffs[0].is_zero():
         raise ValueError("series_exp needs zero constant term")
-    n = s.order
-    out = Series1.constant(s.ring, n)
-    power = Series1.constant(s.ring, n)
-    for k in range(1, n + 1):
-        power = power * s
-        if power.is_zero():
-            break
-        out = out + power.scale(Fraction(1, factorial(k)))
-    return out
+    d = [c.scale(k) for k, c in enumerate(s.coeffs)]
+    out = [s.ring.one]
+    for n in range(1, s.order + 1):
+        acc = s.ring.zero
+        for k in range(1, n + 1):
+            if not d[k].is_zero() and not out[n - k].is_zero():
+                acc = acc + d[k] * out[n - k]
+        out.append(acc.scale(Fraction(1, n)))
+    return Series1(s.ring, s.order, out)
 
 
 def solve_functional(

@@ -79,14 +79,16 @@ def check_recursion(max_n: int, tau_range: range) -> Report:
 
 
 def check_onehole_chain(max_m: int, tau_range: range) -> Report:
-    """Cleared-sum integrality, exact divisibility, z^2 membership, and
-    integer tables, plus the pinned m = 1 table."""
+    """Cleared-sum integrality and, at tau != 0, its colored-sum definition;
+    exact divisibility, z^2 membership, integer tables, the m = 1 table."""
     rep = Report("one-hole-chain", {"max_m": max_m, "tau": list(tau_range)})
     for tau in tau_range:
         for m in range(1, max_m + 1):
             cleared = onehole.cal_z_cleared(m, tau)
             if not cleared.is_integral():
                 rep.failures.append({"tau": tau, "m": m, "reason": "cleared not integral"})
+            if tau and cleared != onehole.colored_sum(m, tau):
+                rep.failures.append({"tau": tau, "m": m, "reason": "closed form != colored sum"})
             f = onehole.z2_g_m(m, tau)  # divisibility (raises on violation)
             if f != f.mirror_q():
                 rep.failures.append({"tau": tau, "m": m, "reason": "not q-symmetric"})
@@ -104,7 +106,7 @@ def check_gaussian_form(max_m: int, tau_range: range) -> Report:
         if tau < 1:
             raise ValueError("gaussian closed form needs tau >= 1")
         for m in range(1, max_m + 1):
-            if onehole.cal_z_gaussian(m, tau) != onehole.cal_z_cleared(m, tau):
+            if onehole.cal_z_cleared(m, tau) != onehole.colored_sum(m, tau):
                 rep.failures.append({"tau": tau, "m": m})
     return rep
 

@@ -7,23 +7,22 @@ The tests check the library's known-denominator coefficients
 ``as_rational`` converts a PochFrac, and below it are the colored-row
 oracles (``unknot_row``, ``framed_row``, ``cal_z``, ``g_m``) and the OV,
 DT and general-partition pipelines computed over RationalQ / RationalQA.
+
+The library's integer fast paths are checked against the slow routines
+they replaced, kept here verbatim: the colored sum over all p(m)
+partitions (``cal_z_cleared``), the Fraction-only ``dense_div`` and the
+power-sum ``series_log`` / ``series_exp``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd
 from typing import Mapping
 
 from lmov.arith import divisors, moebius
-from lmov.onehole import (
-    _cleared_divisor,
-    _multiset_decompositions,
-    _phi,
-    _row_numerator,
-    cal_z_cleared,
-)
+from lmov.onehole import _cleared_divisor, _multiset_decompositions, _phi, _row_numerator
 from lmov.partitions import Partition, parts_gcd, partitions_of, scale_down, z_factor
 from lmov.qa import (
     ExactDivisionError,
@@ -35,8 +34,90 @@ from lmov.qa import (
     one_minus_q_prod,
     quantum_int,
     quantum_prod,
+    quantum_ratio,
 )
 from lmov.series import CoeffRing, Series1, plethystic_log
+
+# ---------------------------------------------------------------------------
+# the slow routines behind the integer fast paths
+# ---------------------------------------------------------------------------
+
+
+def dense_div(f_lo: int, f: list, g_lo: int, g: list):
+    """Exact Laurent division of dense q-slices; (lo, coeffs) or None."""
+    while f and not f[-1]:
+        f.pop()
+    while f and not f[0]:
+        f.pop(0)
+        f_lo += 1
+    if not f:
+        return 0, []
+    dg = len(g) - 1
+    if len(f) - 1 < dg:
+        return None
+    q = [0] * (len(f) - dg)
+    r = list(f)
+    glead = Fraction(g[-1])
+    for i in range(len(f) - 1 - dg, -1, -1):
+        c = r[i + dg]
+        if not c:
+            continue
+        t = Fraction(c) / glead
+        q[i] = _norm_c(t)
+        for j, gc in enumerate(g):
+            r[i + j] -= t * gc
+    if any(r[:dg]):
+        return None
+    return f_lo - g_lo, q
+
+
+def series_log(s: Series1) -> Series1:
+    """log of a series with constant term exactly one, truncated alike."""
+    if s.coeffs[0] != s.ring.one:
+        raise ValueError("series_log needs constant term 1")
+    n = s.order
+    u = Series1(s.ring, n, [s.ring.zero] + s.coeffs[1:])
+    out = Series1(s.ring, n)
+    power = Series1.constant(s.ring, n)
+    for k in range(1, n + 1):
+        power = power * u
+        if power.is_zero():
+            break
+        out = out + power.scale(Fraction((-1) ** (k + 1), k))
+    return out
+
+
+def series_exp(s: Series1) -> Series1:
+    """exp of a series with zero constant term, truncated alike."""
+    if not s.coeffs[0].is_zero():
+        raise ValueError("series_exp needs zero constant term")
+    n = s.order
+    out = Series1.constant(s.ring, n)
+    power = Series1.constant(s.ring, n)
+    for k in range(1, n + 1):
+        power = power * s
+        if power.is_zero():
+            break
+        out = out + power.scale(Fraction(1, factorial(k)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def cal_z_cleared(m: int, tau: int) -> LaurentQA:
+    """Denominator-cleared partition sum: {m}{m tau} Z_m for tau != 0,
+    and its degenerate substitute {m}^2 Z_m = {m}_a at tau = 0."""
+    if m < 1:
+        raise ValueError("cal_z_cleared needs m >= 1")
+    if tau == 0:
+        return quantum_int(m, "a")
+    total = LaurentQA.zero()
+    for nu in partitions_of(m):
+        term = LaurentQA.one()
+        for p in nu:
+            term = term * quantum_ratio(m * tau, p) * quantum_int(p, "a")
+        total = total + term.scale(Fraction(1, z_factor(nu)))
+    return total.scale((-1) ** ((m * tau) % 2))
+
 
 # ---------------------------------------------------------------------------
 # dense univariate helpers (internal, used by RationalQ)

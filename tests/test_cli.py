@@ -6,6 +6,7 @@ import pytest
 from lmov import cli, genus0, gwdt, verify
 from lmov.arith import TheoremViolation
 from lmov.qa import ExactDivisionError
+from lmov.series import Series2
 from lmov.cli import EXIT_OK, EXIT_THEOREM, EXIT_USAGE, main
 
 SUITES = [
@@ -236,6 +237,27 @@ def test_annulus_division_failure_exits_2(monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "tau=1, order=3, n=0" in err
+        reports = list(verify.run_all(verify.QUICK))
+        assert [r.name for r in reports if not r.ok] == ["annulus"]
+    finally:
+        genus0._annulus_log.cache_clear()
+
+
+def test_annulus_kernel_failure_exits_2(monkeypatch, capsys):
+    # a kernel coefficient with a q-power is a theorem violation, not a crash
+    real = genus0.series2_log
+
+    def with_q_power(s):
+        out = real(s)
+        return Series2(out.ring, out.order, {k: c.shift(du=2) for k, c in out.coeffs.items()})
+
+    monkeypatch.setattr(genus0, "series2_log", with_q_power)
+    genus0._annulus_log.cache_clear()
+    try:
+        assert main(["annulus", "--tau", "1", "--max-total", "3"]) == EXIT_THEOREM
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "not an a-polynomial (tau=1, m1=1, m2=1)" in err
         reports = list(verify.run_all(verify.QUICK))
         assert [r.name for r in reports if not r.ok] == ["annulus"]
     finally:

@@ -6,11 +6,12 @@ import pytest
 import reference
 from helpers import cli_output, m_matrix
 from lmov.genus0 import disc_n
+from lmov import onehole, qa, verify
 from lmov.onehole import (
     _multiset_decompositions,
     cal_z_cleared,
-    cal_z_gaussian,
     cal_z_partition,
+    colored_sum,
     f_mu,
     g_mu_general,
     lmov_one_hole,
@@ -95,9 +96,10 @@ def test_cal_z_cleared_is_integral():
 
 
 def test_cal_z_cleared_consistent_with_cal_z():
+    # the closed form over its divisor is Z_m as the reference partition sum
     from lmov.qa import quantum_ratio
 
-    for tau in (-2, 1):
+    for tau in (-2, 1, 3):
         for m in (1, 2, 3):
             div = quantum_ratio(m, 1) * (
                 quantum_ratio(m, 1) if tau == 0 else quantum_ratio(m * tau, 1)
@@ -110,11 +112,41 @@ def test_cal_z_cleared_consistent_with_cal_z():
 
 
 def test_cal_z_gaussian_cross_check():
-    for tau in (1, 2, 3):
-        for m in range(1, 6):
-            assert cal_z_gaussian(m, tau) == cal_z_cleared(m, tau), (m, tau)
+    # the domain edges: tau = 0 is the degenerate {m}_a, where the colored
+    # sum is not defined; the grids below cross-check every tau != 0
+    for m in (1, 2, 3):
+        assert cal_z_cleared(m, 0) == quantum_int(m, "a")
     with pytest.raises(ValueError):
-        cal_z_gaussian(2, 0)
+        colored_sum(2, 0)
+    with pytest.raises(ValueError):
+        cal_z_cleared(0, 1)
+
+
+@pytest.mark.parametrize("tau", range(-5, 6))
+def test_closed_form_matches_partition_sum(tau):
+    for m in range(1, 9):
+        assert cal_z_cleared(m, tau) == reference.cal_z_cleared(m, tau), (m, tau)
+
+
+@pytest.mark.parametrize("tau", [t for t in range(-5, 6) if t])
+def test_colored_sum_matches_partition_sum(tau):
+    for m in range(1, 9):
+        assert colored_sum(m, tau) == reference.cal_z_cleared(m, tau), (m, tau)
+
+
+def test_onehole_chain_reports_colored_sum_mismatch(monkeypatch):
+    # f_k scaled by k breaks the colored sum's integrality from m = 2 on,
+    # while the closed form and the divisor {m}{m tau}/{1}^2 (parts k = 1)
+    # are untouched: the sum keeps its Fractions and the chain names the cells
+    monkeypatch.setattr(
+        onehole, "quantum_ratio", lambda k, n: qa.quantum_ratio(k, n).scale(n)
+    )
+    assert colored_sum(1, 2) == cal_z_cleared(1, 2)
+    assert not colored_sum(2, 2).is_integral()
+    rep = verify.check_onehole_chain(3, range(1, 3))
+    cells = [(f["tau"], f["m"]) for f in rep.failures]
+    assert cells == [(1, 2), (1, 3), (2, 2), (2, 3)]
+    assert {f["reason"] for f in rep.failures} == {"closed form != colored sum"}
 
 
 def test_g_m_prime_case():

@@ -11,6 +11,7 @@ from lmov.qa import (
     LaurentQA,
     PochFrac,
     ZBasisError,
+    _dense_div,
     exact_div,
     one_minus_q_prod,
     quantum_int,
@@ -18,6 +19,7 @@ from lmov.qa import (
     quantum_ratio,
     to_z_basis,
 )
+import reference
 from reference import RationalQ, RationalQA, as_rational, one_minus_q_pow
 
 # ---------------------------------------------------------------------------
@@ -113,6 +115,31 @@ def test_exact_div_bivariate_divisor():
     assert exact_div(f * g, f) == g
     with pytest.raises(ExactDivisionError):
         exact_div(f * g + LaurentQA.one(), f)
+
+
+@given(
+    st.lists(st.integers(-9, 9), max_size=5),
+    st.lists(st.integers(-9, 9), max_size=4),
+    st.sampled_from([1, -1, 2, -3, Fraction(3, 2)]),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.booleans(),
+)
+def test_dense_div_matches_fraction_reference(h, body, lead, noise, fractional):
+    # integer branch (lead +-1) and Fraction branch against the Fraction-only
+    # division, on exact multiples and on perturbed, mostly non-divisible, ones
+    g = body + [lead]
+    f = [0] * (len(g) + len(h) + len(noise))
+    for i, x in enumerate(h):
+        for j, y in enumerate(g):
+            f[i + j] += x * y
+    for i, x in enumerate(noise):
+        f[i] += x
+    if fractional:
+        f = [Fraction(c, 3) for c in f]
+    got = _dense_div(-2, list(f), 1, list(g))
+    assert got == reference.dense_div(-2, list(f), 1, list(g))
+    if got is not None and lead in (1, -1) and not fractional:
+        assert all(type(c) is int for c in got[1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from helpers import series_x
-from lmov.qa import LaurentQA, quantum_int
+from lmov.qa import LaurentQA, PochFrac, quantum_int
 from lmov.series import (
     CoeffRing,
     Series1,
@@ -64,6 +65,22 @@ def test_series_exp_log_roundtrip(tail):
     order = len(tail)
     s = Series1(LRING, order, [LaurentQA.one()] + tail)
     assert series_exp(series_log(s)).coeffs == s.coeffs
+
+
+@given(st.lists(small_coeff, min_size=1, max_size=6), st.booleans())
+def test_series_log_exp_match_power_sums(tail, poch):
+    # the derivative recurrences against the O(N^3) power sums, over LaurentQA
+    # and over PochFrac coefficients (slot n of degree n)
+    order = len(tail)
+    if poch:
+        ring = CoeffRing(zero=PochFrac.zero(), one=PochFrac.one())
+        tail = [PochFrac(c, n) for n, c in enumerate(tail, start=1)]
+    else:
+        ring = LRING
+    s = Series1(ring, order, [ring.one] + tail)
+    assert series_log(s) == reference.series_log(s)
+    s0 = Series1(ring, order, [ring.zero] + tail)
+    assert series_exp(s0) == reference.series_exp(s0)
 
 
 def test_solve_functional_identity_phi():
