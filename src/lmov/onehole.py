@@ -94,9 +94,11 @@ def verify_recursion(tau: int, max_n: int) -> Report:
         p, r = _recursion_pair(n)
         sign_l = (-1) ** ((tau + (n + 1) * tau) % 2)
         sign_r = (-1) ** ((n * tau) % 2)
-        lhs = p.scale(sign_l).shift(du=n * (n + 1) * tau)
-        rhs = r.scale(sign_r).shift(du=2 * n * tau + n * (n - 1) * tau)
-        if lhs != rhs:
+        shift_l, shift_r = n * (n + 1) * tau, 2 * n * tau + n * (n - 1) * tau
+        # sign_l q^(shift_l/2) p == sign_r q^(shift_r/2) r, compared in place:
+        # r holds s c at (u + du, v) for every term c at (u, v) of p, and no more
+        s, du = sign_l * sign_r, shift_l - shift_r
+        if len(p) != len(r) or any(r.coeff(u + du, v) != s * c for (u, v), c in p.items()):
             rep.failures.append({"n": n})
     return rep
 
@@ -252,7 +254,6 @@ def _multiset_decompositions(mu: Partition):
     whose multiset union is mu and ordered_count the number of ordered
     tuples realizing that block multiset.
     """
-    from math import factorial
 
     def splits(parts: tuple):
         # all ways to split a sorted multiset of ints into (first-anchored

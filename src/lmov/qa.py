@@ -16,6 +16,15 @@ exponent bookkeeping is plain integer arithmetic.  Coefficients are ints
 whenever possible and ``fractions.Fraction`` otherwise; no floats appear
 anywhere.
 
+``LaurentQA`` multiplies in one of two ways, chosen from the operands.
+When every coefficient is an int, the smaller operand has at least
+``KRONECKER_MIN_TERMS`` terms and the product is dense (at most
+``KRONECKER_MAX_FILL`` packed slots per term pair), both operands are
+packed into Python ints by Kronecker substitution and multiplied once, so
+that CPython's Karatsuba does the work.  Every other product (Fraction
+coefficients, short or sparse operands) runs the dict loop over all term
+pairs.
+
 ``to_z_basis`` rewrites a q-symmetric LaurentQA as a polynomial in
 z^2 = q - 2 + q^(-1) slice by slice in a; the result (``ZBasisTable``)
 is the genus-graded form used by the one-hole invariant tables.
@@ -25,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from typing import Iterable, Mapping
 
 from .arith import gaussian_binomial
@@ -50,6 +59,74 @@ def _norm_c(c):
     if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution
+# ---------------------------------------------------------------------------
+
+# An integer product goes through one big-int multiply when its smaller
+# operand has at least KRONECKER_MIN_TERMS terms and the packed product has
+# at most KRONECKER_MAX_FILL slots per term pair; any other product runs the
+# dict loop, which is faster on short or sparse operands.
+KRONECKER_MIN_TERMS = 16
+KRONECKER_MAX_FILL = 1
+
+
+def _kronecker_pack(m: dict, u0, v0, gu, gv, width, rows, zero: bytes, half) -> int:
+    # slot ((v - v0)/gv) width + (u - u0)/gu, len(zero) bytes, holds c + half;
+    # the bias that every slot carries is subtracted again
+    n = len(zero)
+    buf = [zero] * (rows * width)
+    for (u, v), c in m.items():
+        buf[(v - v0) // gv * width + (u - u0) // gu] = (c + half).to_bytes(n, "little")
+    return int.from_bytes(b"".join(buf), "little") - int.from_bytes(zero * len(buf), "little")
+
+
+def _kronecker_mul(a: dict, b: dict) -> dict | None:
+    """The product of two maps {(u, v): int} by Kronecker substitution
+    (Harvey, arXiv:0712.4046), or None when a coefficient is not an int or
+    the packed product would be sparse.
+
+    The exponents are divided by the gcd of their steps and laid out in
+    rows as wide as the product's u-span, so that exponents add as slot
+    indices without wrapping.  A product slot sums at most
+    min(len a, len b) terms, so max|a| max|b| min(len a, len b) bounds it;
+    the slots hold that bound with a sign, so no slot carries into the next.
+    """
+    if not all(type(c) is int for c in a.values()) or not all(
+        type(c) is int for c in b.values()
+    ):
+        return None
+    ua, va = zip(*a)
+    ub, vb = zip(*b)
+    ua0, va0, ub0, vb0 = min(ua), min(va), min(ub), min(vb)
+    gu = gcd(*(u - ua0 for u in ua), *(u - ub0 for u in ub)) or 1
+    gv = gcd(*(v - va0 for v in va), *(v - vb0 for v in vb)) or 1
+    rows_a, rows_b = (max(va) - va0) // gv + 1, (max(vb) - vb0) // gv + 1
+    width = (max(ua) - ua0 + max(ub) - ub0) // gu + 1
+    rows = rows_a + rows_b - 1
+    if rows * width > KRONECKER_MAX_FILL * len(a) * len(b):
+        return None
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    n = (bound.bit_length() + 8) // 8  # 8 n bits hold the bound and a sign
+    half = 1 << (8 * n - 1)
+    zero = half.to_bytes(n, "little")
+    prod = _kronecker_pack(a, ua0, va0, gu, gv, width, rows_a, zero, half)
+    prod *= _kronecker_pack(b, ub0, vb0, gu, gv, width, rows_b, zero, half)
+    prod += int.from_bytes(zero * (rows * width), "little")
+    raw = prod.to_bytes(rows * width * n, "little")
+    out: dict = {}
+    u0, v = ua0 + ub0, va0 + vb0
+    k = 0
+    for _ in range(rows):
+        for i in range(width):
+            c = int.from_bytes(raw[k : k + n], "little") - half
+            k += n
+            if c:
+                out[(u0 + gu * i, v)] = c
+        v += gv
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +233,10 @@ class LaurentQA:
         a, b = self._c, other._c
         if len(a) > len(b):
             a, b = b, a
+        if len(a) >= KRONECKER_MIN_TERMS:
+            packed = _kronecker_mul(a, b)
+            if packed is not None:
+                return LaurentQA._make(packed)
         d: dict = {}
         for (u1, v1), c1 in a.items():
             for (u2, v2), c2 in b.items():

@@ -9,9 +9,10 @@ oracles (``unknot_row``, ``framed_row``, ``cal_z``, ``g_m``) and the OV,
 DT and general-partition pipelines computed over RationalQ / RationalQA.
 
 The library's integer fast paths are checked against the slow routines
-they replaced, kept here verbatim: the colored sum over all p(m)
-partitions (``cal_z_cleared``), the Fraction-only ``dense_div`` and the
-power-sum ``series_log`` / ``series_exp``.
+they replaced, kept here verbatim: the dict-loop ``LaurentQA`` product
+(``laurent_mul``), the colored sum over all p(m) partitions
+(``cal_z_cleared``), the Fraction-only ``dense_div`` and the power-sum
+``series_log`` / ``series_exp``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,23 @@ from lmov.series import CoeffRing, Series1, plethystic_log
 # ---------------------------------------------------------------------------
 # the slow routines behind the integer fast paths
 # ---------------------------------------------------------------------------
+
+
+def laurent_mul(f: LaurentQA, g: LaurentQA) -> LaurentQA:
+    """f * g by the dict loop over all term pairs."""
+    a, b = f._c, g._c
+    if len(a) > len(b):
+        a, b = b, a
+    d: dict = {}
+    for (u1, v1), c1 in a.items():
+        for (u2, v2), c2 in b.items():
+            k = (u1 + u2, v1 + v2)
+            s = d.get(k, 0) + c1 * c2
+            if s:
+                d[k] = s
+            elif k in d:
+                del d[k]
+    return LaurentQA._make({k: _norm_c(c) for k, c in d.items()})
 
 
 def dense_div(f_lo: int, f: list, g_lo: int, g: list):

@@ -68,6 +68,30 @@ def test_verify_recursion_reports_pass():
         assert rep.ok
 
 
+def _extra_term(r):
+    u, v = max(k for k, _ in r.items())
+    return r + LaurentQA.monomial(u + 1, v)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda r: r.scale(-1), lambda r: r.shift(du=2), _extra_term],
+    ids=["sign-flipped", "shifted", "extra-term"],
+)
+def test_verify_recursion_reports_every_broken_step(monkeypatch, corrupt):
+    real = onehole._recursion_pair
+    real.cache_clear()
+    try:
+        monkeypatch.setattr(onehole, "_recursion_pair", lambda n: (real(n)[0], corrupt(real(n)[1])))
+        for tau in (-2, 0, 3):
+            rep = verify_recursion(tau, 6)
+            assert rep.failures == [{"n": n} for n in range(6)], tau
+    finally:
+        monkeypatch.undo()
+        real.cache_clear()
+    assert verify_recursion(3, 6).ok
+
+
 # --- Z_m and g_m ---------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import is_one, laurent_from_json, laurent_to_json, support
+from lmov import qa
 from lmov.arith import divisors
 from lmov.qa import (
     ExactDivisionError,
@@ -72,6 +73,58 @@ def test_mul_commutes(f, g):
 @given(laurents, laurents, laurents)
 def test_mul_distributes(f, g, h):
     assert f * (g + h) == f * g + f * h
+
+
+@st.composite
+def wide_laurents(draw):
+    # 1-60 terms over 1-4 a-slices, on u- and v-lattices of step 1-3 with
+    # gaps: dense enough that most products take the Kronecker path
+    n, slices = draw(st.integers(1, 60)), draw(st.integers(1, 4))
+    u0, v0 = draw(st.integers(-40, 40)), draw(st.integers(-6, 6))
+    ustep, vstep = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    span = n // slices + draw(st.integers(0, 8))
+    big = draw(st.booleans())
+    coeff = st.integers(-(10**40), 10**40) if big else st.integers(-9, 9)
+    keys = st.tuples(st.integers(0, span), st.integers(0, slices - 1))
+    terms = draw(st.dictionaries(keys, coeff, min_size=n, max_size=n))
+    return LaurentQA({(u0 + ustep * i, v0 + vstep * j): c for (i, j), c in terms.items()})
+
+
+@given(wide_laurents(), wide_laurents(), st.integers(1, 4), st.booleans())
+def test_mul_matches_dict_loop_reference(f, g, k, fractional):
+    if fractional and f:
+        (u, v), c = next(f.items())
+        f = f + LaurentQA.monomial(u, v, Fraction(1, 3) - c)
+    assert f * g == reference.laurent_mul(f, g)
+    # (1 + q^k)(1 - q^k) = 1 - q^(2k): the cross terms of the product cancel
+    fp = reference.laurent_mul(f, LaurentQA({(0, 0): 1, (2 * k, 0): 1}))
+    gm = reference.laurent_mul(g, LaurentQA({(0, 0): 1, (2 * k, 0): -1}))
+    assert fp * gm == reference.laurent_mul(fp, gm)
+
+
+def test_kronecker_path_choice():
+    dense = quantum_ratio(40, 1) * quantum_ratio(3, 1) * quantum_int(1, "a")
+    assert len(dense) >= qa.KRONECKER_MIN_TERMS
+    got = qa._kronecker_mul(dense._c, (dense * dense)._c)
+    assert LaurentQA(got) == reference.laurent_mul(dense, dense * dense)
+    # a Fraction coefficient or a sparse operand keeps the dict loop
+    assert qa._kronecker_mul(dense.scale(Fraction(1, 2))._c, dense._c) is None
+    sparse = dense.adams(50)
+    assert qa._kronecker_mul(sparse._c, dense._c) is None
+    assert sparse * dense == reference.laurent_mul(sparse, dense)
+
+
+@pytest.mark.parametrize("length", [16, 17, 32, 33])
+def test_kronecker_slots_hold_the_bound(length):
+    # all coefficients +-c: the middle slot reaches max|a| max|b| min(len),
+    # the bound the slot width is sized for, with both signs
+    for bits in range(1, 60):
+        for c in (2**bits - 1, 2**bits):
+            f = LaurentQA({(2 * i, 0): c for i in range(length)})
+            for g in (f, f.scale(-1)):
+                want = reference.laurent_mul(f, g)
+                assert max(map(abs, (x for _, x in want.items()))) == c * c * length
+                assert LaurentQA(qa._kronecker_mul(f._c, g._c)) == want
 
 
 def test_adams_examples():
