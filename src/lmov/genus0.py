@@ -3,8 +3,9 @@
 The disc and annulus tables come with two independent routes:
 
 * closed combinatorial formulas (``disc_c``, ``annulus_top_closed_form``);
-* the mirror-curve series Y = X (1-Y)^tau (1 - a(1-Y)), expanded with the
-  generic functional-equation solver and log machinery.
+* the mirror-curve series Y = X (1-Y)^tau (1 - a(1-Y)), whose X-expansion
+  Lagrange inversion gives in closed form (``kernel_level``), followed by
+  the series log machinery.
 
 Single-cover invariants are recovered by Moebius inversion over common
 divisors and certified integral where the underlying statement is a
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 from .arith import Report, TheoremViolation, binomial_ext, certified_int, divisors, moebius
 from .partitions import Partition, parts_gcd, scale_down
-from .qa import ExactDivisionError, LaurentQA, exact_div
-from .series import CoeffRing, Series1, Series2, series2_log, series_log, solve_functional
+from .qa import LaurentQA
+from .series import CoeffRing, Series1, Series2, series2_log, series_log
 
 
 # ---------------------------------------------------------------------------
@@ -60,41 +61,58 @@ def disc_n(m: int, l: int, tau: int) -> int:
     return certified_int(total, f"n_({m},{l})(tau={tau})")
 
 
-_A = LaurentQA.monomial(v=2)  # the variable a
 _LRING = CoeffRing(zero=LaurentQA.zero(), one=LaurentQA.one())
+_ONE_MINUS_A = LaurentQA({(0, 0): 1, (0, 2): -1})
 
 
-def _mirror_phi(tau: int, order: int):
-    """phi(Y) = (1-Y)^tau * (1 - a(1-Y)) acting on truncated series."""
+def _lagrange_numerator(tau: int, n: int) -> list:
+    """N Y_N / (1-a), N = n+1, as integer a-coefficients (index = a-power).
 
-    def phi(y: Series1) -> Series1:
-        one = Series1.constant(_LRING, order)
-        s = one - y  # 1 - Y
-        p = s.pow_int(tau)
-        return p * (one - s.mul_coeff(_A))
-
-    return phi
+    Lagrange inversion of Y = X (1-Y)^tau (1 - a(1-Y)) gives
+    N Y_N = sum_{k<N} C(N,k) a^k (1-a)^(N-k) (-1)^(N-1-k) C(N tau, N-1-k);
+    every term keeps at least one factor 1-a, which is taken out here.
+    """
+    out = [0] * (n + 1)
+    for k in range(n + 1):
+        m = n - k  # the power of 1-a left in term k
+        c = (-1) ** m * comb(n + 1, k) * binomial_ext((n + 1) * tau, m)
+        if c:
+            for j in range(m + 1):
+                out[k + j] += (-1) ** j * comb(m, j) * c
+    return out
 
 
 @lru_cache(maxsize=None)
-def mirror_series(tau: int, order: int) -> Series1:
-    """Y(X) solving Y = X (1-Y)^tau (1 - a(1-Y)), truncated at ``order``."""
-    return solve_functional(_mirror_phi(tau, order), _LRING, order)
+def kernel_level(tau: int, n: int) -> LaurentQA:
+    """Y_(n+1) / (1-a) for the mirror curve Y = X (1-Y)^tau (1 - a(1-Y)).
+
+    Certifies the exact division of the Lagrange sum by N = n+1; a nonzero
+    remainder is a TheoremViolation."""
+    num = _lagrange_numerator(tau, n)
+    if any(c % (n + 1) for c in num):
+        raise TheoremViolation(
+            f"N Y_N of the mirror curve not divisible by N = {n + 1} (tau={tau}, n={n})"
+        )
+    return LaurentQA({(0, 2 * i): c // (n + 1) for i, c in enumerate(num)})
 
 
 def disc_series_check(tau: int, max_m: int) -> Report:
     """Check the mirror-curve series route against -c_{m,l} for m <= max_m.
 
-    Expands log(1 - Y(X)), integrates termwise (X^m coefficient divided
-    by m), restores x = (-1)^tau a^(1/2) X, and compares the coefficient
-    of x^m a^(l - m/2) with -c_{m,l}(tau) for all 0 <= l <= m.
+    Rebuilds 1 - Y(X) from the Lagrange levels (``kernel_level``), expands
+    log(1 - Y(X)) with ``series_log``, integrates termwise (X^m coefficient
+    divided by m), restores x = (-1)^tau a^(1/2) X, and compares the
+    coefficient of x^m a^(l - m/2) with -c_{m,l}(tau) for all 0 <= l <= m.
+    Since Y itself is the Lagrange closed form, what this certifies is the
+    ``series_log`` step: Lagrange, then log, against ``disc_c``.
     """
     if max_m < 1:
         raise ValueError("disc_series_check needs max_m >= 1")
     rep = Report("disc-series", {"tau": tau, "max_m": max_m})
-    y = mirror_series(tau, max_m)
-    one = Series1.constant(_LRING, max_m)
-    logy = series_log(one - y)
+    one_minus_y = [LaurentQA.one()] + [
+        -(_ONE_MINUS_A * kernel_level(tau, n)) for n in range(max_m)
+    ]
+    logy = series_log(Series1(_LRING, max_m, one_minus_y))
     for m in range(1, max_m + 1):
         coeff = logy.coeff(m).scale(Fraction(1, m))
         # x-coordinates: multiply by (-1)^(m*tau); a-exponent l is raw v/2
@@ -121,21 +139,11 @@ def disc_series_check(tau: int, max_m: int) -> Report:
 @lru_cache(maxsize=None)
 def _annulus_log(tau: int, order: int) -> Series2:
     """log of the normalized Bergmann kernel (Y(X2)-Y(X1))/(X2-X1)/(1-a)."""
-    y = mirror_series(tau, order + 1)
-    b1 = y.coeff(1)  # equals 1 - a
-    kern: dict = {}
-    level = {}
-    for n in range(order + 1):
-        try:
-            level[n] = exact_div(y.coeff(n + 1), b1)
-        except ExactDivisionError as e:
-            raise TheoremViolation(
-                f"Y_{n + 1} of the mirror curve not divisible by 1 - a "
-                f"(tau={tau}, order={order}, n={n})"
-            ) from e
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
-            kern[(i, j)] = level[i + j]
+    kern = {
+        (i, j): kernel_level(tau, i + j)
+        for i in range(order + 1)
+        for j in range(order + 1 - i)
+    }
     return series2_log(Series2(_LRING, order, kern))
 
 

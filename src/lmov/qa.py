@@ -385,57 +385,34 @@ def _dense_div(f_lo: int, f: list, g_lo: int, g: list):
 
 
 def exact_div(f: LaurentQA, g: LaurentQA) -> LaurentQA:
-    """Return h with f = g * h exactly; raise ExactDivisionError otherwise."""
+    """Return h with f = g * h exactly; raise ExactDivisionError otherwise.
+
+    The divisor must be a Laurent polynomial in q alone; each a-slice of f
+    is divided by it independently."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    g_slices = g.a_slices()
+    if set(g_slices) != {0}:
+        raise ValueError("exact_div needs a divisor free of a")
     if f.is_zero():
         return LaurentQA.zero()
-    g_slices = g.a_slices()
-    if set(g_slices) == {0}:
-        # q-only divisor: divide each a-slice independently
-        g_lo, g_dense = _slice_to_dense(g_slices[0])
-        while g_dense and not g_dense[0]:
-            g_dense.pop(0)
-            g_lo += 1
-        out: dict = {}
-        for v, sl in f.a_slices().items():
-            res = _dense_div(*_slice_to_dense(sl), g_lo, g_dense)
-            if res is None:
-                raise ExactDivisionError(
-                    f"not divisible in a-slice v={v}",
-                    remainder=LaurentQA({(u, v): c for u, c in sl.items()}),
-                )
-            lo, coeffs = res
-            for i, c in enumerate(coeffs):
-                if c:
-                    out[(lo + i, v)] = _norm_c(c)
-        return LaurentQA._make(out)
-    # general divisor: leading-term elimination under lex order on (u, v).
-    # If f = g*h the lowest exponents add, which bounds the quotient support
-    # from below and makes the loop terminate on non-multiples as well.
-    u_lo = min(u for u, _ in f._c) - min(u for u, _ in g._c)
-    v_lo = min(v for _, v in f._c) - min(v for _, v in g._c)
-    gl = max(g._c)
-    glc = Fraction(g._c[gl])
-    rem = dict(f._c)
-    quo: dict = {}
-    while rem:
-        lt = max(rem)
-        tkey = (lt[0] - gl[0], lt[1] - gl[1])
-        if tkey[0] < u_lo or tkey[1] < v_lo:
-            raise ExactDivisionError("not divisible", remainder=LaurentQA(rem))
-        tc = _norm_c(Fraction(rem.pop(lt)) / glc)
-        quo[tkey] = quo.get(tkey, 0) + tc
-        for (u, v), gc in g._c.items():
-            if (u, v) == gl:
-                continue
-            k = (tkey[0] + u, tkey[1] + v)
-            s = rem.get(k, 0) - tc * gc
-            if s:
-                rem[k] = _norm_c(s)
-            elif k in rem:
-                del rem[k]
-    return LaurentQA({k: c for k, c in quo.items()})
+    g_lo, g_dense = _slice_to_dense(g_slices[0])
+    while g_dense and not g_dense[0]:
+        g_dense.pop(0)
+        g_lo += 1
+    out: dict = {}
+    for v, sl in f.a_slices().items():
+        res = _dense_div(*_slice_to_dense(sl), g_lo, g_dense)
+        if res is None:
+            raise ExactDivisionError(
+                f"not divisible in a-slice v={v}",
+                remainder=LaurentQA({(u, v): c for u, c in sl.items()}),
+            )
+        lo, coeffs = res
+        for i, c in enumerate(coeffs):
+            if c:
+                out[(lo + i, v)] = _norm_c(c)
+    return LaurentQA._make(out)
 
 
 # ---------------------------------------------------------------------------

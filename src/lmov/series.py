@@ -9,15 +9,16 @@ and take Adams operations: slot n of every series they build holds a
 value of x-degree n, so the sums they form are always over one (q;q)_n.
 
 ``Series1`` stores a dense coefficient list up to a fixed order N and
-arithmetic never reads beyond N.  ``Series2`` is the bivariate analogue
-truncated at total degree N, used for the annulus kernel.
+arithmetic never reads beyond N.  ``Series2`` holds a bivariate series
+truncated at total degree N, the annulus kernel; it carries no arithmetic
+of its own, only ``series2_log`` reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any
 
 from .arith import divisors, moebius
 
@@ -91,50 +92,6 @@ class Series1:
     def scale(self, c) -> Series1:
         return Series1(self.ring, self.order, [x.scale(c) for x in self.coeffs])
 
-    def mul_coeff(self, c) -> Series1:
-        """Multiply every coefficient by a fixed ring element."""
-        return Series1(self.ring, self.order, [x * c for x in self.coeffs])
-
-    def shift(self, k: int) -> Series1:
-        """Multiply by x^k."""
-        if k < 0:
-            raise ValueError("shift needs k >= 0")
-        return Series1(
-            self.ring, self.order, [self.ring.zero] * k + self.coeffs[: self.order + 1 - k]
-        )
-
-    def pow_int(self, n: int) -> Series1:
-        if n < 0:
-            return self.inverse().pow_int(-n)
-        out = Series1.constant(self.ring, self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
-    def inverse(self) -> Series1:
-        """Reciprocal of a series with invertible (one) constant term."""
-        c0 = self.coeffs[0]
-        if c0.is_zero():
-            raise ValueError("series has no reciprocal: zero constant term")
-        one = self.ring.one
-        if c0 != one:
-            raise ValueError("inverse implemented for unit constant term only")
-        n = self.order
-        inv = [self.ring.zero for _ in range(n + 1)]
-        inv[0] = one
-        for k in range(1, n + 1):
-            acc = self.ring.zero
-            for i in range(1, k + 1):
-                if not self.coeffs[i].is_zero():
-                    acc = acc + self.coeffs[i] * inv[k - i]
-            inv[k] = self.ring.zero - acc
-        return Series1(self.ring, n, inv)
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
@@ -173,23 +130,6 @@ def series_exp(s: Series1) -> Series1:
                 acc = acc + d[k] * out[n - k]
         out.append(acc.scale(Fraction(1, n)))
     return Series1(s.ring, s.order, out)
-
-
-def solve_functional(
-    phi: Callable[[Series1], Series1], ring: CoeffRing, order: int
-) -> Series1:
-    """Unique series solution Y(X) of Y = X * phi(Y) with phi(0) invertible.
-
-    Fixed-point iteration Y <- X*phi(Y): coefficients of degree <= k are
-    frozen after k rounds, so ``order`` rounds suffice.
-    """
-    y = Series1(ring, order)
-    phi0 = phi(y).coeffs[0]
-    if phi0.is_zero():
-        raise ValueError("phi(0) must be invertible (nonzero constant term)")
-    for _ in range(order):
-        y = phi(y).shift(1)
-    return y
 
 
 def plethystic_log(z: Series1) -> list:
@@ -247,35 +187,6 @@ class Series2:
         if i + j > self.order:
             raise IndexError(f"({i},{j}) beyond total degree {self.order}")
         return self.coeffs.get((i, j), self.ring.zero)
-
-    def __mul__(self, other: Series2) -> Series2:
-        n = min(self.order, other.order)
-        out: dict = {}
-        for (i1, j1), a in self.coeffs.items():
-            for (i2, j2), b in other.coeffs.items():
-                if i1 + i2 + j1 + j2 > n:
-                    continue
-                k = (i1 + i2, j1 + j2)
-                cur = out.get(k)
-                p = a * b
-                out[k] = p if cur is None else cur + p
-        return Series2(self.ring, n, out)
-
-    def __add__(self, other: Series2) -> Series2:
-        n = min(self.order, other.order)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            cur = out.get(k)
-            out[k] = c if cur is None else cur + c
-        return Series2(self.ring, n, out)
-
-    def __sub__(self, other: Series2) -> Series2:
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> Series2:
-        return Series2(
-            self.ring, self.order, {k: x.scale(c) for k, x in self.coeffs.items()}
-        )
 
 
 def series2_log(s: Series2) -> Series2:

@@ -12,7 +12,12 @@ The library's integer fast paths are checked against the slow routines
 they replaced, kept here verbatim: the dict-loop ``LaurentQA`` product
 (``laurent_mul``), the colored sum over all p(m) partitions
 (``cal_z_cleared``), the Fraction-only ``dense_div`` and the power-sum
-``series_log`` / ``series_exp``.
+``series_log`` / ``series_exp``.  The genus-zero closed forms are checked
+against the generic machinery they replaced: the fixed-point solver
+``solve_functional`` (with the series power, inverse and shift it needs)
+behind ``mirror_series``, the general-divisor ``exact_div`` that divided
+its coefficients by 1 - a, and the ``Series2`` products behind the
+brute-force bivariate log.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
-from typing import Mapping
+from typing import Callable, Mapping
 
 from lmov.arith import divisors, moebius
 from lmov.onehole import _cleared_divisor, _multiset_decompositions, _phi, _row_numerator
@@ -37,7 +42,7 @@ from lmov.qa import (
     quantum_prod,
     quantum_ratio,
 )
-from lmov.series import CoeffRing, Series1, plethystic_log
+from lmov.series import CoeffRing, Series1, Series2, plethystic_log
 
 # ---------------------------------------------------------------------------
 # the slow routines behind the integer fast paths
@@ -118,6 +123,162 @@ def series_exp(s: Series1) -> Series1:
             break
         out = out + power.scale(Fraction(1, factorial(k)))
     return out
+
+
+def series_mul_coeff(s: Series1, c) -> Series1:
+    """Multiply every coefficient by a fixed ring element."""
+    return Series1(s.ring, s.order, [x * c for x in s.coeffs])
+
+
+def series_shift(s: Series1, k: int) -> Series1:
+    """Multiply by x^k."""
+    if k < 0:
+        raise ValueError("shift needs k >= 0")
+    return Series1(
+        s.ring, s.order, [s.ring.zero] * k + s.coeffs[: s.order + 1 - k]
+    )
+
+
+def series_pow_int(s: Series1, n: int) -> Series1:
+    if n < 0:
+        return series_pow_int(series_inverse(s), -n)
+    out = Series1.constant(s.ring, s.order)
+    base = s
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
+def series_inverse(s: Series1) -> Series1:
+    """Reciprocal of a series with invertible (one) constant term."""
+    c0 = s.coeffs[0]
+    if c0.is_zero():
+        raise ValueError("series has no reciprocal: zero constant term")
+    one = s.ring.one
+    if c0 != one:
+        raise ValueError("inverse implemented for unit constant term only")
+    n = s.order
+    inv = [s.ring.zero for _ in range(n + 1)]
+    inv[0] = one
+    for k in range(1, n + 1):
+        acc = s.ring.zero
+        for i in range(1, k + 1):
+            if not s.coeffs[i].is_zero():
+                acc = acc + s.coeffs[i] * inv[k - i]
+        inv[k] = s.ring.zero - acc
+    return Series1(s.ring, n, inv)
+
+
+def solve_functional(
+    phi: Callable[[Series1], Series1], ring: CoeffRing, order: int
+) -> Series1:
+    """Unique series solution Y(X) of Y = X * phi(Y) with phi(0) invertible.
+
+    Fixed-point iteration Y <- X*phi(Y): coefficients of degree <= k are
+    frozen after k rounds, so ``order`` rounds suffice.
+    """
+    y = Series1(ring, order)
+    phi0 = phi(y).coeffs[0]
+    if phi0.is_zero():
+        raise ValueError("phi(0) must be invertible (nonzero constant term)")
+    for _ in range(order):
+        y = series_shift(phi(y), 1)
+    return y
+
+
+def series2_mul(s: Series2, other: Series2) -> Series2:
+    n = min(s.order, other.order)
+    out: dict = {}
+    for (i1, j1), a in s.coeffs.items():
+        for (i2, j2), b in other.coeffs.items():
+            if i1 + i2 + j1 + j2 > n:
+                continue
+            k = (i1 + i2, j1 + j2)
+            cur = out.get(k)
+            p = a * b
+            out[k] = p if cur is None else cur + p
+    return Series2(s.ring, n, out)
+
+
+def series2_add(s: Series2, other: Series2) -> Series2:
+    n = min(s.order, other.order)
+    out = dict(s.coeffs)
+    for k, c in other.coeffs.items():
+        cur = out.get(k)
+        out[k] = c if cur is None else cur + c
+    return Series2(s.ring, n, out)
+
+
+def series2_scale(s: Series2, c) -> Series2:
+    return Series2(s.ring, s.order, {k: x.scale(c) for k, x in s.coeffs.items()})
+
+
+def exact_div(f: LaurentQA, g: LaurentQA) -> LaurentQA:
+    """Return h with f = g * h exactly for any divisor, a-powers included;
+    raise ExactDivisionError otherwise."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.is_zero():
+        return LaurentQA.zero()
+    # general divisor: leading-term elimination under lex order on (u, v).
+    # If f = g*h the lowest exponents add, which bounds the quotient support
+    # from below and makes the loop terminate on non-multiples as well.
+    u_lo = min(u for u, _ in f._c) - min(u for u, _ in g._c)
+    v_lo = min(v for _, v in f._c) - min(v for _, v in g._c)
+    gl = max(g._c)
+    glc = Fraction(g._c[gl])
+    rem = dict(f._c)
+    quo: dict = {}
+    while rem:
+        lt = max(rem)
+        tkey = (lt[0] - gl[0], lt[1] - gl[1])
+        if tkey[0] < u_lo or tkey[1] < v_lo:
+            raise ExactDivisionError("not divisible", remainder=LaurentQA(rem))
+        tc = _norm_c(Fraction(rem.pop(lt)) / glc)
+        quo[tkey] = quo.get(tkey, 0) + tc
+        for (u, v), gc in g._c.items():
+            if (u, v) == gl:
+                continue
+            k = (tkey[0] + u, tkey[1] + v)
+            s = rem.get(k, 0) - tc * gc
+            if s:
+                rem[k] = _norm_c(s)
+            elif k in rem:
+                del rem[k]
+    return LaurentQA({k: c for k, c in quo.items()})
+
+
+_A = LaurentQA.monomial(v=2)  # the variable a
+_LRING = CoeffRing(zero=LaurentQA.zero(), one=LaurentQA.one())
+
+
+def _mirror_phi(tau: int, order: int):
+    """phi(Y) = (1-Y)^tau * (1 - a(1-Y)) acting on truncated series."""
+
+    def phi(y: Series1) -> Series1:
+        one = Series1.constant(_LRING, order)
+        s = one - y  # 1 - Y
+        p = series_pow_int(s, tau)
+        return p * (one - series_mul_coeff(s, _A))
+
+    return phi
+
+
+@lru_cache(maxsize=None)
+def mirror_series(tau: int, order: int) -> Series1:
+    """Y(X) solving Y = X (1-Y)^tau (1 - a(1-Y)), truncated at ``order``,
+    by fixed-point iteration."""
+    return solve_functional(_mirror_phi(tau, order), _LRING, order)
+
+
+def kernel_level(tau: int, n: int, order: int) -> LaurentQA:
+    """Y_(n+1)/(1-a) from the fixed-point series, by the general division."""
+    y = mirror_series(tau, order)
+    return exact_div(y.coeff(n + 1), y.coeff(1))  # Y_1 = 1 - a
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,6 @@ import pytest
 
 from lmov import cli, genus0, gwdt, verify
 from lmov.arith import TheoremViolation
-from lmov.qa import ExactDivisionError
 from lmov.series import Series2
 from lmov.cli import EXIT_OK, EXIT_THEOREM, EXIT_USAGE, main
 
@@ -227,19 +226,24 @@ def test_violation_fails_only_its_suite(tmp_path, monkeypatch, capsys):
 
 
 def test_annulus_division_failure_exits_2(monkeypatch, capsys):
-    def not_divisible(f, g):
-        raise ExactDivisionError("not divisible")
+    # a Lagrange sum that N = n + 1 does not divide: first at n = 1, N = 2
+    real = genus0._lagrange_numerator
 
-    monkeypatch.setattr(genus0, "exact_div", not_divisible)
+    def not_divisible(tau, n):
+        return [c + 1 for c in real(tau, n)]
+
+    monkeypatch.setattr(genus0, "_lagrange_numerator", not_divisible)
+    genus0.kernel_level.cache_clear()
     genus0._annulus_log.cache_clear()
     try:
         assert main(["annulus", "--tau", "1", "--max-total", "3"]) == EXIT_THEOREM
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "tau=1, order=3, n=0" in err
+        assert "(tau=1, n=1)" in err
         reports = list(verify.run_all(verify.QUICK))
-        assert [r.name for r in reports if not r.ok] == ["annulus"]
+        assert [r.name for r in reports if not r.ok] == ["disc-series-oracle", "annulus"]
     finally:
+        genus0.kernel_level.cache_clear()
         genus0._annulus_log.cache_clear()
 
 

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import reference
 from helpers import cli_output
 from lmov.arith import TheoremViolation, binomial_ext, divisors, moebius
 from lmov.genus0 import (
@@ -13,6 +14,7 @@ from lmov.genus0 import (
     disc_c,
     disc_n,
     disc_series_check,
+    kernel_level,
     multihole_K,
     multihole_cover_check,
     multihole_n,
@@ -54,6 +56,17 @@ def test_disc_n_moebius_inverts():
                 for d in divisors(gcd(m, l) if l else m):
                     total += Fraction(disc_n(m // d, l // d, tau), d * d)
                 assert total == disc_c(m, l, tau), (m, l, tau)
+
+
+def test_kernel_level_matches_fixed_point_series():
+    # the Lagrange closed form against the fixed-point solution of the mirror
+    # curve, divided by Y_1 = 1 - a through the general division
+    order = 17
+    for tau in range(-6, 7):
+        for n in range(order):
+            got = kernel_level(tau, n)
+            assert got == reference.kernel_level(tau, n, order), (tau, n)
+            assert all(type(c) is int for _, c in got.items())
 
 
 def test_disc_series_oracle_small():
