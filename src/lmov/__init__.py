@@ -3,12 +3,13 @@
 Modules:
 
 * ``arith``      -- Moebius function, divisors, extended and Gaussian
-  binomials, and the ``Report`` every check returns.
+  binomials, loop-quiver DT invariants, and the ``Report`` every check
+  returns.
 * ``partitions`` -- integer partitions and symmetric-group characters.
 * ``qa``         -- exact Laurent polynomials in q^(1/2), a^(1/2), their
   quotients by the q-Pochhammer symbol (q;q)_n, quantum integers, Adams
   operations, exact division, the z^2 basis.
-* ``series``     -- truncated power series, their logarithm and
+* ``series``     -- one-variable truncated power series, their logarithm and
   exponential, plethystic logarithm and exponential.
 * ``genus0``     -- disc, annulus and multi-hole invariants with their
   Moebius-inversion assembly and integrality certificates.
@@ -16,7 +17,8 @@ Modules:
   quantum-invariant side, plus the general-partition conjecture checker.
 * ``gwdt``       -- reduced partition functions, Ooguri-Vafa and
   Donaldson-Thomas extraction, the GW/DT series identity.
-* ``twist``      -- extremal BPS invariants of twist knots.
+* ``twist``      -- extremal BPS invariants of twist knots, as signed
+  loop-quiver DT invariants.
 * ``cli``        -- the ``lmov`` command-line front end.
 """
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import factorial, isqrt
+from math import comb, factorial, isqrt
 
 
 class TheoremViolation(AssertionError):
@@ -91,6 +91,18 @@ def binomial_ext(n: int, k: int) -> int:
     for i in range(k):
         num *= n - i
     return num // factorial(k)
+
+
+def loop_quiver_dt(m: int, n: int) -> int:
+    """Numerical DT invariant of the m-loop quiver in dimension n, certified
+    integral: Reineke's (1/n^2) sum_{d|n} mu(n/d) (-1)^((m-1)(n-d))
+    C(md-1, d-1) (arXiv:1102.3978)."""
+    total = 0
+    for d in divisors(n):
+        mu = moebius(n // d)
+        if mu:
+            total += mu * (-1) ** ((m - 1) * (n - d) % 2) * comb(m * d - 1, d - 1)
+    return certified_int(Fraction(total, n * n), f"DT of the {m}-loop quiver at n={n}")
 
 
 def gaussian_binomial(m: int, r: int) -> list[int]:

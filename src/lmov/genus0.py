@@ -5,7 +5,9 @@ The disc and annulus tables come with two independent routes:
 * closed combinatorial formulas (``disc_c``, ``annulus_top_closed_form``);
 * the mirror-curve series Y = X (1-Y)^tau (1 - a(1-Y)), whose X-expansion
   Lagrange inversion gives in closed form (``kernel_level``), followed by
-  the series log machinery.
+  the one-variable ``series_log``.  The annulus kernel, a series in X1
+  and X2, becomes a series in X1 alone under the substitution X2 = t X1,
+  with t carried in the q-slot of LaurentQA (``_annulus_log``).
 
 Single-cover invariants are recovered by Moebius inversion over common
 divisors and certified integral where the underlying statement is a
@@ -27,7 +29,7 @@ from math import comb, gcd
 from .arith import Report, TheoremViolation, binomial_ext, certified_int, divisors, moebius
 from .partitions import Partition, parts_gcd, scale_down
 from .qa import LaurentQA
-from .series import CoeffRing, Series1, Series2, series2_log, series_log
+from .series import CoeffRing, Series1, series_log
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +139,23 @@ def disc_series_check(tau: int, max_m: int) -> Report:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _annulus_log(tau: int, order: int) -> Series2:
-    """log of the normalized Bergmann kernel (Y(X2)-Y(X1))/(X2-X1)/(1-a)."""
-    kern = {
-        (i, j): kernel_level(tau, i + j)
-        for i in range(order + 1)
-        for j in range(order + 1 - i)
-    }
-    return series2_log(Series2(_LRING, order, kern))
+def _annulus_log(tau: int, order: int) -> Series1:
+    """log of the normalized Bergmann kernel (Y(X2)-Y(X1))/(X2-X1)/(1-a),
+    after the substitution X2 = t X1, as a series in X1 truncated at
+    ``order``; t rides in the q-slot (t^j is q^(j/2)).
+
+    The kernel is sum_n kernel_level(tau, n) (X1^n + X1^(n-1) X2 + ... +
+    X2^n), so its X^n coefficient is kernel_level(tau, n) (1 + t + ... +
+    t^n).  X1^i X2^j -> X^(i+j) t^j is an injective ring homomorphism that
+    keeps total degree, so it commutes with the truncation and with log:
+    the log's X1^i X2^j coefficient is the t^j slice of its X^(i+j)
+    coefficient, exactly.
+    """
+    kern = [
+        kernel_level(tau, n) * LaurentQA({(j, 0): 1 for j in range(n + 1)})
+        for n in range(order + 1)
+    ]
+    return series_log(Series1(_LRING, order, kern))
 
 
 def annulus_c(m1: int, m2: int, tau: int, order: int | None = None) -> dict:
@@ -160,11 +171,11 @@ def annulus_c(m1: int, m2: int, tau: int, order: int | None = None) -> dict:
         order = n
     if n > order:
         raise ValueError(f"m1+m2 = {n} exceeds configured truncation {order}")
-    logk = _annulus_log(tau, order)
-    coeff = logk.coeff(m1, m2)
     out: dict = {}
-    for (u, v), c in coeff.items():
-        if u != 0 or v % 2:
+    for (u, v), c in _annulus_log(tau, order).coeff(n).items():
+        if u != m2:
+            continue
+        if v % 2:
             raise TheoremViolation(
                 "annulus kernel coefficient is not an a-polynomial "
                 f"(tau={tau}, m1={m1}, m2={m2})"

@@ -356,7 +356,8 @@ def _slice_to_dense(sl: dict) -> tuple:
 
 
 def _dense_div(f_lo: int, f: list, g_lo: int, g: list):
-    """Exact Laurent division of dense q-slices; (lo, coeffs) or None."""
+    """Exact Laurent division of dense q-slices by a divisor with lead +-1;
+    (lo, coeffs) or None."""
     while f and not f[-1]:
         f.pop()
     while f and not f[0]:
@@ -369,13 +370,12 @@ def _dense_div(f_lo: int, f: list, g_lo: int, g: list):
         return None
     q = [0] * (len(f) - dg)
     r = list(f)
-    glead = g[-1]
-    unit = glead in (1, -1)  # then 1/glead = glead, and int stays int
+    glead = g[-1]  # +-1, so 1/glead = glead and int stays int
     for i in range(len(f) - 1 - dg, -1, -1):
         c = r[i + dg]
         if not c:
             continue
-        t = c * glead if unit else _norm_c(Fraction(c) / glead)
+        t = c * glead
         q[i] = t
         for j, gc in enumerate(g):
             r[i + j] -= t * gc
@@ -387,19 +387,17 @@ def _dense_div(f_lo: int, f: list, g_lo: int, g: list):
 def exact_div(f: LaurentQA, g: LaurentQA) -> LaurentQA:
     """Return h with f = g * h exactly; raise ExactDivisionError otherwise.
 
-    The divisor must be a Laurent polynomial in q alone; each a-slice of f
-    is divided by it independently."""
+    The divisor must be a Laurent polynomial in q alone whose top
+    coefficient is 1 or -1, as every product of factors 1 - q^i and
+    quantum integers is; each a-slice of f is divided by it independently."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     g_slices = g.a_slices()
     if set(g_slices) != {0}:
         raise ValueError("exact_div needs a divisor free of a")
-    if f.is_zero():
-        return LaurentQA.zero()
     g_lo, g_dense = _slice_to_dense(g_slices[0])
-    while g_dense and not g_dense[0]:
-        g_dense.pop(0)
-        g_lo += 1
+    if g_dense[-1] not in (1, -1):
+        raise ValueError("exact_div needs a divisor with top coefficient 1 or -1")
     out: dict = {}
     for v, sl in f.a_slices().items():
         res = _dense_div(*_slice_to_dense(sl), g_lo, g_dense)

@@ -1,4 +1,4 @@
-"""Truncated formal power series over an exact coefficient ring.
+"""One-variable truncated formal power series over an exact coefficient ring.
 
 Coefficients can be any value supporting ``+``, ``-``, ``*``, ``scale``
 (multiplication by an exact rational), ``is_zero`` and -- where the
@@ -9,9 +9,10 @@ and take Adams operations: slot n of every series they build holds a
 value of x-degree n, so the sums they form are always over one (q;q)_n.
 
 ``Series1`` stores a dense coefficient list up to a fixed order N and
-arithmetic never reads beyond N.  ``Series2`` holds a bivariate series
-truncated at total degree N, the annulus kernel; it carries no arithmetic
-of its own, only ``series2_log`` reads it.
+carries no arithmetic of its own: the log, exp and plethystic maps below
+read its coefficients and never look beyond N.  There is no bivariate
+series; the annulus kernel is a one-variable series after a substitution
+(see ``lmov.genus0``).
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ class Series1:
         self.order = order
         self.coeffs = cs
 
-    @classmethod
-    def constant(cls, ring: CoeffRing, order: int, c=None) -> Series1:
-        return cls(ring, order, [c if c is not None else ring.one])
-
     def coeff(self, n: int):
         if n > self.order:
             raise IndexError(f"coefficient {n} beyond truncation {self.order}")
@@ -61,39 +58,6 @@ class Series1:
             and self.order == other.order
             and self.coeffs == other.coeffs
         )
-
-    def __add__(self, other: Series1) -> Series1:
-        n = min(self.order, other.order)
-        return Series1(
-            self.ring, n, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)]
-        )
-
-    def __sub__(self, other: Series1) -> Series1:
-        n = min(self.order, other.order)
-        return Series1(
-            self.ring, n, [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)]
-        )
-
-    def __neg__(self) -> Series1:
-        return self.scale(Fraction(-1))
-
-    def __mul__(self, other: Series1) -> Series1:
-        n = min(self.order, other.order)
-        out = [self.ring.zero for _ in range(n + 1)]
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return Series1(self.ring, n, out)
-
-    def scale(self, c) -> Series1:
-        return Series1(self.ring, self.order, [x.scale(c) for x in self.coeffs])
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
 
 
 def series_log(s: Series1) -> Series1:
@@ -162,67 +126,3 @@ def plethystic_exp(fs: list, ring: CoeffRing, order: int) -> Series1:
         for d in range(1, order // m + 1):
             acc[d * m] = acc[d * m] + fm.adams(d).scale(Fraction(1, d))
     return series_exp(Series1(ring, order, acc))
-
-
-class Series2:
-    """Power series in two variables truncated at total degree ``order``.
-
-    Coefficients are stored densely on the triangle i + j <= order.
-    """
-
-    __slots__ = ("ring", "order", "coeffs")
-
-    def __init__(self, ring: CoeffRing, order: int, coeffs: dict | None = None):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        self.ring = ring
-        self.order = order
-        self.coeffs = {}
-        if coeffs:
-            for (i, j), c in coeffs.items():
-                if i + j <= order and not c.is_zero():
-                    self.coeffs[(i, j)] = c
-
-    def coeff(self, i: int, j: int):
-        if i + j > self.order:
-            raise IndexError(f"({i},{j}) beyond total degree {self.order}")
-        return self.coeffs.get((i, j), self.ring.zero)
-
-
-def series2_log(s: Series2) -> Series2:
-    """log of a bivariate series with constant term one.
-
-    Solves R * S = dS/dX2 for R = d(log S)/dX2 degree by degree, then
-    integrates in X2.  Terms independent of X2 (j = 0) are not recovered;
-    they are irrelevant for kernel coefficients with both indices >= 1.
-    """
-    n = s.order
-    if s.coeff(0, 0) != s.ring.one:
-        raise ValueError("series2_log needs constant term 1")
-    # ds = dS/dX2: coefficient (i, j) of ds is (j+1) * S[(i, j+1)]
-    ds: dict = {}
-    for (i, j), c in s.coeffs.items():
-        if j >= 1 and i + j - 1 <= n - 1:
-            ds[(i, j - 1)] = c.scale(Fraction(j))
-    # back-substitution in order of total degree
-    r: dict = {}
-    for deg in range(0, n):
-        for i in range(deg + 1):
-            j = deg - i
-            acc = ds.get((i, j), s.ring.zero)
-            # subtract sum over nonconstant terms of S
-            for (i1, j1), c in s.coeffs.items():
-                if i1 == 0 and j1 == 0:
-                    continue
-                i2, j2 = i - i1, j - j1
-                if i2 < 0 or j2 < 0:
-                    continue
-                rc = r.get((i2, j2))
-                if rc is not None:
-                    acc = acc - c * rc
-            if not acc.is_zero():
-                r[(i, j)] = acc
-    out: dict = {}
-    for (i, j), c in r.items():
-        out[(i, j + 1)] = c.scale(Fraction(1, j + 1))
-    return Series2(s.ring, n, out)

@@ -1,16 +1,15 @@
 """Extremal BPS invariants of twist knots, certified integral.
 
-The two framing regimes (p <= -1 and p >= 2) carry different sign
-patterns and binomial families; p in {0, 1} is outside the family and
-rejected.
+Both extremal invariants are numerical DT invariants of a loop quiver up
+to sign (Kucharski-Reineke-Stosic-Sulkowski, arXiv:1707.02991), so each
+is a sign and a loop count on ``arith.loop_quiver_dt``.  The two framing
+regimes (p <= -1 and p >= 2) map to different loop counts; p in {0, 1}
+is outside the family and rejected.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
-
-from .arith import certified_int, divisors, moebius
+from .arith import loop_quiver_dt
 
 
 def _validate(p: int, r: int) -> None:
@@ -21,30 +20,18 @@ def _validate(p: int, r: int) -> None:
 
 
 def b_minus(p: int, r: int) -> int:
-    """Bottom extremal invariant b^-_{K_p, r}."""
+    """Bottom extremal invariant b^-_{K_p, r}: -DT(3, r) for p <= -1 and
+    (-1)^r DT(2, r) for p >= 2."""
     _validate(p, r)
-    total = 0
-    for d in divisors(r):
-        mu = moebius(r // d)
-        if not mu:
-            continue
-        if p <= -1:
-            total += mu * comb(3 * d - 1, d - 1)
-        else:
-            total += mu * (-1) ** ((d + 1) % 2) * comb(2 * d - 1, d - 1)
-    return certified_int(Fraction(-total, r * r), f"b_minus(p={p}, r={r})")
+    if p <= -1:
+        return -loop_quiver_dt(3, r)
+    return (-1) ** (r % 2) * loop_quiver_dt(2, r)
 
 
 def b_plus(p: int, r: int) -> int:
-    """Top extremal invariant b^+_{K_p, r}."""
+    """Top extremal invariant b^+_{K_p, r}: DT(2|p|+1, r) for p <= -1 and
+    (-1)^r DT(2p+2, r) for p >= 2."""
     _validate(p, r)
-    total = 0
-    for d in divisors(r):
-        mu = moebius(r // d)
-        if not mu:
-            continue
-        if p <= -1:
-            total += mu * comb((2 * abs(p) + 1) * d - 1, d - 1)
-        else:
-            total += mu * (-1) ** (d % 2) * comb((2 * p + 2) * d - 1, d - 1)
-    return certified_int(Fraction(total, r * r), f"b_plus(p={p}, r={r})")
+    if p <= -1:
+        return loop_quiver_dt(-2 * p + 1, r)
+    return (-1) ** (r % 2) * loop_quiver_dt(2 * p + 2, r)

@@ -12,22 +12,25 @@ The library's integer fast paths are checked against the slow routines
 they replaced, kept here verbatim: the dict-loop ``LaurentQA`` product
 (``laurent_mul``), the colored sum over all p(m) partitions
 (``cal_z_cleared``), the Fraction-only ``dense_div`` and the power-sum
-``series_log`` / ``series_exp``.  The genus-zero closed forms are checked
-against the generic machinery they replaced: the fixed-point solver
-``solve_functional`` (with the series power, inverse and shift it needs)
-behind ``mirror_series``, the general-divisor ``exact_div`` that divided
-its coefficients by 1 - a, and the ``Series2`` products behind the
-brute-force bivariate log.
+``series_log`` / ``series_exp``, built on the ``Series1`` sum, product and
+scale (``series_add``, ``series_mul``, ...).  The genus-zero closed forms
+are checked against the generic machinery they replaced: the fixed-point
+solver ``solve_functional`` (with the series power, inverse and shift it
+needs) behind ``mirror_series``, the general-divisor ``exact_div`` that
+divided its coefficients by 1 - a, and the bivariate ``Series2`` with its
+``series2_log``, the annulus kernel log before the substitution
+X2 = t X1.  The twist-knot invariants are checked against their binomial
+sums (``b_minus``, ``b_plus``) from before ``arith.loop_quiver_dt``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from typing import Callable, Mapping
 
-from lmov.arith import divisors, moebius
+from lmov.arith import certified_int, divisors, moebius
 from lmov.onehole import _cleared_divisor, _multiset_decompositions, _phi, _row_numerator
 from lmov.partitions import Partition, parts_gcd, partitions_of, scale_down, z_factor
 from lmov.qa import (
@@ -42,7 +45,7 @@ from lmov.qa import (
     quantum_prod,
     quantum_ratio,
 )
-from lmov.series import CoeffRing, Series1, Series2, plethystic_log
+from lmov.series import CoeffRing, Series1, plethystic_log
 
 # ---------------------------------------------------------------------------
 # the slow routines behind the integer fast paths
@@ -94,6 +97,41 @@ def dense_div(f_lo: int, f: list, g_lo: int, g: list):
     return f_lo - g_lo, q
 
 
+def series_constant(ring: CoeffRing, order: int, c=None) -> Series1:
+    return Series1(ring, order, [c if c is not None else ring.one])
+
+
+def series_add(s: Series1, other: Series1) -> Series1:
+    n = min(s.order, other.order)
+    return Series1(s.ring, n, [s.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
+
+
+def series_sub(s: Series1, other: Series1) -> Series1:
+    n = min(s.order, other.order)
+    return Series1(s.ring, n, [s.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
+
+
+def series_mul(s: Series1, other: Series1) -> Series1:
+    n = min(s.order, other.order)
+    out = [s.ring.zero for _ in range(n + 1)]
+    for i, a in enumerate(s.coeffs[: n + 1]):
+        if a.is_zero():
+            continue
+        for j in range(n + 1 - i):
+            b = other.coeffs[j]
+            if not b.is_zero():
+                out[i + j] = out[i + j] + a * b
+    return Series1(s.ring, n, out)
+
+
+def series_scale(s: Series1, c) -> Series1:
+    return Series1(s.ring, s.order, [x.scale(c) for x in s.coeffs])
+
+
+def series_is_zero(s: Series1) -> bool:
+    return all(c.is_zero() for c in s.coeffs)
+
+
 def series_log(s: Series1) -> Series1:
     """log of a series with constant term exactly one, truncated alike."""
     if s.coeffs[0] != s.ring.one:
@@ -101,12 +139,12 @@ def series_log(s: Series1) -> Series1:
     n = s.order
     u = Series1(s.ring, n, [s.ring.zero] + s.coeffs[1:])
     out = Series1(s.ring, n)
-    power = Series1.constant(s.ring, n)
+    power = series_constant(s.ring, n)
     for k in range(1, n + 1):
-        power = power * u
-        if power.is_zero():
+        power = series_mul(power, u)
+        if series_is_zero(power):
             break
-        out = out + power.scale(Fraction((-1) ** (k + 1), k))
+        out = series_add(out, series_scale(power, Fraction((-1) ** (k + 1), k)))
     return out
 
 
@@ -115,13 +153,13 @@ def series_exp(s: Series1) -> Series1:
     if not s.coeffs[0].is_zero():
         raise ValueError("series_exp needs zero constant term")
     n = s.order
-    out = Series1.constant(s.ring, n)
-    power = Series1.constant(s.ring, n)
+    out = series_constant(s.ring, n)
+    power = series_constant(s.ring, n)
     for k in range(1, n + 1):
-        power = power * s
-        if power.is_zero():
+        power = series_mul(power, s)
+        if series_is_zero(power):
             break
-        out = out + power.scale(Fraction(1, factorial(k)))
+        out = series_add(out, series_scale(power, Fraction(1, factorial(k))))
     return out
 
 
@@ -142,14 +180,14 @@ def series_shift(s: Series1, k: int) -> Series1:
 def series_pow_int(s: Series1, n: int) -> Series1:
     if n < 0:
         return series_pow_int(series_inverse(s), -n)
-    out = Series1.constant(s.ring, s.order)
+    out = series_constant(s.ring, s.order)
     base = s
     while n:
         if n & 1:
-            out = out * base
+            out = series_mul(out, base)
         n >>= 1
         if n:
-            base = base * base
+            base = series_mul(base, base)
     return out
 
 
@@ -188,6 +226,70 @@ def solve_functional(
     for _ in range(order):
         y = series_shift(phi(y), 1)
     return y
+
+
+class Series2:
+    """Power series in two variables truncated at total degree ``order``.
+
+    Coefficients are stored densely on the triangle i + j <= order.
+    """
+
+    __slots__ = ("ring", "order", "coeffs")
+
+    def __init__(self, ring: CoeffRing, order: int, coeffs: dict | None = None):
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        self.ring = ring
+        self.order = order
+        self.coeffs = {}
+        if coeffs:
+            for (i, j), c in coeffs.items():
+                if i + j <= order and not c.is_zero():
+                    self.coeffs[(i, j)] = c
+
+    def coeff(self, i: int, j: int):
+        if i + j > self.order:
+            raise IndexError(f"({i},{j}) beyond total degree {self.order}")
+        return self.coeffs.get((i, j), self.ring.zero)
+
+
+def series2_log(s: Series2) -> Series2:
+    """log of a bivariate series with constant term one.
+
+    Solves R * S = dS/dX2 for R = d(log S)/dX2 degree by degree, then
+    integrates in X2.  Terms independent of X2 (j = 0) are not recovered;
+    they are irrelevant for kernel coefficients with both indices >= 1.
+    """
+    n = s.order
+    if s.coeff(0, 0) != s.ring.one:
+        raise ValueError("series2_log needs constant term 1")
+    # ds = dS/dX2: coefficient (i, j) of ds is (j+1) * S[(i, j+1)]
+    ds: dict = {}
+    for (i, j), c in s.coeffs.items():
+        if j >= 1 and i + j - 1 <= n - 1:
+            ds[(i, j - 1)] = c.scale(Fraction(j))
+    # back-substitution in order of total degree
+    r: dict = {}
+    for deg in range(0, n):
+        for i in range(deg + 1):
+            j = deg - i
+            acc = ds.get((i, j), s.ring.zero)
+            # subtract sum over nonconstant terms of S
+            for (i1, j1), c in s.coeffs.items():
+                if i1 == 0 and j1 == 0:
+                    continue
+                i2, j2 = i - i1, j - j1
+                if i2 < 0 or j2 < 0:
+                    continue
+                rc = r.get((i2, j2))
+                if rc is not None:
+                    acc = acc - c * rc
+            if not acc.is_zero():
+                r[(i, j)] = acc
+    out: dict = {}
+    for (i, j), c in r.items():
+        out[(i, j + 1)] = c.scale(Fraction(1, j + 1))
+    return Series2(s.ring, n, out)
 
 
 def series2_mul(s: Series2, other: Series2) -> Series2:
@@ -260,10 +362,10 @@ def _mirror_phi(tau: int, order: int):
     """phi(Y) = (1-Y)^tau * (1 - a(1-Y)) acting on truncated series."""
 
     def phi(y: Series1) -> Series1:
-        one = Series1.constant(_LRING, order)
-        s = one - y  # 1 - Y
+        one = series_constant(_LRING, order)
+        s = series_sub(one, y)  # 1 - Y
         p = series_pow_int(s, tau)
-        return p * (one - series_mul_coeff(s, _A))
+        return series_mul(p, series_sub(one, series_mul_coeff(s, _A)))
 
     return phi
 
@@ -279,6 +381,34 @@ def kernel_level(tau: int, n: int, order: int) -> LaurentQA:
     """Y_(n+1)/(1-a) from the fixed-point series, by the general division."""
     y = mirror_series(tau, order)
     return exact_div(y.coeff(n + 1), y.coeff(1))  # Y_1 = 1 - a
+
+
+def b_minus(p: int, r: int) -> int:
+    """Bottom extremal twist-knot invariant by its binomial sum."""
+    total = 0
+    for d in divisors(r):
+        mu = moebius(r // d)
+        if not mu:
+            continue
+        if p <= -1:
+            total += mu * comb(3 * d - 1, d - 1)
+        else:
+            total += mu * (-1) ** ((d + 1) % 2) * comb(2 * d - 1, d - 1)
+    return certified_int(Fraction(-total, r * r), f"b_minus(p={p}, r={r})")
+
+
+def b_plus(p: int, r: int) -> int:
+    """Top extremal twist-knot invariant by its binomial sum."""
+    total = 0
+    for d in divisors(r):
+        mu = moebius(r // d)
+        if not mu:
+            continue
+        if p <= -1:
+            total += mu * comb((2 * abs(p) + 1) * d - 1, d - 1)
+        else:
+            total += mu * (-1) ** (d % 2) * comb((2 * p + 2) * d - 1, d - 1)
+    return certified_int(Fraction(total, r * r), f"b_plus(p={p}, r={r})")
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ import pytest
 
 from lmov import cli, genus0, gwdt, verify
 from lmov.arith import TheoremViolation
-from lmov.series import Series2
+from lmov.series import Series1
 from lmov.cli import EXIT_OK, EXIT_THEOREM, EXIT_USAGE, main
 
 SUITES = [
@@ -248,15 +248,16 @@ def test_annulus_division_failure_exits_2(monkeypatch, capsys):
 
 
 def test_annulus_kernel_failure_exits_2(monkeypatch, capsys):
-    # a kernel coefficient with a q-power is a theorem violation, not a crash
-    real = genus0.series2_log
+    # a half-integer a-power in a kernel coefficient is a theorem violation,
+    # not a crash
+    real = genus0._annulus_log
 
-    def with_q_power(s):
-        out = real(s)
-        return Series2(out.ring, out.order, {k: c.shift(du=2) for k, c in out.coeffs.items()})
+    def with_half_a_power(tau, order):
+        out = real(tau, order)
+        return Series1(out.ring, out.order, [c.shift(dv=1) for c in out.coeffs])
 
-    monkeypatch.setattr(genus0, "series2_log", with_q_power)
-    genus0._annulus_log.cache_clear()
+    monkeypatch.setattr(genus0, "_annulus_log", with_half_a_power)
+    real.cache_clear()
     try:
         assert main(["annulus", "--tau", "1", "--max-total", "3"]) == EXIT_THEOREM
         err = capsys.readouterr().err
@@ -265,4 +266,4 @@ def test_annulus_kernel_failure_exits_2(monkeypatch, capsys):
         reports = list(verify.run_all(verify.QUICK))
         assert [r.name for r in reports if not r.ok] == ["annulus"]
     finally:
-        genus0._annulus_log.cache_clear()
+        real.cache_clear()

@@ -99,6 +99,25 @@ def test_annulus_c_small_values():
     assert annulus_c(1, 1, -1) == {0: Fraction(1), 1: Fraction(-1)}
 
 
+def test_annulus_log_matches_bivariate_reference():
+    # the one-variable log after X2 = t X1 against the bivariate log of the
+    # kernel sum_(i,j) kernel_level(tau, i + j) X1^i X2^j, at every (m1, m2, l)
+    order = 12
+    for tau in range(-6, 7):
+        kern = {
+            (i, j): kernel_level(tau, i + j)
+            for i in range(order + 1)
+            for j in range(order + 1 - i)
+        }
+        want = reference.series2_log(reference.Series2(reference._LRING, order, kern))
+        for m1 in range(1, order):
+            for m2 in range(1, order + 1 - m1):
+                coeff = want.coeff(m1, m2)
+                assert all(u == 0 and v % 2 == 0 for (u, v), _ in coeff.items())
+                want_c = {v // 2: Fraction(c) for (_, v), c in coeff.items()}
+                assert annulus_c(m1, m2, tau, order=order) == want_c, (tau, m1, m2)
+
+
 def test_annulus_top_slice_matches_closed_form():
     for tau in range(-4, 5):
         for m1 in range(1, 7):

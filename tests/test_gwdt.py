@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import cli_output
-from lmov.arith import binomial_ext
+from lmov.arith import binomial_ext, loop_quiver_dt
 from lmov.genus0 import disc_n
 from lmov.gwdt import (
     DTTable,
@@ -182,13 +182,16 @@ def test_dt_json_shape():
 
 
 def test_dt_at_q1_matches_extremal_and_disc():
-    # summed over k at q = 1, the DT tables of the 3-, 5- and 2-loop quivers
-    # are the twist-knot extremal invariants and the disc invariants
+    # summed over k at q = 1, the DT tables of the 1- to 5-loop quivers are
+    # Reineke's numerical DT invariants; those of the 3-, 5- and 2-loop
+    # quivers are the twist-knot extremal invariants and the disc invariants
     def at_q1(loops):
         rows = dt_extract(loops, 6).rows
         return [sum(rows[n].values()) for n in range(1, 7)]
 
     ns = range(1, 7)
+    for loops in range(1, 6):
+        assert at_q1(loops) == [loop_quiver_dt(loops, n) for n in ns], loops
     assert at_q1(3) == [1, 1, 3, 10, 40, 171]
     assert at_q1(3) == [b_plus(-1, n) for n in ns] == [-b_minus(-1, n) for n in ns]
     assert at_q1(3) == [disc_n(n, n, -3) for n in ns] == [disc_n(n, 0, -2) for n in ns]

@@ -345,8 +345,9 @@ def test_partition_sum_generating_identity():
     y = LaurentQA.monomial(u=1)
     y_inv = LaurentQA.monomial(u=-1)
     for k in (1, 2, 3, 4):
-        ratio = Series1(ring, order, [LaurentQA.one(), y_inv.scale(-1)]) * (
-            reference.series_inverse(Series1(ring, order, [LaurentQA.one(), y.scale(-1)]))
+        ratio = reference.series_mul(
+            Series1(ring, order, [LaurentQA.one(), y_inv.scale(-1)]),
+            reference.series_inverse(Series1(ring, order, [LaurentQA.one(), y.scale(-1)])),
         )
         rhs = reference.series_pow_int(ratio, k)
         for m in range(0, order + 1):

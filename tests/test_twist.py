@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+import reference
 from helpers import cli_output, fp_factor, is_prime
 from lmov.twist import b_minus, b_plus
 
@@ -22,6 +23,15 @@ def test_b_plus_values():
     # b_plus at p = -1 mirrors b_minus of the negative regime
     for r in range(1, 12):
         assert b_plus(-1, r) == -b_minus(-2, r)
+
+
+def test_matches_binomial_sums():
+    # the loop-quiver maps against the binomial sums they replaced, over the
+    # full verification range
+    for p in list(range(-6, 0)) + list(range(2, 7)):
+        for r in range(1, 41):
+            assert b_minus(p, r) == reference.b_minus(p, r), (p, r)
+            assert b_plus(p, r) == reference.b_plus(p, r), (p, r)
 
 
 def test_parameter_domain():
