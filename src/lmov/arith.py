@@ -108,28 +108,24 @@ def loop_quiver_dt(m: int, n: int) -> int:
 def gaussian_binomial(m: int, r: int) -> list[int]:
     """q-binomial coefficient as a dense list of coefficients of q^0..q^d.
 
-    Computed by the q-Pascal recurrence, which keeps every intermediate
-    value a polynomial with nonnegative integer coefficients.
+    Computed by the product recurrence
+    [m, j] = [m, j-1] (1 - q^(m-j+1)) / (1 - q^j) for j = 1..min(r, m-r):
+    each step is one multiply by 1 - q^a and one exact division by 1 - q^j,
+    each a single pass over the integer list, so [m, 0] = [m, m] = [1]
+    costs nothing.
     """
     if r < 0 or m < 0:
         raise ValueError("gaussian_binomial needs m, r >= 0")
     if r > m:
         raise ValueError("gaussian_binomial needs r <= m")
-    r = min(r, m - r)
-    # row[j] holds binom(i, j)_q while i runs 0..m
-    row: list[list[int]] = [[1]] + [[] for _ in range(r)]
-    for i in range(1, m + 1):
-        for j in range(min(i, r), 0, -1):
-            if j == i:
-                row[j] = [1]
-                continue
-            # binom(i,j)_q = binom(i-1,j-1)_q + q^j * binom(i-1,j)_q
-            a = row[j - 1]
-            b = row[j]
-            out = [0] * max(len(a), len(b) + j)
-            for t, c in enumerate(a):
-                out[t] += c
-            for t, c in enumerate(b):
-                out[t + j] += c
-            row[j] = out
-    return row[r] if row[r] else [1]
+    out = [1]
+    for j in range(1, min(r, m - r) + 1):
+        a = m - j + 1
+        p = out + [0] * a
+        for e in range(a, len(p)):
+            p[e] -= out[e - a]
+        # the quotient h by 1 - q^j has h[e] = p[e] + h[e - j]
+        for e in range(j, len(p) - j):
+            p[e] += p[e - j]
+        out = p[: len(p) - j]
+    return out

@@ -26,8 +26,10 @@ coefficients, short or sparse operands) runs the dict loop over all term
 pairs.
 
 ``to_z_basis`` rewrites a q-symmetric LaurentQA as a polynomial in
-z^2 = q - 2 + q^(-1) slice by slice in a; the result (``ZBasisTable``)
-is the genus-graded form used by the one-hole invariant tables.
+z^2 = q - 2 + q^(-1) slice by slice in a, top-down on one dense list per
+slice that holds only the exponents q^0 and up (the rest mirror them);
+the result (``ZBasisTable``) is the genus-graded form used by the
+one-hole invariant tables.
 """
 
 from __future__ import annotations
@@ -357,7 +359,9 @@ def _slice_to_dense(sl: dict) -> tuple:
 
 def _dense_div(f_lo: int, f: list, g_lo: int, g: list):
     """Exact Laurent division of dense q-slices by a divisor with lead +-1;
-    (lo, coeffs) or None."""
+    (lo, coeffs) or None.  Only the divisor's nonzero terms are visited:
+    a divisor whose q^(1/2)-exponents share one parity, as every one-hole
+    divisor's do, is at least half zeros."""
     while f and not f[-1]:
         f.pop()
     while f and not f[0]:
@@ -371,13 +375,14 @@ def _dense_div(f_lo: int, f: list, g_lo: int, g: list):
     q = [0] * (len(f) - dg)
     r = list(f)
     glead = g[-1]  # +-1, so 1/glead = glead and int stays int
+    terms = [(j, gc) for j, gc in enumerate(g) if gc]
     for i in range(len(f) - 1 - dg, -1, -1):
         c = r[i + dg]
         if not c:
             continue
         t = c * glead
         q[i] = t
-        for j, gc in enumerate(g):
+        for j, gc in terms:
             r[i + j] -= t * gc
     if any(r[:dg]):
         return None
@@ -452,9 +457,12 @@ class ZBasisTable:
 def to_z_basis(f: LaurentQA) -> ZBasisTable:
     """Rewrite each a-slice of f as an exact polynomial in z^2 = q - 2 + 1/q.
 
-    Extraction is top-down by leading q-exponent.  Fails (ZBasisError) if a
-    slice has odd half-exponents or is not palindromic under q <-> 1/q; the
-    tolerance is exact zero.
+    Fails (ZBasisError) if a slice has odd half-exponents or is not
+    palindromic under q <-> 1/q; the tolerance is exact zero.  A palindromic
+    slice is then rewritten on the dense list h[e] of its coefficients of
+    q^e, e >= 0, top-down: the coefficient c of q^g is the entry of
+    (z^2)^g, and c (z^2)^g is subtracted.  What remains stays palindromic,
+    so the half list carries it exactly.
     """
     table: dict = {}
     for v, sl in f.a_slices().items():
@@ -463,21 +471,16 @@ def to_z_basis(f: LaurentQA) -> ZBasisTable:
                 raise ZBasisError(f"half-odd q-exponent u={u} in a-slice v={v}")
             if sl.get(-u, 0) != c:
                 raise ZBasisError(f"a-slice v={v} is not symmetric under q <-> 1/q")
-        work = dict(sl)
-        while work:
-            top = max(work)
-            if top < 0:
-                raise ZBasisError(f"a-slice v={v}: asymmetric remainder")
-            g = top // 2
-            c = work[top]
-            table[(g, v)] = c
-            for i, zc in enumerate(_z2_power_dense(g)):
-                u = top - 2 * i
-                s = work.get(u, 0) - c * zc
-                if s:
-                    work[u] = _norm_c(s)
-                elif u in work:
-                    del work[u]
+        h = [0] * (max(sl) // 2 + 1)
+        for u, c in sl.items():
+            if u >= 0:
+                h[u // 2] = c
+        for g in range(len(h) - 1, -1, -1):
+            c = h[g]
+            if c:
+                table[(g, v)] = c
+                # (z^2)^g is symmetric: its coefficient of q^e is entry g + e
+                h[: g + 1] = [x - c * z for x, z in zip(h, _z2_power_dense(g)[g:])]
     return ZBasisTable(table)
 
 

@@ -11,7 +11,8 @@ DT and general-partition pipelines computed over RationalQ / RationalQA.
 The library's integer fast paths are checked against the slow routines
 they replaced, kept here verbatim: the dict-loop ``LaurentQA`` product
 (``laurent_mul``), the colored sum over all p(m) partitions
-(``cal_z_cleared``), the Fraction-only ``dense_div`` and the power-sum
+(``cal_z_cleared``), the Fraction-only ``dense_div``, the q-Pascal
+``gaussian_binomial``, the dict-loop ``to_z_basis`` and the power-sum
 ``series_log`` / ``series_exp``, built on the ``Series1`` sum, product and
 scale (``series_add``, ``series_mul``, ...).  The genus-zero closed forms
 are checked against the generic machinery they replaced: the fixed-point
@@ -38,8 +39,11 @@ from lmov.qa import (
     LaurentQA,
     PochFrac,
     Rat,
+    ZBasisError,
+    ZBasisTable,
     _norm_c,
     _slice_to_dense,
+    _z2_power_dense,
     one_minus_q_prod,
     quantum_int,
     quantum_prod,
@@ -95,6 +99,68 @@ def dense_div(f_lo: int, f: list, g_lo: int, g: list):
     if any(r[:dg]):
         return None
     return f_lo - g_lo, q
+
+
+def gaussian_binomial(m: int, r: int) -> list[int]:
+    """q-binomial coefficient as a dense list of coefficients of q^0..q^d.
+
+    Computed by the q-Pascal recurrence, which keeps every intermediate
+    value a polynomial with nonnegative integer coefficients.
+    """
+    if r < 0 or m < 0:
+        raise ValueError("gaussian_binomial needs m, r >= 0")
+    if r > m:
+        raise ValueError("gaussian_binomial needs r <= m")
+    r = min(r, m - r)
+    # row[j] holds binom(i, j)_q while i runs 0..m
+    row: list[list[int]] = [[1]] + [[] for _ in range(r)]
+    for i in range(1, m + 1):
+        for j in range(min(i, r), 0, -1):
+            if j == i:
+                row[j] = [1]
+                continue
+            # binom(i,j)_q = binom(i-1,j-1)_q + q^j * binom(i-1,j)_q
+            a = row[j - 1]
+            b = row[j]
+            out = [0] * max(len(a), len(b) + j)
+            for t, c in enumerate(a):
+                out[t] += c
+            for t, c in enumerate(b):
+                out[t + j] += c
+            row[j] = out
+    return row[r] if row[r] else [1]
+
+
+def to_z_basis(f: LaurentQA) -> ZBasisTable:
+    """Rewrite each a-slice of f as an exact polynomial in z^2 = q - 2 + 1/q.
+
+    Extraction is top-down by leading q-exponent.  Fails (ZBasisError) if a
+    slice has odd half-exponents or is not palindromic under q <-> 1/q; the
+    tolerance is exact zero.
+    """
+    table: dict = {}
+    for v, sl in f.a_slices().items():
+        for u, c in sl.items():
+            if u % 2:
+                raise ZBasisError(f"half-odd q-exponent u={u} in a-slice v={v}")
+            if sl.get(-u, 0) != c:
+                raise ZBasisError(f"a-slice v={v} is not symmetric under q <-> 1/q")
+        work = dict(sl)
+        while work:
+            top = max(work)
+            if top < 0:
+                raise ZBasisError(f"a-slice v={v}: asymmetric remainder")
+            g = top // 2
+            c = work[top]
+            table[(g, v)] = c
+            for i, zc in enumerate(_z2_power_dense(g)):
+                u = top - 2 * i
+                s = work.get(u, 0) - c * zc
+                if s:
+                    work[u] = _norm_c(s)
+                elif u in work:
+                    del work[u]
+    return ZBasisTable(table)
 
 
 def series_constant(ring: CoeffRing, order: int, c=None) -> Series1:

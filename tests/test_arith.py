@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import fp_factor, is_prime
+import reference
 from lmov.arith import binomial_ext, divisors, gaussian_binomial, moebius
 
 
@@ -84,6 +85,17 @@ def test_gaussian_binomial_degree():
             g = gaussian_binomial(m, r)
             assert len(g) - 1 == r * (m - r)
             assert g == g[::-1]
+
+
+@given(st.integers(0, 40).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))))
+def test_gaussian_binomial_matches_pascal_reference(mr):
+    m, r = mr
+    assert gaussian_binomial(m, r) == reference.gaussian_binomial(m, r)
+
+
+def test_gaussian_binomial_trivial_rows_are_free():
+    # r = 0 and r = m run no step of the recurrence, whatever m is
+    assert gaussian_binomial(10**12, 0) == gaussian_binomial(10**12, 10**12) == [1]
 
 
 def test_fp_factor_values():

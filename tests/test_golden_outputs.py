@@ -29,6 +29,8 @@ GOLDEN = [
     ("onehole --tau 2 --max-m 5 --format csv", "dd9a47b88be5f47e295a1607ba5431978c5d05486c1cb78c6d87c37c3f591aa4"),
     ("onehole --tau 1 --max-m 4 --half-format fraction", "f4a2164920028a3ab23ea393a8bbf3d062ba52f5640733c215479fdc9ebcb570"),
     ("onehole --tau -1 --max-m 4 --half-format fraction --format csv", "d1bb4cf1a5d96765ba7104794c2222055a66b621fb877147fbf3a20902570bcc"),
+    ("onehole --tau 3 --max-m 8", "2fbe76154faa3932d6d8605cd9d590f389675336d69ddeb59bc045473ea9fbe9"),
+    ("onehole --tau -3 --max-m 8 --format csv", "cc0e7256b155cc12f0bcb22288ba142ce4f4a6859f95d0b27eba07e157541e9e"),
     ("ov --tau -2 --max-m 6", "f78a83fd231d70b63d47b94d6995a70526ce8885d75ad589a90f74c3ad3dd030"),
     ("ov --tau 0 --max-m 5 --format csv", "85ccd99a12df87fc2b5a00b801df4c50aa505cf1a61f96958dcfbabdd0519574"),
     ("ov --tau 2 --max-m 5", "d133dffa85a6cadeb542b63db8f29c51e46b7a9f30843a486a94973cd631d6ca"),

@@ -269,6 +269,51 @@ def test_z_basis_roundtrip(terms):
     assert table.expand() == f
 
 
+@st.composite
+def q_symmetric(draw, fractional):
+    """A LaurentQA whose a-slices are palindromic in integral powers of q."""
+    c = (
+        st.fractions(min_value=-9, max_value=9, max_denominator=6)
+        if fractional
+        else st.integers(-50, 50)
+    )
+    slices = draw(
+        st.dictionaries(
+            st.integers(-3, 3), st.dictionaries(st.integers(0, 12), c, max_size=8), max_size=4
+        )
+    )
+    d: dict = {}
+    for v, sl in slices.items():
+        for e, x in sl.items():
+            d[(2 * e, v)] = d[(-2 * e, v)] = x
+    return LaurentQA(d)
+
+
+@given(st.booleans().flatmap(q_symmetric))
+def test_z_basis_matches_dict_reference(f):
+    assert to_z_basis(f).entries == reference.to_z_basis(f).entries
+
+
+def _z_basis_message(fn, f):
+    with pytest.raises(ZBasisError) as err:
+        fn(f)
+    return str(err.value)
+
+
+@given(
+    st.booleans().flatmap(q_symmetric),
+    st.booleans(),
+    st.integers(0, 12),
+    st.sampled_from([1, -1]),
+    st.integers(-3, 3),
+    st.integers(-9, 9).filter(bool),
+)
+def test_z_basis_rejects_like_the_reference(f, odd, e, side, v, delta):
+    # an odd half-exponent, or a palindrome broken on one side of q^0
+    f = f + LaurentQA.monomial(side * (2 * e + 1 if odd else 2 * e + 2), v, delta)
+    assert _z_basis_message(to_z_basis, f) == _z_basis_message(reference.to_z_basis, f)
+
+
 def test_z_basis_entries():
     t = to_z_basis(quantum_int(1) * quantum_int(1) * LaurentQA.monomial(v=1))
     assert t.entries == {(1, 1): 1}
