@@ -1,15 +1,18 @@
 """All-genus one-hole invariants from the quantum-invariant side.
 
-The chain for a winding number m and framing tau:
+The chain for a winding number m and framing tau runs on one dense int
+row per a-slice, v -> (u0, row) with row[e] the coefficient of
+q^((u0 + 2 e)/2) a^(v/2), and builds no LaurentQA on the way:
 
-1. ``cal_z_cleared`` -- the denominator-cleared colored-invariant sum
-   {m}{m tau} * Z_m, an integer Laurent polynomial from its q-binomial
+1. ``_cleared_rows`` -- the denominator-cleared colored-invariant sum
+   {m}{m tau} Z_m, an integer Laurent polynomial from its q-binomial
    closed form; ``colored_sum`` is the definition (the sum over partitions
    of m), and the verification suites hold the two equal.
-2. ``g_m_cleared``  -- Moebius/Adams combination over divisors of m.
-3. ``lmov_one_hole`` -- exact division by {m}{m tau}/{1}^2 followed by
-   the z^2-basis rewrite; all resulting entries must be integers.  The
-   divisor's leading coefficient is +-1, so the whole chain runs on ints.
+2. ``_z2_rows`` -- Moebius/Adams combination over divisors of m, then
+   exact division by {m}{m tau}/{1}^2, whose leading coefficient is +-1.
+3. ``lmov_one_hole`` -- the z^2-basis rewrite; all resulting entries
+   must be integers.  ``cal_z_cleared`` and ``z2_g_m`` are LaurentQA
+   views of the rows of steps 1 and 2.
 
 tau = 0 degenerates: Z_m collapses to {m}_a / {m}^2, so the cleared sum
 is {m}_a and the divisor switches to {m}^2/{1}^2.
@@ -46,6 +49,9 @@ from .qa import (
     Z_SQUARED,
     ZBasisError,
     ZBasisTable,
+    _dense_div,
+    _nonneg_mul,
+    _z2_rewrite,
     exact_div,
     one_minus_q_prod,
     quantum_int,
@@ -108,29 +114,34 @@ def verify_recursion(tau: int, max_n: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
+def _laurent(rows: dict) -> LaurentQA:
+    return LaurentQA({(u + 2 * e, v): c for v, (u, r) in rows.items() for e, c in enumerate(r)})
+
+
 @lru_cache(maxsize=None)
+def _cleared_rows(m: int, tau: int) -> dict:
+    # the rows of cal_z_cleared; q-binomial coefficients are positive
+    if m < 1:
+        raise ValueError("cal_z_cleared needs m >= 1")
+    if tau == 0:
+        return {m: (0, [1]), -m: (0, [-1])}
+    mt = m * abs(tau)
+    rows = {}
+    for j in range(min(m, mt) + 1):  # each j fills its own a-slice
+        k = m - j
+        prod = _nonneg_mul(gaussian_binomial(mt, j), gaussian_binomial(mt + k - 1, k))
+        if (j + mt) % 2:
+            prod = [-c for c in prod]
+        rows[(k - j) * (1 if tau > 0 else -1)] = (j * (j - 1) - (mt - 1) * m, prod)
+    return rows
+
+
 def cal_z_cleared(m: int, tau: int) -> LaurentQA:
     """{m}{m tau} Z_m for tau != 0, and {m}^2 Z_m = {m}_a at tau = 0, from the
     q-binomial closed form: with t = |tau|, the sum over j + k = m of
     (-1)^(j + m t) q^((j(j-1) - (m t - 1) m)/2) a^(+-(k-j)/2) qbin(m t, j)
     qbin(m t + k - 1, k), the a-sign that of tau (tau -> -tau is a -> 1/a)."""
-    if m < 1:
-        raise ValueError("cal_z_cleared needs m >= 1")
-    if tau == 0:
-        return quantum_int(m, "a")
-    mt = m * abs(tau)
-    out: dict = {}
-    for j in range(min(m, mt) + 1):  # each j fills its own a-slice
-        k = m - j
-        bj, bk = gaussian_binomial(mt, j), gaussian_binomial(mt + k - 1, k)
-        prod = [0] * (len(bj) + len(bk) - 1)
-        for dj, cj in enumerate(bj):
-            for dk, ck in enumerate(bk):
-                prod[dj + dk] += cj * ck
-        u0, v = j * (j - 1) - (mt - 1) * m, (k - j) * (1 if tau > 0 else -1)
-        sign = (-1) ** ((j + mt) % 2)
-        out.update({(u0 + 2 * e, v): sign * c for e, c in enumerate(prod) if c})
-    return LaurentQA(out)
+    return _laurent(_cleared_rows(m, tau))
 
 
 def colored_sum(m: int, tau: int) -> LaurentQA:
@@ -160,50 +171,61 @@ def colored_sum(m: int, tau: int) -> LaurentQA:
     return LaurentQA(out).scale((-1) ** ((m * tau) % 2))
 
 
-def _cleared_divisor(m: int, tau: int) -> LaurentQA:
-    # {m}{m tau}/{1}^2, with {m}^2/{1}^2 at tau = 0
-    first = quantum_ratio(m, 1)
-    second = quantum_ratio(m, 1) if tau == 0 else quantum_ratio(m * tau, 1)
-    return first * second
-
-
-def g_m_cleared(m: int, tau: int) -> LaurentQA:
-    """{m}{m tau} g_m as a Laurent polynomial ({m}^2 g_m at tau = 0)."""
-    total = LaurentQA.zero()
+@lru_cache(maxsize=1)  # check_onehole_chain asks z2_g_m, then lmov_one_hole
+def _z2_rows(m: int, tau: int) -> dict:
+    """The rows of z^2 g_m: each row of {m}{m tau} g_m, times (1 - q)^2 and
+    divided exactly by (1 - q^m)(1 - q^(m t)), t = |tau| or 1 at tau = 0,
+    then times sign(tau) q^((m + m t)/2 - 1).  Z[q^(+-1/2)] has no zero
+    divisors, so this is exact if and only if division by {m}{m tau}/{1}^2 is."""
+    mt = m * (abs(tau) or 1)
+    parts: dict = {}
     for d in divisors(m):
         mu = moebius(d)
         if mu:
-            total = total + cal_z_cleared(m // d, tau).adams(d).scale(mu)
-    return total
+            for v, (u0, row) in _cleared_rows(m // d, tau).items():
+                parts.setdefault(v * d, []).append((u0 * d, d, mu, row))
+    g = [1] + [0] * (m + mt - 1) + [1]  # (1 - q^m)(1 - q^(m t))
+    g[m] -= 1
+    g[mt] -= 1
+    out = {}
+    for v, terms in parts.items():
+        lo = min(u0 for u0, _, _, _ in terms)
+        hi = max(u0 + 2 * d * (len(row) - 1) for u0, d, _, row in terms)
+        f = [0] * ((hi - lo) // 2 + 3)  # two slots more for the (1 - q)^2
+        for u0, d, mu, row in terms:
+            s = (u0 - lo) // 2  # every u0 here is congruent to m (t + 1) mod 2
+            f[s : s + d * len(row) : d] = [x + mu * c for x, c in zip(f[s::d], row)]
+        f = [x - 2 * y + z for x, y, z in zip(f, [0] + f, [0, 0] + f)]
+        res = _dense_div(0, f, 0, g)
+        if res is None:
+            raise TheoremViolation(f"{{m}}{{m tau}} g_m not divisible by its "
+                                   f"cyclotomic core (m={m}, tau={tau})")
+        e0, h = res
+        if h:
+            out[v] = (lo + 2 * e0 + m + mt - 2, h if tau >= 0 else [-c for c in h])
+    return out
 
 
 def z2_g_m(m: int, tau: int) -> LaurentQA:
     """z^2 g_m as a Laurent polynomial, via exact division."""
-    cleared = g_m_cleared(m, tau)
-    divisor = _cleared_divisor(m, tau)
-    try:
-        return exact_div(cleared, divisor)
-    except ExactDivisionError as e:
-        raise TheoremViolation(
-            f"{{m}}{{m tau}} g_m not divisible by its cyclotomic core "
-            f"(m={m}, tau={tau})"
-        ) from e
+    return _laurent(_z2_rows(m, tau))
 
 
 def lmov_one_hole(m: int, tau: int) -> ZBasisTable:
     """Certified integer one-hole table n_{m,g,Q}(tau) for winding m and
-    framing tau, keyed by (g, two_q)."""
-    f = z2_g_m(m, tau)
-    try:
-        table = to_z_basis(f)
-    except ZBasisError as e:
-        raise TheoremViolation(
-            f"z^2 g_m outside Q[z^2, a^(+-1/2)] (m={m}, tau={tau})"
-        ) from e
+    framing tau, keyed by (g, two_q).  Each row of z^2 g_m must be an even
+    palindrome centred on q^0; its half from q^0 up is rewritten in z^2."""
+    entries = {}
+    for v, (u0, row) in _z2_rows(m, tau).items():
+        if u0 % 2 or u0 != 1 - len(row) or row != row[::-1]:
+            raise TheoremViolation(f"z^2 g_m outside Q[z^2, a^(+-1/2)] "
+                                   f"(m={m}, tau={tau})")
+        for g, c in _z2_rewrite(row[len(row) // 2 :]):
+            entries[(g, v)] = c
+    table = ZBasisTable(entries)
     if not table.is_integral():
-        raise TheoremViolation(
-            f"non-integer one-hole invariant at m={m}, tau={tau}: {table.entries}"
-        )
+        raise TheoremViolation(f"non-integer one-hole invariant at m={m}, tau={tau}: "
+                               f"{table.entries}")
     return table
 
 

@@ -29,7 +29,8 @@ pairs.
 z^2 = q - 2 + q^(-1) slice by slice in a, top-down on one dense list per
 slice that holds only the exponents q^0 and up (the rest mirror them);
 the result (``ZBasisTable``) is the genus-graded form used by the
-one-hole invariant tables.
+one-hole invariant tables.  The one-hole chain runs on dense int rows
+through ``_nonneg_mul``, ``_dense_div`` and ``_z2_rewrite``.
 """
 
 from __future__ import annotations
@@ -129,6 +130,17 @@ def _kronecker_mul(a: dict, b: dict) -> dict | None:
                 out[(u0 + gu * i, v)] = c
         v += gv
     return out
+
+
+def _nonneg_mul(a: list, b: list) -> list:
+    """The product of two dense lists of non-negative ints by one big-int
+    multiply; slots are bounded as in ``_kronecker_mul`` and need no bias."""
+    bound = max(*a, 1) * max(*b, 1) * min(len(a), len(b))  # >= every input, too
+    n = bound.bit_length() // 8 + 1
+    pa = int.from_bytes(b"".join(c.to_bytes(n, "little") for c in a), "little")
+    pb = int.from_bytes(b"".join(c.to_bytes(n, "little") for c in b), "little")
+    raw = (pa * pb).to_bytes((len(a) + len(b) - 1) * n, "little")
+    return [int.from_bytes(raw[k : k + n], "little") for k in range(0, len(raw), n)]
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +371,8 @@ def _slice_to_dense(sl: dict) -> tuple:
 
 def _dense_div(f_lo: int, f: list, g_lo: int, g: list):
     """Exact Laurent division of dense q-slices by a divisor with lead +-1;
-    (lo, coeffs) or None.  Only the divisor's nonzero terms are visited:
-    a divisor whose q^(1/2)-exponents share one parity, as every one-hole
-    divisor's do, is at least half zeros."""
+    (lo, coeffs) or None.  f is consumed.  Only the divisor's nonzero terms
+    are visited: the one-hole divisor (1 - q^m)(1 - q^(m t)) has at most 4."""
     while f and not f[-1]:
         f.pop()
     while f and not f[0]:
@@ -424,8 +435,22 @@ def exact_div(f: LaurentQA, g: LaurentQA) -> LaurentQA:
 
 @lru_cache(maxsize=None)
 def _z2_power_dense(k: int) -> tuple:
-    # (q^(1/2) - q^(-1/2))^(2k): entry i is the coefficient of q^(k - i)
-    return tuple((-1) ** i * comb(2 * k, i) for i in range(2 * k + 1))
+    # (z^2)^k = (q^(1/2) - q^(-1/2))^(2k): entry e is its coefficient of q^(+-e)
+    return tuple((-1) ** (k + e) * comb(2 * k, k + e) for e in range(k + 1))
+
+
+def _z2_rewrite(h: list) -> list:
+    """The pairs (g, c) with sum c (z^2)^g the palindrome whose coefficients
+    of q^0, q^1, ... are h (consumed).  Top-down: the coefficient c of q^g
+    is the entry of (z^2)^g, and c (z^2)^g is subtracted; what remains stays
+    palindromic, so the half list carries it exactly."""
+    out = []
+    for g in range(len(h) - 1, -1, -1):
+        c = h[g]
+        if c:
+            out.append((g, c))
+            h[: g + 1] = [x - c * z for x, z in zip(h, _z2_power_dense(g))]
+    return out
 
 
 class ZBasisTable:
@@ -459,10 +484,8 @@ def to_z_basis(f: LaurentQA) -> ZBasisTable:
 
     Fails (ZBasisError) if a slice has odd half-exponents or is not
     palindromic under q <-> 1/q; the tolerance is exact zero.  A palindromic
-    slice is then rewritten on the dense list h[e] of its coefficients of
-    q^e, e >= 0, top-down: the coefficient c of q^g is the entry of
-    (z^2)^g, and c (z^2)^g is subtracted.  What remains stays palindromic,
-    so the half list carries it exactly.
+    slice is then rewritten by ``_z2_rewrite`` on the dense list h[e] of its
+    coefficients of q^e, e >= 0.
     """
     table: dict = {}
     for v, sl in f.a_slices().items():
@@ -475,12 +498,8 @@ def to_z_basis(f: LaurentQA) -> ZBasisTable:
         for u, c in sl.items():
             if u >= 0:
                 h[u // 2] = c
-        for g in range(len(h) - 1, -1, -1):
-            c = h[g]
-            if c:
-                table[(g, v)] = c
-                # (z^2)^g is symmetric: its coefficient of q^e is entry g + e
-                h[: g + 1] = [x - c * z for x, z in zip(h, _z2_power_dense(g)[g:])]
+        for g, c in _z2_rewrite(h):
+            table[(g, v)] = c
     return ZBasisTable(table)
 
 

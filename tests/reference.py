@@ -26,13 +26,15 @@ sums (``b_minus``, ``b_plus``) from before ``arith.loop_quiver_dt``.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
 from typing import Callable, Mapping
 
+from lmov import qa
 from lmov.arith import certified_int, divisors, moebius
-from lmov.onehole import _cleared_divisor, _multiset_decompositions, _phi, _row_numerator
+from lmov.onehole import _multiset_decompositions, _phi, _row_numerator
 from lmov.partitions import Partition, parts_gcd, partitions_of, scale_down, z_factor
 from lmov.qa import (
     ExactDivisionError,
@@ -43,7 +45,6 @@ from lmov.qa import (
     ZBasisTable,
     _norm_c,
     _slice_to_dense,
-    _z2_power_dense,
     one_minus_q_prod,
     quantum_int,
     quantum_prod,
@@ -153,9 +154,9 @@ def to_z_basis(f: LaurentQA) -> ZBasisTable:
             g = top // 2
             c = work[top]
             table[(g, v)] = c
-            for i, zc in enumerate(_z2_power_dense(g)):
+            for i in range(2 * g + 1):  # (z^2)^g has (-1)^i C(2g, i) at q^(g - i)
                 u = top - 2 * i
-                s = work.get(u, 0) - c * zc
+                s = work.get(u, 0) - c * (-1) ** i * comb(2 * g, i)
                 if s:
                     work[u] = _norm_c(s)
                 elif u in work:
@@ -492,6 +493,69 @@ def cal_z_cleared(m: int, tau: int) -> LaurentQA:
             term = term * quantum_ratio(m * tau, p) * quantum_int(p, "a")
         total = total + term.scale(Fraction(1, z_factor(nu)))
     return total.scale((-1) ** ((m * tau) % 2))
+
+
+def _jsonify(obj):
+    if isinstance(obj, Fraction):
+        if obj.denominator == 1:
+            return int(obj)
+        return {"num": obj.numerator, "den": obj.denominator}
+    if isinstance(obj, dict):
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    return obj
+
+
+def json_bytes(obj) -> bytes:
+    """``lmov.io.json_bytes`` by ``json.dumps``, which runs CPython's
+    pure-Python encoder when ``indent`` is set."""
+    text = json.dumps(_jsonify(obj), sort_keys=True, indent=2)
+    return (text + "\n").encode("utf-8")
+
+
+@lru_cache(maxsize=None)
+def cal_z_closed_form(m: int, tau: int) -> LaurentQA:
+    """The q-binomial closed form of ``lmov.onehole.cal_z_cleared``, each
+    product of two q-binomials by the double loop over their terms."""
+    if tau == 0:
+        return quantum_int(m, "a")
+    mt = m * abs(tau)
+    out: dict = {}
+    for j in range(min(m, mt) + 1):  # each j fills its own a-slice
+        k = m - j
+        bj, bk = gaussian_binomial(mt, j), gaussian_binomial(mt + k - 1, k)
+        prod = [0] * (len(bj) + len(bk) - 1)
+        for dj, cj in enumerate(bj):
+            for dk, ck in enumerate(bk):
+                prod[dj + dk] += cj * ck
+        u0, v = j * (j - 1) - (mt - 1) * m, (k - j) * (1 if tau > 0 else -1)
+        sign = (-1) ** ((j + mt) % 2)
+        out.update({(u0 + 2 * e, v): sign * c for e, c in enumerate(prod) if c})
+    return LaurentQA(out)
+
+
+def _cleared_divisor(m: int, tau: int) -> LaurentQA:
+    # {m}{m tau}/{1}^2, with {m}^2/{1}^2 at tau = 0
+    first = quantum_ratio(m, 1)
+    second = quantum_ratio(m, 1) if tau == 0 else quantum_ratio(m * tau, 1)
+    return first * second
+
+
+def g_m_cleared(m: int, tau: int) -> LaurentQA:
+    """{m}{m tau} g_m as a Laurent polynomial ({m}^2 g_m at tau = 0)."""
+    total = LaurentQA.zero()
+    for d in divisors(m):
+        mu = moebius(d)
+        if mu:
+            total = total + cal_z_closed_form(m // d, tau).adams(d).scale(mu)
+    return total
+
+
+def z2_g_m(m: int, tau: int) -> LaurentQA:
+    """z^2 g_m by the library's exact division of the whole Laurent
+    polynomial by {m}{m tau}/{1}^2."""
+    return qa.exact_div(g_m_cleared(m, tau), _cleared_divisor(m, tau))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 import reference
 from helpers import cli_output, m_matrix
+from lmov.arith import TheoremViolation
 from lmov.genus0 import disc_n
 from lmov import onehole, qa, verify
 from lmov.onehole import (
@@ -19,7 +20,7 @@ from lmov.onehole import (
     z2_g_m,
 )
 from lmov.partitions import partitions_of, z_factor
-from lmov.qa import LaurentQA, quantum_int, quantum_prod
+from lmov.qa import LaurentQA, quantum_int, quantum_prod, to_z_basis
 from reference import RationalQ, RationalQA, as_rational, cal_z, framed_row, g_m, unknot_row
 
 
@@ -179,6 +180,56 @@ def test_g_m_prime_case():
         for tau in (-1, 2):
             want = cal_z(m, tau) + cal_z(1, tau).adams(m).scale(-1)
             assert g_m(m, tau) == want
+
+
+@pytest.mark.parametrize("tau", range(-6, 7))
+def test_row_chain_matches_the_laurent_chain(tau):
+    # the rows against the LaurentQA chain they replaced: the double-loop
+    # closed form, its Moebius/Adams sum, one exact_div by {m}{m tau}/{1}^2
+    # and to_z_basis
+    for m in range(1, 10):
+        assert cal_z_cleared(m, tau) == reference.cal_z_closed_form(m, tau), (m, tau)
+        want = reference.z2_g_m(m, tau)
+        assert z2_g_m(m, tau) == want, (m, tau)
+        assert lmov_one_hole(m, tau).entries == to_z_basis(want).entries, (m, tau)
+
+
+def test_row_chain_refuses_a_dividend_off_by_one(monkeypatch):
+    # f + q^k is not divisible by a divisor of positive degree
+    real = onehole._cleared_rows
+
+    def corrupt(m, tau):
+        rows = dict(real(m, tau))
+        if (m, tau) == (3, 2):
+            u0, row = rows[1]
+            rows[1] = (u0, [row[0] + 1] + row[1:])
+        return rows
+
+    monkeypatch.setattr(onehole, "_cleared_rows", corrupt)
+    onehole._z2_rows.cache_clear()
+    try:
+        assert lmov_one_hole(2, 2).entries == to_z_basis(reference.z2_g_m(2, 2)).entries
+        with pytest.raises(TheoremViolation, match="not divisible"):
+            lmov_one_hole(3, 2)
+    finally:
+        onehole._z2_rows.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [{1: (-2, [1, 0, 2])}, {1: (0, [1, 0, 1])}, {-1: (-1, [1, 1])}],
+    ids=["not-a-palindrome", "off-centre", "odd-exponents"],
+)
+def test_one_hole_table_refuses_rows_outside_z2(monkeypatch, rows):
+    monkeypatch.setattr(onehole, "_z2_rows", lambda m, tau: rows)
+    with pytest.raises(TheoremViolation, match="outside"):
+        lmov_one_hole(2, 1)
+
+
+def test_onehole_chain_divides_once_per_cell():
+    onehole._z2_rows.cache_clear()
+    assert verify.check_onehole_chain(4, range(-2, 3)).ok
+    assert onehole._z2_rows.cache_info().misses == 4 * 5
 
 
 def test_z2_g1_value():

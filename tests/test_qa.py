@@ -13,6 +13,7 @@ from lmov.qa import (
     PochFrac,
     ZBasisError,
     _dense_div,
+    _nonneg_mul,
     exact_div,
     one_minus_q_prod,
     quantum_int,
@@ -224,6 +225,18 @@ def test_dense_div_matches_fraction_reference(h, body, lead, noise, fractional):
     assert got == reference.dense_div(-2, list(f), 1, list(g))
     if got is not None and not fractional:
         assert all(type(c) is int for c in got[1])
+
+
+@given(
+    st.lists(st.integers(0, 9) | st.integers(0, 10**30), min_size=1, max_size=12),
+    st.lists(st.integers(0, 9) | st.integers(0, 10**30), min_size=1, max_size=12),
+)
+def test_nonneg_mul_matches_the_double_loop(a, b):
+    want = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            want[i + j] += x * y
+    assert _nonneg_mul(a, b) == want
 
 
 # ---------------------------------------------------------------------------
