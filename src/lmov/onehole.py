@@ -212,9 +212,9 @@ def z2_g_m(m: int, tau: int) -> LaurentQA:
 
 
 def lmov_one_hole(m: int, tau: int) -> ZBasisTable:
-    """Certified integer one-hole table n_{m,g,Q}(tau) for winding m and
-    framing tau, keyed by (g, two_q).  Each row of z^2 g_m must be an even
-    palindrome centred on q^0; its half from q^0 up is rewritten in z^2."""
+    """Certified integer one-hole table n_{m,g,Q}(tau), keyed by (g, two_q).
+    Each row of z^2 g_m must be a palindrome in integer powers of q, centred
+    on q^0; its half from q^0 up is rewritten in z^2."""
     entries = {}
     for v, (u0, row) in _z2_rows(m, tau).items():
         if u0 % 2 or u0 != 1 - len(row) or row != row[::-1]:

@@ -12,9 +12,12 @@ The library's integer fast paths are checked against the slow routines
 they replaced, kept here verbatim: the dict-loop ``LaurentQA`` product
 (``laurent_mul``), the colored sum over all p(m) partitions
 (``cal_z_cleared``), the Fraction-only ``dense_div``, the q-Pascal
-``gaussian_binomial``, the dict-loop ``to_z_basis`` and the power-sum
-``series_log`` / ``series_exp``, built on the ``Series1`` sum, product and
-scale (``series_add``, ``series_mul``, ...).  The genus-zero closed forms
+``gaussian_binomial``, the dict-loop ``to_z_basis``, ``json_bytes`` by
+``json.dumps``, the one-hole chain on LaurentQA (the double-loop
+``cal_z_closed_form``, ``g_m_cleared``, and ``z2_g_m``, one
+``lmov.qa.exact_div`` by ``_cleared_divisor``) and the power-sum
+``series_log`` / ``series_exp``, built on the ``Series1`` sum, product
+and scale (``series_add``, ``series_mul``, ...).  The genus-zero closed forms
 are checked against the generic machinery they replaced: the fixed-point
 solver ``solve_functional`` (with the series power, inverse and shift it
 needs) behind ``mirror_series``, the general-divisor ``exact_div`` that
