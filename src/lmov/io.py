@@ -3,10 +3,6 @@
 Identical inputs produce byte-identical files: keys are sorted, floats
 never appear in a table, CSV uses LF line endings and UTF-8.
 
-``json_bytes`` writes the bytes of ``json.dumps(obj, sort_keys=True,
-indent=2)`` by its own writer, since ``json.dumps`` runs CPython's
-pure-Python encoder whenever ``indent`` is set.
-
 A table is one ``(head, rows, columns)`` triple.  ``head`` holds the
 top-level JSON keys and ``rows`` the JSON row dicts; a row may nest its
 cells under ``"entries"``.  ``columns`` is the CSV header, where a column
@@ -23,38 +19,23 @@ import json
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 
-def _write_json(obj, out: list, nl: str) -> None:
-    # nl is a newline and the indent of the line that obj starts on
+def _jsonify(obj):
     if isinstance(obj, Fraction):
-        num, den = obj.numerator, obj.denominator
-        obj = num if den == 1 else {"num": num, "den": den}
-    if type(obj) is int:
-        out.append(int.__repr__(obj))
-        return
+        if obj.denominator == 1:
+            return int(obj)
+        return {"num": obj.numerator, "den": obj.denominator}
     if isinstance(obj, dict):
-        items = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
-        ends = "{}"
-    elif isinstance(obj, (list, tuple)):
-        items, ends = [("", v) for v in obj], "[]"
-    else:
-        out.append(json.dumps(obj))
-        return
-    sep, inner = ends[0], nl + "  "
-    for head, value in items:
-        out += (sep, inner, head)
-        _write_json(value, out, inner)
-        sep = ","
-    out += (nl, ends[1]) if items else (ends,)
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    return obj
 
 
 def json_bytes(obj) -> bytes:
-    out: list = []
-    _write_json(obj, out, "\n")
-    out.append("\n")
-    return "".join(out).encode("utf-8")
+    text = json.dumps(_jsonify(obj), sort_keys=True, indent=2)
+    return (text + "\n").encode("utf-8")
 
 
 def _csv_cell(v):

@@ -12,10 +12,9 @@ The library's integer fast paths are checked against the slow routines
 they replaced, kept here verbatim: the dict-loop ``LaurentQA`` product
 (``laurent_mul``), the colored sum over all p(m) partitions
 (``cal_z_cleared``), the Fraction-only ``dense_div``, the q-Pascal
-``gaussian_binomial``, the dict-loop ``to_z_basis``, ``json_bytes`` by
-``json.dumps``, the one-hole chain on LaurentQA (the double-loop
-``cal_z_closed_form``, ``g_m_cleared``, and ``z2_g_m``, one
-``lmov.qa.exact_div`` by ``_cleared_divisor``) and the power-sum
+``gaussian_binomial``, the dict-loop ``to_z_basis``, the one-hole chain
+on LaurentQA (the double-loop ``cal_z_closed_form``, ``g_m_cleared``, and
+``z2_g_m``, one ``lmov.qa.exact_div`` by ``_cleared_divisor``) and the power-sum
 ``series_log`` / ``series_exp``, built on the ``Series1`` sum, product
 and scale (``series_add``, ``series_mul``, ...).  The genus-zero closed forms
 are checked against the generic machinery they replaced: the fixed-point
@@ -29,7 +28,6 @@ sums (``b_minus``, ``b_plus``) from before ``arith.loop_quiver_dt``.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
@@ -496,25 +494,6 @@ def cal_z_cleared(m: int, tau: int) -> LaurentQA:
             term = term * quantum_ratio(m * tau, p) * quantum_int(p, "a")
         total = total + term.scale(Fraction(1, z_factor(nu)))
     return total.scale((-1) ** ((m * tau) % 2))
-
-
-def _jsonify(obj):
-    if isinstance(obj, Fraction):
-        if obj.denominator == 1:
-            return int(obj)
-        return {"num": obj.numerator, "den": obj.denominator}
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
-
-
-def json_bytes(obj) -> bytes:
-    """``lmov.io.json_bytes`` by ``json.dumps``, which runs CPython's
-    pure-Python encoder when ``indent`` is set."""
-    text = json.dumps(_jsonify(obj), sort_keys=True, indent=2)
-    return (text + "\n").encode("utf-8")
 
 
 @lru_cache(maxsize=None)

@@ -267,3 +267,25 @@ def test_annulus_kernel_failure_exits_2(monkeypatch, capsys):
         assert [r.name for r in reports if not r.ok] == ["annulus"]
     finally:
         real.cache_clear()
+
+
+def test_ov_failure_records_keyed_by_int_reach_the_report(tmp_path, monkeypatch, capsys):
+    # N_{1,k} off its expected row: check_ov records {"N_1": ..., "want": {0: +-1}}
+    # and, for tau <= -1, ov_dt_shift_check records {"dt_mapped": {k: c}, ...}
+    real = gwdt.ooguri_vafa
+
+    def broken(tau, max_m, reconstruct=True):
+        table = real(tau, max_m, reconstruct)
+        table.rows[1] = {0: 5}
+        return table
+
+    monkeypatch.setattr(gwdt, "ooguri_vafa", broken)
+    out = tmp_path / "sweep.json"
+    code = main(["verify-all", "--quick", "--out", str(out)])
+    capsys.readouterr()
+    assert code == EXIT_THEOREM
+    suites = {s["suite"]: s for s in json.loads(out.read_bytes())["suites"]}
+    assert [n for n, s in suites.items() if s["status"] == "FAIL"] == ["ov-extraction"]
+    failures = suites["ov-extraction"]["failures"]
+    assert {"tau": 2, "N_1": {"0": 5}, "want": {"0": 1}} in failures
+    assert {"tau": -2, "n": 1, "dt_mapped": {"0": 1}, "ov": {"0": 5}} in failures
