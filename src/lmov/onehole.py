@@ -10,9 +10,9 @@ q^((u0 + 2 e)/2) a^(v/2), and builds no LaurentQA on the way:
    of m), and the verification suites hold the two equal.
 2. ``_z2_rows`` -- Moebius/Adams combination over divisors of m, then
    exact division by {m}{m tau}/{1}^2, whose leading coefficient is +-1.
-3. ``lmov_one_hole`` -- the z^2-basis rewrite; all resulting entries
-   must be integers.  ``cal_z_cleared`` and ``z2_g_m`` are LaurentQA
-   views of the rows of steps 1 and 2.
+3. ``lmov_one_hole`` -- the z^2-basis rewrite; each row must be a
+   palindrome centred on q^0 and all resulting entries must be integers.
+   ``cal_z_cleared`` is the LaurentQA view of the rows of step 1.
 
 tau = 0 degenerates: Z_m collapses to {m}_a / {m}^2, so the cleared sum
 is {m}_a and the divisor switches to {m}^2/{1}^2.
@@ -20,9 +20,12 @@ is {m}_a and the divisor switches to {m}^2/{1}^2.
 ``g_mu_general`` runs the same pipeline for an arbitrary partition mu
 (a conjectural statement for l(mu) >= 2, so failures are reported, not
 raised), via characters and the log on the power-sum partition algebra.
-Its coefficients of size n are PochFracs, numerators over (q;q)_n, using
-1/{sigma} = (-1)^l(sigma) q^(|sigma|/2) / prod_i (1 - q^(sigma_i)); the
-one rational step left is a single exact division by {mu} (q;q)_|mu|.
+``f_mu`` takes that log by the derivation recurrence of
+``series.series_log``, graded by partition size and summed over the
+sub-multisets of mu.  Its coefficients of size n are PochFracs,
+numerators over (q;q)_n, using 1/{sigma} = (-1)^l(sigma) q^(|sigma|/2) /
+prod_i (1 - q^(sigma_i)); the one rational step left is a single exact
+division by {mu} (q;q)_|mu|.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
 
 from .arith import Report, TheoremViolation, divisors, gaussian_binomial, moebius
@@ -171,7 +175,6 @@ def colored_sum(m: int, tau: int) -> LaurentQA:
     return LaurentQA(out).scale((-1) ** ((m * tau) % 2))
 
 
-@lru_cache(maxsize=1)  # check_onehole_chain asks z2_g_m, then lmov_one_hole
 def _z2_rows(m: int, tau: int) -> dict:
     """The rows of z^2 g_m: each row of {m}{m tau} g_m, times (1 - q)^2 and
     divided exactly by (1 - q^m)(1 - q^(m t)), t = |tau| or 1 at tau = 0,
@@ -204,11 +207,6 @@ def _z2_rows(m: int, tau: int) -> dict:
         if h:
             out[v] = (lo + 2 * e0 + m + mt - 2, h if tau >= 0 else [-c for c in h])
     return out
-
-
-def z2_g_m(m: int, tau: int) -> LaurentQA:
-    """z^2 g_m as a Laurent polynomial, via exact division."""
-    return _laurent(_z2_rows(m, tau))
 
 
 def lmov_one_hole(m: int, tau: int) -> ZBasisTable:
@@ -269,61 +267,33 @@ def cal_z_partition(nu: Partition, tau: int) -> PochFrac:
     return total.scale((-1) ** ((size * tau) % 2))
 
 
-def _multiset_decompositions(mu: Partition):
-    """Unordered decompositions of mu into nonempty sub-partitions.
-
-    Yields (blocks, ordered_count) with blocks a sorted tuple of partitions
-    whose multiset union is mu and ordered_count the number of ordered
-    tuples realizing that block multiset.
-    """
-
-    def splits(parts: tuple):
-        # all ways to split a sorted multiset of ints into (first-anchored
-        # nonempty block, rest)
-        if not parts:
-            yield ()
-            return
-        first, rest = parts[0], parts[1:]
-        seen = set()
-        for mask in range(1 << len(rest)):
-            block = (first,) + tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
-            block = tuple(sorted(block, reverse=True))
-            remaining = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
-            key = (block, remaining)
-            if key in seen:
-                continue
-            seen.add(key)
-            for tail in splits(remaining):
-                yield (block,) + tail
-
-    seen_blocks = set()
-    for blocks in splits(tuple(sorted(mu, reverse=True))):
-        canon = tuple(sorted(blocks))
-        if canon in seen_blocks:
-            continue
-        seen_blocks.add(canon)
-        n = len(canon)
-        mult: dict = {}
-        for b in canon:
-            mult[b] = mult.get(b, 0) + 1
-        count = factorial(n)
-        for a in mult.values():
-            count //= factorial(a)
-        yield canon, count
+def _splits(mu: Partition):
+    # the nonempty proper sub-multisets rho of mu, with mu - rho; both
+    # descending, like the keys that f_mu and cal_z_partition cache on
+    parts = sorted(set(mu), reverse=True)
+    for counts in product(*(range(mu.count(p) + 1) for p in parts)):
+        rho = tuple(p for p, c in zip(parts, counts) for _ in range(c))
+        rest = tuple(p for p, c in zip(parts, counts) for _ in range(mu.count(p) - c))
+        if rho and rest:
+            yield rho, rest
 
 
+@lru_cache(maxsize=None)
 def f_mu(mu: Partition, tau: int) -> PochFrac:
-    """Connected (log) coefficient of the partition-sum expansion at mu."""
+    """Connected (log) coefficient at p_mu of S = sum_nu S_nu p_nu, with
+    S_nu = cal_Z_nu / z_nu.  The degree operator E p_nu = |nu| p_nu is a
+    derivation, so E log S = E S / S, which is the recurrence
+
+        |mu| f_mu = |mu| S_mu - sum_rho |rho| f_rho S_(mu - rho)
+
+    over the nonempty proper sub-multisets rho of mu."""
     if not mu:
         raise ValueError("f_mu needs a nonempty partition")
-    total = PochFrac.zero()
-    for blocks, count in _multiset_decompositions(mu):
-        n = len(blocks)
-        term = PochFrac.one()
-        for b in blocks:
-            term = term * cal_z_partition(b, tau).scale(Fraction(1, z_factor(b)))
-        total = total + term.scale(Fraction((-1) ** (n - 1) * count, n))
-    return total
+    total = cal_z_partition(mu, tau).scale(Fraction(sum(mu), z_factor(mu)))
+    for rho, rest in _splits(mu):
+        s = cal_z_partition(rest, tau).scale(Fraction(-sum(rho), z_factor(rest)))
+        total = total + f_mu(rho, tau) * s
+    return total.scale(Fraction(1, sum(mu)))
 
 
 @dataclass

@@ -213,9 +213,6 @@ class LaurentQA:
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentQA) and self._c == other._c
 
-    def __hash__(self):
-        return hash(frozenset((k, Fraction(c)) for k, c in self._c.items()))
-
     def __bool__(self) -> bool:
         return bool(self._c)
 
@@ -294,10 +291,6 @@ class LaurentQA:
         if d == 1:
             return self
         return LaurentQA._make({(u * d, v * d): c for (u, v), c in self._c.items()})
-
-    def mirror_q(self) -> LaurentQA:
-        """Substitute q -> q^(-1) (a untouched)."""
-        return LaurentQA._make({(-u, v): c for (u, v), c in self._c.items()})
 
     def __repr__(self) -> str:
         if not self._c:

@@ -3,9 +3,9 @@
 They restate textbook definitions next to the library so that the tests
 can check the library's structure (the p-adic congruences behind the
 integrality proofs, partition multiplicities, the pairing matrix M, a JSON
-round trip of LaurentQA) without the library shipping them, plus a runner
-that captures the command line's output.  The slow rational-function
-reference lives in ``reference.py``.
+round trip of LaurentQA, the one-hole rows as a LaurentQA) without the
+library shipping them, plus a runner that captures the command line's
+output.  The slow rational-function reference lives in ``reference.py``.
 """
 
 import io
@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
+from lmov import onehole
 from lmov.cli import EXIT_OK, main
 from lmov.partitions import mn_character, partitions_of, z_factor
 from lmov.qa import LaurentQA, quantum_prod
@@ -88,6 +89,11 @@ def m_matrix(lam: tuple, mu: tuple) -> LaurentQA:
         prod = quantum_prod(nu).scale((-1) ** (len(nu) % 2))
         total = total + prod.scale(Fraction(c, z_factor(nu)))
     return total
+
+
+def z2_g_m(m: int, tau: int) -> LaurentQA:
+    """z^2 g_m as a Laurent polynomial: the rows behind ``lmov_one_hole``."""
+    return onehole._laurent(onehole._z2_rows(m, tau))
 
 
 def laurent_to_json(f: LaurentQA) -> list:

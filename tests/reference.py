@@ -24,6 +24,9 @@ divided its coefficients by 1 - a, and the bivariate ``Series2`` with its
 ``series2_log``, the annulus kernel log before the substitution
 X2 = t X1.  The twist-knot invariants are checked against their binomial
 sums (``b_minus``, ``b_plus``) from before ``arith.loop_quiver_dt``.
+The general-partition log coefficient ``f_mu`` is the sum over the
+multiset decompositions of mu that ``_multiset_decompositions`` enumerates,
+the expansion the library's sub-multiset recurrence replaced.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Callable, Mapping
 
 from lmov import qa
 from lmov.arith import certified_int, divisors, moebius
-from lmov.onehole import _multiset_decompositions, _phi, _row_numerator
+from lmov.onehole import _phi, _row_numerator
 from lmov.partitions import Partition, parts_gcd, partitions_of, scale_down, z_factor
 from lmov.qa import (
     ExactDivisionError,
@@ -1124,6 +1127,49 @@ def cal_z_partition(nu: Partition, tau: int) -> RationalQA:
         )
         total = total + term.scale(Fraction(1, z_factor(sigma)))
     return total.scale((-1) ** ((size * tau) % 2))
+
+
+def _multiset_decompositions(mu: Partition):
+    """Unordered decompositions of mu into nonempty sub-partitions.
+
+    Yields (blocks, ordered_count) with blocks a sorted tuple of partitions
+    whose multiset union is mu and ordered_count the number of ordered
+    tuples realizing that block multiset.
+    """
+
+    def splits(parts: tuple):
+        # all ways to split a sorted multiset of ints into (first-anchored
+        # nonempty block, rest)
+        if not parts:
+            yield ()
+            return
+        first, rest = parts[0], parts[1:]
+        seen = set()
+        for mask in range(1 << len(rest)):
+            block = (first,) + tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
+            block = tuple(sorted(block, reverse=True))
+            remaining = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
+            key = (block, remaining)
+            if key in seen:
+                continue
+            seen.add(key)
+            for tail in splits(remaining):
+                yield (block,) + tail
+
+    seen_blocks = set()
+    for blocks in splits(tuple(sorted(mu, reverse=True))):
+        canon = tuple(sorted(blocks))
+        if canon in seen_blocks:
+            continue
+        seen_blocks.add(canon)
+        n = len(canon)
+        mult: dict = {}
+        for b in canon:
+            mult[b] = mult.get(b, 0) + 1
+        count = factorial(n)
+        for a in mult.values():
+            count //= factorial(a)
+        yield canon, count
 
 
 def f_mu(mu: Partition, tau: int) -> RationalQA:

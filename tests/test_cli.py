@@ -3,8 +3,9 @@ import re
 
 import pytest
 
-from lmov import cli, genus0, gwdt, verify
+from lmov import cli, genus0, gwdt, onehole, verify
 from lmov.arith import TheoremViolation
+from lmov.qa import LaurentQA
 from lmov.series import Series1
 from lmov.cli import EXIT_OK, EXIT_THEOREM, EXIT_USAGE, main
 
@@ -289,3 +290,32 @@ def test_ov_failure_records_keyed_by_int_reach_the_report(tmp_path, monkeypatch,
     failures = suites["ov-extraction"]["failures"]
     assert {"tau": 2, "N_1": {"0": 5}, "want": {"0": 1}} in failures
     assert {"tau": -2, "n": 1, "dt_mapped": {"0": 1}, "ov": {"0": 5}} in failures
+
+
+def test_one_hole_violation_keeps_the_other_failure_records(tmp_path, monkeypatch, capsys):
+    # two broken cells in one sweep: a colored sum off by one at (m, tau) =
+    # (2, 1), and a row of z^2 g_3 that is no palindrome at tau = 1
+    real_sum, real_rows = onehole.colored_sum, onehole._z2_rows
+
+    def off_by_one(m, tau):
+        out = real_sum(m, tau)
+        return out + LaurentQA.one() if (m, tau) == (2, 1) else out
+
+    def not_a_palindrome(m, tau):
+        return {1: (-2, [1, 0, 2])} if (m, tau) == (3, 1) else real_rows(m, tau)
+
+    monkeypatch.setattr(onehole, "colored_sum", off_by_one)
+    monkeypatch.setattr(onehole, "_z2_rows", not_a_palindrome)
+    want = [
+        {"tau": 1, "m": 2, "reason": "closed form != colored sum"},
+        {"tau": 1, "m": 3, "violation": "z^2 g_m outside Q[z^2, a^(+-1/2)] (m=3, tau=1)"},
+    ]
+    assert verify.check_onehole_chain(4, range(1, 2)).failures == want
+    out = tmp_path / "sweep.json"
+    code = main(["verify-all", "--quick", "--out", str(out)])
+    capsys.readouterr()
+    assert code == EXIT_THEOREM
+    suites = {s["suite"]: s for s in json.loads(out.read_bytes())["suites"]}
+    failed = [n for n, s in suites.items() if s["status"] == "FAIL"]
+    assert failed == ["one-hole-chain", "gaussian-closed-form"]
+    assert suites["one-hole-chain"]["failures"] == want

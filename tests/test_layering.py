@@ -3,8 +3,8 @@
 Layers, bottom up: the leaves (``arith``, ``partitions``, ``io``), the
 exact algebra (``qa``, ``series``), the four invariant modules, which never
 import one another, and on top ``verify`` and ``cli``.  Every module-level
-function and class is used by the package itself: what only the tests use
-lives in ``tests/``.
+function and class, and every method but the dunders, is used by the
+package itself: what only the tests use lives in ``tests/``.
 """
 
 import ast
@@ -61,26 +61,52 @@ def test_only_cli_imports_verify():
     assert [m for m in MODULES if "verify" in lmov_imports(m)] == ["cli"]
 
 
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def unused_definitions(src) -> list:
-    """Module-level functions and classes of the package that no code of
-    the package references outside their own definition."""
-    defs, used = [], set()
-    for path in sorted(src.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            own = None
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = top.name
-                defs.append(f"{path.stem}.{own}")
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != own:
-                    used.add(name)
-    return [d for d in defs if d.split(".")[1] not in used]
+    """Module-level functions and classes of the package, and the methods
+    of its classes whose names do not start with ``__``, that no code of
+    the package references outside their own definition.  A method counts
+    as referenced when any attribute of its name is read: the check goes
+    by name, since ``ast`` does not know the type behind an attribute."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    defs = []
+    for stem, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, DEFS):
+                defs.append(f"{stem}.{top.name}")
+            if isinstance(top, ast.ClassDef):
+                for node in top.body:
+                    if isinstance(node, DEFS[:2]) and not node.name.startswith("__"):
+                        defs.append(f"{stem}.{top.name}.{node.name}")
+    tracked, used = {d.rsplit(".", 1)[1] for d in defs}, set()
+
+    def visit(node, owners):
+        # owners: the tracked definitions that enclose node
+        if isinstance(node, DEFS) and node.name in tracked:
+            owners = owners | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in owners:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in owners:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    for tree in trees.values():
+        visit(tree, frozenset())
+    return [d for d in defs if d.rsplit(".", 1)[1] not in used]
+
+
+def test_unused_definitions_flags_methods_by_name(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class A:\n"
+        "    def kept(self):\n        return 1\n"
+        "    def mirror(self):\n        return self.mirror()\n"
+        "    def __hash__(self):\n        return 0\n\n\n"
+        "def f():\n    return A().kept()\n"
+    )
+    assert unused_definitions(tmp_path) == ["mod.A.mirror", "mod.f"]
 
 
 def test_every_definition_is_used_by_the_package():
