@@ -6,8 +6,9 @@ The disc and annulus tables come with two independent routes:
 * the mirror-curve series Y = X (1-Y)^tau (1 - a(1-Y)), whose X-expansion
   Lagrange inversion gives in closed form (``kernel_level``), followed by
   the one-variable ``series_log``.  The annulus kernel, a series in X1
-  and X2, becomes a series in X1 alone under the substitution X2 = t X1,
-  with t carried in the q-slot of LaurentQA (``_annulus_log``).
+  and X2, becomes a series in X1 alone under the substitution X2 = t X1;
+  its log runs ``series_log``'s recurrence on one dense int t-row per
+  a-exponent (``_annulus_log``).
 
 Single-cover invariants are recovered by Moebius inversion over common
 divisors and certified integral where the underlying statement is a
@@ -28,7 +29,7 @@ from math import comb, gcd
 
 from .arith import Report, TheoremViolation, binomial_ext, certified_int, divisors, moebius
 from .partitions import Partition, parts_gcd, scale_down
-from .qa import LaurentQA
+from .qa import LaurentQA, _times_geometric
 from .series import CoeffRing, Series1, series_log
 
 
@@ -139,23 +140,35 @@ def disc_series_check(tau: int, max_m: int) -> Report:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _annulus_log(tau: int, order: int) -> Series1:
-    """log of the normalized Bergmann kernel (Y(X2)-Y(X1))/(X2-X1)/(1-a),
-    after the substitution X2 = t X1, as a series in X1 truncated at
-    ``order``; t rides in the q-slot (t^j is q^(j/2)).
+def _annulus_log(tau: int, order: int) -> list:
+    """n times the X^n coefficient of the log of the normalized Bergmann
+    kernel (Y(X2)-Y(X1))/(X2-X1)/(1-a), after the substitution X2 = t X1,
+    for n <= order: level n maps a doubled a-exponent v to its t-row, the
+    coefficients of t^0 .. t^n.
 
     The kernel is sum_n kernel_level(tau, n) (X1^n + X1^(n-1) X2 + ... +
-    X2^n), so its X^n coefficient is kernel_level(tau, n) (1 + t + ... +
-    t^n).  X1^i X2^j -> X^(i+j) t^j is an injective ring homomorphism that
-    keeps total degree, so it commutes with the truncation and with log:
-    the log's X1^i X2^j coefficient is the t^j slice of its X^(i+j)
-    coefficient, exactly.
+    X2^n), so its X^n coefficient is S_n = kernel_level(tau, n) (1 + t +
+    ... + t^n).  X1^i X2^j -> X^(i+j) t^j is an injective ring homomorphism
+    that keeps total degree, so it commutes with the truncation and with
+    log: the log's X1^i X2^j coefficient is entry j of level i+j, divided
+    by i+j, exactly.  The levels D_n follow ``series_log``'s recurrence
+    D_n = n S_n - sum_(0<k<n) D_k S_(n-k), which stays integral; a row
+    times 1 + ... + t^w is the row times 1 - t^(w+1), divided exactly by
+    1 - t (``_times_geometric``).
     """
-    kern = [
-        kernel_level(tau, n) * LaurentQA({(j, 0): 1 for j in range(n + 1)})
-        for n in range(order + 1)
-    ]
-    return series_log(Series1(_LRING, order, kern))
+    kern = [kernel_level(tau, n) for n in range(order + 1)]
+    d: list = [{}]
+    for n in range(1, order + 1):
+        acc = {v: [n * c] * (n + 1) for (_, v), c in kern[n].items()}
+        for k in range(1, n):
+            w = n - k
+            for v, row in d[k].items():
+                lo, h = _times_geometric(row, 1, w + 1)
+                for (_, v2), c in kern[w].items():
+                    out = acc.setdefault(v + v2, [0] * (n + 1))
+                    out[lo : lo + len(h)] = [x - c * y for x, y in zip(out[lo:], h)]
+        d.append(acc)
+    return d
 
 
 def annulus_c(m1: int, m2: int, tau: int, order: int | None = None) -> dict:
@@ -172,15 +185,15 @@ def annulus_c(m1: int, m2: int, tau: int, order: int | None = None) -> dict:
     if n > order:
         raise ValueError(f"m1+m2 = {n} exceeds configured truncation {order}")
     out: dict = {}
-    for (u, v), c in _annulus_log(tau, order).coeff(n).items():
-        if u != m2:
+    for v, row in _annulus_log(tau, order)[n].items():
+        if not row[m2]:
             continue
         if v % 2:
             raise TheoremViolation(
                 "annulus kernel coefficient is not an a-polynomial "
                 f"(tau={tau}, m1={m1}, m2={m2})"
             )
-        out[v // 2] = Fraction(c)
+        out[v // 2] = Fraction(row[m2], n)
     return out
 
 

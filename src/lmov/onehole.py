@@ -6,8 +6,10 @@ q^((u0 + 2 e)/2) a^(v/2), and builds no LaurentQA on the way:
 
 1. ``_cleared_rows`` -- the denominator-cleared colored-invariant sum
    {m}{m tau} Z_m, an integer Laurent polynomial from its q-binomial
-   closed form; ``colored_sum`` is the definition (the sum over partitions
-   of m), and the verification suites hold the two equal.
+   closed form.  ``colored_sum`` is the definition, the colored sum over
+   the partitions of m as the exp recurrence on rows of the same shape,
+   independent of the closed form; the verification suites hold the two
+   equal.
 2. ``_z2_rows`` -- Moebius/Adams combination over divisors of m, then
    exact division by {m}{m tau}/{1}^2, whose leading coefficient is +-1.
 3. ``lmov_one_hole`` -- the z^2-basis rewrite; each row must be a
@@ -55,12 +57,12 @@ from .qa import (
     ZBasisTable,
     _dense_div,
     _nonneg_mul,
+    _times_geometric,
     _z2_rewrite,
     exact_div,
     one_minus_q_prod,
     quantum_int,
     quantum_prod,
-    quantum_ratio,
     to_z_basis,
 )
 
@@ -154,25 +156,39 @@ def colored_sum(m: int, tau: int) -> LaurentQA:
     f_k = {m tau k}/{k} {k}_a.
 
     The exp recurrence runs on n! [x^n], which stays integral:
-    E_n = sum_k f_k (n-1)!/(n-k)! E_(n-k).  Each coefficient of E_m is then
-    divided by m!; a nonzero remainder keeps a Fraction, so that a
-    non-integral sum still fails the integrality check.
+    E_n = sum_k f_k (n-1)!/(n-k)! E_(n-k), on one int row per a-slice.
+    With L = m |tau|, {L k}/{k} = q^(-(L-1)k/2) (1 - q^(k L)) / (1 - q^k)
+    (``_times_geometric``), so every row of E_n runs from q^(-(L-1)n/2) to
+    q^((L-1)n/2); {k}_a moves a row to the a-slices v + k and v - k.
+    Each coefficient of E_m is then divided by m!; a nonzero remainder
+    keeps a Fraction, so that a non-integral sum still fails the
+    integrality check.
     """
+    if m < 1:
+        raise ValueError("colored_sum needs m >= 1")
     if tau == 0:
         raise ValueError("colored_sum needs tau != 0")
-    f = [quantum_ratio(m * tau, k) * quantum_int(k, "a") for k in range(m + 1)]
-    e = [LaurentQA.one()]
+    length = m * abs(tau)
+    e = [{0: [1]}]
     for n in range(1, m + 1):
-        acc, falling = LaurentQA.zero(), 1  # falling = (n-1)!/(n-k)!
+        acc: dict = {}
+        falling = 1 if tau > 0 else -1  # sign(tau) (n-1)!/(n-k)!
         for k in range(1, n + 1):
-            acc = acc + (f[k] * e[n - k]).scale(falling)
+            for v, row in e[n - k].items():
+                lo, h = _times_geometric(row, k, length)
+                for dv, c in ((k, falling), (-k, -falling)):
+                    out = acc.setdefault(v + dv, [0] * ((length - 1) * n + 1))
+                    out[lo : lo + len(h)] = [x + c * y for x, y in zip(out[lo:], h)]
             falling *= n - k
         e.append(acc)
-    fact, out = factorial(m), {}
-    for key, c in e[m].items():
-        quo, rem = divmod(c, fact)
-        out[key] = Fraction(c, fact) if rem else quo
-    return LaurentQA(out).scale((-1) ** ((m * tau) % 2))
+    fact, sign, rows = factorial(m), (-1) ** ((m * tau) % 2), {}
+    for v, row in e[m].items():
+        out = []
+        for c in row:
+            quo, rem = divmod(sign * c, fact)
+            out.append(Fraction(sign * c, fact) if rem else quo)
+        rows[v] = (-(length - 1) * m, out)
+    return _laurent(rows)
 
 
 def _z2_rows(m: int, tau: int) -> dict:

@@ -16,28 +16,24 @@ exponent bookkeeping is plain integer arithmetic.  Coefficients are ints
 whenever possible and ``fractions.Fraction`` otherwise; no floats appear
 anywhere.
 
-``LaurentQA`` multiplies in one of two ways, chosen from the operands.
-When every coefficient is an int, the smaller operand has at least
-``KRONECKER_MIN_TERMS`` terms and the product is dense (at most
-``KRONECKER_MAX_FILL`` packed slots per term pair), both operands are
-packed into Python ints by Kronecker substitution and multiplied once, so
-that CPython's Karatsuba does the work.  Every other product (Fraction
-coefficients, short or sparse operands) runs the dict loop over all term
-pairs.
+``LaurentQA`` multiplies by the dict loop over all term pairs.  The
+integer hot paths (the one-hole chain, the colored sum, the annulus
+kernel log) do not multiply LaurentQAs: they run on one dense int row per
+a-slice, through ``_nonneg_mul``, ``_dense_div`` (also behind
+``_times_geometric``) and ``_z2_rewrite``.
 
 ``to_z_basis`` rewrites a q-symmetric LaurentQA as a polynomial in
 z^2 = q - 2 + q^(-1) slice by slice in a, top-down on one dense list per
 slice that holds only the exponents q^0 and up (the rest mirror them);
 the result (``ZBasisTable``) is the genus-graded form used by the
-one-hole invariant tables.  The one-hole chain runs on dense int rows
-through ``_nonneg_mul``, ``_dense_div`` and ``_z2_rewrite``.
+one-hole invariant tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 from typing import Iterable, Mapping
 
 from .arith import gaussian_binomial
@@ -65,76 +61,14 @@ def _norm_c(c):
 
 
 # ---------------------------------------------------------------------------
-# Kronecker substitution
+# dense rows
 # ---------------------------------------------------------------------------
-
-# An integer product goes through one big-int multiply when its smaller
-# operand has at least KRONECKER_MIN_TERMS terms and the packed product has
-# at most KRONECKER_MAX_FILL slots per term pair; any other product runs the
-# dict loop, which is faster on short or sparse operands.
-KRONECKER_MIN_TERMS = 16
-KRONECKER_MAX_FILL = 1
-
-
-def _kronecker_pack(m: dict, u0, v0, gu, gv, width, rows, zero: bytes, half) -> int:
-    # slot ((v - v0)/gv) width + (u - u0)/gu, len(zero) bytes, holds c + half;
-    # the bias that every slot carries is subtracted again
-    n = len(zero)
-    buf = [zero] * (rows * width)
-    for (u, v), c in m.items():
-        buf[(v - v0) // gv * width + (u - u0) // gu] = (c + half).to_bytes(n, "little")
-    return int.from_bytes(b"".join(buf), "little") - int.from_bytes(zero * len(buf), "little")
-
-
-def _kronecker_mul(a: dict, b: dict) -> dict | None:
-    """The product of two maps {(u, v): int} by Kronecker substitution
-    (Harvey, arXiv:0712.4046), or None when a coefficient is not an int or
-    the packed product would be sparse.
-
-    The exponents are divided by the gcd of their steps and laid out in
-    rows as wide as the product's u-span, so that exponents add as slot
-    indices without wrapping.  A product slot sums at most
-    min(len a, len b) terms, so max|a| max|b| min(len a, len b) bounds it;
-    the slots hold that bound with a sign, so no slot carries into the next.
-    """
-    if not all(type(c) is int for c in a.values()) or not all(
-        type(c) is int for c in b.values()
-    ):
-        return None
-    ua, va = zip(*a)
-    ub, vb = zip(*b)
-    ua0, va0, ub0, vb0 = min(ua), min(va), min(ub), min(vb)
-    gu = gcd(*(u - ua0 for u in ua), *(u - ub0 for u in ub)) or 1
-    gv = gcd(*(v - va0 for v in va), *(v - vb0 for v in vb)) or 1
-    rows_a, rows_b = (max(va) - va0) // gv + 1, (max(vb) - vb0) // gv + 1
-    width = (max(ua) - ua0 + max(ub) - ub0) // gu + 1
-    rows = rows_a + rows_b - 1
-    if rows * width > KRONECKER_MAX_FILL * len(a) * len(b):
-        return None
-    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
-    n = (bound.bit_length() + 8) // 8  # 8 n bits hold the bound and a sign
-    half = 1 << (8 * n - 1)
-    zero = half.to_bytes(n, "little")
-    prod = _kronecker_pack(a, ua0, va0, gu, gv, width, rows_a, zero, half)
-    prod *= _kronecker_pack(b, ub0, vb0, gu, gv, width, rows_b, zero, half)
-    prod += int.from_bytes(zero * (rows * width), "little")
-    raw = prod.to_bytes(rows * width * n, "little")
-    out: dict = {}
-    u0, v = ua0 + ub0, va0 + vb0
-    k = 0
-    for _ in range(rows):
-        for i in range(width):
-            c = int.from_bytes(raw[k : k + n], "little") - half
-            k += n
-            if c:
-                out[(u0 + gu * i, v)] = c
-        v += gv
-    return out
-
 
 def _nonneg_mul(a: list, b: list) -> list:
     """The product of two dense lists of non-negative ints by one big-int
-    multiply; slots are bounded as in ``_kronecker_mul`` and need no bias."""
+    multiply.  A product slot sums at most min(len a, len b) products of
+    entries, so max a max b min(len a, len b) bounds it; each slot is wide
+    enough for that bound, and no slot carries into the next."""
     bound = max(*a, 1) * max(*b, 1) * min(len(a), len(b))  # >= every input, too
     n = bound.bit_length() // 8 + 1
     pa = int.from_bytes(b"".join(c.to_bytes(n, "little") for c in a), "little")
@@ -244,10 +178,6 @@ class LaurentQA:
         a, b = self._c, other._c
         if len(a) > len(b):
             a, b = b, a
-        if len(a) >= KRONECKER_MIN_TERMS:
-            packed = _kronecker_mul(a, b)
-            if packed is not None:
-                return LaurentQA._make(packed)
         d: dict = {}
         for (u1, v1), c1 in a.items():
             for (u2, v2), c2 in b.items():
@@ -330,22 +260,6 @@ def quantum_prod(parts: Iterable[int], base: str = "q") -> LaurentQA:
     return out
 
 
-def quantum_ratio(k: int, n: int) -> LaurentQA:
-    """{k*n}/{n} as a Laurent polynomial, valid for every integer k, n.
-
-    For n != 0 this is sign(k) * sum_{j<|k|} q^(n(|k|-1-2j)/2); at n = 0 it
-    is the algebraic limit, the constant k.  Vanishes when k = 0.
-    """
-    if k == 0:
-        return LaurentQA.zero()
-    s = 1
-    if k < 0:
-        k, s = -k, -1
-    if n == 0:
-        return LaurentQA.monomial(c=s * k)
-    return LaurentQA._make({(n * (k - 1 - 2 * j), 0): s for j in range(k)})
-
-
 Z_SQUARED = LaurentQA({(2, 0): 1, (0, 0): -2, (-2, 0): 1})
 
 
@@ -391,6 +305,15 @@ def _dense_div(f_lo: int, f: list, g_lo: int, g: list):
     if any(r[:dg]):
         return None
     return f_lo - g_lo, q
+
+
+def _times_geometric(row: list, step: int, count: int) -> tuple:
+    """The dense row times 1 + x^step + ... + x^(step (count - 1)), as
+    ``_dense_div`` returns it: the row times 1 - x^(step count), divided
+    exactly by 1 - x^step."""
+    f = row + [0] * (step * count)
+    f[step * count :] = [x - y for x, y in zip(f[step * count :], row)]
+    return _dense_div(0, f, 0, [1] + [0] * (step - 1) + [-1])
 
 
 def exact_div(f: LaurentQA, g: LaurentQA) -> LaurentQA:

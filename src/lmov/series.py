@@ -11,8 +11,8 @@ value of x-degree n, so the sums they form are always over one (q;q)_n.
 ``Series1`` stores a dense coefficient list up to a fixed order N and
 carries no arithmetic of its own: the log, exp and plethystic maps below
 read its coefficients and never look beyond N.  There is no bivariate
-series; the annulus kernel is a one-variable series after a substitution
-(see ``lmov.genus0``).
+series; the annulus kernel is a one-variable series after a substitution,
+and ``lmov.genus0`` runs the ``series_log`` recurrence on its int rows.
 """
 
 from __future__ import annotations

@@ -11,10 +11,11 @@ DT and general-partition pipelines computed over RationalQ / RationalQA.
 The library's integer fast paths are checked against the slow routines
 they replaced, kept here verbatim: the dict-loop ``LaurentQA`` product
 (``laurent_mul``), the colored sum over all p(m) partitions
-(``cal_z_cleared``), the Fraction-only ``dense_div``, the q-Pascal
-``gaussian_binomial``, the dict-loop ``to_z_basis``, the one-hole chain
-on LaurentQA (the double-loop ``cal_z_closed_form``, ``g_m_cleared``, and
-``z2_g_m``, one ``lmov.qa.exact_div`` by ``_cleared_divisor``) and the power-sum
+(``cal_z_cleared``, on the quantum ratios {k n}/{n} of ``quantum_ratio``),
+the Fraction-only ``dense_div``, the q-Pascal ``gaussian_binomial``, the
+dict-loop ``to_z_basis``, the one-hole chain on LaurentQA (the double-loop
+``cal_z_closed_form``, ``g_m_cleared``, and ``z2_g_m``, one
+``lmov.qa.exact_div`` by ``_cleared_divisor``) and the power-sum
 ``series_log`` / ``series_exp``, built on the ``Series1`` sum, product
 and scale (``series_add``, ``series_mul``, ...).  The genus-zero closed forms
 are checked against the generic machinery they replaced: the fixed-point
@@ -52,7 +53,6 @@ from lmov.qa import (
     one_minus_q_prod,
     quantum_int,
     quantum_prod,
-    quantum_ratio,
 )
 from lmov.series import CoeffRing, Series1, plethystic_log
 
@@ -76,6 +76,22 @@ def laurent_mul(f: LaurentQA, g: LaurentQA) -> LaurentQA:
             elif k in d:
                 del d[k]
     return LaurentQA._make({k: _norm_c(c) for k, c in d.items()})
+
+
+def quantum_ratio(k: int, n: int) -> LaurentQA:
+    """{k*n}/{n} as a Laurent polynomial, valid for every integer k, n.
+
+    For n != 0 this is sign(k) * sum_{j<|k|} q^(n(|k|-1-2j)/2); at n = 0 it
+    is the algebraic limit, the constant k.  Vanishes when k = 0.
+    """
+    if k == 0:
+        return LaurentQA.zero()
+    s = 1
+    if k < 0:
+        k, s = -k, -1
+    if n == 0:
+        return LaurentQA.monomial(c=s * k)
+    return LaurentQA._make({(n * (k - 1 - 2 * j), 0): s for j in range(k)})
 
 
 def dense_div(f_lo: int, f: list, g_lo: int, g: list):

@@ -21,6 +21,8 @@ GOLDEN = [
     ("annulus --tau -1 --max-total 6", "815e600384c17169b2abd7b57472dd3c36e6a041c6e94841ebcca4c75d467ae6"),
     ("annulus --tau 2 --max-total 6 --format csv", "d8272c3161fe7a9704b274afb090399365a18e1c83b81ca7431a170d459e7e1e"),
     ("annulus --tau 0 --max-total 5", "3348cff37bfb5aff9e212d5b178f8a7510d9b16d4fe586ca30b4f5153f757d4e"),
+    ("annulus --tau -3 --max-total 10", "785a37957ff1fbe76dbe48bc0ac244ebd09b7aaa5fec4f42f70e8877f050acf4"),
+    ("annulus --tau 4 --max-total 9 --format csv", "d2739e30eb0c68b298ed15ae81ea4bb5993dac8ab6ef114d127b86c7701e7563"),
     ("multihole --tau -2 --max-size 7", "73a667f462174e81c1eb3f7a9ef8910b27849e702a68ccc255335b8319ffca18"),
     ("multihole --tau 1 --max-size 6 --format csv", "9109fdab2e799526861fe27c160ea7ace119c0b2d75e56250abb54900178b54e"),
     ("multihole --tau 0 --max-size 5", "8bf40156b31d9a21f00419d7c573b51672065a8c27ba4ff146deeb4bf27dc72d"),

@@ -7,7 +7,7 @@ import reference
 from helpers import cli_output, m_matrix, z2_g_m
 from lmov.arith import TheoremViolation
 from lmov.genus0 import disc_n
-from lmov import onehole, qa, verify
+from lmov import onehole, verify
 from lmov.onehole import (
     cal_z_cleared,
     cal_z_partition,
@@ -19,7 +19,16 @@ from lmov.onehole import (
 )
 from lmov.partitions import partitions_of, z_factor
 from lmov.qa import LaurentQA, quantum_int, quantum_prod, to_z_basis
-from reference import RationalQ, RationalQA, as_rational, cal_z, framed_row, g_m, unknot_row
+from reference import (
+    RationalQ,
+    RationalQA,
+    as_rational,
+    cal_z,
+    framed_row,
+    g_m,
+    quantum_ratio,
+    unknot_row,
+)
 
 
 # --- colored rows -------------------------------------------------------------
@@ -120,8 +129,6 @@ def test_cal_z_cleared_is_integral():
 
 def test_cal_z_cleared_consistent_with_cal_z():
     # the closed form over its divisor is Z_m as the reference partition sum
-    from lmov.qa import quantum_ratio
-
     for tau in (-2, 1, 3):
         for m in (1, 2, 3):
             div = quantum_ratio(m, 1) * (
@@ -141,6 +148,9 @@ def test_cal_z_gaussian_cross_check():
         assert cal_z_cleared(m, 0) == quantum_int(m, "a")
     with pytest.raises(ValueError):
         colored_sum(2, 0)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="colored_sum needs m >= 1"):
+            colored_sum(m, 1)
     with pytest.raises(ValueError):
         cal_z_cleared(0, 1)
 
@@ -161,9 +171,13 @@ def test_onehole_chain_reports_colored_sum_mismatch(monkeypatch):
     # f_k scaled by k breaks the colored sum's integrality from m = 2 on,
     # while the closed form and the divisor {m}{m tau}/{1}^2 (parts k = 1)
     # are untouched: the sum keeps its Fractions and the chain names the cells
-    monkeypatch.setattr(
-        onehole, "quantum_ratio", lambda k, n: qa.quantum_ratio(k, n).scale(n)
-    )
+    real = onehole._times_geometric
+
+    def scaled_by_k(row, k, length):
+        lo, h = real(row, k, length)
+        return lo, [k * c for c in h]
+
+    monkeypatch.setattr(onehole, "_times_geometric", scaled_by_k)
     assert colored_sum(1, 2) == cal_z_cleared(1, 2)
     assert not colored_sum(2, 2).is_integral()
     rep = verify.check_onehole_chain(3, range(1, 3))
