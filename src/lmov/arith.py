@@ -3,7 +3,7 @@
 Everything is exact integer arithmetic; trial division is plenty at the
 scales the invariant tables need (n well below 10^6).  This module is the
 leaf of the package: it imports nothing from lmov, so every layer above
-can share ``Report``, ``TheoremViolation`` and ``certified_int``.
+can share ``Report``, ``TheoremViolation`` and ``certified_div``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, isqrt
+from math import comb, isqrt
 
 
 class TheoremViolation(AssertionError):
@@ -22,11 +22,12 @@ class TheoremViolation(AssertionError):
     """
 
 
-def certified_int(x: Fraction | int, what: str) -> int:
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise TheoremViolation(f"{what} is not an integer: {f}")
-    return int(f)
+def certified_div(num: int, den: int, what: str) -> int:
+    """num / den (den > 0) by one divmod; a remainder is a TheoremViolation."""
+    q, r = divmod(num, den)
+    if r:
+        raise TheoremViolation(f"{what} is not an integer: {Fraction(num, den)}")
+    return q
 
 
 @dataclass
@@ -83,14 +84,14 @@ def divisors(n: int) -> list[int]:
 
 def binomial_ext(n: int, k: int) -> int:
     """Binomial coefficient extended to every integer n via the falling
-    factorial n(n-1)...(n-k+1)/k!; for n < 0 this equals
-    (-1)^k * binomial(-n+k-1, k)."""
+    factorial n(n-1)...(n-k+1)/k!: ``math.comb`` for n >= 0, and for n < 0
+    the reflection (-1)^k * binomial(k-n-1, k)."""
     if k < 0:
         raise ValueError("binomial_ext needs k >= 0")
-    num = 1
-    for i in range(k):
-        num *= n - i
-    return num // factorial(k)
+    if n >= 0:
+        return comb(n, k)
+    c = comb(k - n - 1, k)
+    return -c if k & 1 else c
 
 
 def loop_quiver_dt(m: int, n: int) -> int:
@@ -102,7 +103,7 @@ def loop_quiver_dt(m: int, n: int) -> int:
         mu = moebius(n // d)
         if mu:
             total += mu * (-1) ** ((m - 1) * (n - d) % 2) * comb(m * d - 1, d - 1)
-    return certified_int(Fraction(total, n * n), f"DT of the {m}-loop quiver at n={n}")
+    return certified_div(total, n * n, f"DT of the {m}-loop quiver at n={n}")
 
 
 def gaussian_binomial(m: int, r: int) -> list[int]:

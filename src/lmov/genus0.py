@@ -10,9 +10,9 @@ The disc and annulus tables come with two independent routes:
   its log runs ``series_log``'s recurrence on one dense int t-row per
   a-exponent (``_annulus_log``).
 
-Single-cover invariants are recovered by Moebius inversion over common
-divisors and certified integral where the underlying statement is a
-theorem; elsewhere the tables carry an integrality flag instead.
+Single-cover invariants are Moebius sums over common divisors, each one
+integer numerator over m^2 (disc) or m1+m2 (annulus), certified by one exact
+``divmod`` where integrality is a theorem; elsewhere tables carry a flag.
 
 Index conventions (fixed here once and used by the CLI and tests):
 the annulus coefficient table is indexed by the raw a-exponent l of the
@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .arith import Report, TheoremViolation, binomial_ext, certified_int, divisors, moebius
+from .arith import Report, TheoremViolation, binomial_ext, certified_div, divisors, moebius
 from .partitions import Partition, parts_gcd, scale_down
 from .qa import LaurentQA, _times_geometric
 from .series import CoeffRing, Series1, series_log
@@ -37,31 +37,34 @@ from .series import CoeffRing, Series1, series_log
 # disc (one hole, genus 0)
 # ---------------------------------------------------------------------------
 
+def _disc_numerator(m: int, l: int, tau: int) -> int:
+    """m^2 c_{m,l}(tau), an integer."""
+    sign = -1 if (m * tau + m + l) % 2 == 0 else 1
+    return sign * binomial_ext(m, l) * binomial_ext(m * tau + l - 1, m - 1)
+
+
 def disc_c(m: int, l: int, tau: int) -> Fraction:
     """Multi-cover disc coefficient c_{m,l}(tau)."""
     if m < 1:
         raise ValueError("disc_c needs m >= 1")
     if not 0 <= l <= m:
         raise ValueError("disc_c needs 0 <= l <= m")
-    sign = -((-1) ** ((m * tau + m + l) % 2))
-    return Fraction(
-        sign * binomial_ext(m, l) * binomial_ext(m * tau + l - 1, m - 1), m * m
-    )
+    return Fraction(_disc_numerator(m, l, tau), m * m)
 
 
 def disc_n(m: int, l: int, tau: int) -> int:
-    """Single-cover disc invariant n_{m,l}(tau), certified integral."""
+    """Single-cover disc invariant n_{m,l}(tau): one integer over m^2, certified."""
     if m < 1:
         raise ValueError("disc_n needs m >= 1")
     if not 0 <= l <= m:
         raise ValueError("disc_n needs 0 <= l <= m")
     g = gcd(m, l)  # gcd(m, 0) = m, so l = 0 sums over all divisors of m
-    total = Fraction(0)
+    total = 0
     for d in divisors(g):
         mu = moebius(d)
         if mu:
-            total += Fraction(mu, d * d) * disc_c(m // d, l // d, tau)
-    return certified_int(total, f"n_({m},{l})(tau={tau})")
+            total += mu * _disc_numerator(m // d, l // d, tau)
+    return certified_div(total, m * m, f"n_({m},{l})(tau={tau})")
 
 
 _LRING = CoeffRing(zero=LaurentQA.zero(), one=LaurentQA.one())
@@ -171,14 +174,8 @@ def _annulus_log(tau: int, order: int) -> list:
     return d
 
 
-def annulus_c(m1: int, m2: int, tau: int, order: int | None = None) -> dict:
-    """Annulus multi-cover coefficients {l: c_{(m1,m2),l}} from the kernel log.
-
-    l runs over raw a-exponents, 0 <= l <= m1+m2.  ``order`` caps the
-    kernel truncation; m1+m2 beyond it is rejected.
-    """
-    if m1 < 1 or m2 < 1:
-        raise ValueError("annulus_c needs m1, m2 >= 1")
+def _annulus_column(m1: int, m2: int, tau: int, order: int | None) -> dict:
+    """{l: (m1+m2) c_{(m1,m2),l}}, integers read off the kernel log."""
     n = m1 + m2
     if order is None:
         order = n
@@ -193,8 +190,19 @@ def annulus_c(m1: int, m2: int, tau: int, order: int | None = None) -> dict:
                 "annulus kernel coefficient is not an a-polynomial "
                 f"(tau={tau}, m1={m1}, m2={m2})"
             )
-        out[v // 2] = Fraction(row[m2], n)
+        out[v // 2] = row[m2]
     return out
+
+
+def annulus_c(m1: int, m2: int, tau: int, order: int | None = None) -> dict:
+    """Annulus multi-cover coefficients {l: c_{(m1,m2),l}} from the kernel log.
+
+    l runs over raw a-exponents, 0 <= l <= m1+m2.  ``order`` caps the
+    kernel truncation; m1+m2 beyond it is rejected.
+    """
+    if m1 < 1 or m2 < 1:
+        raise ValueError("annulus_c needs m1, m2 >= 1")
+    return {l: Fraction(c, m1 + m2) for l, c in _annulus_column(m1, m2, tau, order).items()}
 
 
 def annulus_top_closed_form(m1: int, m2: int, tau: int) -> Fraction:
@@ -206,26 +214,25 @@ def annulus_top_closed_form(m1: int, m2: int, tau: int) -> Fraction:
 
 
 def annulus_n(m1: int, m2: int, l: int, tau: int, order: int | None = None):
-    """Single-cover annulus invariant n_{(m1,m2),l}(tau).
-
-    Returns (value, certified) where ``certified`` marks the top slice
-    l = m1+m2, whose integrality is a theorem and is enforced.
-    """
-    if l < 0:
-        raise ValueError("annulus_n needs l >= 0")
-    g = gcd(gcd(m1, m2), l)
-    total = Fraction(0)
-    for d in divisors(g):
+    """Single-cover annulus invariant n_{(m1,m2),l}(tau) as (value, integral):
+    one integer Moebius sum over m1+m2.  On the top slice l = m1+m2 the
+    division is a theorem, certified, and value an int; below it value is a
+    Fraction and ``integral`` says whether it is whole."""
+    if m1 < 1 or m2 < 1:
+        raise ValueError("annulus_n needs m1, m2 >= 1")
+    n = m1 + m2
+    if not 0 <= l <= n:
+        raise ValueError("annulus_n needs 0 <= l <= m1+m2")
+    total = 0
+    for d in divisors(gcd(gcd(m1, m2), l)):
         mu = moebius(d)
-        if not mu:
-            continue
-        sign = (-1) ** (((m1 + m2) * tau // d) % 2)
-        cmap = annulus_c(m1 // d, m2 // d, tau, order)
-        total += Fraction(mu, d) * sign * cmap.get(l // d, Fraction(0))
-    certified = l == m1 + m2
-    if certified:
-        return certified_int(total, f"n_(({m1},{m2}),{l})(tau={tau})"), True
-    return total, Fraction(total).denominator == 1
+        if mu:
+            sign = -mu if (n * tau // d) % 2 else mu
+            total += sign * _annulus_column(m1 // d, m2 // d, tau, order).get(l // d, 0)
+    if l == n:
+        return certified_div(total, n, f"n_(({m1},{m2}),{l})(tau={tau})"), True
+    value = Fraction(total, n)
+    return value, value.denominator == 1
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +260,8 @@ def multihole_n(mu: Partition, tau: int) -> int:
     """
     if len(mu) < 3:
         raise ValueError("multihole_n needs l(mu) >= 3")
+    if min(mu) < 1:
+        raise ValueError("multihole_n needs parts >= 1")
     length = len(mu)
     total = 0
     for d in divisors(parts_gcd(mu)):

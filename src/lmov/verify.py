@@ -185,27 +185,28 @@ def check_infrastructure(max_n: int, samples: int, seed: int) -> Report:
     rep = Report(
         "infrastructure", {"max_n": max_n, "samples": samples, "seed": seed}
     )
-    # first and second orthogonality
+    # first and second orthogonality, times n! (n!/z_mu is the class size)
     for n in range(1, max_n + 1):
-        parts = partitions_of(n)
+        parts, nfact = partitions_of(n), factorial(n)
+        weight = {mu: nfact // z_factor(mu) for mu in parts}
         for lam in parts:
             for lam2 in parts:
                 s = sum(
-                    Fraction(mn_character(lam, mu) * mn_character(lam2, mu), z_factor(mu))
+                    mn_character(lam, mu) * mn_character(lam2, mu) * weight[mu]
                     for mu in parts
                 )
-                if s != (1 if lam == lam2 else 0):
+                if s != (nfact if lam == lam2 else 0):
                     rep.failures.append({"orthogonality": (lam, lam2)})
         for mu in parts:
             for nu in parts:
                 s = sum(
-                    Fraction(mn_character(lam, mu) * mn_character(lam, nu), z_factor(mu))
+                    mn_character(lam, mu) * mn_character(lam, nu) * weight[mu]
                     for lam in parts
                 )
-                if s != (1 if mu == nu else 0):
+                if s != (nfact if mu == nu else 0):
                     rep.failures.append({"second-orthogonality": (mu, nu)})
         for mu in parts:
-            if z_factor(mu) * permutation_count(mu) != factorial(n):
+            if z_factor(mu) * permutation_count(mu) != nfact:
                 rep.failures.append({"z-count": mu})
     # z-basis round trip on random symmetric inputs
     rng = random.Random(seed)

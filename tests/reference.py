@@ -8,9 +8,11 @@ The tests check the library's known-denominator coefficients
 oracles (``unknot_row``, ``framed_row``, ``cal_z``, ``g_m``) and the OV,
 DT and general-partition pipelines computed over RationalQ / RationalQA.
 
-The library's integer fast paths are checked against the slow routines
-they replaced, kept here verbatim: the dict-loop ``LaurentQA`` product
-(``laurent_mul``), the colored sum over all p(m) partitions
+The ``LaurentQA`` product is checked against ``laurent_mul``, the
+schoolbook convolution of dense 2-D coefficient grids, which shares no
+code or data structure with the library's dict loop.  The library's
+integer fast paths are checked against the slow routines they replaced,
+kept here verbatim: the colored sum over all p(m) partitions
 (``cal_z_cleared``, on the quantum ratios {k n}/{n} of ``quantum_ratio``),
 the Fraction-only ``dense_div``, the q-Pascal ``gaussian_binomial``, the
 dict-loop ``to_z_basis``, the one-hole chain on LaurentQA (the double-loop
@@ -25,6 +27,10 @@ divided its coefficients by 1 - a, and the bivariate ``Series2`` with its
 ``series2_log``, the annulus kernel log before the substitution
 X2 = t X1.  The twist-knot invariants are checked against their binomial
 sums (``b_minus``, ``b_plus``) from before ``arith.loop_quiver_dt``.
+The genus-zero Moebius sums, one integer numerator and one exact divmod
+in the library, are checked against the sums of Fractions they replaced
+(``disc_n``, ``annulus_n``, with ``certified_int``), and the library's
+``math.comb`` ``binomial_ext`` against the falling factorial.
 The general-partition log coefficient ``f_mu`` is the sum over the
 multiset decompositions of mu that ``_multiset_decompositions`` enumerates,
 the expansion the library's sub-multiset recurrence replaced.
@@ -38,7 +44,8 @@ from math import comb, factorial, gcd
 from typing import Callable, Mapping
 
 from lmov import qa
-from lmov.arith import certified_int, divisors, moebius
+from lmov.arith import TheoremViolation, divisors, moebius
+from lmov.genus0 import annulus_c, disc_c
 from lmov.onehole import _phi, _row_numerator
 from lmov.partitions import Partition, parts_gcd, partitions_of, scale_down, z_factor
 from lmov.qa import (
@@ -61,21 +68,36 @@ from lmov.series import CoeffRing, Series1, plethystic_log
 # ---------------------------------------------------------------------------
 
 
+def _grid(f: LaurentQA):
+    """f as a dense list of u-rows of v-coefficients, from (u0, v0)."""
+    us = [u for (u, _), _ in f.items()]
+    vs = [v for (_, v), _ in f.items()]
+    u0, v0 = min(us), min(vs)
+    grid = [[0] * (max(vs) - v0 + 1) for _ in range(max(us) - u0 + 1)]
+    for (u, v), c in f.items():
+        grid[u - u0][v - v0] = c
+    return grid, u0, v0
+
+
 def laurent_mul(f: LaurentQA, g: LaurentQA) -> LaurentQA:
-    """f * g by the dict loop over all term pairs."""
-    a, b = f._c, g._c
-    if len(a) > len(b):
-        a, b = b, a
-    d: dict = {}
-    for (u1, v1), c1 in a.items():
-        for (u2, v2), c2 in b.items():
-            k = (u1 + u2, v1 + v2)
-            s = d.get(k, 0) + c1 * c2
-            if s:
-                d[k] = s
-            elif k in d:
-                del d[k]
-    return LaurentQA._make({k: _norm_c(c) for k, c in d.items()})
+    """f * g by the schoolbook convolution of their dense 2-D coefficient
+    grids: every pair of grid cells, zero or not, adds its product into
+    the cell at the sum of their offsets."""
+    if f.is_zero() or g.is_zero():
+        return LaurentQA.zero()
+    fg, fu, fv = _grid(f)
+    gg, gu, gv = _grid(g)
+    width = len(fg[0]) + len(gg[0]) - 1
+    out = [[0] * width for _ in range(len(fg) + len(gg) - 1)]
+    for i, frow in enumerate(fg):
+        for j, c in enumerate(frow):
+            for k, grow in enumerate(gg):
+                orow = out[i + k]
+                for l, e in enumerate(grow):
+                    orow[j + l] += c * e
+    return LaurentQA(
+        {(fu + gu + i, fv + gv + j): c for i, row in enumerate(out) for j, c in enumerate(row)}
+    )
 
 
 def quantum_ratio(k: int, n: int) -> LaurentQA:
@@ -468,6 +490,63 @@ def kernel_level(tau: int, n: int, order: int) -> LaurentQA:
     """Y_(n+1)/(1-a) from the fixed-point series, by the general division."""
     y = mirror_series(tau, order)
     return exact_div(y.coeff(n + 1), y.coeff(1))  # Y_1 = 1 - a
+
+
+def certified_int(x: Fraction | int, what: str) -> int:
+    f = Fraction(x)
+    if f.denominator != 1:
+        raise TheoremViolation(f"{what} is not an integer: {f}")
+    return int(f)
+
+
+def binomial_ext(n: int, k: int) -> int:
+    """Binomial coefficient extended to every integer n via the falling
+    factorial n(n-1)...(n-k+1)/k!; for n < 0 this equals
+    (-1)^k * binomial(-n+k-1, k)."""
+    if k < 0:
+        raise ValueError("binomial_ext needs k >= 0")
+    num = 1
+    for i in range(k):
+        num *= n - i
+    return num // factorial(k)
+
+
+def disc_n(m: int, l: int, tau: int) -> int:
+    """Single-cover disc invariant n_{m,l}(tau), certified integral."""
+    if m < 1:
+        raise ValueError("disc_n needs m >= 1")
+    if not 0 <= l <= m:
+        raise ValueError("disc_n needs 0 <= l <= m")
+    g = gcd(m, l)  # gcd(m, 0) = m, so l = 0 sums over all divisors of m
+    total = Fraction(0)
+    for d in divisors(g):
+        mu = moebius(d)
+        if mu:
+            total += Fraction(mu, d * d) * disc_c(m // d, l // d, tau)
+    return certified_int(total, f"n_({m},{l})(tau={tau})")
+
+
+def annulus_n(m1: int, m2: int, l: int, tau: int, order: int | None = None):
+    """Single-cover annulus invariant n_{(m1,m2),l}(tau).
+
+    Returns (value, certified) where ``certified`` marks the top slice
+    l = m1+m2, whose integrality is a theorem and is enforced.
+    """
+    if l < 0:
+        raise ValueError("annulus_n needs l >= 0")
+    g = gcd(gcd(m1, m2), l)
+    total = Fraction(0)
+    for d in divisors(g):
+        mu = moebius(d)
+        if not mu:
+            continue
+        sign = (-1) ** (((m1 + m2) * tau // d) % 2)
+        cmap = annulus_c(m1 // d, m2 // d, tau, order)
+        total += Fraction(mu, d) * sign * cmap.get(l // d, Fraction(0))
+    certified = l == m1 + m2
+    if certified:
+        return certified_int(total, f"n_(({m1},{m2}),{l})(tau={tau})"), True
+    return total, Fraction(total).denominator == 1
 
 
 def b_minus(p: int, r: int) -> int:

@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 
 from helpers import fp_factor, is_prime
 import reference
-from lmov.arith import binomial_ext, divisors, gaussian_binomial, moebius
+from lmov.arith import (
+    TheoremViolation,
+    binomial_ext,
+    certified_div,
+    divisors,
+    gaussian_binomial,
+    moebius,
+)
 
 
 def test_moebius_small_values():
@@ -59,6 +66,24 @@ def test_binomial_ext_matches_comb(n, k):
 @given(st.integers(1, 30), st.integers(0, 30))
 def test_binomial_ext_negative_reflection(n, k):
     assert binomial_ext(-n, k) == (-1) ** k * comb(n + k - 1, k)
+
+
+@given(st.integers(-60, 60), st.integers(0, 40))
+def test_binomial_ext_matches_falling_factorial_reference(n, k):
+    assert binomial_ext(n, k) == reference.binomial_ext(n, k)
+
+
+def test_binomial_ext_rejects_negative_k():
+    with pytest.raises(ValueError):
+        binomial_ext(3, -1)
+
+
+def test_certified_div():
+    assert certified_div(12, 4, "x") == 3
+    assert certified_div(-12, 4, "x") == -3
+    assert certified_div(0, 7, "x") == 0
+    with pytest.raises(TheoremViolation, match=r"^n_\(2,1\) is not an integer: -3/2$"):
+        certified_div(-6, 4, "n_(2,1)")
 
 
 def test_gaussian_binomial_values():

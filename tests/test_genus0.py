@@ -6,7 +6,9 @@ import pytest
 
 import reference
 from helpers import cli_output
+from lmov import genus0
 from lmov.arith import TheoremViolation, binomial_ext, divisors, moebius
+from lmov.cli import EXIT_THEOREM, main
 from lmov.genus0 import (
     annulus_c,
     annulus_n,
@@ -45,6 +47,34 @@ def test_disc_n_examples():
         assert disc_n(1, 0, tau) == (-1) ** (tau % 2)
     assert disc_n(2, 2, 0) == 0
     assert disc_n(2, 1, 1) == 1
+
+
+def test_disc_n_matches_fraction_sum_reference():
+    # one integer numerator over m^2 against the sum of Fractions mu(d)/d^2 c
+    for tau in range(-12, 13):
+        for m in range(1, 61):
+            for l in range(0, m + 1):
+                assert disc_n(m, l, tau) == reference.disc_n(m, l, tau), (m, l, tau)
+
+
+def test_disc_n_off_by_one_binomial_is_a_violation(monkeypatch, capsys):
+    # C(2, 1) off by one, in both of its factors: n_(2,1)(tau=1) = 3*3/4
+    real = genus0.binomial_ext
+    monkeypatch.setattr(
+        genus0, "binomial_ext", lambda n, k: real(n, k) + ((n, k) == (2, 1))
+    )
+    with pytest.raises(TheoremViolation) as want:
+        reference.disc_n(2, 1, 1)
+    assert str(want.value) == "n_(2,1)(tau=1) is not an integer: 9/4"
+    with pytest.raises(TheoremViolation) as got:
+        disc_n(2, 1, 1)
+    assert str(got.value) == str(want.value)
+    try:
+        assert main(["verify-all", "--quick"]) == EXIT_THEOREM
+    finally:  # the sweep's mirror-curve levels saw the broken binomial too
+        genus0.kernel_level.cache_clear()
+        genus0._annulus_log.cache_clear()
+    assert capsys.readouterr().out.splitlines()[0].startswith("FAIL  disc-integrality  [")
 
 
 def test_disc_n_moebius_inverts():
@@ -144,6 +174,23 @@ def test_annulus_n_values():
     assert annulus_n(2, 2, 4, 1, order=4)[0] == 4
 
 
+def test_annulus_n_matches_fraction_sum_reference():
+    # one integer numerator over m1+m2 against the sum of Fractions mu(d)/d c
+    for tau in range(-6, 7):
+        for m1 in range(1, 12):
+            for m2 in range(1, 13 - m1):
+                for l in range(m1 + m2 + 1):
+                    got = annulus_n(m1, m2, l, tau, order=12)
+                    want = reference.annulus_n(m1, m2, l, tau, order=12)
+                    assert got == want and type(got[0]) is type(want[0]), (m1, m2, l, tau)
+
+
+def test_annulus_n_rejects_bad_arguments():
+    for m1, m2, l in [(0, 0, 0), (0, 2, 1), (2, 0, 1), (1, 2, 4), (1, 1, -1)]:
+        with pytest.raises(ValueError, match="annulus_n needs"):
+            annulus_n(m1, m2, l, 1)
+
+
 def test_annulus_n_closed_form_regression():
     # single-cover top-slice closed form with the inversion-consistent sign
     def closed(m1, m2, tau):
@@ -195,6 +242,12 @@ def test_multihole_K_examples():
         assert multihole_K((2, 1, 1), 0) == 0
     with pytest.raises(ValueError):
         multihole_K((2, 1), 1)
+
+
+def test_multihole_n_rejects_parts_below_one():
+    for mu in [(0, 0, 0), (2, 1, 0), (1, 1, -1)]:
+        with pytest.raises(ValueError, match="multihole_n needs parts >= 1"):
+            multihole_n(mu, 1)
 
 
 def test_multihole_n_examples():

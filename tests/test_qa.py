@@ -104,7 +104,7 @@ def wide_laurents(draw):
 # case takes minutes, while the unshrunk counterexample is reported at once
 @settings(phases=[p for p in Phase if p is not Phase.shrink])
 @given(wide_laurents(), wide_laurents(), st.integers(1, 4), st.booleans())
-def test_mul_matches_dict_loop_reference(f, g, k, fractional):
+def test_mul_matches_dense_convolution_reference(f, g, k, fractional):
     if fractional and f:
         (u, v), c = next(f.items())
         f = f + LaurentQA.monomial(u, v, Fraction(1, 3) - c)
