@@ -34,14 +34,12 @@ def certified_div(num: int, den: int, what: str) -> int:
 class Report:
     """Outcome of one check; empty ``failures`` means success.
 
-    ``notes`` are soft observations that never fail the check, and
     ``seconds`` is the wall time the verification sweep measured for it.
     """
 
     name: str
     params: dict
     failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
     seconds: float = 0.0
 
     @property

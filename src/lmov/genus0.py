@@ -2,13 +2,15 @@
 
 The disc and annulus tables come with two independent routes:
 
-* closed combinatorial formulas (``disc_c``, ``annulus_top_closed_form``);
+* closed combinatorial formulas (``disc_c``, and ``annulus_top_numerator``
+  for the top slice of the annulus, an integer (m1+m2) c);
 * the mirror-curve series Y = X (1-Y)^tau (1 - a(1-Y)), whose X-expansion
   Lagrange inversion gives in closed form (``kernel_level``), followed by
   the one-variable ``series_log``.  The annulus kernel, a series in X1
   and X2, becomes a series in X1 alone under the substitution X2 = t X1;
   its log runs ``series_log``'s recurrence on one dense int t-row per
-  a-exponent (``_annulus_log``).
+  a-exponent (``_annulus_log``), from which ``_annulus_column`` reads the
+  integers (m1+m2) c_{(m1,m2),l}.
 
 Single-cover invariants are Moebius sums over common divisors, each one
 integer numerator over m^2 (disc) or m1+m2 (annulus), certified by one exact
@@ -194,23 +196,10 @@ def _annulus_column(m1: int, m2: int, tau: int, order: int | None) -> dict:
     return out
 
 
-def annulus_c(m1: int, m2: int, tau: int, order: int | None = None) -> dict:
-    """Annulus multi-cover coefficients {l: c_{(m1,m2),l}} from the kernel log.
-
-    l runs over raw a-exponents, 0 <= l <= m1+m2.  ``order`` caps the
-    kernel truncation; m1+m2 beyond it is rejected.
-    """
-    if m1 < 1 or m2 < 1:
-        raise ValueError("annulus_c needs m1, m2 >= 1")
-    return {l: Fraction(c, m1 + m2) for l, c in _annulus_column(m1, m2, tau, order).items()}
-
-
-def annulus_top_closed_form(m1: int, m2: int, tau: int) -> Fraction:
-    """Closed form for the top slice l = m1+m2 of c_{(m1,m2)}."""
-    return Fraction(
-        binomial_ext(m1 * tau + m1 - 1, m1) * binomial_ext(m2 * tau + m2, m2),
-        m1 + m2,
-    )
+def annulus_top_numerator(m1: int, m2: int, tau: int) -> int:
+    """(m1+m2) c_{(m1,m2),m1+m2}, the top slice of the annulus coefficient
+    times m1+m2, in closed form: an integer."""
+    return binomial_ext(m1 * tau + m1 - 1, m1) * binomial_ext(m2 * tau + m2, m2)
 
 
 def annulus_n(m1: int, m2: int, l: int, tau: int, order: int | None = None):

@@ -84,8 +84,8 @@ def ooguri_vafa(tau: int, max_m: int, reconstruct: bool = True) -> OVTable:
     """Extract N_{m,k}(tau) for m <= max_m from the reduced series.
 
     Integrality and finite support are conjecture-level checks: failures
-    land in the report instead of raising.  Negative values are also
-    reported (the expected tables are nonnegative) without failing.
+    land in the report instead of raising.  The entries carry their sign;
+    a negative entry is data, not a failure.
     """
     if max_m < 1:
         raise ValueError("ooguri_vafa needs max_m >= 1")
@@ -109,9 +109,6 @@ def ooguri_vafa(tau: int, max_m: int, reconstruct: bool = True) -> OVTable:
                 rep.failures.append({"m": m, "k": k, "reason": f"non-integer {val}"})
                 continue
             entries[k] = int(val)
-        negatives = {k: v for k, v in entries.items() if v < 0}
-        if negatives:
-            rep.notes.append({"m": m, "negative_entries": negatives})
         rows[m] = entries
     table = OVTable(tau, max_m, rows, rep)
     if reconstruct and ov_reconstruction_residue(table) is not None:

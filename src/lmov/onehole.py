@@ -1,5 +1,10 @@
 """All-genus one-hole invariants from the quantum-invariant side.
 
+The framed row invariants H_n obey a recursion in n: ``verify_recursion``
+checks its tau-free core, an identity of 2-term Laurent polynomials, and
+``row_top_step`` is one step of it on the top a-slice, the coefficient
+of x^n in the reduced series Z_tau that ``gwdt.h_top`` gives in closed form.
+
 The chain for a winding number m and framing tau runs on one dense int
 row per a-slice, v -> (u0, row) with row[e] the coefficient of
 q^((u0 + 2 e)/2) a^(v/2), and builds no LaurentQA on the way:
@@ -67,52 +72,49 @@ from .qa import (
 )
 
 # ---------------------------------------------------------------------------
-# colored invariants of the trivial knot
+# the framed row recursion
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _row_numerator(n: int) -> LaurentQA:
-    # product over i of (a^(1/2) q^((i-1)/2) - a^(-1/2) q^(-(i-1)/2))
-    if n == 0:
-        return LaurentQA.one()
-    prev = _row_numerator(n - 1)
-    i = n - 1
-    factor = LaurentQA({(i, 1): 1, (-i, -1): -1})
-    return prev * factor
-
-
-@lru_cache(maxsize=None)
 def _recursion_pair(n: int) -> tuple:
-    # tau-independent cores of the two recursion sides at step n
-    lead0 = LaurentQA({(2 * (n + 1), 0): 1, (0, 0): -1})  # q^(n+1) - 1
-    hook0 = LaurentQA({(2 * n + 1, 1): 1, (1, -1): -1})  # a^(1/2)q^(n+1/2) - a^(-1/2)q^(1/2)
-    return lead0 * _row_numerator(n + 1), hook0 * (_row_numerator(n) * quantum_int(n + 1))
+    # the two sides of (q^(n+1) - 1) f_n = hook_n {n+1}, where
+    # f_n = a^(1/2) q^(n/2) - a^(-1/2) q^(-n/2) is the factor that step n
+    # adds to the row numerator R_(n+1) = f_0 ... f_n
+    lead = LaurentQA({(2 * (n + 1), 0): 1, (0, 0): -1})  # q^(n+1) - 1
+    f = LaurentQA({(n, 1): 1, (-n, -1): -1})
+    hook = LaurentQA({(2 * n + 1, 1): 1, (1, -1): -1})  # a^(1/2)q^(n+1/2) - a^(-1/2)q^(1/2)
+    return lead * f, hook * quantum_int(n + 1)
 
 
-def verify_recursion(tau: int, max_n: int) -> Report:
-    """Exact check of the framed row recursion for all n < max_n:
+def verify_recursion(max_n: int) -> Report:
+    """Exact check, for all n < max_n, of the core of the framed row recursion
 
-    (-1)^tau (q^(n+1) - 1) H_{n+1}
-        - (a^(1/2) q^(n+1/2) - a^(-1/2) q^(1/2)) q^(n tau) H_n = 0,
+    (-1)^tau (q^(n+1) - 1) H_{n+1} = hook_n q^(n tau) H_n,
+    hook_n = a^(1/2) q^(n+1/2) - a^(-1/2) q^(1/2).
 
-    verified after clearing the manifestly nonzero denominator
-    prod_{i<=n+1} {i}, so both sides stay Laurent polynomials.
+    H_n is (-1)^(n tau) q^(n(n-1)tau/2) R_n / prod_{i<=n} {i}.  The framing
+    signs and powers of q cancel on the two sides for every tau, and the
+    factor R_n / prod_{i<=n+1} {i} is common to both, so the recursion
+    is the tau-free identity (q^(n+1) - 1) f_n = hook_n {n+1} of 2-term
+    Laurent polynomials; that is what this checks.  ``row_top_step`` runs
+    the framing factor on the top a-slice.
     """
     if max_n < 1:
         raise ValueError("verify_recursion needs max_n >= 1")
-    rep = Report("framed-row-recursion", {"tau": tau, "max_n": max_n})
-    for n in range(0, max_n):
+    rep = Report("framed-row-recursion", {"max_n": max_n})
+    for n in range(max_n):
         p, r = _recursion_pair(n)
-        sign_l = (-1) ** ((tau + (n + 1) * tau) % 2)
-        sign_r = (-1) ** ((n * tau) % 2)
-        shift_l, shift_r = n * (n + 1) * tau, 2 * n * tau + n * (n - 1) * tau
-        # sign_l q^(shift_l/2) p == sign_r q^(shift_r/2) r, compared in place:
-        # r holds s c at (u + du, v) for every term c at (u, v) of p, and no more
-        s, du = sign_l * sign_r, shift_l - shift_r
-        if len(p) != len(r) or any(r.coeff(u + du, v) != s * c for (u, v), c in p.items()):
+        if p != r:
             rep.failures.append({"n": n})
     return rep
+
+
+def row_top_step(h: PochFrac, n: int, tau: int) -> PochFrac:
+    """H_(n+1) from H_n, both on the top a-slice, by the framed row
+    recursion, where hook_n is a^(1/2) q^(n+1/2):
+    H_(n+1) = -(-1)^tau q^(n tau + n + 1/2) H_n / (1 - q^(n+1)),
+    a numerator over (q;q)_(n+1) from one over (q;q)_n."""
+    return PochFrac(h.num.shift(du=2 * n * tau + 2 * n + 1).scale(-((-1) ** (tau % 2))), n + 1)
 
 
 # ---------------------------------------------------------------------------

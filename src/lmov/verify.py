@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import random
 import time
-from fractions import Fraction
 from math import factorial
 
 from . import genus0, gwdt, onehole, twist
 from .arith import Report, TheoremViolation
 from .partitions import mn_character, partitions_of, permutation_count, z_factor
-from .qa import LaurentQA, quantum_int, to_z_basis
+from .qa import LaurentQA, PochFrac, quantum_int, to_z_basis
 from .series import CoeffRing, Series1, plethystic_exp, plethystic_log, series_exp, series_log
 
 
@@ -38,19 +37,20 @@ def check_disc_oracle(max_m: int, tau_range: range) -> Report:
 
 
 def check_annulus(max_total: int, tau_range: range) -> Report:
+    """The top slice l = m1+m2 of every kernel-log column against its
+    closed form, both as the integer (m1+m2) c; the certified single-cover
+    top entries; the quadratic special value n_(1,1) = tau(tau+1)/2."""
     rep = Report("annulus", {"max_total": max_total, "tau": list(tau_range)})
     for tau in tau_range:
         for m1 in range(1, max_total):
             for m2 in range(1, max_total + 1 - m1):
-                cmap = genus0.annulus_c(m1, m2, tau, order=max_total)
-                top = cmap.get(m1 + m2, Fraction(0))
-                want = genus0.annulus_top_closed_form(m1, m2, tau)
+                top = genus0._annulus_column(m1, m2, tau, max_total).get(m1 + m2, 0)
+                want = genus0.annulus_top_numerator(m1, m2, tau)
                 if top != want:
                     rep.failures.append(
                         {"tau": tau, "m1": m1, "m2": m2, "got": top, "want": want}
                     )
                 genus0.annulus_n(m1, m2, m1 + m2, tau, order=max_total)
-        # the quadratic special value
         v, _ = genus0.annulus_n(1, 1, 2, tau, order=max_total)
         if v != tau * (tau + 1) // 2:
             rep.failures.append({"tau": tau, "n_(1,1)": v})
@@ -71,10 +71,18 @@ def check_multihole(max_size: int, tau_range: range) -> Report:
 
 
 def check_recursion(max_n: int, tau_range: range) -> Report:
+    """The framed row recursion for n < max_n: its tau-free core once per n
+    (``onehole.verify_recursion``), and per framing the top a-slice run from
+    H_0 = 1 by ``onehole.row_top_step``, each H_n for n <= max_n equal to
+    the closed form ``gwdt.h_top(n, tau)`` that the OV extraction reads."""
     rep = Report("row-recursion", {"max_n": max_n, "tau": list(tau_range)})
+    rep.failures.extend(onehole.verify_recursion(max_n).failures)
     for tau in tau_range:
-        sub = onehole.verify_recursion(tau, max_n)
-        rep.failures.extend({"tau": tau, **f} for f in sub.failures)
+        h = PochFrac.one()
+        for n in range(max_n + 1):
+            if h != gwdt.h_top(n, tau):
+                rep.failures.append({"tau": tau, "n": n, "reason": "top slice != gwdt.h_top"})
+            h = onehole.row_top_step(h, n, tau)
     return rep
 
 

@@ -29,8 +29,11 @@ X2 = t X1.  The twist-knot invariants are checked against their binomial
 sums (``b_minus``, ``b_plus``) from before ``arith.loop_quiver_dt``.
 The genus-zero Moebius sums, one integer numerator and one exact divmod
 in the library, are checked against the sums of Fractions they replaced
-(``disc_n``, ``annulus_n``, with ``certified_int``), and the library's
-``math.comb`` ``binomial_ext`` against the falling factorial.
+(``disc_n``, ``annulus_n``, with ``certified_int``, and the Fraction map
+``annulus_c``), and the library's ``math.comb`` ``binomial_ext`` against
+the falling factorial.  The row numerator ``_row_numerator`` behind
+``unknot_row`` gives ``recursion_pair``, the full-row sides of the framed
+row recursion that the library reduced to their 2-term core.
 The general-partition log coefficient ``f_mu`` is the sum over the
 multiset decompositions of mu that ``_multiset_decompositions`` enumerates,
 the expansion the library's sub-multiset recurrence replaced.
@@ -45,8 +48,8 @@ from typing import Callable, Mapping
 
 from lmov import qa
 from lmov.arith import TheoremViolation, divisors, moebius
-from lmov.genus0 import annulus_c, disc_c
-from lmov.onehole import _phi, _row_numerator
+from lmov.genus0 import _annulus_column, disc_c
+from lmov.onehole import _phi
 from lmov.partitions import Partition, parts_gcd, partitions_of, scale_down, z_factor
 from lmov.qa import (
     ExactDivisionError,
@@ -524,6 +527,17 @@ def disc_n(m: int, l: int, tau: int) -> int:
         if mu:
             total += Fraction(mu, d * d) * disc_c(m // d, l // d, tau)
     return certified_int(total, f"n_({m},{l})(tau={tau})")
+
+
+def annulus_c(m1: int, m2: int, tau: int, order: int | None = None) -> dict:
+    """Annulus multi-cover coefficients {l: c_{(m1,m2),l}} from the kernel log.
+
+    l runs over raw a-exponents, 0 <= l <= m1+m2.  ``order`` caps the
+    kernel truncation; m1+m2 beyond it is rejected.
+    """
+    if m1 < 1 or m2 < 1:
+        raise ValueError("annulus_c needs m1, m2 >= 1")
+    return {l: Fraction(c, m1 + m2) for l, c in _annulus_column(m1, m2, tau, order).items()}
 
 
 def annulus_n(m1: int, m2: int, l: int, tau: int, order: int | None = None):
@@ -1089,6 +1103,26 @@ def as_rational(f: PochFrac) -> RationalQA:
 # ---------------------------------------------------------------------------
 # colored rows and the one-hole generating functions
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _row_numerator(n: int) -> LaurentQA:
+    # product over i of (a^(1/2) q^((i-1)/2) - a^(-1/2) q^(-(i-1)/2))
+    if n == 0:
+        return LaurentQA.one()
+    prev = _row_numerator(n - 1)
+    i = n - 1
+    factor = LaurentQA({(i, 1): 1, (-i, -1): -1})
+    return prev * factor
+
+
+def recursion_pair(n: int) -> tuple:
+    """The full-row sides of the framed row recursion at step n, before it
+    was reduced to its 2-term core: (q^(n+1) - 1) R_(n+1) and
+    hook_n R_n {n+1}."""
+    lead = LaurentQA({(2 * (n + 1), 0): 1, (0, 0): -1})
+    hook = LaurentQA({(2 * n + 1, 1): 1, (1, -1): -1})
+    return lead * _row_numerator(n + 1), hook * (_row_numerator(n) * quantum_int(n + 1))
 
 
 @lru_cache(maxsize=None)

@@ -10,9 +10,9 @@ from lmov import genus0
 from lmov.arith import TheoremViolation, binomial_ext, divisors, moebius
 from lmov.cli import EXIT_THEOREM, main
 from lmov.genus0 import (
-    annulus_c,
+    _annulus_column,
     annulus_n,
-    annulus_top_closed_form,
+    annulus_top_numerator,
     disc_c,
     disc_n,
     disc_series_check,
@@ -22,6 +22,7 @@ from lmov.genus0 import (
     multihole_n,
 )
 from lmov.partitions import partitions_of
+from reference import annulus_c
 
 
 # --- disc -------------------------------------------------------------------
@@ -153,7 +154,9 @@ def test_annulus_top_slice_matches_closed_form():
         for m1 in range(1, 7):
             for m2 in range(1, 8 - m1):
                 got = annulus_c(m1, m2, tau, order=7).get(m1 + m2, Fraction(0))
-                assert got == annulus_top_closed_form(m1, m2, tau), (m1, m2, tau)
+                want = annulus_top_numerator(m1, m2, tau)
+                assert got == Fraction(want, m1 + m2), (m1, m2, tau)
+                assert _annulus_column(m1, m2, tau, 7).get(m1 + m2, 0) == want
 
 
 def test_annulus_symmetry():

@@ -18,7 +18,7 @@ from lmov.onehole import (
     verify_recursion,
 )
 from lmov.partitions import partitions_of, z_factor
-from lmov.qa import LaurentQA, quantum_int, quantum_prod, to_z_basis
+from lmov.qa import LaurentQA, PochFrac, quantum_int, quantum_prod, to_z_basis
 from reference import (
     RationalQ,
     RationalQA,
@@ -71,9 +71,8 @@ def test_recursion_via_full_rational_arithmetic():
 
 
 def test_verify_recursion_reports_pass():
-    for tau in (-5, 0, 5):
-        rep = verify_recursion(tau, 30)
-        assert rep.ok
+    assert verify_recursion(30).ok
+    assert verify.check_recursion(30, range(-5, 6)).ok
 
 
 def _extra_term(r):
@@ -88,16 +87,40 @@ def _extra_term(r):
 )
 def test_verify_recursion_reports_every_broken_step(monkeypatch, corrupt):
     real = onehole._recursion_pair
-    real.cache_clear()
-    try:
-        monkeypatch.setattr(onehole, "_recursion_pair", lambda n: (real(n)[0], corrupt(real(n)[1])))
-        for tau in (-2, 0, 3):
-            rep = verify_recursion(tau, 6)
-            assert rep.failures == [{"n": n} for n in range(6)], tau
-    finally:
-        monkeypatch.undo()
-        real.cache_clear()
-    assert verify_recursion(3, 6).ok
+    monkeypatch.setattr(onehole, "_recursion_pair", lambda n: (real(n)[0], corrupt(real(n)[1])))
+    assert verify_recursion(6).failures == [{"n": n} for n in range(6)]
+    rep = verify.check_recursion(6, range(-2, 4))
+    assert rep.failures == [{"n": n} for n in range(6)]
+
+
+def _unsigned_step(h, n, tau):
+    # the top-slice step without its (-1)^tau
+    return PochFrac(h.num.shift(du=2 * n * tau + 2 * n + 1).scale(-1), n + 1)
+
+
+def _overtwisted_step(h, n, tau):
+    # the top-slice step with q^(n (tau + 1)) for q^(n tau)
+    return PochFrac(h.num.shift(du=2 * n * (tau + 1) + 2 * n + 1).scale(-((-1) ** (tau % 2))), n + 1)
+
+
+@pytest.mark.parametrize(
+    "step, failing_taus",
+    [(_unsigned_step, {-3, -1, 1, 3}), (_overtwisted_step, set(range(-3, 4)))],
+    ids=["sign-dropped", "overtwisted"],
+)
+def test_check_recursion_catches_a_broken_framing_factor(monkeypatch, step, failing_taus):
+    monkeypatch.setattr(onehole, "row_top_step", step)
+    rep = verify.check_recursion(8, range(-3, 4))
+    assert {f["tau"] for f in rep.failures} == failing_taus
+    assert all(f["reason"] == "top slice != gwdt.h_top" for f in rep.failures)
+
+
+def test_recursion_pair_is_the_full_row_pair_over_the_row_numerator():
+    # the 2-term core times R_n is the full-row pair it was reduced from
+    for n in range(13):
+        p, r = onehole._recursion_pair(n)
+        row = reference._row_numerator(n)
+        assert reference.recursion_pair(n) == (p * row, r * row), n
 
 
 # --- Z_m and g_m ---------------------------------------------------------------
