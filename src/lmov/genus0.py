@@ -96,12 +96,9 @@ def kernel_level(tau: int, n: int) -> LaurentQA:
 
     Certifies the exact division of the Lagrange sum by N = n+1; a nonzero
     remainder is a TheoremViolation."""
+    what = f"N Y_N of the mirror curve over N = {n + 1} (tau={tau}, n={n})"
     num = _lagrange_numerator(tau, n)
-    if any(c % (n + 1) for c in num):
-        raise TheoremViolation(
-            f"N Y_N of the mirror curve not divisible by N = {n + 1} (tau={tau}, n={n})"
-        )
-    return LaurentQA({(0, 2 * i): c // (n + 1) for i, c in enumerate(num)})
+    return LaurentQA({(0, 2 * i): certified_div(c, n + 1, what) for i, c in enumerate(num)})
 
 
 def disc_series_check(tau: int, max_m: int) -> Report:

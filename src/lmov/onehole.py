@@ -27,12 +27,11 @@ is {m}_a and the divisor switches to {m}^2/{1}^2.
 ``g_mu_general`` runs the same pipeline for an arbitrary partition mu
 (a conjectural statement for l(mu) >= 2, so failures are reported, not
 raised), via characters and the log on the power-sum partition algebra.
-``f_mu`` takes that log by the derivation recurrence of
-``series.series_log``, graded by partition size and summed over the
-sub-multisets of mu.  Its coefficients of size n are PochFracs,
-numerators over (q;q)_n, using 1/{sigma} = (-1)^l(sigma) q^(|sigma|/2) /
-prod_i (1 - q^(sigma_i)); the one rational step left is a single exact
-division by {mu} (q;q)_|mu|.
+``cal_z_partition`` is one character sum over hook-content products, and
+``zf_mu`` takes the log, times z_mu, by the derivation recurrence of
+``series.series_log`` over the sub-multisets of mu, with integer weights.
+Both are PochFracs, numerators over (q;q)_n; the rational steps left are
+one division by |mu| per mu and one exact division by {mu} (q;q)_|mu|.
 """
 
 from __future__ import annotations
@@ -251,43 +250,43 @@ def lmov_one_hole(m: int, tau: int) -> ZBasisTable:
 
 
 @lru_cache(maxsize=None)
-def _phi(nu: Partition, sigma: Partition, tau: int) -> LaurentQA:
-    # sum over lam of chi_lam(nu) chi_lam(sigma) q^(kappa_lam tau / 2)
-    d: dict = {}
-    for lam in partitions_of(sum(nu)):
-        c = mn_character(lam, nu) * mn_character(lam, sigma)
-        if c:
-            u = kappa(lam) * tau
-            d[(u, 0)] = d.get((u, 0), 0) + c
-    return LaurentQA(d)
-
-
-@lru_cache(maxsize=None)
-def _inv_quantum_prod(sigma: Partition) -> PochFrac:
-    # 1/{sigma} of degree |sigma|, from 1/{s} = -q^(s/2) (q;q)_(s-1) / (q;q)_s
-    out = PochFrac.one()
-    for s in sigma:
-        out = out * PochFrac(one_minus_q_prod(range(1, s)).shift(du=s).scale(-1), s)
-    return out
+def _quantum_dim(lam: Partition) -> LaurentQA:
+    """W_lam = prod over the boxes of (a^(1/2) q^(c/2) - a^(-1/2) q^(-c/2)) / {h},
+    c the content and h the hook length, as a numerator over (q;q)_n.
+    Since {h} = -q^(-h/2) (1 - q^h), it is (-1)^n q^(sum h/2) prod(...) times
+    (q;q)_n / prod (1 - q^h), a polynomial by the q-hook-length formula."""
+    cols = [sum(1 for p in lam if p > j) for j in range(lam[0])]
+    hooks, num = [], LaurentQA.one()
+    for i, p in enumerate(lam):
+        for j in range(p):
+            hooks.append(p - j + cols[j] - i - 1)
+            num = num * LaurentQA({(j - i, 1): 1, (i - j, -1): -1})
+    n = len(hooks)
+    try:
+        quot = exact_div(one_minus_q_prod(range(1, n + 1)), one_minus_q_prod(hooks))
+    except ExactDivisionError:
+        raise TheoremViolation(f"(q;q)_n / prod (1 - q^h) is not a polynomial "
+                               f"(lam={lam})") from None
+    return (num * quot).shift(du=sum(hooks)).scale((-1) ** (n % 2))
 
 
 @lru_cache(maxsize=None)
 def cal_z_partition(nu: Partition, tau: int) -> PochFrac:
-    """Character-transformed colored invariant for cycle type nu."""
-    total = PochFrac.zero()
+    """The colored invariants of the framed unknot at cycle type nu:
+    (-1)^(|nu| tau) sum over |lam| = |nu| of chi_lam(nu) q^(kappa_lam tau/2) W_lam,
+    over (q;q)_|nu|, with W_lam the hook-content product of ``_quantum_dim``."""
     size = sum(nu)
-    for sigma in partitions_of(size):
-        phi = _phi(nu, sigma, tau)
-        if phi.is_zero():
-            continue
-        term = PochFrac(phi * quantum_prod(sigma, "a"), 0) * _inv_quantum_prod(sigma)
-        total = total + term.scale(Fraction(1, z_factor(sigma)))
-    return total.scale((-1) ** ((size * tau) % 2))
+    total = LaurentQA.zero()
+    for lam in partitions_of(size):
+        c = mn_character(lam, nu)
+        if c:
+            total = total + _quantum_dim(lam).shift(du=kappa(lam) * tau).scale(c)
+    return PochFrac(total.scale((-1) ** ((size * tau) % 2)), size)
 
 
 def _splits(mu: Partition):
     # the nonempty proper sub-multisets rho of mu, with mu - rho; both
-    # descending, like the keys that f_mu and cal_z_partition cache on
+    # descending, like the keys that zf_mu and cal_z_partition cache on
     parts = sorted(set(mu), reverse=True)
     for counts in product(*(range(mu.count(p) + 1) for p in parts)):
         rho = tuple(p for p, c in zip(parts, counts) for _ in range(c))
@@ -297,21 +296,22 @@ def _splits(mu: Partition):
 
 
 @lru_cache(maxsize=None)
-def f_mu(mu: Partition, tau: int) -> PochFrac:
-    """Connected (log) coefficient at p_mu of S = sum_nu S_nu p_nu, with
-    S_nu = cal_Z_nu / z_nu.  The degree operator E p_nu = |nu| p_nu is a
-    derivation, so E log S = E S / S, which is the recurrence
+def zf_mu(mu: Partition, tau: int) -> PochFrac:
+    """F_mu = z_mu f_mu, with f_mu the connected (log) coefficient at p_mu of
+    S = sum_nu cal_Z_nu p_nu / z_nu.  The degree operator E p_nu = |nu| p_nu
+    is a derivation, so E log S = E S / S, which is the recurrence
 
-        |mu| f_mu = |mu| S_mu - sum_rho |rho| f_rho S_(mu - rho)
+        |mu| F_mu = |mu| cal_Z_mu - sum_rho |rho| w F_rho cal_Z_(mu - rho)
 
-    over the nonempty proper sub-multisets rho of mu."""
+    over the nonempty proper sub-multisets rho of mu, with the integer weight
+    w = z_mu / (z_rho z_(mu - rho)), a product of binomials."""
     if not mu:
-        raise ValueError("f_mu needs a nonempty partition")
-    total = cal_z_partition(mu, tau).scale(Fraction(sum(mu), z_factor(mu)))
+        raise ValueError("zf_mu needs a nonempty partition")
+    total, z = PochFrac.zero(), z_factor(mu)
     for rho, rest in _splits(mu):
-        s = cal_z_partition(rest, tau).scale(Fraction(-sum(rho), z_factor(rest)))
-        total = total + f_mu(rho, tau) * s
-    return total.scale(Fraction(1, sum(mu)))
+        w = z // (z_factor(rho) * z_factor(rest))
+        total = total + zf_mu(rho, tau) * cal_z_partition(rest, tau).scale(sum(rho) * w)
+    return cal_z_partition(mu, tau) + total.scale(Fraction(-1, sum(mu)))
 
 
 @dataclass
@@ -327,23 +327,25 @@ def g_mu_general(mu: Partition, tau: int) -> GeneralHoleResult:
     """Conjectural integer table for an arbitrary partition mu.
 
     Computes g-hat_mu = sum over d | mu of (moebius(d)/d) adams_d of
-    (F_{mu/d} / {mu/d}), then z^2 z_mu g-hat_mu, and attempts the z^2-basis
-    rewrite.  Since adams_d({mu/d}) = {mu}, g-hat_mu = S / {mu} with
-    S = sum_d (moebius(d)/d) adams_d(F_{mu/d}) = num / (q;q)_|mu|, so the
-    target is Laurent exactly when {mu} (q;q)_|mu| divides z^2 z_mu num.
-    Failures are reported, not raised: only the single-row case is a
-    theorem.
+    (f_{mu/d} / {mu/d}), then z^2 z_mu g-hat_mu, and attempts the z^2-basis
+    rewrite.  Since adams_d({mu/d}) = {mu} and z_mu = d^l(mu) z_(mu/d),
+    z_mu g-hat_mu = S / {mu} with S = sum_d moebius(d) d^(l(mu)-1)
+    adams_d(F_{mu/d}) = num / (q;q)_|mu|, so the target is Laurent exactly
+    when {mu} (q;q)_|mu| divides z^2 num.  Failures are reported, not
+    raised: only the single-row case is a theorem.
     """
     mu = tuple(sorted(mu, reverse=True))
     if not mu:
         raise ValueError("g_mu_general needs a nonempty partition")
+    if min(mu) < 1:
+        raise ValueError("g_mu_general needs parts >= 1")
     rep = Report("general-one-hole", {"mu": mu, "tau": tau})
     s = PochFrac.zero()
     for d in divisors(parts_gcd(mu)):
         mo = moebius(d)
         if mo:
-            s = s + f_mu(scale_down(mu, d), tau).adams(d).scale(Fraction(mo, d))
-    num = (s.num * Z_SQUARED).scale(z_factor(mu))
+            s = s + zf_mu(scale_down(mu, d), tau).adams(d).scale(mo * d ** (len(mu) - 1))
+    num = s.num * Z_SQUARED
     den = quantum_prod(mu) * one_minus_q_prod(range(1, sum(mu) + 1))
     try:
         target = exact_div(num, den)

@@ -241,22 +241,18 @@ class LaurentQA:
 # quantum integers
 # ---------------------------------------------------------------------------
 
-def quantum_int(n: int, base: str = "q") -> LaurentQA:
-    """{n}_x = x^(n/2) - x^(-n/2) in the selected variable (q or a)."""
+def quantum_int(n: int) -> LaurentQA:
+    """{n} = q^(n/2) - q^(-n/2)."""
     if n == 0:
         return LaurentQA.zero()
-    if base == "q":
-        return LaurentQA({(n, 0): 1, (-n, 0): -1})
-    if base == "a":
-        return LaurentQA({(0, n): 1, (0, -n): -1})
-    raise ValueError(f"unknown base {base!r}")
+    return LaurentQA({(n, 0): 1, (-n, 0): -1})
 
 
-def quantum_prod(parts: Iterable[int], base: str = "q") -> LaurentQA:
+def quantum_prod(parts: Iterable[int]) -> LaurentQA:
     """Product of quantum integers over the parts; empty product is 1."""
     out = LaurentQA.one()
     for p in parts:
-        out = out * quantum_int(p, base)
+        out = out * quantum_int(p)
     return out
 
 

@@ -3,7 +3,8 @@
 They restate textbook definitions next to the library so that the tests
 can check the library's structure (the p-adic congruences behind the
 integrality proofs, partition multiplicities, the pairing matrix M, a JSON
-round trip of LaurentQA, the one-hole rows as a LaurentQA) without the
+round trip of LaurentQA, the one-hole rows as a LaurentQA, the a-side
+quantum integer {n}_a) without the
 library shipping them, plus a runner that captures the command line's
 output.  The slow rational-function reference lives in ``reference.py``.
 """
@@ -60,6 +61,11 @@ def aut_order(mu: tuple) -> int:
     for p in set(mu):
         out *= factorial(mu.count(p))
     return out
+
+
+def quantum_int_a(n: int) -> LaurentQA:
+    """{n}_a = a^(n/2) - a^(-n/2)."""
+    return LaurentQA.monomial(v=n) - LaurentQA.monomial(v=-n)
 
 
 def is_one(f: LaurentQA) -> bool:

@@ -36,7 +36,11 @@ the falling factorial.  The row numerator ``_row_numerator`` behind
 row recursion that the library reduced to their 2-term core.
 The general-partition log coefficient ``f_mu`` is the sum over the
 multiset decompositions of mu that ``_multiset_decompositions`` enumerates,
-the expansion the library's sub-multiset recurrence replaced.
+the expansion the library's sub-multiset recurrence replaced.  Its
+``cal_z_partition`` is the double character sum over (lam, sigma) of
+``_phi``, with 1/z_sigma weights, that the library's hook-content sum over
+lam replaced; ``cal_z_sigma_sum`` is the same sum on numerators over
+(q;q)_|nu|, fast enough to sweep every |nu| <= 6.
 """
 
 from __future__ import annotations
@@ -46,11 +50,19 @@ from functools import lru_cache
 from math import comb, factorial, gcd
 from typing import Callable, Mapping
 
+from helpers import quantum_int_a
 from lmov import qa
 from lmov.arith import TheoremViolation, divisors, moebius
 from lmov.genus0 import _annulus_column, disc_c
-from lmov.onehole import _phi
-from lmov.partitions import Partition, parts_gcd, partitions_of, scale_down, z_factor
+from lmov.partitions import (
+    Partition,
+    kappa,
+    mn_character,
+    parts_gcd,
+    partitions_of,
+    scale_down,
+    z_factor,
+)
 from lmov.qa import (
     ExactDivisionError,
     LaurentQA,
@@ -598,12 +610,12 @@ def cal_z_cleared(m: int, tau: int) -> LaurentQA:
     if m < 1:
         raise ValueError("cal_z_cleared needs m >= 1")
     if tau == 0:
-        return quantum_int(m, "a")
+        return quantum_int_a(m)
     total = LaurentQA.zero()
     for nu in partitions_of(m):
         term = LaurentQA.one()
         for p in nu:
-            term = term * quantum_ratio(m * tau, p) * quantum_int(p, "a")
+            term = term * quantum_ratio(m * tau, p) * quantum_int_a(p)
         total = total + term.scale(Fraction(1, z_factor(nu)))
     return total.scale((-1) ** ((m * tau) % 2))
 
@@ -613,7 +625,7 @@ def cal_z_closed_form(m: int, tau: int) -> LaurentQA:
     """The q-binomial closed form of ``lmov.onehole.cal_z_cleared``, each
     product of two q-binomials by the double loop over their terms."""
     if tau == 0:
-        return quantum_int(m, "a")
+        return quantum_int_a(m)
     mt = m * abs(tau)
     out: dict = {}
     for j in range(min(m, mt) + 1):  # each j fills its own a-slice
@@ -1241,6 +1253,18 @@ def dt_rows(loops: int, max_n: int) -> dict:
 
 
 @lru_cache(maxsize=None)
+def _phi(nu: Partition, sigma: Partition, tau: int) -> LaurentQA:
+    # sum over lam of chi_lam(nu) chi_lam(sigma) q^(kappa_lam tau / 2)
+    d: dict = {}
+    for lam in partitions_of(sum(nu)):
+        c = mn_character(lam, nu) * mn_character(lam, sigma)
+        if c:
+            u = kappa(lam) * tau
+            d[(u, 0)] = d.get((u, 0), 0) + c
+    return LaurentQA(d)
+
+
+@lru_cache(maxsize=None)
 def cal_z_partition(nu: Partition, tau: int) -> RationalQA:
     """Character-transformed colored invariant for cycle type nu."""
     total = RationalQA.zero()
@@ -1249,13 +1273,33 @@ def cal_z_partition(nu: Partition, tau: int) -> RationalQA:
         phi = _phi(nu, sigma, tau)
         if phi.is_zero():
             continue
-        num = phi * quantum_prod(sigma, "a")
+        num = phi
+        for s in sigma:
+            num = num * quantum_int_a(s)
         den = quantum_prod(sigma)
         term = RationalQA.from_laurent(num).div_rational(
             RationalQ.from_laurent(den)
         )
         total = total + term.scale(Fraction(1, z_factor(sigma)))
     return total.scale((-1) ** ((size * tau) % 2))
+
+
+@lru_cache(maxsize=None)
+def cal_z_sigma_sum(nu: Partition, tau: int) -> PochFrac:
+    """``cal_z_partition``'s sum over sigma on numerators over (q;q)_|nu|,
+    from 1/{sigma} = (-1)^l(sigma) q^(|sigma|/2) / prod_i (1 - q^(sigma_i))."""
+    n = sum(nu)
+    total = LaurentQA.zero()
+    for sigma in partitions_of(n):
+        num = _phi(nu, sigma, tau)
+        if num.is_zero():
+            continue
+        for s in sigma:
+            num = num * quantum_int_a(s)
+        cofactor = qa.exact_div(one_minus_q_prod(range(1, n + 1)), one_minus_q_prod(sigma))
+        weight = Fraction((-1) ** len(sigma), z_factor(sigma))
+        total = total + (num * cofactor).shift(du=n).scale(weight)
+    return PochFrac(total.scale((-1) ** ((n * tau) % 2)), n)
 
 
 def _multiset_decompositions(mu: Partition):

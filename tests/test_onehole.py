@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import reference
-from helpers import cli_output, m_matrix, z2_g_m
+from helpers import cli_output, m_matrix, quantum_int_a, z2_g_m
 from lmov.arith import TheoremViolation
 from lmov.genus0 import disc_n
 from lmov import onehole, verify
@@ -12,10 +12,10 @@ from lmov.onehole import (
     cal_z_cleared,
     cal_z_partition,
     colored_sum,
-    f_mu,
     g_mu_general,
     lmov_one_hole,
     verify_recursion,
+    zf_mu,
 )
 from lmov.partitions import partitions_of, z_factor
 from lmov.qa import LaurentQA, PochFrac, quantum_int, quantum_prod, to_z_basis
@@ -37,7 +37,7 @@ from reference import (
 def test_unknot_row_base_cases():
     assert unknot_row(0) == RationalQA.one()
     w1 = unknot_row(1)
-    want = RationalQA.from_laurent(quantum_int(1, "a")).div_rational(
+    want = RationalQA.from_laurent(quantum_int_a(1)).div_rational(
         RationalQ.from_laurent(quantum_int(1))
     )
     assert w1 == want
@@ -130,7 +130,7 @@ def test_cal_z_m1_closed_form():
     # Z_1 = (-1)^tau {1}_a / {1}^2
     for tau in (-3, -1, 0, 2):
         want = RationalQA.from_laurent(
-            quantum_int(1, "a").scale((-1) ** (tau % 2))
+            quantum_int_a(1).scale((-1) ** (tau % 2))
         ).div_rational(RationalQ.from_laurent(quantum_int(1) * quantum_int(1)))
         assert cal_z(1, tau) == want
 
@@ -138,7 +138,7 @@ def test_cal_z_m1_closed_form():
 def test_cal_z_tau_zero_degeneration():
     # Z_m(tau=0) = {m}_a / {m}^2
     for m in (1, 2, 3, 4):
-        want = RationalQA.from_laurent(quantum_int(m, "a")).div_rational(
+        want = RationalQA.from_laurent(quantum_int_a(m)).div_rational(
             RationalQ.from_laurent(quantum_int(m) * quantum_int(m))
         )
         assert cal_z(m, 0) == want
@@ -168,7 +168,7 @@ def test_cal_z_gaussian_cross_check():
     # the domain edges: tau = 0 is the degenerate {m}_a, where the colored
     # sum is not defined; the grids below cross-check every tau != 0
     for m in (1, 2, 3):
-        assert cal_z_cleared(m, 0) == quantum_int(m, "a")
+        assert cal_z_cleared(m, 0) == quantum_int_a(m)
     with pytest.raises(ValueError):
         colored_sum(2, 0)
     for m in (0, -1):
@@ -271,7 +271,7 @@ def test_onehole_chain_divides_once_per_cell(monkeypatch):
 
 def test_z2_g1_value():
     for tau in (-2, 0, 1, 3):
-        assert z2_g_m(1, tau) == quantum_int(1, "a").scale((-1) ** (tau % 2))
+        assert z2_g_m(1, tau) == quantum_int_a(1).scale((-1) ** (tau % 2))
 
 
 def test_z2_g2_tau1_value():
@@ -377,8 +377,8 @@ def test_multiset_decompositions_of_221():
 def test_f_mu_single_part_reduces_to_cal_z():
     for m in (1, 2, 3):
         for tau in (-1, 0, 2):
-            want = cal_z_partition((m,), tau).scale(Fraction(1, m))
-            assert f_mu((m,), tau) == want
+            want = cal_z_partition((m,), tau).scale(Fraction(z_factor((m,)), m))
+            assert zf_mu((m,), tau) == want
 
 
 def test_g_mu_general_single_row_matches_one_hole():
@@ -409,7 +409,9 @@ def test_general_partition_matches_reference():
                 assert as_rational(cal_z_partition(mu, tau)) == reference.cal_z_partition(
                     mu, tau
                 ), (mu, tau)
-                assert as_rational(f_mu(mu, tau)) == reference.f_mu(mu, tau), (mu, tau)
+                assert as_rational(zf_mu(mu, tau)) == reference.f_mu(mu, tau).scale(
+                    z_factor(mu)
+                ), (mu, tau)
                 want = reference.g_mu_target(mu, tau).as_laurent()
                 assert want is not None
                 assert g_mu_general(mu, tau).target == want, (mu, tau)
@@ -422,6 +424,63 @@ def test_g_mu_general_integral_sweep():
                 r = g_mu_general(mu, tau)
                 assert r.report.ok, (mu, tau, r.report.failures)
                 assert r.table is not None and r.table.is_integral()
+
+
+def test_cal_z_partition_matches_sigma_sum_reference():
+    # the hook-content sum over lam against the double character sum over
+    # (lam, sigma) with 1/z_sigma weights, both over (q;q)_|nu|; the
+    # RationalQA reference, too slow for this sweep, is tied to the library
+    # up to |nu| = 5 by test_general_partition_matches_reference
+    for tau in range(-3, 4):
+        for size in range(1, 7):
+            for nu in partitions_of(size):
+                assert cal_z_partition(nu, tau) == reference.cal_z_sigma_sum(nu, tau), (nu, tau)
+
+
+def test_quantum_dim_of_a_row_is_the_unknot_row():
+    for n in range(1, 7):
+        assert as_rational(PochFrac(onehole._quantum_dim((n,)), n)) == unknot_row(n), n
+
+
+def test_zf_mu_numerators_are_integers():
+    for tau in range(-3, 4):
+        for size in range(1, 7):
+            for mu in partitions_of(size):
+                coeffs = [c for _, c in zf_mu(mu, tau).num.items()]
+                assert all(type(c) is int for c in coeffs), (mu, tau)
+
+
+def test_g_mu_general_rejects_parts_below_one():
+    for mu in [(0,), (2, 0), (1, -1)]:
+        with pytest.raises(ValueError, match="g_mu_general needs parts >= 1"):
+            g_mu_general(mu, 1)
+
+
+def test_hook_quotient_failure_fails_only_general_partition(monkeypatch):
+    # (q;q)_3 + 1 over the hook product of a partition of 3 leaves a
+    # remainder, so every W_lam with |lam| = 3 breaks the q-hook-length formula
+    real = onehole.exact_div
+    q3 = onehole.one_minus_q_prod(range(1, 4))
+
+    def broken(f, g):
+        return real(f + LaurentQA.one() if f == q3 else f, g)
+
+    monkeypatch.setattr(onehole, "exact_div", broken)
+    for cached in (onehole._quantum_dim, cal_z_partition, zf_mu):
+        cached.cache_clear()
+    try:
+        with pytest.raises(TheoremViolation, match=r"\(lam=\(3,\)\)"):
+            cal_z_partition((2, 1), 1)
+        reports = list(verify.run_all(verify.QUICK))
+        assert len(reports) == 13
+        assert [r.name for r in reports if not r.ok] == ["general-partition"]
+        failed = next(r for r in reports if not r.ok)
+        assert failed.failures == [
+            {"violation": "(q;q)_n / prod (1 - q^h) is not a polynomial (lam=(3,))"}
+        ]
+    finally:
+        for cached in (onehole._quantum_dim, cal_z_partition, zf_mu):
+            cached.cache_clear()
 
 
 def test_partition_sum_generating_identity():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from helpers import is_one, laurent_from_json, laurent_to_json, support
+from helpers import is_one, laurent_from_json, laurent_to_json, quantum_int_a, support
 from lmov.arith import divisors
 from lmov.qa import (
     ExactDivisionError,
@@ -52,7 +52,6 @@ def test_quantum_int_values():
     assert quantum_int(0).is_zero()
     assert quantum_int(2) == LaurentQA({(2, 0): 1, (-2, 0): -1})
     assert quantum_int(-3) == quantum_int(3).scale(-1)
-    assert quantum_int(3, "a") == LaurentQA({(0, 3): 1, (0, -3): -1})
     assert support(quantum_int(2)) == [(-2, 0), (2, 0)]
 
 
@@ -117,7 +116,7 @@ def test_mul_matches_dense_convolution_reference(f, g, k, fractional):
 
 def test_adams_examples():
     assert quantum_int(1).adams(2) == quantum_int(2)  # q^(1/2)-q^(-1/2) -> q-1/q
-    assert quantum_int(3, "a").adams(1) == quantum_int(3, "a")
+    assert quantum_int_a(3).adams(1) == quantum_int_a(3)
 
 
 @given(laurents, st.integers(1, 4), st.integers(1, 4))
@@ -434,18 +433,18 @@ def test_rationalq_monomial_shift_mul(u, d):
 
 
 def test_rationalqa_slices_and_laurent():
-    f = quantum_int(1, "a") * quantum_int(2)
+    f = quantum_int_a(1) * quantum_int(2)
     qa = RationalQA.from_laurent(f)
     assert qa.as_laurent() == f
     den = RationalQ.from_laurent(quantum_int(2))
     g = qa.div_rational(den)
-    assert g.as_laurent() == quantum_int(1, "a")
+    assert g.as_laurent() == quantum_int_a(1)
     h = qa.div_rational(RationalQ.from_laurent(quantum_int(3)))
     assert h.as_laurent() is None
 
 
 def test_rationalqa_top_a():
-    f = RationalQA.from_laurent(quantum_int(3, "a"))
+    f = RationalQA.from_laurent(quantum_int_a(3))
     v, top = f.top_a()
     assert v == 3 and top == RationalQ.one()
 

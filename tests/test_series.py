@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from helpers import series_x
+from helpers import quantum_int_a, series_x
 from lmov.qa import LaurentQA, PochFrac, quantum_int
 from lmov.series import (
     CoeffRing,
@@ -136,7 +136,7 @@ def test_plethystic_log_pure_exponential():
 
 def test_plethystic_log_degree_two_formula():
     # f_2 = Z_2 - Z_1^2/2 - adams_2(Z_1)/2
-    z1 = quantum_int(1, "a")
+    z1 = quantum_int_a(1)
     z2 = quantum_int(2) * LaurentQA.monomial(v=-2)
     z = Series1(LRING, 2, [LaurentQA.one(), z1, z2])
     fs = plethystic_log(z)
