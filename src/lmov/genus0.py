@@ -2,15 +2,17 @@
 
 The disc and annulus tables come with two independent routes:
 
-* closed combinatorial formulas (``disc_c``, and ``annulus_top_numerator``
-  for the top slice of the annulus, an integer (m1+m2) c);
+* closed combinatorial formulas (``_disc_numerator``, the integer m^2 c,
+  and ``annulus_top_numerator`` for the top slice of the annulus, an
+  integer (m1+m2) c);
 * the mirror-curve series Y = X (1-Y)^tau (1 - a(1-Y)), whose X-expansion
   Lagrange inversion gives in closed form (``kernel_level``), followed by
-  the one-variable ``series_log``.  The annulus kernel, a series in X1
-  and X2, becomes a series in X1 alone under the substitution X2 = t X1;
-  its log runs ``series_log``'s recurrence on one dense int t-row per
-  a-exponent (``_annulus_log``), from which ``_annulus_column`` reads the
-  integers (m1+m2) c_{(m1,m2),l}.
+  the integral log levels of ``series_dlog``, compared with the closed
+  form on integers.  The annulus kernel, a series in X1 and X2, becomes a
+  series in X1 alone under the substitution X2 = t X1; its log runs
+  ``series_dlog``'s recurrence on one dense int t-row per a-exponent
+  (``_annulus_log``), from which ``_annulus_column`` reads the integers
+  (m1+m2) c_{(m1,m2),l}.
 
 Single-cover invariants are Moebius sums over common divisors, each one
 integer numerator over m^2 (disc) or m1+m2 (annulus), certified by one exact
@@ -32,7 +34,7 @@ from math import comb, gcd
 from .arith import Report, TheoremViolation, binomial_ext, certified_div, divisors, moebius
 from .partitions import Partition, parts_gcd, scale_down
 from .qa import LaurentQA, _times_geometric
-from .series import CoeffRing, Series1, series_log
+from .series import CoeffRing, Series1, series_dlog
 
 
 # ---------------------------------------------------------------------------
@@ -43,15 +45,6 @@ def _disc_numerator(m: int, l: int, tau: int) -> int:
     """m^2 c_{m,l}(tau), an integer."""
     sign = -1 if (m * tau + m + l) % 2 == 0 else 1
     return sign * binomial_ext(m, l) * binomial_ext(m * tau + l - 1, m - 1)
-
-
-def disc_c(m: int, l: int, tau: int) -> Fraction:
-    """Multi-cover disc coefficient c_{m,l}(tau)."""
-    if m < 1:
-        raise ValueError("disc_c needs m >= 1")
-    if not 0 <= l <= m:
-        raise ValueError("disc_c needs 0 <= l <= m")
-    return Fraction(_disc_numerator(m, l, tau), m * m)
 
 
 def disc_n(m: int, l: int, tau: int) -> int:
@@ -102,14 +95,15 @@ def kernel_level(tau: int, n: int) -> LaurentQA:
 
 
 def disc_series_check(tau: int, max_m: int) -> Report:
-    """Check the mirror-curve series route against -c_{m,l} for m <= max_m.
+    """Check the mirror-curve series route against the disc closed form,
+    on integers, for m <= max_m.
 
-    Rebuilds 1 - Y(X) from the Lagrange levels (``kernel_level``), expands
-    log(1 - Y(X)) with ``series_log``, integrates termwise (X^m coefficient
-    divided by m), restores x = (-1)^tau a^(1/2) X, and compares the
-    coefficient of x^m a^(l - m/2) with -c_{m,l}(tau) for all 0 <= l <= m.
-    Since Y itself is the Lagrange closed form, what this certifies is the
-    ``series_log`` step: Lagrange, then log, against ``disc_c``.
+    Rebuilds 1 - Y(X) from the Lagrange levels (``kernel_level``) and takes
+    its levels D_m = m [X^m] log(1 - Y) with ``series_dlog``.  The disc
+    potential integrates log(1 - Y) termwise, so with x = (-1)^tau a^(1/2) X
+    restored, (-1)^(m tau) D_m at a^(l - m/2) is -m^2 c_{m,l}(tau), which
+    must equal -``_disc_numerator`` for all 0 <= l <= m.  Since Y is the
+    Lagrange closed form, what this certifies is the ``series_dlog`` step.
     """
     if max_m < 1:
         raise ValueError("disc_series_check needs max_m >= 1")
@@ -117,19 +111,19 @@ def disc_series_check(tau: int, max_m: int) -> Report:
     one_minus_y = [LaurentQA.one()] + [
         -(_ONE_MINUS_A * kernel_level(tau, n)) for n in range(max_m)
     ]
-    logy = series_log(Series1(_LRING, max_m, one_minus_y))
+    dlogy = series_dlog(Series1(_LRING, max_m, one_minus_y))
     for m in range(1, max_m + 1):
-        coeff = logy.coeff(m).scale(Fraction(1, m))
+        level = dlogy.coeff(m)
         # x-coordinates: multiply by (-1)^(m*tau); a-exponent l is raw v/2
         sign = (-1) ** ((m * tau) % 2)
         for l in range(0, m + 1):
-            got = Fraction(coeff.coeff(0, 2 * l)) * sign
-            want = -disc_c(m, l, tau)
+            got = sign * level.coeff(0, 2 * l)
+            want = -_disc_numerator(m, l, tau)
             if got != want:
                 rep.failures.append({"m": m, "l": l, "got": got, "want": want})
         extra = [
             (u, v)
-            for (u, v), _ in coeff.items()
+            for (u, v), _ in level.items()
             if u != 0 or v < 0 or v > 2 * m or v % 2
         ]
         if extra:
@@ -153,7 +147,7 @@ def _annulus_log(tau: int, order: int) -> list:
     ... + t^n).  X1^i X2^j -> X^(i+j) t^j is an injective ring homomorphism
     that keeps total degree, so it commutes with the truncation and with
     log: the log's X1^i X2^j coefficient is entry j of level i+j, divided
-    by i+j, exactly.  The levels D_n follow ``series_log``'s recurrence
+    by i+j, exactly.  The levels D_n follow ``series_dlog``'s recurrence
     D_n = n S_n - sum_(0<k<n) D_k S_(n-k), which stays integral; a row
     times 1 + ... + t^w is the row times 1 - t^(w+1), divided exactly by
     1 - t (``_times_geometric``).

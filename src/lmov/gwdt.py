@@ -7,13 +7,15 @@ so "is a Laurent polynomial" decisions are exact divisions by known
 products of factors 1 - q^i, never numeric truncations.
 
 Ooguri-Vafa route: the reduced series Z_tau(q, x) = sum H_n(q) x^n is
-fed to the plethystic logarithm; each level f_m must collapse to
-(Laurent polynomial)/(1-q), and the integer table N_{m,k} is read off
-the numerator at q^((k+1)/2).  The product-form reconstruction
-prod (1 - q^((k+1)/2 + l) x^m)^N_{m,k} over l >= 0 is verified exactly
-by summing the geometric layers into 1/(1-q^d) factors and comparing
-the numerators over (q;q)_n coefficient by coefficient, which implies
-agreement to every finite q-order.
+fed to the plethystic logarithm, carried as its integral levels m f_m
+(``series.plethystic_dlog``); each level must collapse to
+(Laurent polynomial)/(1-q), and the integer table N_{m,k} is the
+numerator at q^((k+1)/2) divided by m, one divmod per entry.  The
+product-form reconstruction prod (1 - q^((k+1)/2 + l) x^m)^N_{m,k} over
+l >= 0 is verified exactly by summing the geometric layers into integer
+log levels over 1/(1-q^d) factors and comparing the numerators over
+(q;q)_n coefficient by coefficient, which implies agreement to every
+finite q-order.
 
 Donaldson-Thomas route: identical plumbing applied to the loop-quiver
 Hilbert-Poincare series P_m(q, t) with t twisted by (-1)^(m-1); the
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 from .arith import Report, TheoremViolation
 from .qa import ExactDivisionError, LaurentQA, PochFrac, exact_div, one_minus_q_prod
-from .series import CoeffRing, Series1, plethystic_log, series_exp
+from .series import CoeffRing, Series1, plethystic_dlog, series_dexp
 
 _RING = CoeffRing(zero=PochFrac.zero(), one=PochFrac.one())
 
@@ -80,9 +82,9 @@ class OVTable:
     report: Report
 
 
-def ooguri_vafa(tau: int, max_m: int, reconstruct: bool = True) -> OVTable:
-    """Extract N_{m,k}(tau) for m <= max_m from the reduced series.
-
+def ooguri_vafa(tau: int, max_m: int) -> OVTable:
+    """Extract N_{m,k}(tau) = -[q^((k+1)/2)] ((1-q) m f_m) / m, one divmod per
+    entry, for m <= max_m from the reduced series, and check the product form.
     Integrality and finite support are conjecture-level checks: failures
     land in the report instead of raising.  The entries carry their sign;
     a negative entry is data, not a failure.
@@ -90,28 +92,28 @@ def ooguri_vafa(tau: int, max_m: int, reconstruct: bool = True) -> OVTable:
     if max_m < 1:
         raise ValueError("ooguri_vafa needs max_m >= 1")
     rep = Report("ov", {"tau": tau, "max_m": max_m})
-    z = z_tau_series(tau, max_m)
-    fs = plethystic_log(z)
+    gs = plethystic_dlog(z_tau_series(tau, max_m))
     rows: dict = {}
     for m in range(1, max_m + 1):
         try:
-            g = _times_one_minus_q(fs[m - 1], m)
+            g = _times_one_minus_q(gs[m - 1], m)
         except ExactDivisionError:
-            reason = f"(1-q) f_{m} is not a Laurent polynomial: {fs[m - 1]!r}"
+            f = gs[m - 1].scale(Fraction(1, m))
+            reason = f"(1-q) f_{m} is not a Laurent polynomial: {f!r}"
             rep.failures.append({"m": m, "reason": reason})
             rows[m] = {}
             continue
         entries: dict = {}
         for (u, _), c in sorted(g.items()):
             k = u - 1  # exponent q^(u/2) = q^((k+1)/2)
-            val = -Fraction(c)
-            if val.denominator != 1:
-                rep.failures.append({"m": m, "k": k, "reason": f"non-integer {val}"})
+            n, r = divmod(-c, m)
+            if r:
+                rep.failures.append({"m": m, "k": k, "reason": f"non-integer {Fraction(-c, m)}"})
                 continue
-            entries[k] = int(val)
+            entries[k] = n
         rows[m] = entries
     table = OVTable(tau, max_m, rows, rep)
-    if reconstruct and ov_reconstruction_residue(table) is not None:
+    if ov_reconstruction_residue(table) is not None:
         rep.failures.append({"reason": "product reconstruction mismatch"})
     return table
 
@@ -121,7 +123,8 @@ def ov_reconstruction_residue(table: OVTable):
     rebuilds the reduced series; None if it matches, else the first bad n.
 
     The factors at level m contribute, after summing the geometric tower
-    over l, the exact log sum_{d} -(1/d) N_{m,k} q^(d(k+1)/2)/(1-q^d) x^(dm).
+    over l, the log levels D_(dm) = sum_k -m N_{m,k} q^(d(k+1)/2)/(1-q^d)
+    for every d, integers over (q;q)_(dm).
     """
     order = table.max_m
     acc = [PochFrac.zero() for _ in range(order + 1)]
@@ -130,11 +133,9 @@ def ov_reconstruction_residue(table: OVTable):
             # 1/(1-q^d) at x-degree n = dm is prod_{i<=n, i != d} (1-q^i) / (q;q)_n
             n = d * m
             inv = one_minus_q_prod(i for i in range(1, n + 1) if i != d)
-            layer = LaurentQA.zero()
-            for k, nmk in entries.items():
-                layer = layer + LaurentQA.monomial(d * (k + 1), c=-Fraction(nmk, d))
+            layer = LaurentQA({(d * (k + 1), 0): -m * nmk for k, nmk in entries.items()})
             acc[n] = acc[n] + PochFrac(layer * inv, n)
-    z_rec = series_exp(Series1(_RING, order, acc))
+    z_rec = series_dexp(Series1(_RING, order, acc))
     z = z_tau_series(table.tau, order)
     for n in range(order + 1):
         if z_rec.coeff(n) != z.coeff(n):
@@ -161,7 +162,8 @@ def dt_extract(loops: int, max_n: int) -> DTTable:
 
     Substitutes t -> (-1)^(loops-1) t in the Hilbert-Poincare series,
     takes the plethystic log, demands (1-q) L_n be Laurent, and reads
-    c_{n,k} = (-1)^((loops-1) n) [q^(-k)] ((1-q) L_n) for k >= 0.
+    c_{n,k} = (-1)^((loops-1) n) [q^(-k)] ((1-q) n L_n) / n for k >= 0,
+    one divmod per entry.
     """
     if max_n < 1:
         raise ValueError("dt_extract needs max_n >= 1")
@@ -172,11 +174,11 @@ def dt_extract(loops: int, max_n: int) -> DTTable:
         max_n,
         [c.scale(twist ** (n % 2)) if twist < 0 else c for n, c in enumerate(p.coeffs)],
     )
-    ls = plethystic_log(twisted)
+    gs = plethystic_dlog(twisted)
     rows: dict = {}
     for n in range(1, max_n + 1):
         try:
-            g = _times_one_minus_q(ls[n - 1], n)
+            g = _times_one_minus_q(gs[n - 1], n)
         except ExactDivisionError as e:
             raise TheoremViolation(
                 f"(1-q) L_{n} is not a Laurent polynomial (loops={loops}, max_n={max_n})"
@@ -189,10 +191,11 @@ def dt_extract(loops: int, max_n: int) -> DTTable:
                     f"half-integer q-power in DT level {n} (loops={loops})"
                 )
             k = -u // 2
-            val = sign * Fraction(c)
-            if val.denominator != 1:
-                raise TheoremViolation(f"non-integer DT entry c_({n},{k}) = {val}")
-            val = int(val)
+            val, r = divmod(sign * c, n)
+            if r:
+                raise TheoremViolation(
+                    f"non-integer DT entry c_({n},{k}) = {Fraction(sign * c, n)}"
+                )
             if k < 0 or val < 0:
                 raise TheoremViolation(
                     f"DT entry outside the certified cone: c_({n},{k}) = {val}"
@@ -223,17 +226,19 @@ def gwdt_check(tau: int, order: int) -> Report:
     return rep
 
 
-def ov_dt_shift_check(tau: int, max_n: int) -> Report:
+def ov_dt_shift_check(ov: OVTable, max_n: int) -> Report:
     """Empirical dictionary between the two integer tables for tau <= -1:
 
     N_{n, n-2k-1}(tau) = -(-1)^((tau-1) n) c_{n,k} of the (-tau)-loop
     quiver, the index shift coming from matching q^(n/2 + l - k) factors
-    against q^((k'+1)/2 + l).
+    against q^((k'+1)/2 + l).  Reads the rows n <= max_n of ``ov``.
     """
+    tau = ov.tau
     if tau > -1:
         raise ValueError("ov_dt_shift_check needs tau <= -1")
+    if max_n > ov.max_m:
+        raise ValueError("ov_dt_shift_check needs max_n <= the table's max_m")
     rep = Report("ov-dt-shift", {"tau": tau, "max_n": max_n})
-    ov = ooguri_vafa(tau, max_n, reconstruct=False)
     dt = dt_extract(-tau, max_n)
     for n in range(1, max_n + 1):
         mapped = {}

@@ -28,10 +28,11 @@ is {m}_a and the divisor switches to {m}^2/{1}^2.
 (a conjectural statement for l(mu) >= 2, so failures are reported, not
 raised), via characters and the log on the power-sum partition algebra.
 ``cal_z_partition`` is one character sum over hook-content products, and
-``zf_mu`` takes the log, times z_mu, by the derivation recurrence of
-``series.series_log`` over the sub-multisets of mu, with integer weights.
-Both are PochFracs, numerators over (q;q)_n; the rational steps left are
-one division by |mu| per mu and one exact division by {mu} (q;q)_|mu|.
+``dlog_mu`` carries the log as its integral level |mu| z_mu f_mu, by the
+derivation recurrence of ``series.series_dlog`` over the sub-multisets
+of mu, with integer weights.  Both are PochFracs, numerators over
+(q;q)_n; ``g_mu_general`` divides once, by {mu} (q;q)_|mu| and then by
+|mu|, where it reads its table.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def cal_z_partition(nu: Partition, tau: int) -> PochFrac:
 
 def _splits(mu: Partition):
     # the nonempty proper sub-multisets rho of mu, with mu - rho; both
-    # descending, like the keys that zf_mu and cal_z_partition cache on
+    # descending, like the keys that dlog_mu and cal_z_partition cache on
     parts = sorted(set(mu), reverse=True)
     for counts in product(*(range(mu.count(p) + 1) for p in parts)):
         rho = tuple(p for p, c in zip(parts, counts) for _ in range(c))
@@ -296,22 +297,23 @@ def _splits(mu: Partition):
 
 
 @lru_cache(maxsize=None)
-def zf_mu(mu: Partition, tau: int) -> PochFrac:
-    """F_mu = z_mu f_mu, with f_mu the connected (log) coefficient at p_mu of
-    S = sum_nu cal_Z_nu p_nu / z_nu.  The degree operator E p_nu = |nu| p_nu
-    is a derivation, so E log S = E S / S, which is the recurrence
+def dlog_mu(mu: Partition, tau: int) -> PochFrac:
+    """G_mu = |mu| z_mu f_mu, with f_mu the connected (log) coefficient at
+    p_mu of S = sum_nu cal_Z_nu p_nu / z_nu: the log's level under the
+    degree operator E p_nu = |nu| p_nu.  E is a derivation, so
+    E log S = E S / S, which is the recurrence
 
-        |mu| F_mu = |mu| cal_Z_mu - sum_rho |rho| w F_rho cal_Z_(mu - rho)
+        G_mu = |mu| cal_Z_mu - sum_rho w G_rho cal_Z_(mu - rho)
 
     over the nonempty proper sub-multisets rho of mu, with the integer weight
-    w = z_mu / (z_rho z_(mu - rho)), a product of binomials."""
+    w = z_mu / (z_rho z_(mu - rho)), a product of binomials: no division."""
     if not mu:
-        raise ValueError("zf_mu needs a nonempty partition")
+        raise ValueError("dlog_mu needs a nonempty partition")
     total, z = PochFrac.zero(), z_factor(mu)
     for rho, rest in _splits(mu):
         w = z // (z_factor(rho) * z_factor(rest))
-        total = total + zf_mu(rho, tau) * cal_z_partition(rest, tau).scale(sum(rho) * w)
-    return cal_z_partition(mu, tau) + total.scale(Fraction(-1, sum(mu)))
+        total = total + dlog_mu(rho, tau) * cal_z_partition(rest, tau).scale(-w)
+    return cal_z_partition(mu, tau).scale(sum(mu)) + total
 
 
 @dataclass
@@ -328,10 +330,12 @@ def g_mu_general(mu: Partition, tau: int) -> GeneralHoleResult:
 
     Computes g-hat_mu = sum over d | mu of (moebius(d)/d) adams_d of
     (f_{mu/d} / {mu/d}), then z^2 z_mu g-hat_mu, and attempts the z^2-basis
-    rewrite.  Since adams_d({mu/d}) = {mu} and z_mu = d^l(mu) z_(mu/d),
-    z_mu g-hat_mu = S / {mu} with S = sum_d moebius(d) d^(l(mu)-1)
-    adams_d(F_{mu/d}) = num / (q;q)_|mu|, so the target is Laurent exactly
-    when {mu} (q;q)_|mu| divides z^2 num.  Failures are reported, not
+    rewrite.  Since adams_d({mu/d}) = {mu}, z_mu = d^l(mu) z_(mu/d) and
+    |mu| = d |mu/d|, |mu| z_mu g-hat_mu = S / {mu} with S = sum_d
+    moebius(d) d^l(mu) adams_d(G_{mu/d}) = num / (q;q)_|mu|, so the target
+    is Laurent exactly when {mu} (q;q)_|mu| divides z^2 num; the quotient
+    is then divided by |mu| coefficient by coefficient, keeping a Fraction
+    only where that leaves a remainder.  Failures are reported, not
     raised: only the single-row case is a theorem.
     """
     mu = tuple(sorted(mu, reverse=True))
@@ -344,14 +348,15 @@ def g_mu_general(mu: Partition, tau: int) -> GeneralHoleResult:
     for d in divisors(parts_gcd(mu)):
         mo = moebius(d)
         if mo:
-            s = s + zf_mu(scale_down(mu, d), tau).adams(d).scale(mo * d ** (len(mu) - 1))
-    num = s.num * Z_SQUARED
-    den = quantum_prod(mu) * one_minus_q_prod(range(1, sum(mu) + 1))
+            s = s + dlog_mu(scale_down(mu, d), tau).adams(d).scale(mo * d ** len(mu))
+    size = sum(mu)
+    den = quantum_prod(mu) * one_minus_q_prod(range(1, size + 1))
     try:
-        target = exact_div(num, den)
+        sized = exact_div(s.num * Z_SQUARED, den)
     except ExactDivisionError:
         rep.failures.append({"mu": mu, "reason": "denominator did not clear"})
         return GeneralHoleResult(mu, tau, None, None, rep)
+    target = LaurentQA({k: Fraction(c, size) if c % size else c // size for k, c in sized.items()})
     try:
         table = to_z_basis(target)
     except ZBasisError as e:

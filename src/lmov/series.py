@@ -3,16 +3,20 @@
 Coefficients can be any value supporting ``+``, ``-``, ``*``, ``scale``
 (multiplication by an exact rational), ``is_zero`` and -- where the
 plethystic operations are used -- ``adams``.  LaurentQA from
-:mod:`lmov.qa` qualifies.  So does PochFrac for ``series_log``,
-``series_exp`` and ``plethystic_log``, which only add, multiply, scale
-and take Adams operations: slot n of every series they build holds a
-value of x-degree n, so the sums they form are always over one (q;q)_n.
+:mod:`lmov.qa` qualifies.  So does PochFrac, since these maps only add,
+multiply, scale and take Adams operations: slot n of every series they
+build holds a value of x-degree n, so the sums they form are always over
+one (q;q)_n.
+
+A log is carried as its levels D_n = n [x^n] log S, the coefficients of
+x d/dx log S: they have integer weights, so a reader divides once, where
+it reads its table; the 1/n of ``series_dexp`` is the one rational step.
 
 ``Series1`` stores a dense coefficient list up to a fixed order N and
-carries no arithmetic of its own: the log, exp and plethystic maps below
-read its coefficients and never look beyond N.  There is no bivariate
-series; the annulus kernel is a one-variable series after a substitution,
-and ``lmov.genus0`` runs the ``series_log`` recurrence on its int rows.
+carries no arithmetic of its own: the maps below read its coefficients
+and never look beyond N.  There is no bivariate series; the annulus
+kernel is a one-variable series after a substitution, and
+``lmov.genus0`` runs the ``series_dlog`` recurrence on its int rows.
 """
 
 from __future__ import annotations
@@ -60,13 +64,13 @@ class Series1:
         )
 
 
-def series_log(s: Series1) -> Series1:
-    """log of a series with constant term exactly one, truncated alike.
+def series_dlog(s: Series1) -> Series1:
+    """Levels D_n = n [x^n] log S of a series with constant term exactly one.
 
-    D_n = n L_n obeys D_n = n S_n - sum_{k<n} D_k S_(n-k) (x S' = S x L'):
-    O(N^2) ring products, on integers whenever S has integer coefficients."""
+    D_n = n S_n - sum_{k<n} D_k S_(n-k) (x S' = S D): O(N^2) ring
+    products, on integers whenever S has integer coefficients."""
     if s.coeffs[0] != s.ring.one:
-        raise ValueError("series_log needs constant term 1")
+        raise ValueError("series_dlog needs constant term 1")
     d = [s.ring.zero]
     for n in range(1, s.order + 1):
         acc = s.ring.zero
@@ -74,55 +78,48 @@ def series_log(s: Series1) -> Series1:
             if not d[k].is_zero() and not s.coeffs[n - k].is_zero():
                 acc = acc + d[k] * s.coeffs[n - k]
         d.append(s.coeffs[n].scale(n) + acc.scale(-1))
-    logs = [c.scale(Fraction(1, n)) for n, c in enumerate(d) if n]
-    return Series1(s.ring, s.order, [s.ring.zero] + logs)
+    return Series1(s.ring, s.order, d)
 
 
-def series_exp(s: Series1) -> Series1:
-    """exp of a series with zero constant term, truncated alike.
+def series_dexp(d: Series1) -> Series1:
+    """Inverse of ``series_dlog``: E with E_0 = 1 from D with D_0 = 0.
 
-    n E_n = sum_{k<=n} D_k E_(n-k), D_k = k S_k (x E' = x S' E): O(N^2)
-    ring products."""
-    if not s.coeffs[0].is_zero():
-        raise ValueError("series_exp needs zero constant term")
-    d = [c.scale(k) for k, c in enumerate(s.coeffs)]
-    out = [s.ring.one]
-    for n in range(1, s.order + 1):
-        acc = s.ring.zero
+    n E_n = sum_{k<=n} D_k E_(n-k) (x E' = D E): O(N^2) ring products."""
+    if not d.coeffs[0].is_zero():
+        raise ValueError("series_dexp needs zero constant term")
+    out = [d.ring.one]
+    for n in range(1, d.order + 1):
+        acc = d.ring.zero
         for k in range(1, n + 1):
-            if not d[k].is_zero() and not out[n - k].is_zero():
-                acc = acc + d[k] * out[n - k]
+            if not d.coeffs[k].is_zero() and not out[n - k].is_zero():
+                acc = acc + d.coeffs[k] * out[n - k]
         out.append(acc.scale(Fraction(1, n)))
-    return Series1(s.ring, s.order, out)
+    return Series1(d.ring, d.order, out)
 
 
-def plethystic_log(z: Series1) -> list:
-    """Degree-graded plethystic logarithm of a series with Z(0) = 1.
+def plethystic_dlog(z: Series1) -> list:
+    """Degree-graded plethystic logarithm of a series with Z(0) = 1, as levels.
 
-    Returns [f_1, ..., f_N] with
-    Z = exp( sum_{m>=1} sum_{d>=1} (1/d) adams_d(f_m) x^(d*m) ),
-    computed as f_m = sum_{d|m} (moebius(d)/d) adams_d(F_{m/d}) from the
-    ordinary logarithm F.
+    Returns [g_1, ..., g_N], g_m = m f_m, where
+    Z = exp( sum_{m>=1} sum_{d>=1} (1/d) adams_d(f_m) x^(d*m) ), computed
+    as g_m = sum_{d|m} moebius(d) adams_d(D_{m/d}) from ``series_dlog``.
     """
-    logz = series_log(z)
-    n = z.order
+    dz = series_dlog(z)
     out = []
-    for m in range(1, n + 1):
+    for m in range(1, z.order + 1):
         acc = z.ring.zero
         for d in divisors(m):
             mu = moebius(d)
             if mu:
-                acc = acc + logz.coeffs[m // d].adams(d).scale(Fraction(mu, d))
+                acc = acc + dz.coeffs[m // d].adams(d).scale(mu)
         out.append(acc)
     return out
 
 
-def plethystic_exp(fs: list, ring: CoeffRing, order: int) -> Series1:
-    """Inverse of plethystic_log: rebuild Z from [f_1, ..., f_M]."""
+def plethystic_dexp(gs: list, ring: CoeffRing, order: int) -> Series1:
+    """Inverse of plethystic_dlog, through D_n = sum_{dm=n} adams_d(g_m)."""
     acc = [ring.zero for _ in range(order + 1)]
-    for m, fm in enumerate(fs, start=1):
-        if m > order:
-            break
+    for m, gm in enumerate(gs[:order], start=1):
         for d in range(1, order // m + 1):
-            acc[d * m] = acc[d * m] + fm.adams(d).scale(Fraction(1, d))
-    return series_exp(Series1(ring, order, acc))
+            acc[d * m] = acc[d * m] + gm.adams(d)
+    return series_dexp(Series1(ring, order, acc))

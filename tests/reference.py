@@ -19,7 +19,9 @@ dict-loop ``to_z_basis``, the one-hole chain on LaurentQA (the double-loop
 ``cal_z_closed_form``, ``g_m_cleared``, and ``z2_g_m``, one
 ``lmov.qa.exact_div`` by ``_cleared_divisor``) and the power-sum
 ``series_log`` / ``series_exp``, built on the ``Series1`` sum, product
-and scale (``series_add``, ``series_mul``, ...).  The genus-zero closed forms
+and scale (``series_add``, ``series_mul``, ...), with the plethystic log
+``plethystic_log`` on its Fraction weights moebius(d)/d, against the
+library's integral levels m f_m.  The genus-zero closed forms
 are checked against the generic machinery they replaced: the fixed-point
 solver ``solve_functional`` (with the series power, inverse and shift it
 needs) behind ``mirror_series``, the general-divisor ``exact_div`` that
@@ -29,9 +31,9 @@ X2 = t X1.  The twist-knot invariants are checked against their binomial
 sums (``b_minus``, ``b_plus``) from before ``arith.loop_quiver_dt``.
 The genus-zero Moebius sums, one integer numerator and one exact divmod
 in the library, are checked against the sums of Fractions they replaced
-(``disc_n``, ``annulus_n``, with ``certified_int``, and the Fraction map
-``annulus_c``), and the library's ``math.comb`` ``binomial_ext`` against
-the falling factorial.  The row numerator ``_row_numerator`` behind
+(``disc_n``, ``annulus_n``, with ``certified_int``, and the Fraction maps
+``disc_c`` and ``annulus_c``), and the library's ``math.comb``
+``binomial_ext`` against the falling factorial.  The row numerator ``_row_numerator`` behind
 ``unknot_row`` gives ``recursion_pair``, the full-row sides of the framed
 row recursion that the library reduced to their 2-term core.
 The general-partition log coefficient ``f_mu`` is the sum over the
@@ -53,7 +55,7 @@ from typing import Callable, Mapping
 from helpers import quantum_int_a
 from lmov import qa
 from lmov.arith import TheoremViolation, divisors, moebius
-from lmov.genus0 import _annulus_column, disc_c
+from lmov.genus0 import _annulus_column, _disc_numerator
 from lmov.partitions import (
     Partition,
     kappa,
@@ -76,7 +78,7 @@ from lmov.qa import (
     quantum_int,
     quantum_prod,
 )
-from lmov.series import CoeffRing, Series1, plethystic_log
+from lmov.series import CoeffRing, Series1
 
 # ---------------------------------------------------------------------------
 # the slow routines behind the integer fast paths
@@ -284,6 +286,21 @@ def series_exp(s: Series1) -> Series1:
         if series_is_zero(power):
             break
         out = series_add(out, series_scale(power, Fraction(1, factorial(k))))
+    return out
+
+
+def plethystic_log(z: Series1) -> list:
+    """[f_1, ..., f_N] with Z = exp(sum_m sum_d (1/d) adams_d(f_m) x^(dm)),
+    by f_m = sum_{d|m} (moebius(d)/d) adams_d(L_{m/d}) from the power-sum
+    ``series_log``; ``lmov.series.plethystic_dlog`` returns m f_m."""
+    logz = series_log(z)
+    out = []
+    for m in range(1, z.order + 1):
+        acc = z.ring.zero
+        for d in divisors(m):
+            if moebius(d):
+                acc = acc + logz.coeffs[m // d].adams(d).scale(Fraction(moebius(d), d))
+        out.append(acc)
     return out
 
 
@@ -524,6 +541,15 @@ def binomial_ext(n: int, k: int) -> int:
     for i in range(k):
         num *= n - i
     return num // factorial(k)
+
+
+def disc_c(m: int, l: int, tau: int) -> Fraction:
+    """Multi-cover disc coefficient c_{m,l}(tau)."""
+    if m < 1:
+        raise ValueError("disc_c needs m >= 1")
+    if not 0 <= l <= m:
+        raise ValueError("disc_c needs 0 <= l <= m")
+    return Fraction(_disc_numerator(m, l, tau), m * m)
 
 
 def disc_n(m: int, l: int, tau: int) -> int:

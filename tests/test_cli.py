@@ -273,8 +273,8 @@ def test_ov_failure_records_keyed_by_int_reach_the_report(tmp_path, monkeypatch,
     # and, for tau <= -1, ov_dt_shift_check records {"dt_mapped": {k: c}, ...}
     real = gwdt.ooguri_vafa
 
-    def broken(tau, max_m, reconstruct=True):
-        table = real(tau, max_m, reconstruct)
+    def broken(tau, max_m):
+        table = real(tau, max_m)
         table.rows[1] = {0: 5}
         return table
 

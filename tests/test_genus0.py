@@ -13,7 +13,6 @@ from lmov.genus0 import (
     _annulus_column,
     annulus_n,
     annulus_top_numerator,
-    disc_c,
     disc_n,
     disc_series_check,
     kernel_level,
@@ -22,7 +21,7 @@ from lmov.genus0 import (
     multihole_n,
 )
 from lmov.partitions import partitions_of
-from reference import annulus_c
+from reference import annulus_c, disc_c
 
 
 # --- disc -------------------------------------------------------------------

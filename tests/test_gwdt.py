@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import cli_output
-from lmov.arith import binomial_ext, loop_quiver_dt
+from lmov import gwdt
+from lmov.arith import TheoremViolation, binomial_ext, loop_quiver_dt
 from lmov.genus0 import disc_n
 from lmov.gwdt import (
     DTTable,
@@ -18,7 +19,8 @@ from lmov.gwdt import (
     ov_reconstruction_residue,
     z_tau_series,
 )
-from lmov.qa import PochFrac
+from lmov.qa import LaurentQA, PochFrac
+from lmov.series import Series1, plethystic_dlog
 from lmov.twist import b_minus, b_plus
 from reference import RationalQ, as_rational, dt_rows, framed_row, one_minus_q_pow, ov_rows
 
@@ -85,6 +87,40 @@ def test_gwdt_n1_slice():
     for tau in (-4, -1):
         sub = RationalQ.monomial(1, (-1) ** ((tau - 1) % 2))
         assert _rational(h_top(1, tau)) == (RationalQ.one() / one_minus_q_pow(1)) * sub
+
+
+def _twisted_coha(loops, order):
+    # t -> (-1)^(loops-1) t, as dt_extract substitutes it
+    p = coha_series(loops, order)
+    coeffs = [c.scale((-1) ** ((loops - 1) * n)) for n, c in enumerate(p.coeffs)]
+    return Series1(p.ring, order, coeffs)
+
+
+def test_plethystic_dlog_levels_have_integer_numerators():
+    # m f_m, unlike f_m, is an integer numerator over (q;q)_m at every level
+    series = [z_tau_series(tau, 8) for tau in range(-5, 6)]
+    series += [_twisted_coha(loops, 8) for loops in range(1, 6)]
+    for z in series:
+        for m, g in enumerate(plethystic_dlog(z), start=1):
+            assert all(type(c) is int for _, c in g.num.items()), m
+
+
+def test_non_integer_level_entries_keep_their_failure_text(monkeypatch):
+    # one coefficient of (1-q) m f_m off by one is no longer divisible by m = 2:
+    # -2 q becomes -q at tau = 1, and 2 q^-1 becomes 3 q^-1 for two loops
+    real = gwdt._times_one_minus_q
+
+    def off_by_one(f, n):
+        out = real(f, n)
+        return out + LaurentQA.monomial(2 if out.coeff(2, 0) else -2) if n == 2 else out
+
+    monkeypatch.setattr(gwdt, "_times_one_minus_q", off_by_one)
+    assert ooguri_vafa(1, 2).report.failures == [
+        {"m": 2, "k": 1, "reason": "non-integer 1/2"},
+        {"reason": "product reconstruction mismatch"},
+    ]
+    with pytest.raises(TheoremViolation, match=r"^non-integer DT entry c_\(2,1\) = 3/2$"):
+        dt_extract(2, 2)
 
 
 # --- against the RationalQ reference ---------------------------------------------
@@ -206,8 +242,12 @@ def test_dt_at_q1_matches_extremal_and_disc():
 
 def test_ov_dt_shift():
     for tau in (-1, -2, -3, -4):
-        rep = ov_dt_shift_check(tau, 5)
+        rep = ov_dt_shift_check(ooguri_vafa(tau, 5), 5)
         assert rep.ok, (tau, rep.failures)
+    with pytest.raises(ValueError, match="max_n <= the table's max_m"):
+        ov_dt_shift_check(ooguri_vafa(-2, 4), 5)
+    with pytest.raises(ValueError, match="tau <= -1"):
+        ov_dt_shift_check(ooguri_vafa(1, 4), 4)
 
 
 # --- literal windowed product expansions ---------------------------------------------
@@ -302,7 +342,7 @@ def _ov_literal_product(table: OVTable, x_order, l_max):
 @pytest.mark.parametrize("tau", [-2, 0, 1])
 def test_ov_literal_product_window(tau):
     x_order = 3
-    table = ooguri_vafa(tau, x_order, reconstruct=False)
+    table = ooguri_vafa(tau, x_order)
     got = _ov_literal_product(table, x_order, l_max=40)
     stable = _ov_literal_product(table, x_order, l_max=50)
     assert got == stable  # window saturated: deeper towers do not reach it

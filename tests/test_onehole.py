@@ -12,10 +12,10 @@ from lmov.onehole import (
     cal_z_cleared,
     cal_z_partition,
     colored_sum,
+    dlog_mu,
     g_mu_general,
     lmov_one_hole,
     verify_recursion,
-    zf_mu,
 )
 from lmov.partitions import partitions_of, z_factor
 from lmov.qa import LaurentQA, PochFrac, quantum_int, quantum_prod, to_z_basis
@@ -378,7 +378,7 @@ def test_f_mu_single_part_reduces_to_cal_z():
     for m in (1, 2, 3):
         for tau in (-1, 0, 2):
             want = cal_z_partition((m,), tau).scale(Fraction(z_factor((m,)), m))
-            assert zf_mu((m,), tau) == want
+            assert dlog_mu((m,), tau) == want.scale(m)
 
 
 def test_g_mu_general_single_row_matches_one_hole():
@@ -409,9 +409,9 @@ def test_general_partition_matches_reference():
                 assert as_rational(cal_z_partition(mu, tau)) == reference.cal_z_partition(
                     mu, tau
                 ), (mu, tau)
-                assert as_rational(zf_mu(mu, tau)) == reference.f_mu(mu, tau).scale(
+                assert as_rational(dlog_mu(mu, tau)) == reference.f_mu(mu, tau).scale(
                     z_factor(mu)
-                ), (mu, tau)
+                ).scale(sum(mu)), (mu, tau)
                 want = reference.g_mu_target(mu, tau).as_laurent()
                 assert want is not None
                 assert g_mu_general(mu, tau).target == want, (mu, tau)
@@ -442,11 +442,11 @@ def test_quantum_dim_of_a_row_is_the_unknot_row():
         assert as_rational(PochFrac(onehole._quantum_dim((n,)), n)) == unknot_row(n), n
 
 
-def test_zf_mu_numerators_are_integers():
+def test_dlog_mu_numerators_are_integers():
     for tau in range(-3, 4):
         for size in range(1, 7):
             for mu in partitions_of(size):
-                coeffs = [c for _, c in zf_mu(mu, tau).num.items()]
+                coeffs = [c for _, c in dlog_mu(mu, tau).num.items()]
                 assert all(type(c) is int for c in coeffs), (mu, tau)
 
 
@@ -466,7 +466,7 @@ def test_hook_quotient_failure_fails_only_general_partition(monkeypatch):
         return real(f + LaurentQA.one() if f == q3 else f, g)
 
     monkeypatch.setattr(onehole, "exact_div", broken)
-    for cached in (onehole._quantum_dim, cal_z_partition, zf_mu):
+    for cached in (onehole._quantum_dim, cal_z_partition, dlog_mu):
         cached.cache_clear()
     try:
         with pytest.raises(TheoremViolation, match=r"\(lam=\(3,\)\)"):
@@ -479,7 +479,7 @@ def test_hook_quotient_failure_fails_only_general_partition(monkeypatch):
             {"violation": "(q;q)_n / prod (1 - q^h) is not a polynomial (lam=(3,))"}
         ]
     finally:
-        for cached in (onehole._quantum_dim, cal_z_partition, zf_mu):
+        for cached in (onehole._quantum_dim, cal_z_partition, dlog_mu):
             cached.cache_clear()
 
 

@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 
 import reference
 from helpers import quantum_int_a, series_x
-from lmov.qa import LaurentQA, PochFrac, quantum_int
+from lmov.qa import LaurentQA, PochFrac, one_minus_q_prod, quantum_int
 from lmov.series import (
     CoeffRing,
     Series1,
-    plethystic_exp,
-    plethystic_log,
-    series_exp,
-    series_log,
+    plethystic_dexp,
+    plethystic_dlog,
+    series_dexp,
+    series_dlog,
 )
 from reference import Series2, series2_log
 
@@ -44,25 +44,25 @@ def test_series_mul_and_inverse():
 
 def test_series_log_examples():
     # log 1 = 0
-    assert reference.series_is_zero(series_log(reference.series_constant(LRING, 6)))
+    assert reference.series_is_zero(series_dlog(reference.series_constant(LRING, 6)))
     # log(1/(1-x)) = sum x^n / n
-    lg = series_log(geometric(7))
+    lg = series_dlog(geometric(7))
     for n in range(1, 8):
-        assert lg.coeff(n) == LaurentQA.one().scale(Fraction(1, n))
+        assert lg.coeff(n) == LaurentQA.one().scale(Fraction(1, n)).scale(n)
     with pytest.raises(ValueError):
-        series_log(Series1(LRING, 3, [LaurentQA.zero()]))
+        series_dlog(Series1(LRING, 3, [LaurentQA.zero()]))
 
 
 def test_series_exp_log_inverse_on_example():
     x = series_x(LRING, 9)
-    assert series_log(series_exp(x)).coeffs == x.coeffs
+    assert series_dlog(series_dexp(x)).coeffs == x.coeffs
 
 
 @given(st.lists(small_coeff, min_size=1, max_size=6))
 def test_series_exp_log_roundtrip(tail):
     order = len(tail)
     s = Series1(LRING, order, [LaurentQA.one()] + tail)
-    assert series_exp(series_log(s)).coeffs == s.coeffs
+    assert series_dexp(series_dlog(s)).coeffs == s.coeffs
 
 
 @given(st.lists(small_coeff, min_size=1, max_size=6), st.booleans())
@@ -76,9 +76,30 @@ def test_series_log_exp_match_power_sums(tail, poch):
     else:
         ring = LRING
     s = Series1(ring, order, [ring.one] + tail)
-    assert series_log(s) == reference.series_log(s)
+    want = [c.scale(n) for n, c in enumerate(reference.series_log(s).coeffs)]
+    assert series_dlog(s).coeffs == want
     s0 = Series1(ring, order, [ring.zero] + tail)
-    assert series_exp(s0) == reference.series_exp(s0)
+    d0 = Series1(ring, order, [c.scale(n) for n, c in enumerate(s0.coeffs)])
+    assert series_dexp(d0) == reference.series_exp(s0)
+
+
+def test_series_dexp_of_the_power_sums_is_the_unknot_row():
+    # exp(sum_k p_k x^k / k), p_k = {k}_a / {k}, is the tau = 0 reduced series
+    # sum_n H_n x^n, H_n = R_n / prod_(i<=n) {i}: its levels are D_k = p_k.
+    # As numerators over (q;q)_k and (q;q)_n, 1/{k} is -q^(k/2) prod_(i<k) (1 - q^i)
+    # and 1 / prod_(i<=n) {i} is (-1)^n q^(n(n+1)/4).  n <= 18 keeps it under 1 s
+    ring = CoeffRing(zero=PochFrac.zero(), one=PochFrac.one())
+    order = 18
+    p = [ring.zero] + [
+        PochFrac((quantum_int_a(k) * one_minus_q_prod(range(1, k))).shift(du=k).scale(-1), k)
+        for k in range(1, order + 1)
+    ]
+    e = series_dexp(Series1(ring, order, p))
+    for n in range(order + 1):
+        row = reference._row_numerator(n).shift(du=n * (n + 1) // 2).scale((-1) ** n)
+        assert e.coeff(n) == PochFrac(row, n), n
+    for n in range(6):
+        assert reference.as_rational(e.coeff(n)) == reference.unknot_row(n), n
 
 
 def test_solve_functional_identity_phi():
@@ -116,7 +137,7 @@ def test_solve_functional_mirror_first_coefficient():
 
 def test_plethystic_log_free_particle():
     # Z = 1/(1-x): f_1 = 1, f_m = 0 for m >= 2
-    fs = plethystic_log(geometric(8))
+    fs = plethystic_dlog(geometric(8))
     assert fs[0] == LaurentQA.one()
     assert all(f.is_zero() for f in fs[1:])
 
@@ -127,9 +148,9 @@ def test_plethystic_log_pure_exponential():
     order = 6
     acc = [LaurentQA.zero() for _ in range(order + 1)]
     for d in range(1, order + 1):
-        acc[d] = c.adams(d).scale(Fraction(1, d))
-    z = series_exp(Series1(LRING, order, acc))
-    fs = plethystic_log(z)
+        acc[d] = c.adams(d).scale(Fraction(1, d)).scale(d)
+    z = series_dexp(Series1(LRING, order, acc))
+    fs = plethystic_dlog(z)
     assert fs[0] == c
     assert all(f.is_zero() for f in fs[1:])
 
@@ -139,23 +160,23 @@ def test_plethystic_log_degree_two_formula():
     z1 = quantum_int_a(1)
     z2 = quantum_int(2) * LaurentQA.monomial(v=-2)
     z = Series1(LRING, 2, [LaurentQA.one(), z1, z2])
-    fs = plethystic_log(z)
+    fs = plethystic_dlog(z)
     want = z2 - (z1 * z1).scale(Fraction(1, 2)) - z1.adams(2).scale(Fraction(1, 2))
-    assert fs[1] == want
+    assert fs[1] == want.scale(2)
 
 
 @given(st.lists(small_coeff, min_size=1, max_size=5))
 def test_plethystic_roundtrip(tail):
     order = len(tail)
     z = Series1(LRING, order, [LaurentQA.one()] + tail)
-    fs = plethystic_log(z)
-    assert plethystic_exp(fs, LRING, order).coeffs == z.coeffs
+    fs = plethystic_dlog(z)
+    assert plethystic_dexp(fs, LRING, order).coeffs == z.coeffs
 
 
 def test_plethystic_log_rejects_bad_constant():
     s = Series1(LRING, 3, [LaurentQA.monomial(c=2)])
     with pytest.raises(ValueError):
-        plethystic_log(s)
+        plethystic_dlog(s)
 
 
 def test_series2_log_matches_univariate_diagonal():
