@@ -3,14 +3,16 @@
 Everything is exact integer arithmetic; trial division is plenty at the
 scales the invariant tables need (n well below 10^6).  This module is the
 leaf of the package: it imports nothing from lmov, so every layer above
-can share ``Report``, ``TheoremViolation`` and ``certified_div``.
+can share ``Report``, ``TheoremViolation``, ``certified_div`` and
+``div_one_minus``, the exact division by 1 - x^k behind every geometric
+factor of the row kernels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import comb, isqrt
 
 
@@ -22,25 +24,45 @@ class TheoremViolation(AssertionError):
     """
 
 
-def certified_div(num: int, den: int, what: str) -> int:
-    """num / den (den > 0) by one divmod; a remainder is a TheoremViolation."""
+def certified_div(num: int, den: int, what: str, *args) -> int:
+    """num / den (den > 0) by one divmod; a remainder is a TheoremViolation
+    naming ``what.format(*args)``, formatted only then."""
     q, r = divmod(num, den)
     if r:
-        raise TheoremViolation(f"{what} is not an integer: {Fraction(num, den)}")
+        raise TheoremViolation(f"{what.format(*args)} is not an integer: {Fraction(num, den)}")
     return q
 
 
-@dataclass
+def div_one_minus(row: list, k: int) -> list | None:
+    """The quotient of the dense row (consumed) by 1 - x^k (k >= 1), of
+    length len(row) - k, or None when the division leaves a remainder.
+
+    The quotient h has h[e] = row[e] + h[e - k]: one running sum over each
+    residue class mod k.  Summed to the end, the row's last k entries are
+    the remainder, which must be zero."""
+    for r in range(k):
+        row[r::k] = accumulate(row[r::k])
+    cut = max(len(row) - k, 0)
+    if any(row[cut:]):
+        return None
+    del row[cut:]
+    return row
+
+
 class Report:
     """Outcome of one check; empty ``failures`` means success.
 
     ``seconds`` is the wall time the verification sweep measured for it.
     """
 
-    name: str
-    params: dict
-    failures: list = field(default_factory=list)
-    seconds: float = 0.0
+    __slots__ = ("name", "params", "failures", "seconds")
+
+    def __init__(self, name: str, params: dict, failures: list | None = None,
+                 seconds: float = 0.0):
+        self.name = name
+        self.params = params
+        self.failures = [] if failures is None else failures
+        self.seconds = seconds
 
     @property
     def ok(self) -> bool:
@@ -67,8 +89,9 @@ def moebius(n: int) -> int:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """Ascending list of the positive divisors of n (n >= 1)."""
+@cache
+def divisors(n: int) -> tuple[int, ...]:
+    """Ascending tuple of the positive divisors of n (n >= 1)."""
     if n < 1:
         raise ValueError("divisors is defined for positive integers")
     small, large = [], []
@@ -77,7 +100,7 @@ def divisors(n: int) -> list[int]:
             small.append(d)
             if d != n // d:
                 large.append(n // d)
-    return small + large[::-1]
+    return tuple(small + large[::-1])
 
 
 def binomial_ext(n: int, k: int) -> int:
@@ -101,7 +124,7 @@ def loop_quiver_dt(m: int, n: int) -> int:
         mu = moebius(n // d)
         if mu:
             total += mu * (-1) ** ((m - 1) * (n - d) % 2) * comb(m * d - 1, d - 1)
-    return certified_div(total, n * n, f"DT of the {m}-loop quiver at n={n}")
+    return certified_div(total, n * n, "DT of the {}-loop quiver at n={}", m, n)
 
 
 def gaussian_binomial(m: int, r: int) -> list[int]:
@@ -109,9 +132,8 @@ def gaussian_binomial(m: int, r: int) -> list[int]:
 
     Computed by the product recurrence
     [m, j] = [m, j-1] (1 - q^(m-j+1)) / (1 - q^j) for j = 1..min(r, m-r):
-    each step is one multiply by 1 - q^a and one exact division by 1 - q^j,
-    each a single pass over the integer list, so [m, 0] = [m, m] = [1]
-    costs nothing.
+    each step is one multiply by 1 - q^a and one ``div_one_minus`` by
+    1 - q^j, so [m, 0] = [m, m] = [1] costs nothing.
     """
     if r < 0 or m < 0:
         raise ValueError("gaussian_binomial needs m, r >= 0")
@@ -121,10 +143,8 @@ def gaussian_binomial(m: int, r: int) -> list[int]:
     for j in range(1, min(r, m - r) + 1):
         a = m - j + 1
         p = out + [0] * a
-        for e in range(a, len(p)):
-            p[e] -= out[e - a]
-        # the quotient h by 1 - q^j has h[e] = p[e] + h[e - j]
-        for e in range(j, len(p) - j):
-            p[e] += p[e - j]
-        out = p[: len(p) - j]
+        p[a:] = [x - y for x, y in zip(p[a:], out)]
+        out = div_one_minus(p, j)
+        if out is None:
+            raise TheoremViolation(f"[{m}, {j}] is not a polynomial")
     return out

@@ -59,7 +59,7 @@ def disc_n(m: int, l: int, tau: int) -> int:
         mu = moebius(d)
         if mu:
             total += mu * _disc_numerator(m // d, l // d, tau)
-    return certified_div(total, m * m, f"n_({m},{l})(tau={tau})")
+    return certified_div(total, m * m, "n_({},{})(tau={})", m, l, tau)
 
 
 _LRING = CoeffRing(zero=LaurentQA.zero(), one=LaurentQA.one())
@@ -89,9 +89,10 @@ def kernel_level(tau: int, n: int) -> LaurentQA:
 
     Certifies the exact division of the Lagrange sum by N = n+1; a nonzero
     remainder is a TheoremViolation."""
-    what = f"N Y_N of the mirror curve over N = {n + 1} (tau={tau}, n={n})"
+    what = "N Y_N of the mirror curve over N = {} (tau={}, n={})"
     num = _lagrange_numerator(tau, n)
-    return LaurentQA({(0, 2 * i): certified_div(c, n + 1, what) for i, c in enumerate(num)})
+    return LaurentQA({(0, 2 * i): certified_div(c, n + 1, what, n + 1, tau, n)
+                      for i, c in enumerate(num)})
 
 
 def disc_series_check(tau: int, max_m: int) -> Report:
@@ -148,21 +149,22 @@ def _annulus_log(tau: int, order: int) -> list:
     that keeps total degree, so it commutes with the truncation and with
     log: the log's X1^i X2^j coefficient is entry j of level i+j, divided
     by i+j, exactly.  The levels D_n follow ``series_dlog``'s recurrence
-    D_n = n S_n - sum_(0<k<n) D_k S_(n-k), which stays integral; a row
-    times 1 + ... + t^w is the row times 1 - t^(w+1), divided exactly by
-    1 - t (``_times_geometric``).
+    D_n = n S_n - sum_(0<k<n) D_k S_(n-k), which stays integral.  Each
+    t-row of D_k is multiplied once by 1 + ... + t^(n-k), the row times
+    1 - t^(n-k+1) divided exactly by 1 - t (``_times_geometric``), before
+    the a-coefficients of kernel_level(tau, n-k) move it.
     """
     kern = [kernel_level(tau, n) for n in range(order + 1)]
     d: list = [{}]
     for n in range(1, order + 1):
         acc = {v: [n * c] * (n + 1) for (_, v), c in kern[n].items()}
+        zero = [0] * (n + 1)
         for k in range(1, n):
             w = n - k
             for v, row in d[k].items():
-                lo, h = _times_geometric(row, 1, w + 1)
+                h = _times_geometric(row, 1, w + 1)
                 for (_, v2), c in kern[w].items():
-                    out = acc.setdefault(v + v2, [0] * (n + 1))
-                    out[lo : lo + len(h)] = [x - c * y for x, y in zip(out[lo:], h)]
+                    acc[v + v2] = [x - c * y for x, y in zip(acc.get(v + v2, zero), h)]
         d.append(acc)
     return d
 
@@ -210,7 +212,7 @@ def annulus_n(m1: int, m2: int, l: int, tau: int, order: int | None = None):
             sign = -mu if (n * tau // d) % 2 else mu
             total += sign * _annulus_column(m1 // d, m2 // d, tau, order).get(l // d, 0)
     if l == n:
-        return certified_div(total, n, f"n_(({m1},{m2}),{l})(tau={tau})"), True
+        return certified_div(total, n, "n_(({},{}),{})(tau={})", m1, m2, l, tau), True
     value = Fraction(total, n)
     return value, value.denominator == 1
 

@@ -24,8 +24,8 @@ extracted c_{n,k} must be nonnegative integers with finite support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import Report, TheoremViolation
 from .qa import ExactDivisionError, LaurentQA, PochFrac, exact_div, one_minus_q_prod
@@ -72,8 +72,7 @@ def _times_one_minus_q(f: PochFrac, n: int) -> LaurentQA:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OVTable:
+class OVTable(NamedTuple):
     """Integer table N_{m,k}(tau) with finite k-support per m."""
 
     tau: int
@@ -148,8 +147,7 @@ def ov_reconstruction_residue(table: OVTable):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DTTable:
+class DTTable(NamedTuple):
     """Nonnegative integer table c_{n,k} for the m-loop quiver."""
 
     loops: int

@@ -37,13 +37,13 @@ of mu, with integer weights.  Both are PochFracs, numerators over
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial
+from typing import NamedTuple
 
-from .arith import Report, TheoremViolation, divisors, gaussian_binomial, moebius
+from .arith import Report, TheoremViolation, div_one_minus, divisors, gaussian_binomial, moebius
 from .partitions import (
     Partition,
     kappa,
@@ -60,7 +60,6 @@ from .qa import (
     Z_SQUARED,
     ZBasisError,
     ZBasisTable,
-    _dense_div,
     _nonneg_mul,
     _times_geometric,
     _z2_rewrite,
@@ -159,9 +158,11 @@ def colored_sum(m: int, tau: int) -> LaurentQA:
 
     The exp recurrence runs on n! [x^n], which stays integral:
     E_n = sum_k f_k (n-1)!/(n-k)! E_(n-k), on one int row per a-slice.
-    With L = m |tau|, {L k}/{k} = q^(-(L-1)k/2) (1 - q^(k L)) / (1 - q^k)
-    (``_times_geometric``), so every row of E_n runs from q^(-(L-1)n/2) to
-    q^((L-1)n/2); {k}_a moves a row to the a-slices v + k and v - k.
+    With L = m |tau|, {L k}/{k} = q^(-(L-1)k/2) (1 - q^(k L)) / (1 - q^k),
+    so every row of E_n runs from q^(-(L-1)n/2) to q^((L-1)n/2); {k}_a
+    moves a row to the a-slices v + k and v - k.  Each row of E_(n-k) is
+    multiplied once by the geometric factor (``_times_geometric``, running
+    sums of stride k) before it moves: the 2 slices it lands on share it.
     Each coefficient of E_m is then divided by m!; a nonzero remainder
     keeps a Fraction, so that a non-integral sum still fails the
     integrality check.
@@ -174,13 +175,13 @@ def colored_sum(m: int, tau: int) -> LaurentQA:
     e = [{0: [1]}]
     for n in range(1, m + 1):
         acc: dict = {}
+        zero = [0] * ((length - 1) * n + 1)
         falling = 1 if tau > 0 else -1  # sign(tau) (n-1)!/(n-k)!
         for k in range(1, n + 1):
             for v, row in e[n - k].items():
-                lo, h = _times_geometric(row, k, length)
-                for dv, c in ((k, falling), (-k, -falling)):
-                    out = acc.setdefault(v + dv, [0] * ((length - 1) * n + 1))
-                    out[lo : lo + len(h)] = [x + c * y for x, y in zip(out[lo:], h)]
+                h = _times_geometric(row, k, length)
+                for w, c in ((v + k, falling), (v - k, -falling)):
+                    acc[w] = [x + c * y for x, y in zip(acc.get(w, zero), h)]
             falling *= n - k
         e.append(acc)
     fact, sign, rows = factorial(m), (-1) ** ((m * tau) % 2), {}
@@ -195,9 +196,10 @@ def colored_sum(m: int, tau: int) -> LaurentQA:
 
 def _z2_rows(m: int, tau: int) -> dict:
     """The rows of z^2 g_m: each row of {m}{m tau} g_m, times (1 - q)^2 and
-    divided exactly by (1 - q^m)(1 - q^(m t)), t = |tau| or 1 at tau = 0,
-    then times sign(tau) q^((m + m t)/2 - 1).  Z[q^(+-1/2)] has no zero
-    divisors, so this is exact if and only if division by {m}{m tau}/{1}^2 is."""
+    divided exactly by 1 - q^m and by 1 - q^(m t) (``div_one_minus``),
+    t = |tau| or 1 at tau = 0, then times sign(tau) q^((m + m t)/2 - 1).
+    Z[q^(+-1/2)] has no zero divisors, so this is exact if and only if
+    division by {m}{m tau}/{1}^2 is."""
     mt = m * (abs(tau) or 1)
     parts: dict = {}
     for d in divisors(m):
@@ -205,9 +207,6 @@ def _z2_rows(m: int, tau: int) -> dict:
         if mu:
             for v, (u0, row) in _cleared_rows(m // d, tau).items():
                 parts.setdefault(v * d, []).append((u0 * d, d, mu, row))
-    g = [1] + [0] * (m + mt - 1) + [1]  # (1 - q^m)(1 - q^(m t))
-    g[m] -= 1
-    g[mt] -= 1
     out = {}
     for v, terms in parts.items():
         lo = min(u0 for u0, _, _, _ in terms)
@@ -217,13 +216,16 @@ def _z2_rows(m: int, tau: int) -> dict:
             s = (u0 - lo) // 2  # every u0 here is congruent to m (t + 1) mod 2
             f[s : s + d * len(row) : d] = [x + mu * c for x, c in zip(f[s::d], row)]
         f = [x - 2 * y + z for x, y, z in zip(f, [0] + f, [0, 0] + f)]
-        res = _dense_div(0, f, 0, g)
-        if res is None:
+        e0 = next((i for i, x in enumerate(f) if x), None)
+        if e0 is None:
+            continue
+        e1 = len(f) - next(i for i, x in enumerate(reversed(f)) if x)
+        h = div_one_minus(f[e0:e1], m)
+        h = None if h is None else div_one_minus(h, mt)
+        if h is None:
             raise TheoremViolation(f"{{m}}{{m tau}} g_m not divisible by its "
                                    f"cyclotomic core (m={m}, tau={tau})")
-        e0, h = res
-        if h:
-            out[v] = (lo + 2 * e0 + m + mt - 2, h if tau >= 0 else [-c for c in h])
+        out[v] = (lo + 2 * e0 + m + mt - 2, h if tau >= 0 else [-c for c in h])
     return out
 
 
@@ -316,8 +318,7 @@ def dlog_mu(mu: Partition, tau: int) -> PochFrac:
     return cal_z_partition(mu, tau).scale(sum(mu)) + total
 
 
-@dataclass
-class GeneralHoleResult:
+class GeneralHoleResult(NamedTuple):
     mu: Partition
     tau: int
     target: LaurentQA | None  # z^2 * z_mu * g-hat_mu, when it is a Laurent polynomial

@@ -16,27 +16,31 @@ exponent bookkeeping is plain integer arithmetic.  Coefficients are ints
 whenever possible and ``fractions.Fraction`` otherwise; no floats appear
 anywhere.
 
-``LaurentQA`` multiplies by the dict loop over all term pairs.  The
-integer hot paths (the one-hole chain, the colored sum, the annulus
-kernel log) do not multiply LaurentQAs: they run on one dense int row per
-a-slice, through ``_nonneg_mul``, ``_dense_div`` (also behind
-``_times_geometric``) and ``_z2_rewrite``.
+``LaurentQA`` multiplies by the dict loop over all term pairs, with
+``_norm_c`` applied only to coefficients that are not ints.  The integer
+hot paths (the one-hole chain, the colored sum, the annulus kernel log)
+do not multiply LaurentQAs: they run on one dense int row per a-slice,
+through ``_nonneg_mul``, ``_times_geometric`` (strided running sums, by
+``arith.div_one_minus``) and ``_z2_rewrite``.  ``_dense_div`` is the
+general division behind ``exact_div``.
 
 ``to_z_basis`` rewrites a q-symmetric LaurentQA as a polynomial in
-z^2 = q - 2 + q^(-1) slice by slice in a, top-down on one dense list per
-slice that holds only the exponents q^0 and up (the rest mirror them);
-the result (``ZBasisTable``) is the genus-graded form used by the
-one-hole invariant tables.
+z^2 = q - 2 + q^(-1) slice by slice in a, bottom-up on one dense list per
+slice that holds only the exponents q^0 and up (the rest mirror them):
+the coefficient of (z^2)^0 is the value at q = 1, and dividing what is
+left by z^2 = (1 - q)^2 / q is two running sums.  The result
+(``ZBasisTable``) is the genus-graded form used by the one-hole
+invariant tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import accumulate
 from typing import Iterable, Mapping
 
-from .arith import gaussian_binomial
+from .arith import div_one_minus, gaussian_binomial
 
 Rat = int | Fraction
 
@@ -96,7 +100,7 @@ class LaurentQA:
         if coeffs:
             for (u, v), c in coeffs.items():
                 if c:
-                    d[(u, v)] = _norm_c(c)
+                    d[(u, v)] = c if type(c) is int else _norm_c(c)
         self._c = d
 
     @classmethod
@@ -159,7 +163,7 @@ class LaurentQA:
         for k, c in other._c.items():
             s = d.get(k, 0) + c
             if s:
-                d[k] = _norm_c(s)
+                d[k] = s if type(s) is int else _norm_c(s)
             elif k in d:
                 del d[k]
         return LaurentQA._make(d)
@@ -182,12 +186,10 @@ class LaurentQA:
         for (u1, v1), c1 in a.items():
             for (u2, v2), c2 in b.items():
                 k = (u1 + u2, v1 + v2)
-                s = d.get(k, 0) + c1 * c2
-                if s:
-                    d[k] = s
-                elif k in d:
-                    del d[k]
-        return LaurentQA._make({k: _norm_c(c) for k, c in d.items()})
+                d[k] = d.get(k, 0) + c1 * c2
+        return LaurentQA._make(
+            {k: c if type(c) is int else _norm_c(c) for k, c in d.items() if c}
+        )
 
     def __pow__(self, n: int) -> LaurentQA:
         if n < 0:
@@ -303,13 +305,13 @@ def _dense_div(f_lo: int, f: list, g_lo: int, g: list):
     return f_lo - g_lo, q
 
 
-def _times_geometric(row: list, step: int, count: int) -> tuple:
-    """The dense row times 1 + x^step + ... + x^(step (count - 1)), as
-    ``_dense_div`` returns it: the row times 1 - x^(step count), divided
-    exactly by 1 - x^step."""
+def _times_geometric(row: list, step: int, count: int) -> list:
+    """The dense row times 1 + x^step + ... + x^(step (count - 1)), of
+    length len(row) + step (count - 1): the row times 1 - x^(step count),
+    divided exactly by 1 - x^step (``div_one_minus``)."""
     f = row + [0] * (step * count)
     f[step * count :] = [x - y for x, y in zip(f[step * count :], row)]
-    return _dense_div(0, f, 0, [1] + [0] * (step - 1) + [-1])
+    return div_one_minus(f, step)
 
 
 def exact_div(f: LaurentQA, g: LaurentQA) -> LaurentQA:
@@ -345,24 +347,24 @@ def exact_div(f: LaurentQA, g: LaurentQA) -> LaurentQA:
 # z^2 basis
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _z2_power_dense(k: int) -> tuple:
-    # (z^2)^k = (q^(1/2) - q^(-1/2))^(2k): entry e is its coefficient of q^(+-e)
-    return tuple((-1) ** (k + e) * comb(2 * k, k + e) for e in range(k + 1))
-
-
 def _z2_rewrite(h: list) -> list:
-    """The pairs (g, c) with sum c (z^2)^g the palindrome whose coefficients
-    of q^0, q^1, ... are h (consumed).  Top-down: the coefficient c of q^g
-    is the entry of (z^2)^g, and c (z^2)^g is subtracted; what remains stays
-    palindromic, so the half list carries it exactly."""
+    """The pairs (g, c), g descending and c nonzero, with sum c (z^2)^g the
+    palindrome whose coefficients of q^0, q^1, ... are h.
+
+    Bottom-up on the half ``top`` from q^d down to q^0: z^2 vanishes at
+    q = 1, so c_g is the palindrome's value there, top[-1] + 2 sum(top[:-1]).
+    Less c_g at q^0, the palindrome has a double root at q = 1, so its
+    quotient by z^2 = (1 - q)^2 / q is exact; its half from q^(d-1) down is
+    the double running sum of top[:-1], so no remainder is left to check."""
     out = []
-    for g in range(len(h) - 1, -1, -1):
-        c = h[g]
+    top = h[::-1]
+    for g in range(len(h)):
+        c = top.pop()
+        c += 2 * sum(top)
         if c:
             out.append((g, c))
-            h[: g + 1] = [x - c * z for x, z in zip(h, _z2_power_dense(g))]
-    return out
+        top = list(accumulate(accumulate(top)))
+    return out[::-1]
 
 
 class ZBasisTable:
@@ -396,8 +398,8 @@ def to_z_basis(f: LaurentQA) -> ZBasisTable:
 
     Fails (ZBasisError) if a slice has odd half-exponents or is not
     palindromic under q <-> 1/q; the tolerance is exact zero.  A palindromic
-    slice is then rewritten by ``_z2_rewrite`` on the dense list h[e] of its
-    coefficients of q^e, e >= 0.
+    slice is then rewritten bottom-up by ``_z2_rewrite`` on the dense list
+    h[e] of its coefficients of q^e, e >= 0.
     """
     table: dict = {}
     for v, sl in f.a_slices().items():

@@ -21,15 +21,13 @@ kernel is a one-variable series after a substitution, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from .arith import divisors, moebius
 
 
-@dataclass(frozen=True)
-class CoeffRing:
+class CoeffRing(NamedTuple):
     """Zero and one of the coefficient ring, for seeding folds."""
 
     zero: Any

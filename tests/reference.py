@@ -15,9 +15,12 @@ integer fast paths are checked against the slow routines they replaced,
 kept here verbatim: the colored sum over all p(m) partitions
 (``cal_z_cleared``, on the quantum ratios {k n}/{n} of ``quantum_ratio``),
 the Fraction-only ``dense_div``, the q-Pascal ``gaussian_binomial``, the
-dict-loop ``to_z_basis``, the one-hole chain on LaurentQA (the double-loop
-``cal_z_closed_form``, ``g_m_cleared``, and ``z2_g_m``, one
-``lmov.qa.exact_div`` by ``_cleared_divisor``) and the power-sum
+dict-loop ``to_z_basis`` and the top-down half-list ``z2_rewrite`` on its
+binomial table ``z2_power_dense``, the geometric-sum multiply
+``times_geometric`` by one general ``lmov.qa._dense_div``, the one-hole
+chain on LaurentQA (the double-loop ``cal_z_closed_form``,
+``g_m_cleared``, and ``z2_g_m``, one ``lmov.qa.exact_div`` by
+``_cleared_divisor``) and the power-sum
 ``series_log`` / ``series_exp``, built on the ``Series1`` sum, product
 and scale (``series_add``, ``series_mul``, ...), with the plethystic log
 ``plethystic_log`` on its Fraction weights moebius(d)/d, against the
@@ -159,6 +162,35 @@ def dense_div(f_lo: int, f: list, g_lo: int, g: list):
     if any(r[:dg]):
         return None
     return f_lo - g_lo, q
+
+
+def times_geometric(row: list, step: int, count: int) -> tuple:
+    """The dense row times 1 + x^step + ... + x^(step (count - 1)), as
+    ``lmov.qa._dense_div`` returns it: the row times 1 - x^(step count),
+    divided exactly by 1 - x^step."""
+    f = row + [0] * (step * count)
+    f[step * count :] = [x - y for x, y in zip(f[step * count :], row)]
+    return qa._dense_div(0, f, 0, [1] + [0] * (step - 1) + [-1])
+
+
+@lru_cache(maxsize=None)
+def z2_power_dense(k: int) -> tuple:
+    # (z^2)^k = (q^(1/2) - q^(-1/2))^(2k): entry e is its coefficient of q^(+-e)
+    return tuple((-1) ** (k + e) * comb(2 * k, k + e) for e in range(k + 1))
+
+
+def z2_rewrite(h: list) -> list:
+    """The pairs (g, c) with sum c (z^2)^g the palindrome whose coefficients
+    of q^0, q^1, ... are h (consumed).  Top-down: the coefficient c of q^g
+    is the entry of (z^2)^g, and c (z^2)^g is subtracted; what remains stays
+    palindromic, so the half list carries it exactly."""
+    out = []
+    for g in range(len(h) - 1, -1, -1):
+        c = h[g]
+        if c:
+            out.append((g, c))
+            h[: g + 1] = [x - c * z for x, z in zip(h, z2_power_dense(g))]
+    return out
 
 
 def gaussian_binomial(m: int, r: int) -> list[int]:

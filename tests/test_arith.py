@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -10,10 +11,12 @@ from lmov.arith import (
     TheoremViolation,
     binomial_ext,
     certified_div,
+    div_one_minus,
     divisors,
     gaussian_binomial,
     moebius,
 )
+from lmov.qa import _dense_div
 
 
 def test_moebius_small_values():
@@ -36,9 +39,9 @@ def test_moebius_divisor_sum():
 
 
 def test_divisors():
-    assert divisors(1) == [1]
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(7) == [1, 7]
+    assert divisors(1) == (1,)
+    assert divisors(12) == (1, 2, 3, 4, 6, 12)
+    assert divisors(7) == (1, 7)
     with pytest.raises(ValueError):
         divisors(0)
 
@@ -46,7 +49,7 @@ def test_divisors():
 @given(st.integers(1, 5000))
 def test_divisors_exact(n):
     ds = divisors(n)
-    assert ds == sorted(set(ds))
+    assert list(ds) == sorted(set(ds))
     assert all(n % d == 0 for d in ds)
     assert all(d in ds for d in range(1, n + 1) if n % d == 0)
 
@@ -84,6 +87,63 @@ def test_certified_div():
     assert certified_div(0, 7, "x") == 0
     with pytest.raises(TheoremViolation, match=r"^n_\(2,1\) is not an integer: -3/2$"):
         certified_div(-6, 4, "n_(2,1)")
+    with pytest.raises(TheoremViolation, match=r"^n_\(2,1\) is not an integer: -3/2$"):
+        certified_div(-6, 4, "n_({},{})", 2, 1)
+
+
+def test_certified_div_formats_its_message_only_on_a_remainder():
+    class Unformattable:
+        def __format__(self, spec):
+            raise AssertionError("formatted")
+
+    assert certified_div(12, 4, "x={}", Unformattable()) == 3
+    with pytest.raises(AssertionError, match="formatted"):
+        certified_div(13, 4, "x={}", Unformattable())
+
+
+def _stripped(row: list) -> tuple:
+    # (lo, row without its leading and trailing zeros), as _dense_div returns it
+    nonzero = [i for i, c in enumerate(row) if c]
+    return (nonzero[0], row[nonzero[0] : nonzero[-1] + 1]) if nonzero else (0, [])
+
+
+@st.composite
+def one_minus_dividends(draw):
+    """(f, k, divisible): a multiple of 1 - x^k padded with zeros at both
+    ends, off by a nonzero monomial when not divisible, as ints or Fractions."""
+    k = draw(st.integers(1, 5))
+    h = draw(st.lists(st.integers(-9, 9), max_size=8))
+    f = h + [0] * k
+    f[k:] = [x - y for x, y in zip(f[k:], h)]
+    f = [0] * draw(st.integers(0, 3)) + f + [0] * draw(st.integers(0, 3))
+    divisible = draw(st.booleans())
+    if not divisible:
+        f[draw(st.integers(0, len(f) - 1))] += draw(st.sampled_from([-2, -1, 1, 3]))
+    if draw(st.booleans()):
+        f = [Fraction(c, 3) for c in f]
+    return f, k, divisible
+
+
+@given(one_minus_dividends())
+def test_div_one_minus_matches_dense_div(case):
+    f, k, divisible = case
+    got = div_one_minus(list(f), k)
+    want = _dense_div(0, list(f), 0, [1] + [0] * (k - 1) + [-1])
+    assert (got is not None) == (want is not None) == divisible
+    if got is not None:
+        assert len(got) == max(len(f) - k, 0)
+        assert _stripped(got) == want
+        assert all(type(c) is type(f[0]) for c in got)
+
+
+def test_div_one_minus_edges():
+    assert div_one_minus([], 3) == []
+    assert div_one_minus([0, 0], 3) == []
+    assert div_one_minus([0, 0, 0, 0], 1) == [0, 0, 0]
+    assert div_one_minus([2, 0, 0, -2], 3) == [2]
+    assert div_one_minus([1], 1) is None
+    assert div_one_minus([1, 0, 0], 3) is None
+    assert div_one_minus([1, -1, 0, 1], 1) is None
 
 
 def test_gaussian_binomial_values():

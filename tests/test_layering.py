@@ -8,6 +8,9 @@ package itself: what only the tests use lives in ``tests/``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,16 @@ def test_invariant_modules_import_none_of_each_other(module):
 
 def test_only_cli_imports_verify():
     assert [m for m in MODULES if "verify" in lmov_imports(m)] == ["cli"]
+
+
+def test_the_cli_starts_without_dataclasses_or_inspect():
+    # every request pays for its imports: inspect alone pulls in ast, dis,
+    # tokenize and linecache
+    code = "import sys, lmov.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -197,8 +197,7 @@ def test_onehole_chain_reports_colored_sum_mismatch(monkeypatch):
     real = onehole._times_geometric
 
     def scaled_by_k(row, k, length):
-        lo, h = real(row, k, length)
-        return lo, [k * c for c in h]
+        return [k * c for c in real(row, k, length)]
 
     monkeypatch.setattr(onehole, "_times_geometric", scaled_by_k)
     assert colored_sum(1, 2) == cal_z_cleared(1, 2)

@@ -13,6 +13,8 @@ from lmov.qa import (
     ZBasisError,
     _dense_div,
     _nonneg_mul,
+    _times_geometric,
+    _z2_rewrite,
     exact_div,
     one_minus_q_prod,
     quantum_int,
@@ -211,9 +213,36 @@ def test_nonneg_mul_matches_the_double_loop(a, b):
     assert _nonneg_mul(a, b) == want
 
 
+int_or_fraction_rows = st.lists(st.integers(-9, 9), max_size=8) | st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=6), max_size=8
+)
+
+
+@given(int_or_fraction_rows, st.integers(1, 4), st.integers(1, 5))
+def test_times_geometric_matches_the_dense_div_reference(row, step, count):
+    # the strided running sums against one general division by 1 - x^step
+    got = _times_geometric(list(row), step, count)
+    assert len(got) == len(row) + step * (count - 1)
+    lo, want = reference.times_geometric(list(row), step, count)
+    assert got[lo : lo + len(want)] == want
+    assert not any(got[:lo]) and not any(got[lo + len(want) :])
+
+
 # ---------------------------------------------------------------------------
 # z^2 basis
 # ---------------------------------------------------------------------------
+
+
+@given(int_or_fraction_rows.filter(bool))
+def test_z2_rewrite_matches_the_top_down_reference(half):
+    # bottom-up running sums against the top-down subtraction of binomial
+    # rows, on the palindrome whose coefficients of q^0, q^1, ... are half
+    got = _z2_rewrite(list(half))
+    assert got == reference.z2_rewrite(list(half))
+    assert [g for g, _ in got] == sorted({g for g, _ in got}, reverse=True)
+    assert all(c for _, c in got)
+    if all(type(c) is int for c in half):
+        assert all(type(c) is int for _, c in got)
 
 
 def test_z_basis_examples():
