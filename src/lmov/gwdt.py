@@ -64,7 +64,7 @@ def _times_one_minus_q(f: PochFrac, n: int) -> LaurentQA:
     """(1-q) f for f of degree n, as a Laurent polynomial: one exact
     division of the numerator by (q;q)_n / (1-q).  Raises
     ExactDivisionError when (1-q) f is not a Laurent polynomial."""
-    return exact_div(f.num, one_minus_q_prod(range(2, n + 1)))
+    return exact_div(f.num, range(2, n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ raised), via characters and the log on the power-sum partition algebra.
 ``dlog_mu`` carries the log as its integral level |mu| z_mu f_mu, by the
 derivation recurrence of ``series.series_dlog`` over the sub-multisets
 of mu, with integer weights.  Both are PochFracs, numerators over
-(q;q)_n; ``g_mu_general`` divides once, by {mu} (q;q)_|mu| and then by
-|mu|, where it reads its table.
+(q;q)_n; ``g_mu_general`` divides once, by the factors 1 - q^i of
+{mu} (q;q)_|mu| and then by |mu|, where it reads its table.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .qa import (
     exact_div,
     one_minus_q_prod,
     quantum_int,
-    quantum_prod,
     to_z_basis,
 )
 
@@ -266,7 +265,7 @@ def _quantum_dim(lam: Partition) -> LaurentQA:
             num = num * LaurentQA({(j - i, 1): 1, (i - j, -1): -1})
     n = len(hooks)
     try:
-        quot = exact_div(one_minus_q_prod(range(1, n + 1)), one_minus_q_prod(hooks))
+        quot = exact_div(one_minus_q_prod(range(1, n + 1)), hooks)
     except ExactDivisionError:
         raise TheoremViolation(f"(q;q)_n / prod (1 - q^h) is not a polynomial "
                                f"(lam={lam})") from None
@@ -334,10 +333,13 @@ def g_mu_general(mu: Partition, tau: int) -> GeneralHoleResult:
     rewrite.  Since adams_d({mu/d}) = {mu}, z_mu = d^l(mu) z_(mu/d) and
     |mu| = d |mu/d|, |mu| z_mu g-hat_mu = S / {mu} with S = sum_d
     moebius(d) d^l(mu) adams_d(G_{mu/d}) = num / (q;q)_|mu|, so the target
-    is Laurent exactly when {mu} (q;q)_|mu| divides z^2 num; the quotient
-    is then divided by |mu| coefficient by coefficient, keeping a Fraction
-    only where that leaves a remainder.  Failures are reported, not
-    raised: only the single-row case is a theorem.
+    is Laurent exactly when {mu} (q;q)_|mu| divides z^2 num.  Since
+    {mu} = (-1)^l(mu) q^(-|mu|/2) prod (1 - q^(mu_i)), z^2 num is divided
+    by the factors 1 - q^i of mu and of (q;q)_|mu|, and the quotient is
+    then multiplied by (-1)^l(mu) q^(|mu|/2) and divided by |mu|,
+    coefficient by coefficient, keeping a Fraction only where that leaves
+    a remainder.  Failures are reported, not raised: only the single-row
+    case is a theorem.
     """
     mu = tuple(sorted(mu, reverse=True))
     if not mu:
@@ -351,13 +353,14 @@ def g_mu_general(mu: Partition, tau: int) -> GeneralHoleResult:
         if mo:
             s = s + dlog_mu(scale_down(mu, d), tau).adams(d).scale(mo * d ** len(mu))
     size = sum(mu)
-    den = quantum_prod(mu) * one_minus_q_prod(range(1, size + 1))
     try:
-        sized = exact_div(s.num * Z_SQUARED, den)
+        sized = exact_div(s.num * Z_SQUARED, mu + tuple(range(1, size + 1)))
     except ExactDivisionError:
         rep.failures.append({"mu": mu, "reason": "denominator did not clear"})
         return GeneralHoleResult(mu, tau, None, None, rep)
-    target = LaurentQA({k: Fraction(c, size) if c % size else c // size for k, c in sized.items()})
+    sign = (-1) ** (len(mu) % 2)
+    target = LaurentQA({(u + size, v): Fraction(sign * c, size) if c % size else sign * c // size
+                        for (u, v), c in sized.items()})
     try:
         table = to_z_basis(target)
     except ZBasisError as e:

@@ -7,8 +7,8 @@ Two layers, both over exact rational coefficients:
   (q;q)_n, the denominator that every x^n coefficient of the reduced
   partition function and of the loop-quiver series carries.  Since the
   denominator is known in advance, no rational-function normal form is
-  ever built: "is a Laurent polynomial" is one ``exact_div`` by a known
-  product of factors 1 - q^i.
+  ever built: "is a Laurent polynomial" is one ``exact_div`` by a
+  product of factors 1 - q^i, named by its exponents i.
 
 Exponents live on the half-integer lattice and are stored doubled:
 ``u`` counts powers of q^(1/2) and ``v`` counts powers of a^(1/2), so all
@@ -20,9 +20,10 @@ anywhere.
 ``_norm_c`` applied only to coefficients that are not ints.  The integer
 hot paths (the one-hole chain, the colored sum, the annulus kernel log)
 do not multiply LaurentQAs: they run on one dense int row per a-slice,
-through ``_nonneg_mul``, ``_times_geometric`` (strided running sums, by
-``arith.div_one_minus``) and ``_z2_rewrite``.  ``_dense_div`` is the
-general division behind ``exact_div``.
+through ``_nonneg_mul``, ``_times_geometric`` and ``_z2_rewrite``.
+Every division is by factors 1 - x^k, as strided running sums
+(``arith.div_one_minus``): ``_times_geometric`` on a row, and
+``exact_div`` on each a-slice of a LaurentQA, one factor at a time.
 
 ``to_z_basis`` rewrites a q-symmetric LaurentQA as a polynomial in
 z^2 = q - 2 + q^(-1) slice by slice in a, bottom-up on one dense list per
@@ -250,60 +251,12 @@ def quantum_int(n: int) -> LaurentQA:
     return LaurentQA({(n, 0): 1, (-n, 0): -1})
 
 
-def quantum_prod(parts: Iterable[int]) -> LaurentQA:
-    """Product of quantum integers over the parts; empty product is 1."""
-    out = LaurentQA.one()
-    for p in parts:
-        out = out * quantum_int(p)
-    return out
-
-
 Z_SQUARED = LaurentQA({(2, 0): 1, (0, 0): -2, (-2, 0): 1})
 
 
 # ---------------------------------------------------------------------------
 # exact division
 # ---------------------------------------------------------------------------
-
-def _slice_to_dense(sl: dict) -> tuple:
-    lo = min(sl)
-    hi = max(sl)
-    dense = [0] * (hi - lo + 1)
-    for u, c in sl.items():
-        dense[u - lo] = c
-    return lo, dense
-
-
-def _dense_div(f_lo: int, f: list, g_lo: int, g: list):
-    """Exact Laurent division of dense q-slices by a divisor with lead +-1;
-    (lo, coeffs) or None.  f is consumed.  Only the divisor's nonzero terms
-    are visited: the one-hole divisor (1 - q^m)(1 - q^(m t)) has at most 4."""
-    while f and not f[-1]:
-        f.pop()
-    while f and not f[0]:
-        f.pop(0)
-        f_lo += 1
-    if not f:
-        return 0, []
-    dg = len(g) - 1
-    if len(f) - 1 < dg:
-        return None
-    q = [0] * (len(f) - dg)
-    r = list(f)
-    glead = g[-1]  # +-1, so 1/glead = glead and int stays int
-    terms = [(j, gc) for j, gc in enumerate(g) if gc]
-    for i in range(len(f) - 1 - dg, -1, -1):
-        c = r[i + dg]
-        if not c:
-            continue
-        t = c * glead
-        q[i] = t
-        for j, gc in terms:
-            r[i + j] -= t * gc
-    if any(r[:dg]):
-        return None
-    return f_lo - g_lo, q
-
 
 def _times_geometric(row: list, step: int, count: int) -> list:
     """The dense row times 1 + x^step + ... + x^(step (count - 1)), of
@@ -314,32 +267,33 @@ def _times_geometric(row: list, step: int, count: int) -> list:
     return div_one_minus(f, step)
 
 
-def exact_div(f: LaurentQA, g: LaurentQA) -> LaurentQA:
-    """Return h with f = g * h exactly; raise ExactDivisionError otherwise.
+def exact_div(f: LaurentQA, exponents: Iterable[int]) -> LaurentQA:
+    """f / prod over i in exponents of (1 - q^i), each i >= 1; raise
+    ExactDivisionError when that is not a Laurent polynomial.
 
-    The divisor must be a Laurent polynomial in q alone whose top
-    coefficient is 1 or -1, as every product of factors 1 - q^i and
-    quantum integers is; each a-slice of f is divided by it independently."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    g_slices = g.a_slices()
-    if set(g_slices) != {0}:
-        raise ValueError("exact_div needs a divisor free of a")
-    g_lo, g_dense = _slice_to_dense(g_slices[0])
-    if g_dense[-1] not in (1, -1):
-        raise ValueError("exact_div needs a divisor with top coefficient 1 or -1")
+    Each a-slice of f is laid out as one dense row in steps of q^(1/2),
+    from its lowest term, and divided by one factor 1 - x^(2 i) at a time
+    (``div_one_minus``).  A factor that leaves a remainder refuses the
+    division; the error carries the dividend's a-slice."""
+    exponents = tuple(exponents)
+    if min(exponents, default=1) < 1:
+        raise ValueError("exact_div needs exponents >= 1")
     out: dict = {}
     for v, sl in f.a_slices().items():
-        res = _dense_div(*_slice_to_dense(sl), g_lo, g_dense)
-        if res is None:
-            raise ExactDivisionError(
-                f"not divisible in a-slice v={v}",
-                remainder=LaurentQA({(u, v): c for u, c in sl.items()}),
-            )
-        lo, coeffs = res
-        for i, c in enumerate(coeffs):
+        lo = min(sl)
+        row = [0] * (max(sl) - lo + 1)
+        for u, c in sl.items():
+            row[u - lo] = c
+        for i in exponents:
+            row = div_one_minus(row, 2 * i)
+            if row is None:
+                raise ExactDivisionError(
+                    f"not divisible in a-slice v={v}",
+                    remainder=LaurentQA._make({(u, v): c for u, c in sl.items()}),
+                )
+        for e, c in enumerate(row):
             if c:
-                out[(lo + i, v)] = _norm_c(c)
+                out[(lo + e, v)] = _norm_c(c)
     return LaurentQA._make(out)
 
 

@@ -122,8 +122,25 @@ def check_gaussian_form(max_m: int, tau_range: range) -> Report:
     return rep
 
 
+def _genus_zero_matches(mu: tuple, tau: int, table, order: int) -> bool:
+    # the g = 0 entry at two_q = 2l - |mu|, times (-1)^l(mu), against the
+    # genus-zero closed forms of the mirror-curve side
+    size, sign = sum(mu), (-1) ** (len(mu) % 2)
+    got = [sign * table.entries.get((0, 2 * l - size), 0) for l in range(size + 1)]
+    if len(mu) == 1:
+        return (got == [genus0.disc_n(size, l, tau) for l in range(size + 1)]
+                and table == onehole.lmov_one_hole(size, tau))
+    if len(mu) == 2:
+        return got == [genus0.annulus_n(*mu, l, tau, order)[0] for l in range(size + 1)]
+    return got[size] == genus0.multihole_n(mu, tau)
+
+
 def check_general_partition(max_size: int, tau_range: range) -> Report:
-    """Conjecture-level sweep: integral tables for every partition."""
+    """Conjecture-level sweep: integral tables for every partition, and the
+    genus-zero dictionary: the g = 0 row, signed by (-1)^l(mu), is
+    ``disc_n`` for one part (and the table is ``lmov_one_hole``'s),
+    ``annulus_n`` at every charge for two, ``multihole_n`` at the top
+    charge for three or more."""
     rep = Report("general-partition", {"max_size": max_size, "tau": list(tau_range)})
     for tau in tau_range:
         for size in range(1, max_size + 1):
@@ -132,6 +149,8 @@ def check_general_partition(max_size: int, tau_range: range) -> Report:
                 rep.failures.extend(
                     {"tau": tau, **f} for f in r.report.failures
                 )
+                if r.table is not None and not _genus_zero_matches(mu, tau, r.table, max_size):
+                    rep.failures.append({"tau": tau, "mu": mu, "reason": "g = 0 != genus zero"})
     return rep
 
 

@@ -18,8 +18,16 @@ from math import factorial
 from lmov import onehole
 from lmov.cli import EXIT_OK, main
 from lmov.partitions import mn_character, partitions_of, z_factor
-from lmov.qa import LaurentQA, quantum_prod
+from lmov.qa import LaurentQA, quantum_int
 from lmov.series import CoeffRing, Series1
+
+
+def quantum_prod(parts) -> LaurentQA:
+    """Product of quantum integers {p} over the parts; empty product is 1."""
+    out = LaurentQA.one()
+    for p in parts:
+        out = out * quantum_int(p)
+    return out
 
 
 def is_prime(n: int) -> bool:

@@ -14,13 +14,13 @@ code or data structure with the library's dict loop.  The library's
 integer fast paths are checked against the slow routines they replaced,
 kept here verbatim: the colored sum over all p(m) partitions
 (``cal_z_cleared``, on the quantum ratios {k n}/{n} of ``quantum_ratio``),
-the Fraction-only ``dense_div``, the q-Pascal ``gaussian_binomial``, the
-dict-loop ``to_z_basis`` and the top-down half-list ``z2_rewrite`` on its
-binomial table ``z2_power_dense``, the geometric-sum multiply
-``times_geometric`` by one general ``lmov.qa._dense_div``, the one-hole
-chain on LaurentQA (the double-loop ``cal_z_closed_form``,
-``g_m_cleared``, and ``z2_g_m``, one ``lmov.qa.exact_div`` by
-``_cleared_divisor``) and the power-sum
+the q-Pascal ``gaussian_binomial``, the dict-loop ``to_z_basis`` and the
+top-down half-list ``z2_rewrite`` on its binomial table
+``z2_power_dense``, the geometric-sum multiply ``times_geometric`` by one
+``dense_div`` (the long division by any divisor, which also checks
+``arith.div_one_minus``), the one-hole chain on LaurentQA (the double-loop
+``cal_z_closed_form``, ``g_m_cleared``, and ``z2_g_m``, one general
+``exact_div`` by ``_cleared_divisor``) and the power-sum
 ``series_log`` / ``series_exp``, built on the ``Series1`` sum, product
 and scale (``series_add``, ``series_mul``, ...), with the plethystic log
 ``plethystic_log`` on its Fraction weights moebius(d)/d, against the
@@ -28,7 +28,8 @@ library's integral levels m f_m.  The genus-zero closed forms
 are checked against the generic machinery they replaced: the fixed-point
 solver ``solve_functional`` (with the series power, inverse and shift it
 needs) behind ``mirror_series``, the general-divisor ``exact_div`` that
-divided its coefficients by 1 - a, and the bivariate ``Series2`` with its
+divided its coefficients by 1 - a (and that checks the library's
+``exact_div`` by factors 1 - q^i), and the bivariate ``Series2`` with its
 ``series2_log``, the annulus kernel log before the substitution
 X2 = t X1.  The twist-knot invariants are checked against their binomial
 sums (``b_minus``, ``b_plus``) from before ``arith.loop_quiver_dt``.
@@ -55,8 +56,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd
 from typing import Callable, Mapping
 
-from helpers import quantum_int_a
-from lmov import qa
+from helpers import quantum_int_a, quantum_prod
 from lmov.arith import TheoremViolation, divisors, moebius
 from lmov.genus0 import _annulus_column, _disc_numerator
 from lmov.partitions import (
@@ -76,10 +76,8 @@ from lmov.qa import (
     ZBasisError,
     ZBasisTable,
     _norm_c,
-    _slice_to_dense,
     one_minus_q_prod,
     quantum_int,
-    quantum_prod,
 )
 from lmov.series import CoeffRing, Series1
 
@@ -136,8 +134,19 @@ def quantum_ratio(k: int, n: int) -> LaurentQA:
     return LaurentQA._make({(n * (k - 1 - 2 * j), 0): s for j in range(k)})
 
 
+def _slice_to_dense(sl: dict) -> tuple:
+    # {u: c} as (lo, dense list from q^(lo/2))
+    lo = min(sl)
+    dense = [0] * (max(sl) - lo + 1)
+    for u, c in sl.items():
+        dense[u - lo] = c
+    return lo, dense
+
+
 def dense_div(f_lo: int, f: list, g_lo: int, g: list):
-    """Exact Laurent division of dense q-slices; (lo, coeffs) or None."""
+    """Exact Laurent division of dense q-slices by any nonzero divisor, by
+    long division on Fractions from the top; (lo, coeffs) or None.  f is
+    consumed; the quotient's integral coefficients are ints."""
     while f and not f[-1]:
         f.pop()
     while f and not f[0]:
@@ -166,11 +175,11 @@ def dense_div(f_lo: int, f: list, g_lo: int, g: list):
 
 def times_geometric(row: list, step: int, count: int) -> tuple:
     """The dense row times 1 + x^step + ... + x^(step (count - 1)), as
-    ``lmov.qa._dense_div`` returns it: the row times 1 - x^(step count),
-    divided exactly by 1 - x^step."""
+    ``dense_div`` returns it: the row times 1 - x^(step count), divided
+    exactly by 1 - x^step."""
     f = row + [0] * (step * count)
     f[step * count :] = [x - y for x, y in zip(f[step * count :], row)]
-    return qa._dense_div(0, f, 0, [1] + [0] * (step - 1) + [-1])
+    return dense_div(0, f, 0, [1] + [0] * (step - 1) + [-1])
 
 
 @lru_cache(maxsize=None)
@@ -717,9 +726,9 @@ def g_m_cleared(m: int, tau: int) -> LaurentQA:
 
 
 def z2_g_m(m: int, tau: int) -> LaurentQA:
-    """z^2 g_m by the library's exact division of the whole Laurent
+    """z^2 g_m by the general exact division of the whole Laurent
     polynomial by {m}{m tau}/{1}^2."""
-    return qa.exact_div(g_m_cleared(m, tau), _cleared_divisor(m, tau))
+    return exact_div(g_m_cleared(m, tau), _cleared_divisor(m, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -1354,7 +1363,7 @@ def cal_z_sigma_sum(nu: Partition, tau: int) -> PochFrac:
             continue
         for s in sigma:
             num = num * quantum_int_a(s)
-        cofactor = qa.exact_div(one_minus_q_prod(range(1, n + 1)), one_minus_q_prod(sigma))
+        cofactor = exact_div(one_minus_q_prod(range(1, n + 1)), one_minus_q_prod(sigma))
         weight = Fraction((-1) ** len(sigma), z_factor(sigma))
         total = total + (num * cofactor).shift(du=n).scale(weight)
     return PochFrac(total.scale((-1) ** ((n * tau) % 2)), n)

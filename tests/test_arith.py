@@ -16,7 +16,6 @@ from lmov.arith import (
     gaussian_binomial,
     moebius,
 )
-from lmov.qa import _dense_div
 
 
 def test_moebius_small_values():
@@ -102,7 +101,7 @@ def test_certified_div_formats_its_message_only_on_a_remainder():
 
 
 def _stripped(row: list) -> tuple:
-    # (lo, row without its leading and trailing zeros), as _dense_div returns it
+    # (lo, row without its leading and trailing zeros), as dense_div returns it
     nonzero = [i for i, c in enumerate(row) if c]
     return (nonzero[0], row[nonzero[0] : nonzero[-1] + 1]) if nonzero else (0, [])
 
@@ -128,7 +127,7 @@ def one_minus_dividends(draw):
 def test_div_one_minus_matches_dense_div(case):
     f, k, divisible = case
     got = div_one_minus(list(f), k)
-    want = _dense_div(0, list(f), 0, [1] + [0] * (k - 1) + [-1])
+    want = reference.dense_div(0, list(f), 0, [1] + [0] * (k - 1) + [-1])
     assert (got is not None) == (want is not None) == divisible
     if got is not None:
         assert len(got) == max(len(f) - k, 0)

@@ -206,7 +206,11 @@ def test_violation_fails_only_its_suite(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(genus0, "disc_n", broken)
     reports = list(verify.run_all(verify.QUICK, seed=6))
     assert [r.name for r in reports] == SUITES
-    assert [r.name for r in reports if not r.ok] == ["disc-integrality"]
+    # general-partition reads disc_n too, for its genus-zero dictionary
+    assert [r.name for r in reports if not r.ok] == ["disc-integrality", "general-partition"]
+    assert reports[SUITES.index("general-partition")].failures == [
+        {"violation": "n_(1,0)(tau=-1) is not an integer: 1/2"}
+    ]
     failed = reports[0]
     assert failed.params == {"max_m": 12, "tau_range": list(range(-3, 4))}
     assert failed.failures == [{"violation": "n_(1,0)(tau=-3) is not an integer: 1/2"}]
@@ -218,7 +222,7 @@ def test_violation_fails_only_its_suite(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("FAIL  disc-integrality  [")
     assert lines[1] == "      {'violation': 'n_(1,0)(tau=-3) is not an integer: 1/2'}"
-    assert sum(l.startswith("PASS  ") for l in lines) == 12
+    assert sum(l.startswith("PASS  ") for l in lines) == 11
     suites = json.loads(out.read_bytes())["suites"]
     assert [s["suite"] for s in suites] == SUITES
     assert suites[0]["status"] == "FAIL" and suites[0]["failures"] == failed.failures
@@ -241,7 +245,9 @@ def test_annulus_division_failure_exits_2(monkeypatch, capsys):
         assert err.count("\n") == 1
         assert "(tau=1, n=1)" in err
         reports = list(verify.run_all(verify.QUICK))
-        assert [r.name for r in reports if not r.ok] == ["disc-series-oracle", "annulus"]
+        assert [r.name for r in reports if not r.ok] == [
+            "disc-series-oracle", "annulus", "general-partition"
+        ]
     finally:
         genus0.kernel_level.cache_clear()
         genus0._annulus_log.cache_clear()
@@ -263,7 +269,7 @@ def test_annulus_kernel_failure_exits_2(monkeypatch, capsys):
         assert err.count("\n") == 1
         assert "not an a-polynomial (tau=1, m1=1, m2=1)" in err
         reports = list(verify.run_all(verify.QUICK))
-        assert [r.name for r in reports if not r.ok] == ["annulus"]
+        assert [r.name for r in reports if not r.ok] == ["annulus", "general-partition"]
     finally:
         real.cache_clear()
 
@@ -315,5 +321,7 @@ def test_one_hole_violation_keeps_the_other_failure_records(tmp_path, monkeypatc
     assert code == EXIT_THEOREM
     suites = {s["suite"]: s for s in json.loads(out.read_bytes())["suites"]}
     failed = [n for n, s in suites.items() if s["status"] == "FAIL"]
-    assert failed == ["one-hole-chain", "gaussian-closed-form"]
+    # general-partition holds the table of mu = (3,) equal to lmov_one_hole's
+    assert failed == ["one-hole-chain", "gaussian-closed-form", "general-partition"]
     assert suites["one-hole-chain"]["failures"] == want
+    assert suites["general-partition"]["failures"] == [{"violation": want[1]["violation"]}]

@@ -123,6 +123,27 @@ def test_non_integer_level_entries_keep_their_failure_text(monkeypatch):
         dt_extract(2, 2)
 
 
+def test_levels_that_do_not_clear_keep_their_failure_text(monkeypatch):
+    # (q;q)_3 / (1-q) divides the numerator of each level 3, and no longer
+    # does once 1 is added to it: (1-q) f_3 and (1-q) L_3 are not Laurent
+    real = gwdt.exact_div
+
+    def broken(f, exponents):
+        return real(f + LaurentQA.one() if exponents == range(2, 4) else f, exponents)
+
+    monkeypatch.setattr(gwdt, "exact_div", broken)
+    table = ooguri_vafa(1, 3)
+    f_3 = plethystic_dlog(z_tau_series(1, 3))[2].scale(Fraction(1, 3))
+    assert table.rows[3] == {} and table.rows[2]
+    assert table.report.failures == [
+        {"m": 3, "reason": f"(1-q) f_3 is not a Laurent polynomial: {f_3!r}"},
+        {"reason": "product reconstruction mismatch"},
+    ]
+    with pytest.raises(TheoremViolation,
+                       match=r"^\(1-q\) L_3 is not a Laurent polynomial \(loops=2, max_n=3\)$"):
+        dt_extract(2, 3)
+
+
 # --- against the RationalQ reference ---------------------------------------------
 
 

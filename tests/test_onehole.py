@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 import reference
-from helpers import cli_output, m_matrix, quantum_int_a, z2_g_m
+from helpers import cli_output, m_matrix, quantum_int_a, quantum_prod, z2_g_m
 from lmov.arith import TheoremViolation
 from lmov.genus0 import disc_n
-from lmov import onehole, verify
+from lmov import genus0, onehole, verify
 from lmov.onehole import (
     cal_z_cleared,
     cal_z_partition,
@@ -18,7 +18,7 @@ from lmov.onehole import (
     verify_recursion,
 )
 from lmov.partitions import partitions_of, z_factor
-from lmov.qa import LaurentQA, PochFrac, quantum_int, quantum_prod, to_z_basis
+from lmov.qa import LaurentQA, PochFrac, quantum_int, to_z_basis
 from reference import (
     RationalQ,
     RationalQA,
@@ -480,6 +480,41 @@ def test_hook_quotient_failure_fails_only_general_partition(monkeypatch):
     finally:
         for cached in (onehole._quantum_dim, cal_z_partition, dlog_mu):
             cached.cache_clear()
+
+
+def test_general_denominator_failure_is_recorded(monkeypatch):
+    # z^2 num + 1 leaves a remainder under the factors 1 - q^i of
+    # {mu} (q;q)_|mu|, so mu = (2, 1) has no target and no table
+    real = onehole.exact_div
+
+    def broken(f, exponents):
+        exponents = tuple(exponents)
+        return real(f + LaurentQA.one() if exponents == (2, 1, 1, 2, 3) else f, exponents)
+
+    monkeypatch.setattr(onehole, "exact_div", broken)
+    r = g_mu_general((2, 1), 1)
+    assert (r.target, r.table) == (None, None)
+    assert r.report.failures == [{"mu": (2, 1), "reason": "denominator did not clear"}]
+    assert verify.check_general_partition(3, range(1, 2)).failures == [
+        {"tau": 1, "mu": (2, 1), "reason": "denominator did not clear"}
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, lengths", [("disc_n", {1}), ("annulus_n", {2}), ("multihole_n", {3, 4})]
+)
+def test_general_partition_checks_the_genus_zero_dictionary(monkeypatch, name, lengths):
+    # one genus-zero closed form off by one fails the partitions it serves
+    real = getattr(genus0, name)
+
+    def off(*args):
+        out = real(*args)
+        return (out[0] + 1, out[1]) if name == "annulus_n" else out + 1
+
+    monkeypatch.setattr(genus0, name, off)
+    failures = verify.check_general_partition(4, range(-1, 2)).failures
+    assert {len(f["mu"]) for f in failures} == lengths
+    assert {f["reason"] for f in failures} == {"g = 0 != genus zero"}
 
 
 def test_partition_sum_generating_identity():

@@ -4,21 +4,19 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from helpers import is_one, laurent_from_json, laurent_to_json, quantum_int_a, support
+from helpers import is_one, laurent_from_json, laurent_to_json, quantum_int_a, quantum_prod, support
 from lmov.arith import divisors
 from lmov.qa import (
     ExactDivisionError,
     LaurentQA,
     PochFrac,
     ZBasisError,
-    _dense_div,
     _nonneg_mul,
     _times_geometric,
     _z2_rewrite,
     exact_div,
     one_minus_q_prod,
     quantum_int,
-    quantum_prod,
     to_z_basis,
 )
 import reference
@@ -32,16 +30,6 @@ coeffs = st.integers(-9, 9)
 keys = st.tuples(st.integers(-6, 6), st.integers(-4, 4))
 laurents = st.dictionaries(keys, coeffs, max_size=6).map(LaurentQA)
 nonzero_laurents = laurents.filter(lambda f: not f.is_zero())
-
-
-@st.composite
-def q_divisors(draw, leads=st.sampled_from([1, -1])):
-    """A Laurent polynomial in q alone whose top coefficient is drawn from leads."""
-    body = draw(st.dictionaries(st.integers(-6, 6), coeffs, max_size=5))
-    top = max(body, default=-6) + draw(st.integers(1, 3))
-    return LaurentQA({**{(u, 0): c for u, c in body.items()}, (top, 0): draw(leads)})
-
-
 bivariate_laurents = nonzero_laurents.filter(lambda f: set(f.a_slices()) != {0})
 
 
@@ -68,7 +56,7 @@ def test_quantum_ratio_matches_division():
             if k == 0:
                 assert quantum_ratio(k, n).is_zero()
             else:
-                assert quantum_ratio(k, n) == exact_div(
+                assert quantum_ratio(k, n) == reference.exact_div(
                     quantum_int(k * n), quantum_int(n)
                 ), (k, n)
     # algebraic limit at base zero
@@ -132,35 +120,70 @@ def test_adams_is_ring_hom(f, g, d):
     assert (f + g).adams(d) == f.adams(d) + g.adams(d)
 
 
-@given(nonzero_laurents, q_divisors(), q_divisors(st.sampled_from([2, -2, 3, -9])))
-def test_exact_div_roundtrip(f, g, h):
-    assert exact_div(f * g, g) == f
-    # a divisor whose top coefficient is not a unit is refused, even when exact
-    with pytest.raises(ValueError, match="top coefficient"):
-        exact_div(f * h, h)
+@st.composite
+def mixed_parity_dividends(draw):
+    """A nonzero LaurentQA, with int or Fraction coefficients, whose a-slice
+    at v0 holds both an integer and a half-integer power of q."""
+    d = dict(draw(st.dictionaries(keys, coeffs, max_size=6)))
+    v0 = draw(st.integers(-4, 4))
+    d[(2 * draw(st.integers(-3, 3)), v0)] = draw(st.integers(1, 9))
+    d[(2 * draw(st.integers(-3, 2)) + 1, v0)] = draw(st.integers(-9, -1))
+    if draw(st.booleans()):
+        den = draw(st.integers(2, 6))
+        d = {k: Fraction(c, den) for k, c in d.items()}
+    return LaurentQA(d)
+
+
+@given(
+    mixed_parity_dividends(),
+    st.lists(st.integers(1, 4), max_size=5),
+    keys,
+    st.sampled_from([-2, -1, 1, Fraction(1, 3)]),
+)
+def test_exact_div_roundtrip(f, exponents, spot, c):
+    # f prod (1 - q^i) divided by the same exponents, repeats included, is
+    # f again, as the general division says; the same dividend off by one
+    # monomial is refused at that monomial's a-slice, whole
+    prod = one_minus_q_prod(exponents)
+    got = exact_div(f * prod, exponents)
+    assert got == f == reference.exact_div(f * prod, prod)
+    if f.is_integral():
+        assert got.is_integral()
+    if not exponents:
+        return
+    off = f * prod + LaurentQA.monomial(*spot, c)
+    with pytest.raises(ExactDivisionError) as ei:
+        exact_div(off, exponents)
+    assert str(ei.value) == f"not divisible in a-slice v={spot[1]}"
+    assert ei.value.remainder == LaurentQA(
+        {(u, v): x for (u, v), x in off.items() if v == spot[1]}
+    )
+    with pytest.raises(ExactDivisionError):
+        reference.exact_div(off, prod)
 
 
 @given(nonzero_laurents, bivariate_laurents)
 def test_exact_div_roundtrip_bivariate_reference(f, g):
-    # divisors with an a-power go through the reference's general division;
-    # the library's division refuses them
+    # divisors with an a-power go through the reference's general division
     assert reference.exact_div(f * g, g) == f
-    with pytest.raises(ValueError):
-        exact_div(f * g, g)
 
 
 def test_exact_div_examples():
-    assert exact_div(quantum_int(2), quantum_int(1)) == LaurentQA(
-        {(1, 0): 1, (-1, 0): 1}
-    )
-    with pytest.raises(ExactDivisionError) as ei:
-        exact_div(quantum_int(1) * quantum_int(1), quantum_int(2))
-    assert ei.value.remainder is not None and not ei.value.remainder.is_zero()
+    # {2} = -q^(-1) (1 - q) (1 + q) and {1} = -q^(-1/2) (1 - q)
+    assert exact_div(quantum_int(2), [1]) == LaurentQA({(-2, 0): -1, (0, 0): -1})
+    assert exact_div(quantum_int(1), [1]) == LaurentQA.monomial(-1, 0, -1)
+    assert exact_div(quantum_int(1) * quantum_int(1), (1, 1)) == LaurentQA.monomial(-2)
+    assert exact_div(one_minus_q_prod(range(1, 4)), range(1, 3)) == one_minus_q_prod([3])
+    assert exact_div(LaurentQA.zero(), [1, 2]).is_zero()
+    assert exact_div(quantum_int_a(2), ()) == quantum_int_a(2)
+    with pytest.raises(ExactDivisionError, match="v=0") as ei:
+        exact_div(one_minus_q_prod([2]), [3])
+    assert ei.value.remainder == one_minus_q_prod([2])
     with pytest.raises(ExactDivisionError):
-        exact_div(quantum_int(6), quantum_int(2) * quantum_int(3))
-    assert exact_div(
-        quantum_int(6) * quantum_int(1), quantum_int(2) * quantum_int(3)
-    ) == LaurentQA({(2, 0): 1, (0, 0): -1, (-2, 0): 1})
+        exact_div(quantum_int(6), [2, 3])  # (1 - q^2)(1 - q^3) does not divide 1 - q^6
+    for bad in ([0], [2, -1]):
+        with pytest.raises(ValueError, match="exponents >= 1"):
+            exact_div(quantum_int(2), bad)
 
 
 def test_exact_div_bivariate_divisor():
@@ -169,36 +192,6 @@ def test_exact_div_bivariate_divisor():
     assert reference.exact_div(f * g, f) == g
     with pytest.raises(ExactDivisionError):
         reference.exact_div(f * g + LaurentQA.one(), f)
-    # the library divides by q-only divisors and refuses the rest
-    for h in (f * g, LaurentQA.zero()):
-        with pytest.raises(ValueError, match="free of a"):
-            exact_div(h, f)
-
-
-@given(
-    st.lists(st.integers(-9, 9), max_size=5),
-    st.lists(st.integers(-9, 9), max_size=4),
-    st.sampled_from([1, -1]),
-    st.lists(st.integers(-2, 2), max_size=3),
-    st.booleans(),
-)
-def test_dense_div_matches_fraction_reference(h, body, lead, noise, fractional):
-    # the unit-lead division against the Fraction-only one, on int and
-    # Fraction dividends, exact multiples and perturbed, mostly
-    # non-divisible, ones
-    g = body + [lead]
-    f = [0] * (len(g) + len(h) + len(noise))
-    for i, x in enumerate(h):
-        for j, y in enumerate(g):
-            f[i + j] += x * y
-    for i, x in enumerate(noise):
-        f[i] += x
-    if fractional:
-        f = [Fraction(c, 3) for c in f]
-    got = _dense_div(-2, list(f), 1, list(g))
-    assert got == reference.dense_div(-2, list(f), 1, list(g))
-    if got is not None and not fractional:
-        assert all(type(c) is int for c in got[1])
 
 
 @given(
