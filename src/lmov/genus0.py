@@ -10,9 +10,9 @@ The disc and annulus tables come with two independent routes:
   the integral log levels of ``series_dlog``, compared with the closed
   form on integers.  The annulus kernel, a series in X1 and X2, becomes a
   series in X1 alone under the substitution X2 = t X1; its log runs
-  ``series_dlog``'s recurrence on one dense int t-row per a-exponent
-  (``_annulus_log``), from which ``_annulus_column`` reads the integers
-  (m1+m2) c_{(m1,m2),l}.
+  ``series_dlog``'s recurrence on one int t-row per a-exponent, packed
+  into one big int (``_annulus_log``), from which ``_annulus_column``
+  reads the integers (m1+m2) c_{(m1,m2),l}.
 
 Single-cover invariants are Moebius sums over common divisors, each one
 integer numerator over m^2 (disc) or m1+m2 (annulus), certified by one exact
@@ -33,7 +33,7 @@ from math import comb, gcd
 
 from .arith import Report, TheoremViolation, binomial_ext, certified_div, divisors, moebius
 from .partitions import Partition, parts_gcd, scale_down
-from .qa import LaurentQA, _times_geometric
+from .qa import LaurentQA, _packed_geometric, _unpack
 from .series import CoeffRing, Series1, series_dlog
 
 
@@ -150,22 +150,32 @@ def _annulus_log(tau: int, order: int) -> list:
     log: the log's X1^i X2^j coefficient is entry j of level i+j, divided
     by i+j, exactly.  The levels D_n follow ``series_dlog``'s recurrence
     D_n = n S_n - sum_(0<k<n) D_k S_(n-k), which stays integral.  Each
-    t-row of D_k is multiplied once by 1 + ... + t^(n-k), the row times
-    1 - t^(n-k+1) divided exactly by 1 - t (``_times_geometric``), before
-    the a-coefficients of kernel_level(tau, n-k) move it.
+    t-row is packed, as its value at t = 2^(8 width): a row of D_k times
+    1 + ... + t^(n-k) is one multiply (``_packed_geometric``), before the
+    a-coefficients of kernel_level(tau, n-k) move it.  Packing is a ring
+    map, so this is exact; unpacking a level (``_unpack``) needs its
+    coefficients below 2^(8 width - 1).  The l1 norm is submultiplicative
+    and |S_n|_1 = (n+1) |kernel_level(tau, n)|_1, so the recurrence gives
+    |D_n|_1 <= n |S_n|_1 + sum_(0<k<n) |D_k|_1 |S_(n-k)|_1; the largest of
+    these bounds over n <= order sets the width.
     """
     kern = [kernel_level(tau, n) for n in range(order + 1)]
-    d: list = [{}]
+    norm = [(n + 1) * sum(abs(c) for _, c in kern[n].items()) for n in range(order + 1)]
+    bound = [0]
     for n in range(1, order + 1):
-        acc = {v: [n * c] * (n + 1) for (_, v), c in kern[n].items()}
-        zero = [0] * (n + 1)
+        bound.append(n * norm[n] + sum(bound[k] * norm[n - k] for k in range(1, n)))
+    width = max(bound).bit_length() // 8 + 1
+    geometric = [_packed_geometric(width, 1, count) for count in range(order + 2)]
+    packed, d = [{}], [{}]
+    for n in range(1, order + 1):
+        acc = {v: n * c * geometric[n + 1] for (_, v), c in kern[n].items()}
         for k in range(1, n):
-            w = n - k
-            for v, row in d[k].items():
-                h = _times_geometric(row, 1, w + 1)
-                for (_, v2), c in kern[w].items():
-                    acc[v + v2] = [x - c * y for x, y in zip(acc.get(v + v2, zero), h)]
-        d.append(acc)
+            for v, row in packed[k].items():
+                h = row * geometric[n - k + 1]
+                for (_, v2), c in kern[n - k].items():
+                    acc[v + v2] = acc.get(v + v2, 0) - c * h
+        packed.append(acc)
+        d.append({v: _unpack(row, width, n + 1) for v, row in acc.items()})
     return d
 
 

@@ -13,8 +13,8 @@ q^((u0 + 2 e)/2) a^(v/2), and builds no LaurentQA on the way:
    {m}{m tau} Z_m, an integer Laurent polynomial from its q-binomial
    closed form.  ``colored_sum`` is the definition, the colored sum over
    the partitions of m as the exp recurrence on rows of the same shape,
-   independent of the closed form; the verification suites hold the two
-   equal.
+   each packed into one big int, independent of the closed form; the
+   verification suites hold the two equal.
 2. ``_z2_rows`` -- Moebius/Adams combination over divisors of m, then
    exact division by {m}{m tau}/{1}^2, whose leading coefficient is +-1.
 3. ``lmov_one_hole`` -- the z^2-basis rewrite; each row must be a
@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple
 
 from .arith import Report, TheoremViolation, div_one_minus, divisors, gaussian_binomial, moebius
@@ -61,7 +61,8 @@ from .qa import (
     ZBasisError,
     ZBasisTable,
     _nonneg_mul,
-    _times_geometric,
+    _packed_geometric,
+    _unpack,
     _z2_rewrite,
     exact_div,
     one_minus_q_prod,
@@ -157,36 +158,41 @@ def colored_sum(m: int, tau: int) -> LaurentQA:
 
     The exp recurrence runs on n! [x^n], which stays integral:
     E_n = sum_k f_k (n-1)!/(n-k)! E_(n-k), on one int row per a-slice.
-    With L = m |tau|, {L k}/{k} = q^(-(L-1)k/2) (1 - q^(k L)) / (1 - q^k),
+    With L = m |tau|, {L k}/{k} = q^(-(L-1)k/2) (1 + q^k + ... + q^(k(L-1))),
     so every row of E_n runs from q^(-(L-1)n/2) to q^((L-1)n/2); {k}_a
-    moves a row to the a-slices v + k and v - k.  Each row of E_(n-k) is
-    multiplied once by the geometric factor (``_times_geometric``, running
-    sums of stride k) before it moves: the 2 slices it lands on share it.
-    Each coefficient of E_m is then divided by m!; a nonzero remainder
-    keeps a Fraction, so that a non-integral sum still fails the
-    integrality check.
+    moves a row to the a-slices v + k and v - k.  Each row is packed, as
+    its value at q = 2^(8 width), so the geometric factor is one multiply
+    (``_packed_geometric``) per row of E_(n-k), shared by the 2 slices it
+    lands on.  Packing is a ring map, so this is exact; unpacking E_m
+    (``_unpack``) needs its coefficients below 2^(8 width - 1).  The l1 norm
+    is submultiplicative and |f_k|_1 = 2L, so |E_m|_1 <= m! [x^m]
+    exp(2L sum_k x^k / k) = m! [x^m] (1 - x)^(-2L) = m! C(2L + m - 1, m),
+    which sets the width.  Each coefficient of E_m is then divided by m!; a
+    nonzero remainder keeps a Fraction, so that a non-integral sum still
+    fails the integrality check.
     """
     if m < 1:
         raise ValueError("colored_sum needs m >= 1")
     if tau == 0:
         raise ValueError("colored_sum needs tau != 0")
     length = m * abs(tau)
-    e = [{0: [1]}]
+    width = (factorial(m) * comb(2 * length + m - 1, m)).bit_length() // 8 + 1
+    geometric = {k: _packed_geometric(width, k, length) for k in range(1, m + 1)}
+    e = [{0: 1}]
     for n in range(1, m + 1):
         acc: dict = {}
-        zero = [0] * ((length - 1) * n + 1)
         falling = 1 if tau > 0 else -1  # sign(tau) (n-1)!/(n-k)!
         for k in range(1, n + 1):
             for v, row in e[n - k].items():
-                h = _times_geometric(row, k, length)
-                for w, c in ((v + k, falling), (v - k, -falling)):
-                    acc[w] = [x + c * y for x, y in zip(acc.get(w, zero), h)]
+                h = falling * row * geometric[k]
+                acc[v + k] = acc.get(v + k, 0) + h
+                acc[v - k] = acc.get(v - k, 0) - h
             falling *= n - k
         e.append(acc)
     fact, sign, rows = factorial(m), (-1) ** ((m * tau) % 2), {}
     for v, row in e[m].items():
         out = []
-        for c in row:
+        for c in _unpack(row, width, (length - 1) * m + 1):
             quo, rem = divmod(sign * c, fact)
             out.append(Fraction(sign * c, fact) if rem else quo)
         rows[v] = (-(length - 1) * m, out)

@@ -20,10 +20,11 @@ anywhere.
 ``_norm_c`` applied only to coefficients that are not ints.  The integer
 hot paths (the one-hole chain, the colored sum, the annulus kernel log)
 do not multiply LaurentQAs: they run on one dense int row per a-slice,
-through ``_nonneg_mul``, ``_times_geometric`` and ``_z2_rewrite``.
-Every division is by factors 1 - x^k, as strided running sums
-(``arith.div_one_minus``): ``_times_geometric`` on a row, and
-``exact_div`` on each a-slice of a LaurentQA, one factor at a time.
+through ``_nonneg_mul`` and ``_z2_rewrite``; the colored sum and the
+annulus log pack each row into its value at x = 2^(8 width), so that a
+geometric factor is one big-int multiply (``_packed_geometric``), and
+``_unpack`` them.  Every division is by factors 1 - x^k, as strided
+running sums (``arith.div_one_minus``), in ``exact_div`` on each a-slice.
 
 ``to_z_basis`` rewrites a q-symmetric LaurentQA as a polynomial in
 z^2 = q - 2 + q^(-1) slice by slice in a, bottom-up on one dense list per
@@ -80,6 +81,22 @@ def _nonneg_mul(a: list, b: list) -> list:
     pb = int.from_bytes(b"".join(c.to_bytes(n, "little") for c in b), "little")
     raw = (pa * pb).to_bytes((len(a) + len(b) - 1) * n, "little")
     return [int.from_bytes(raw[k : k + n], "little") for k in range(0, len(raw), n)]
+
+
+def _packed_geometric(width: int, step: int, count: int) -> int:
+    """1 + x^step + ... + x^(step (count - 1)) at x = 2^(8 width)."""
+    return int.from_bytes(b"\x01".ljust(width * step, b"\x00") * count, "little")
+
+
+def _unpack(packed: int, width: int, length: int) -> list:
+    """The int row of the given length whose value at x = 2^(8 width) is
+    packed, when each entry is below 2^(8 width - 1) in absolute value:
+    then adding 2^(8 width - 1) to every slot leaves no slot negative."""
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * length, "little")
+    raw = (packed + bias).to_bytes(width * length, "little")
+    return [int.from_bytes(raw[k : k + width], "little") - half
+            for k in range(0, len(raw), width)]
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +275,14 @@ Z_SQUARED = LaurentQA({(2, 0): 1, (0, 0): -2, (-2, 0): 1})
 # exact division
 # ---------------------------------------------------------------------------
 
-def _times_geometric(row: list, step: int, count: int) -> list:
-    """The dense row times 1 + x^step + ... + x^(step (count - 1)), of
-    length len(row) + step (count - 1): the row times 1 - x^(step count),
-    divided exactly by 1 - x^step (``div_one_minus``)."""
-    f = row + [0] * (step * count)
-    f[step * count :] = [x - y for x, y in zip(f[step * count :], row)]
-    return div_one_minus(f, step)
-
-
 def exact_div(f: LaurentQA, exponents: Iterable[int]) -> LaurentQA:
     """f / prod over i in exponents of (1 - q^i), each i >= 1; raise
     ExactDivisionError when that is not a Laurent polynomial.
 
-    Each a-slice of f is laid out as one dense row in steps of q^(1/2),
-    from its lowest term, and divided by one factor 1 - x^(2 i) at a time
+    Each a-slice of f splits into its two q^(1/2)-parities; the factors have
+    integer q-exponents, so they divide the slice exactly when they divide
+    each part.  A nonempty part is laid out as one dense row in steps of q,
+    from its lowest term, and divided by one factor 1 - x^i at a time
     (``div_one_minus``).  A factor that leaves a remainder refuses the
     division; the error carries the dividend's a-slice."""
     exponents = tuple(exponents)
@@ -280,20 +290,24 @@ def exact_div(f: LaurentQA, exponents: Iterable[int]) -> LaurentQA:
         raise ValueError("exact_div needs exponents >= 1")
     out: dict = {}
     for v, sl in f.a_slices().items():
-        lo = min(sl)
-        row = [0] * (max(sl) - lo + 1)
+        parts: dict = {}
         for u, c in sl.items():
-            row[u - lo] = c
-        for i in exponents:
-            row = div_one_minus(row, 2 * i)
-            if row is None:
-                raise ExactDivisionError(
-                    f"not divisible in a-slice v={v}",
-                    remainder=LaurentQA._make({(u, v): c for u, c in sl.items()}),
-                )
-        for e, c in enumerate(row):
-            if c:
-                out[(lo + e, v)] = _norm_c(c)
+            parts.setdefault(u % 2, {})[u] = c
+        for part in parts.values():
+            lo = min(part)
+            row = [0] * ((max(part) - lo) // 2 + 1)
+            for u, c in part.items():
+                row[(u - lo) // 2] = c
+            for i in exponents:
+                row = div_one_minus(row, i)
+                if row is None:
+                    raise ExactDivisionError(
+                        f"not divisible in a-slice v={v}",
+                        remainder=LaurentQA._make({(u, v): c for u, c in sl.items()}),
+                    )
+            for e, c in enumerate(row):
+                if c:
+                    out[(lo + 2 * e, v)] = _norm_c(c)
     return LaurentQA._make(out)
 
 

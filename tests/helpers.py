@@ -4,9 +4,9 @@ They restate textbook definitions next to the library so that the tests
 can check the library's structure (the p-adic congruences behind the
 integrality proofs, partition multiplicities, the pairing matrix M, a JSON
 round trip of LaurentQA, the one-hole rows as a LaurentQA, the a-side
-quantum integer {n}_a) without the
+quantum integer {n}_a, a row packed at 2^(8 width)) without the
 library shipping them, plus a runner that captures the command line's
-output.  The slow rational-function reference lives in ``reference.py``.
+output and a recorder of the slot widths that a module unpacks at.  The slow rational-function reference lives in ``reference.py``.
 """
 
 import io
@@ -127,3 +127,18 @@ def cli_output(*argv: str) -> str:
     with redirect_stdout(buf):
         assert main(list(argv)) == EXIT_OK
     return buf.getvalue()
+
+
+def pack(row: list, width: int) -> int:
+    """The int row's value at x = 2^(8 width), by Horner's rule."""
+    out = 0
+    for c in reversed(row):
+        out = (out << (8 * width)) + c
+    return out
+
+
+def unpack_widths(monkeypatch, module) -> list:
+    """The slot widths that ``module`` passes to ``_unpack``, in call order."""
+    widths, real = [], module._unpack
+    monkeypatch.setattr(module, "_unpack", lambda p, w, n: widths.append(w) or real(p, w, n))
+    return widths

@@ -18,7 +18,9 @@ the q-Pascal ``gaussian_binomial``, the dict-loop ``to_z_basis`` and the
 top-down half-list ``z2_rewrite`` on its binomial table
 ``z2_power_dense``, the geometric-sum multiply ``times_geometric`` by one
 ``dense_div`` (the long division by any divisor, which also checks
-``arith.div_one_minus``), the one-hole chain on LaurentQA (the double-loop
+``arith.div_one_minus``), the list-row ``colored_sum`` and ``annulus_log``
+recurrences that the packed rows replaced, on the running-sum multiply
+``geometric_row``, the one-hole chain on LaurentQA (the double-loop
 ``cal_z_closed_form``, ``g_m_cleared``, and ``z2_g_m``, one general
 ``exact_div`` by ``_cleared_divisor``) and the power-sum
 ``series_log`` / ``series_exp``, built on the ``Series1`` sum, product
@@ -57,7 +59,8 @@ from math import comb, factorial, gcd
 from typing import Callable, Mapping
 
 from helpers import quantum_int_a, quantum_prod
-from lmov.arith import TheoremViolation, divisors, moebius
+from lmov import genus0
+from lmov.arith import TheoremViolation, div_one_minus, divisors, moebius
 from lmov.genus0 import _annulus_column, _disc_numerator
 from lmov.partitions import (
     Partition,
@@ -180,6 +183,59 @@ def times_geometric(row: list, step: int, count: int) -> tuple:
     f = row + [0] * (step * count)
     f[step * count :] = [x - y for x, y in zip(f[step * count :], row)]
     return dense_div(0, f, 0, [1] + [0] * (step - 1) + [-1])
+
+
+def geometric_row(row: list, step: int, count: int) -> list:
+    """The dense row times 1 + x^step + ... + x^(step (count - 1)), of
+    length len(row) + step (count - 1): the row times 1 - x^(step count),
+    divided exactly by 1 - x^step (``div_one_minus``)."""
+    f = row + [0] * (step * count)
+    f[step * count :] = [x - y for x, y in zip(f[step * count :], row)]
+    return div_one_minus(f, step)
+
+
+def colored_sum(m: int, tau: int) -> LaurentQA:
+    """``lmov.onehole.colored_sum`` on list rows: the exp recurrence
+    E_n = sum_k f_k (n-1)!/(n-k)! E_(n-k) on one int list per a-slice, each
+    row of E_(n-k) times {m tau k}/{k} by ``geometric_row``."""
+    length = m * abs(tau)
+    e = [{0: [1]}]
+    for n in range(1, m + 1):
+        acc: dict = {}
+        zero = [0] * ((length - 1) * n + 1)
+        falling = 1 if tau > 0 else -1  # sign(tau) (n-1)!/(n-k)!
+        for k in range(1, n + 1):
+            for v, row in e[n - k].items():
+                h = geometric_row(row, k, length)
+                for w, c in ((v + k, falling), (v - k, -falling)):
+                    acc[w] = [x + c * y for x, y in zip(acc.get(w, zero), h)]
+            falling *= n - k
+        e.append(acc)
+    fact, sign, out = factorial(m), (-1) ** ((m * tau) % 2), {}
+    for v, row in e[m].items():
+        for i, c in enumerate(row):
+            quo, rem = divmod(sign * c, fact)
+            out[(-(length - 1) * m + 2 * i, v)] = Fraction(sign * c, fact) if rem else quo
+    return LaurentQA(out)
+
+
+def annulus_log(tau: int, order: int) -> list:
+    """``lmov.genus0._annulus_log`` on list rows: D_n = n S_n - sum_(0<k<n)
+    D_k S_(n-k), one int t-list per a-exponent, each row of D_k times
+    1 + ... + t^(n-k) by ``geometric_row``."""
+    kern = [genus0.kernel_level(tau, n) for n in range(order + 1)]
+    d: list = [{}]
+    for n in range(1, order + 1):
+        acc = {v: [n * c] * (n + 1) for (_, v), c in kern[n].items()}
+        zero = [0] * (n + 1)
+        for k in range(1, n):
+            w = n - k
+            for v, row in d[k].items():
+                h = geometric_row(row, 1, w + 1)
+                for (_, v2), c in kern[w].items():
+                    acc[v + v2] = [x - c * y for x, y in zip(acc.get(v + v2, zero), h)]
+        d.append(acc)
+    return d
 
 
 @lru_cache(maxsize=None)

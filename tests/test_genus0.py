@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 import reference
-from helpers import cli_output
+from helpers import cli_output, unpack_widths
 from lmov import genus0
 from lmov.arith import TheoremViolation, binomial_ext, divisors, moebius
 from lmov.cli import EXIT_THEOREM, main
@@ -146,6 +146,23 @@ def test_annulus_log_matches_bivariate_reference():
                 assert all(u == 0 and v % 2 == 0 for (u, v), _ in coeff.items())
                 want_c = {v // 2: Fraction(c) for (_, v), c in coeff.items()}
                 assert annulus_c(m1, m2, tau, order=order) == want_c, (tau, m1, m2)
+
+
+@pytest.mark.parametrize("tau", range(-6, 7))
+def test_packed_annulus_log_matches_the_list_rows(tau, monkeypatch):
+    # at the FULL order; the docstring's l1 recursion bounds every level,
+    # and the width it sets holds the largest coefficient of every level
+    widths = unpack_widths(monkeypatch, genus0)
+    genus0._annulus_log.cache_clear()
+    want = reference.annulus_log(tau, 16)
+    assert genus0._annulus_log(tau, 16) == want
+    norm = [(n + 1) * sum(abs(c) for _, c in kernel_level(tau, n).items()) for n in range(17)]
+    bound = [0]
+    for n in range(1, 17):
+        bound.append(n * norm[n] + sum(bound[k] * norm[n - k] for k in range(1, n)))
+        coeffs = [abs(c) for row in want[n].values() for c in row]
+        assert sum(coeffs) <= bound[n], n
+        assert max(coeffs) < 2 ** (8 * min(widths) - 1), n
 
 
 def test_annulus_top_slice_matches_closed_form():

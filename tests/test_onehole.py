@@ -1,10 +1,11 @@
 import json
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
 import reference
-from helpers import cli_output, m_matrix, quantum_int_a, quantum_prod, z2_g_m
+from helpers import cli_output, m_matrix, quantum_int_a, quantum_prod, unpack_widths, z2_g_m
 from lmov.arith import TheoremViolation
 from lmov.genus0 import disc_n
 from lmov import genus0, onehole, verify
@@ -190,16 +191,39 @@ def test_colored_sum_matches_partition_sum(tau):
         assert colored_sum(m, tau) == reference.cal_z_cleared(m, tau), (m, tau)
 
 
+@pytest.mark.parametrize("tau", [t for t in range(-5, 6) if t])
+def test_packed_colored_sum_matches_the_list_rows(tau, monkeypatch):
+    # at every FULL cell; the l1 bound |E_m|_1 <= m! C(2L + m - 1, m),
+    # L = m |tau|, holds, and the width it sets holds the largest
+    # coefficient of E_m = m! [x^m]
+    widths = unpack_widths(monkeypatch, onehole)
+    for m in range(1, 9):
+        widths.clear()
+        want = reference.colored_sum(m, tau)
+        assert colored_sum(m, tau) == want, (m, tau)
+        coeffs = [factorial(m) * abs(c) for _, c in want.items()]
+        assert sum(coeffs) <= factorial(m) * comb(2 * m * abs(tau) + m - 1, m)
+        assert max(coeffs) < 2 ** (8 * min(widths) - 1), (m, tau)
+
+
 def test_onehole_chain_reports_colored_sum_mismatch(monkeypatch):
     # f_k scaled by k breaks the colored sum's integrality from m = 2 on,
     # while the closed form and the divisor {m}{m tau}/{1}^2 (parts k = 1)
     # are untouched: the sum keeps its Fractions and the chain names the cells
-    real = onehole._times_geometric
-
-    def scaled_by_k(row, k, length):
-        return [k * c for c in real(row, k, length)]
-
-    monkeypatch.setattr(onehole, "_times_geometric", scaled_by_k)
+    real, real_row = onehole._packed_geometric, reference.geometric_row
+    monkeypatch.setattr(onehole, "_packed_geometric", lambda w, k, n: k * real(w, k, n))
+    monkeypatch.setattr(reference, "geometric_row",
+                        lambda row, k, n: [k * c for c in real_row(row, k, n)])
+    widths = unpack_widths(monkeypatch, onehole)
+    for tau in (1, 2):
+        for m in (1, 2, 3):
+            # the scaled sums stay inside the slot bound: they are the list
+            # rows' Fractions, not unpacked carries
+            widths.clear()
+            want = reference.colored_sum(m, tau)
+            assert colored_sum(m, tau) == want
+            top = max(abs(factorial(m) * c) for _, c in want.items())
+            assert top < 2 ** (8 * widths[0] - 1), (m, tau)
     assert colored_sum(1, 2) == cal_z_cleared(1, 2)
     assert not colored_sum(2, 2).is_integral()
     rep = verify.check_onehole_chain(3, range(1, 3))

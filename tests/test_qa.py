@@ -4,7 +4,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from helpers import is_one, laurent_from_json, laurent_to_json, quantum_int_a, quantum_prod, support
+from helpers import (
+    is_one, laurent_from_json, laurent_to_json, pack, quantum_int_a, quantum_prod, support,
+)
 from lmov.arith import divisors
 from lmov.qa import (
     ExactDivisionError,
@@ -12,7 +14,8 @@ from lmov.qa import (
     PochFrac,
     ZBasisError,
     _nonneg_mul,
-    _times_geometric,
+    _packed_geometric,
+    _unpack,
     _z2_rewrite,
     exact_div,
     one_minus_q_prod,
@@ -211,11 +214,24 @@ int_or_fraction_rows = st.lists(st.integers(-9, 9), max_size=8) | st.lists(
 )
 
 
-@given(int_or_fraction_rows, st.integers(1, 4), st.integers(1, 5))
-def test_times_geometric_matches_the_dense_div_reference(row, step, count):
-    # the strided running sums against one general division by 1 - x^step
-    got = _times_geometric(list(row), step, count)
-    assert len(got) == len(row) + step * (count - 1)
+@given(st.integers(1, 9), st.data())
+def test_unpack_round_trips_rows_up_to_the_slot_extremes(width, data):
+    # +-(2^(8 width - 1) - 1), side by side and in the top slot, leave no
+    # slot negative and carry into no other slot
+    top = 2 ** (8 * width - 1) - 1
+    inner = data.draw(st.lists(st.integers(-top, top), max_size=8))
+    row = data.draw(st.permutations([top, -top, top, -top] + inner))
+    assert _unpack(pack(row, width), width, len(row)) == row
+
+
+@given(st.lists(st.integers(-9, 9) | st.integers(-10**20, 10**20), max_size=8),
+       st.integers(1, 4), st.integers(1, 5))
+def test_packed_geometric_matches_the_dense_div_reference(row, step, count):
+    # one multiply by the packed geometric sum, at the width its l1 bound
+    # sets, against one general division by 1 - x^step
+    width = (count * sum(map(abs, row))).bit_length() // 8 + 1
+    length = len(row) + step * (count - 1)
+    got = _unpack(pack(row, width) * _packed_geometric(width, step, count), width, length)
     lo, want = reference.times_geometric(list(row), step, count)
     assert got[lo : lo + len(want)] == want
     assert not any(got[:lo]) and not any(got[lo + len(want) :])
