@@ -8,9 +8,10 @@ Modules:
 * ``partitions`` -- integer partitions and symmetric-group characters.
 * ``qa``         -- exact Laurent polynomials in q^(1/2), a^(1/2), their
   quotients by the q-Pochhammer symbol (q;q)_n, quantum integers, Adams
-  operations, exact division, the z^2 basis.
-* ``series``     -- one-variable truncated power series, their logarithm and
-  exponential, plethystic logarithm and exponential.
+  operations, exact division, the z^2 basis as a plain dict.
+* ``series``     -- one-variable truncated power series as plain coefficient
+  lists, their logarithm and exponential, plethystic logarithm and
+  exponential.
 * ``genus0``     -- disc, annulus and multi-hole invariants with their
   Moebius-inversion assembly and integrality certificates.
 * ``onehole``    -- all-genus one-hole invariants from the colored

@@ -164,7 +164,7 @@ def _table(args) -> tuple:
         q, fmt_q = ("Q", half_string) if args.half_format == "fraction" else ("two_q", int)
         rows = []
         for m in range(1, args.max_m + 1):
-            cells = sorted(onehole.lmov_one_hole(m, tau).entries.items())
+            cells = sorted(onehole.lmov_one_hole(m, tau).items())
             entries = [{"g": g, q: fmt_q(v), "n": n} for (g, v), n in cells]
             rows.append({"m": m, "tau": tau, "entries": entries})
         return {"table": "onehole", "tau": tau}, rows, ["m", "tau", "g", q, "n"]

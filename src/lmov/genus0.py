@@ -34,7 +34,7 @@ from math import comb, gcd
 from .arith import Report, TheoremViolation, binomial_ext, certified_div, divisors, moebius
 from .partitions import Partition, parts_gcd, scale_down
 from .qa import LaurentQA, _packed_geometric, _unpack
-from .series import CoeffRing, Series1, series_dlog
+from .series import series_dlog
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,6 @@ def disc_n(m: int, l: int, tau: int) -> int:
     return certified_div(total, m * m, "n_({},{})(tau={})", m, l, tau)
 
 
-_LRING = CoeffRing(zero=LaurentQA.zero(), one=LaurentQA.one())
 _ONE_MINUS_A = LaurentQA({(0, 0): 1, (0, 2): -1})
 
 
@@ -112,9 +111,9 @@ def disc_series_check(tau: int, max_m: int) -> Report:
     one_minus_y = [LaurentQA.one()] + [
         -(_ONE_MINUS_A * kernel_level(tau, n)) for n in range(max_m)
     ]
-    dlogy = series_dlog(Series1(_LRING, max_m, one_minus_y))
+    dlogy = series_dlog(one_minus_y)
     for m in range(1, max_m + 1):
-        level = dlogy.coeff(m)
+        level = dlogy[m]
         # x-coordinates: multiply by (-1)^(m*tau); a-exponent l is raw v/2
         sign = (-1) ** ((m * tau) % 2)
         for l in range(0, m + 1):
@@ -208,8 +207,9 @@ def annulus_top_numerator(m1: int, m2: int, tau: int) -> int:
 def annulus_n(m1: int, m2: int, l: int, tau: int, order: int | None = None):
     """Single-cover annulus invariant n_{(m1,m2),l}(tau) as (value, integral):
     one integer Moebius sum over m1+m2.  On the top slice l = m1+m2 the
-    division is a theorem, certified, and value an int; below it value is a
-    Fraction and ``integral`` says whether it is whole."""
+    division is a theorem, certified, and value an int; below it one divmod
+    gives an int where it is whole and a Fraction where it is not, and
+    ``integral`` says which."""
     if m1 < 1 or m2 < 1:
         raise ValueError("annulus_n needs m1, m2 >= 1")
     n = m1 + m2
@@ -223,8 +223,8 @@ def annulus_n(m1: int, m2: int, l: int, tau: int, order: int | None = None):
             total += sign * _annulus_column(m1 // d, m2 // d, tau, order).get(l // d, 0)
     if l == n:
         return certified_div(total, n, "n_(({},{}),{})(tau={})", m1, m2, l, tau), True
-    value = Fraction(total, n)
-    return value, value.denominator == 1
+    quo, rem = divmod(total, n)
+    return (Fraction(total, n) if rem else quo), not rem
 
 
 # ---------------------------------------------------------------------------

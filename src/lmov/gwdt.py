@@ -29,9 +29,7 @@ from typing import NamedTuple
 
 from .arith import Report, TheoremViolation
 from .qa import ExactDivisionError, LaurentQA, PochFrac, exact_div, one_minus_q_prod
-from .series import CoeffRing, Series1, plethystic_dlog, series_dexp
-
-_RING = CoeffRing(zero=PochFrac.zero(), one=PochFrac.one())
+from .series import plethystic_dlog, series_dexp
 
 
 def h_top(n: int, tau: int) -> PochFrac:
@@ -43,21 +41,20 @@ def h_top(n: int, tau: int) -> PochFrac:
     return PochFrac(LaurentQA.monomial(n * (n - 1) * tau + n * n, c=sign), n)
 
 
-def z_tau_series(tau: int, order: int) -> Series1:
+def z_tau_series(tau: int, order: int) -> list:
     """Reduced partition function sum_n H_n(q) x^n truncated at x^order."""
-    return Series1(_RING, order, [h_top(n, tau) for n in range(order + 1)])
+    return [h_top(n, tau) for n in range(order + 1)]
 
 
-def coha_series(loops: int, order: int) -> Series1:
+def coha_series(loops: int, order: int) -> list:
     """Hilbert-Poincare series of the loop quiver:
     sum_n q^(-(m-1) n(n-1)/2) / prod_{i<=n}(1-q^i) t^n."""
     if loops < 1:
         raise ValueError("coha_series needs loops >= 1")
-    coeffs = [
+    return [
         PochFrac(LaurentQA.monomial(-(loops - 1) * n * (n - 1)), n)
         for n in range(order + 1)
     ]
-    return Series1(_RING, order, coeffs)
 
 
 def _times_one_minus_q(f: PochFrac, n: int) -> LaurentQA:
@@ -97,7 +94,7 @@ def ooguri_vafa(tau: int, max_m: int) -> OVTable:
         try:
             g = _times_one_minus_q(gs[m - 1], m)
         except ExactDivisionError:
-            f = gs[m - 1].scale(Fraction(1, m))
+            f = gs[m - 1].div(m)
             reason = f"(1-q) f_{m} is not a Laurent polynomial: {f!r}"
             rep.failures.append({"m": m, "reason": reason})
             rows[m] = {}
@@ -134,12 +131,8 @@ def ov_reconstruction_residue(table: OVTable):
             inv = one_minus_q_prod(i for i in range(1, n + 1) if i != d)
             layer = LaurentQA({(d * (k + 1), 0): -m * nmk for k, nmk in entries.items()})
             acc[n] = acc[n] + PochFrac(layer * inv, n)
-    z_rec = series_dexp(Series1(_RING, order, acc))
-    z = z_tau_series(table.tau, order)
-    for n in range(order + 1):
-        if z_rec.coeff(n) != z.coeff(n):
-            return n
-    return None
+    z_rec, z = series_dexp(acc), z_tau_series(table.tau, order)
+    return next((n for n in range(order + 1) if z_rec[n] != z[n]), None)
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +160,9 @@ def dt_extract(loops: int, max_n: int) -> DTTable:
         raise ValueError("dt_extract needs max_n >= 1")
     p = coha_series(loops, max_n)
     twist = (-1) ** ((loops - 1) % 2)
-    twisted = Series1(
-        _RING,
-        max_n,
-        [c.scale(twist ** (n % 2)) if twist < 0 else c for n, c in enumerate(p.coeffs)],
+    gs = plethystic_dlog(
+        [c.scale(twist ** (n % 2)) if twist < 0 else c for n, c in enumerate(p)]
     )
-    gs = plethystic_dlog(twisted)
     rows: dict = {}
     for n in range(1, max_n + 1):
         try:
@@ -219,7 +209,7 @@ def gwdt_check(tau: int, order: int) -> Report:
     p = coha_series(-tau, order)
     for n in range(order + 1):
         sub = PochFrac(LaurentQA.monomial(n, c=(-1) ** ((n * (tau - 1)) % 2)), 0)
-        if z.coeff(n) != p.coeff(n) * sub:
+        if z[n] != p[n] * sub:
             rep.failures.append({"n": n})
     return rep
 

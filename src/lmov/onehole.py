@@ -59,7 +59,6 @@ from .qa import (
     PochFrac,
     Z_SQUARED,
     ZBasisError,
-    ZBasisTable,
     _nonneg_mul,
     _packed_geometric,
     _unpack,
@@ -234,7 +233,7 @@ def _z2_rows(m: int, tau: int) -> dict:
     return out
 
 
-def lmov_one_hole(m: int, tau: int) -> ZBasisTable:
+def lmov_one_hole(m: int, tau: int) -> dict:
     """Certified integer one-hole table n_{m,g,Q}(tau), keyed by (g, two_q).
     Each row of z^2 g_m must be a palindrome in integer powers of q, centred
     on q^0; its half from q^0 up is rewritten in z^2."""
@@ -245,11 +244,10 @@ def lmov_one_hole(m: int, tau: int) -> ZBasisTable:
                                    f"(m={m}, tau={tau})")
         for g, c in _z2_rewrite(row[len(row) // 2 :]):
             entries[(g, v)] = c
-    table = ZBasisTable(entries)
-    if not table.is_integral():
+    if not all(type(c) is int for c in entries.values()):
         raise TheoremViolation(f"non-integer one-hole invariant at m={m}, tau={tau}: "
-                               f"{table.entries}")
-    return table
+                               f"{entries}")
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +325,7 @@ class GeneralHoleResult(NamedTuple):
     mu: Partition
     tau: int
     target: LaurentQA | None  # z^2 * z_mu * g-hat_mu, when it is a Laurent polynomial
-    table: ZBasisTable | None
+    table: dict | None  # {(g, two_q): n}, when the z^2-basis rewrite exists
     report: Report
 
 
@@ -365,13 +363,12 @@ def g_mu_general(mu: Partition, tau: int) -> GeneralHoleResult:
         rep.failures.append({"mu": mu, "reason": "denominator did not clear"})
         return GeneralHoleResult(mu, tau, None, None, rep)
     sign = (-1) ** (len(mu) % 2)
-    target = LaurentQA({(u + size, v): Fraction(sign * c, size) if c % size else sign * c // size
-                        for (u, v), c in sized.items()})
+    target = sized.shift(du=size).div(sign * size)
     try:
         table = to_z_basis(target)
     except ZBasisError as e:
         rep.failures.append({"mu": mu, "reason": f"z-basis: {e}"})
         return GeneralHoleResult(mu, tau, target, None, rep)
-    if not table.is_integral():
+    if not all(type(c) is int for c in table.values()):
         rep.failures.append({"mu": mu, "reason": "non-integer entries"})
     return GeneralHoleResult(mu, tau, target, table, rep)

@@ -14,7 +14,8 @@ Exponents live on the half-integer lattice and are stored doubled:
 ``u`` counts powers of q^(1/2) and ``v`` counts powers of a^(1/2), so all
 exponent bookkeeping is plain integer arithmetic.  Coefficients are ints
 whenever possible and ``fractions.Fraction`` otherwise; no floats appear
-anywhere.
+anywhere.  Division by an int (``div``) is one divmod per coefficient and
+builds a Fraction only on a remainder.
 
 ``LaurentQA`` multiplies by the dict loop over all term pairs, with
 ``_norm_c`` applied only to coefficients that are not ints.  The integer
@@ -30,9 +31,9 @@ running sums (``arith.div_one_minus``), in ``exact_div`` on each a-slice.
 z^2 = q - 2 + q^(-1) slice by slice in a, bottom-up on one dense list per
 slice that holds only the exponents q^0 and up (the rest mirror them):
 the coefficient of (z^2)^0 is the value at q = 1, and dividing what is
-left by z^2 = (1 - q)^2 / q is two running sums.  The result
-(``ZBasisTable``) is the genus-graded form used by the one-hole
-invariant tables.
+left by z^2 = (1 - q)^2 / q is two running sums.  The result, the plain
+dict {(g, v): n} of f = sum n (z^2)^g a^(v/2), is the genus-graded form
+used by the one-hole invariant tables.
 """
 
 from __future__ import annotations
@@ -149,9 +150,6 @@ class LaurentQA:
     def coeff(self, u: int, v: int) -> Rat:
         return self._c.get((u, v), 0)
 
-    def is_zero(self) -> bool:
-        return not self._c
-
     def is_integral(self) -> bool:
         """Certify that every stored coefficient is an integer."""
         return all(type(c) is int for c in self._c.values())
@@ -227,6 +225,18 @@ class LaurentQA:
         if not c:
             return LaurentQA.zero()
         return LaurentQA._make({k: _norm_c(x * c) for k, x in self._c.items()})
+
+    def div(self, n: int) -> LaurentQA:
+        """Every coefficient divided by the nonzero int n: one divmod per int
+        coefficient, and a Fraction only where it leaves a remainder."""
+        d = {}
+        for k, c in self._c.items():
+            if type(c) is int:
+                quo, rem = divmod(c, n)
+                d[k] = Fraction(c, n) if rem else quo
+            else:
+                d[k] = c / n  # a non-integral Fraction over n stays non-integral
+        return LaurentQA._make(d)
 
     def shift(self, du: int = 0, dv: int = 0) -> LaurentQA:
         """Multiply by the monomial q^(du/2) a^(dv/2)."""
@@ -335,34 +345,10 @@ def _z2_rewrite(h: list) -> list:
     return out[::-1]
 
 
-class ZBasisTable:
-    """Decomposition f = sum over (g, v) of entry * (z^2)^g * a^(v/2).
-
-    When f is z^2 * g_m the key g is the genus label and v doubles the
-    charge Q, so serialized rows carry ``two_q = v``.
-    """
-
-    def __init__(self, entries: Mapping | None = None):
-        self.entries = {k: _norm_c(c) for k, c in (entries or {}).items() if c}
-
-    def is_integral(self) -> bool:
-        return all(type(c) is int for c in self.entries.values())
-
-    def expand(self) -> LaurentQA:
-        out = LaurentQA.zero()
-        for (g, v), c in self.entries.items():
-            out = out + (Z_SQUARED ** g).scale(c).shift(dv=v)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, ZBasisTable) and self.entries == other.entries
-
-    def __repr__(self):
-        return f"ZBasisTable({self.entries!r})"
-
-
-def to_z_basis(f: LaurentQA) -> ZBasisTable:
-    """Rewrite each a-slice of f as an exact polynomial in z^2 = q - 2 + 1/q.
+def to_z_basis(f: LaurentQA) -> dict:
+    """Rewrite each a-slice of f as an exact polynomial in z^2 = q - 2 + 1/q:
+    the dict {(g, v): n}, n nonzero, with f = sum n (z^2)^g a^(v/2).  When f
+    is z^2 g_m the key g is the genus label and v doubles the charge Q.
 
     Fails (ZBasisError) if a slice has odd half-exponents or is not
     palindromic under q <-> 1/q; the tolerance is exact zero.  A palindromic
@@ -381,8 +367,8 @@ def to_z_basis(f: LaurentQA) -> ZBasisTable:
             if u >= 0:
                 h[u // 2] = c
         for g, c in _z2_rewrite(h):
-            table[(g, v)] = c
-    return ZBasisTable(table)
+            table[(g, v)] = _norm_c(c)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +405,9 @@ class PochFrac:
 
     Immutable by convention.  A series whose x^n coefficient has this
     shape keeps it under products (the denominators combine through a
-    q-binomial), Adams operations and sums of equal degree, which is all
-    that the log, exp and plethystic log of ``lmov.series`` do.  Zero has
+    q-binomial), Adams operations, sums of equal degree and division by an
+    int, which is all that the log, exp and plethystic log of
+    ``lmov.series`` do.  Zero has
     no degree; adding nonzero values of different degrees raises.
     Equality compares (num, n), so at equal n it is equality of rational
     functions.
@@ -440,8 +427,8 @@ class PochFrac:
     def one(cls) -> PochFrac:
         return cls(LaurentQA.one(), 0)
 
-    def is_zero(self) -> bool:
-        return not self.num
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PochFrac) and self.n == other.n and self.num == other.num
@@ -470,6 +457,9 @@ class PochFrac:
 
     def scale(self, c: Rat) -> PochFrac:
         return PochFrac(self.num.scale(c), self.n)
+
+    def div(self, n: int) -> PochFrac:
+        return PochFrac(self.num.div(n), self.n)
 
     def adams(self, d: int) -> PochFrac:
         """Substitute q -> q^d, a -> a^d; the degree becomes d n."""

@@ -15,8 +15,8 @@ from math import factorial
 from . import genus0, gwdt, onehole, twist
 from .arith import Report, TheoremViolation
 from .partitions import mn_character, partitions_of, permutation_count, z_factor
-from .qa import LaurentQA, PochFrac, quantum_int, to_z_basis
-from .series import CoeffRing, Series1, plethystic_dexp, plethystic_dlog, series_dexp, series_dlog
+from .qa import Z_SQUARED, LaurentQA, PochFrac, to_z_basis
+from .series import plethystic_dexp, plethystic_dlog, series_dexp, series_dlog
 
 
 def check_disc_integrality(max_m: int, tau_range: range) -> Report:
@@ -106,7 +106,7 @@ def check_onehole_chain(max_m: int, tau_range: range) -> Report:
                 continue
             if m == 1:
                 s = (-1) ** (tau % 2)
-                if table.entries != {(0, 1): s, (0, -1): -s}:
+                if table != {(0, 1): s, (0, -1): -s}:
                     rep.failures.append({"tau": tau, "reason": "m=1 table wrong"})
     return rep
 
@@ -126,7 +126,7 @@ def _genus_zero_matches(mu: tuple, tau: int, table, order: int) -> bool:
     # the g = 0 entry at two_q = 2l - |mu|, times (-1)^l(mu), against the
     # genus-zero closed forms of the mirror-curve side
     size, sign = sum(mu), (-1) ** (len(mu) % 2)
-    got = [sign * table.entries.get((0, 2 * l - size), 0) for l in range(size + 1)]
+    got = [sign * table.get((0, 2 * l - size), 0) for l in range(size + 1)]
     if len(mu) == 1:
         return (got == [genus0.disc_n(size, l, tau) for l in range(size + 1)]
                 and table == onehole.lmov_one_hole(size, tau))
@@ -194,19 +194,6 @@ def check_twist(p_values: list, max_r: int) -> Report:
     return rep
 
 
-def _random_symmetric_laurent(rng: random.Random) -> LaurentQA:
-    # random element of Q[z^2, a^(+-1/2)], symmetric under q <-> 1/q
-    out = LaurentQA.zero()
-    z2 = quantum_int(1) * quantum_int(1)
-    for _ in range(rng.randint(1, 6)):
-        g = rng.randint(0, 4)
-        v = rng.randint(-3, 3)
-        c = rng.randint(-9, 9)
-        if c:
-            out = out + (z2 ** g).scale(c).shift(dv=v)
-    return out
-
-
 def check_infrastructure(max_n: int, samples: int, seed: int) -> Report:
     """Character orthogonality, z-basis round trip, plethystic round trip."""
     rep = Report(
@@ -235,14 +222,21 @@ def check_infrastructure(max_n: int, samples: int, seed: int) -> Report:
         for mu in parts:
             if z_factor(mu) * permutation_count(mu) != nfact:
                 rep.failures.append({"z-count": mu})
-    # z-basis round trip on random symmetric inputs
+    # z-basis round trip: random entries n at (g, v), expanded once as
+    # f = sum n (z^2)^g a^(v/2), symmetric under q <-> 1/q
     rng = random.Random(seed)
     for _ in range(samples):
-        f = _random_symmetric_laurent(rng)
-        if to_z_basis(f).expand() != f:
+        entries: dict = {}
+        for _ in range(rng.randint(1, 6)):
+            g, v, c = rng.randint(0, 4), rng.randint(-3, 3), rng.randint(-9, 9)
+            entries[(g, v)] = entries.get((g, v), 0) + c
+        entries = {k: c for k, c in entries.items() if c}
+        f = LaurentQA.zero()
+        for (g, v), c in entries.items():
+            f = f + (Z_SQUARED ** g).scale(c).shift(dv=v)
+        if to_z_basis(f) != entries:
             rep.failures.append({"z-roundtrip": repr(f)})
     # plethystic log/exp round trip at order 12 over LaurentQA coefficients
-    ring = CoeffRing(zero=LaurentQA.zero(), one=LaurentQA.one())
     order = 12
     coeffs = [LaurentQA.one()]
     for n in range(1, order + 1):
@@ -250,10 +244,9 @@ def check_infrastructure(max_n: int, samples: int, seed: int) -> Report:
         for _ in range(3):
             d[(rng.randint(-4, 4), rng.randint(-2, 2) * 2)] = rng.randint(-5, 5)
         coeffs.append(LaurentQA(d))
-    z = Series1(ring, order, coeffs)
-    if plethystic_dexp(plethystic_dlog(z), ring, order) != z:
+    if plethystic_dexp(plethystic_dlog(coeffs)) != coeffs:
         rep.failures.append({"plethystic-roundtrip": "mismatch"})
-    if series_dexp(series_dlog(z)) != z:
+    if series_dexp(series_dlog(coeffs)) != coeffs:
         rep.failures.append({"log-exp-roundtrip": "mismatch"})
     return rep
 

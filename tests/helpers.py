@@ -19,7 +19,6 @@ from lmov import onehole
 from lmov.cli import EXIT_OK, main
 from lmov.partitions import mn_character, partitions_of, z_factor
 from lmov.qa import LaurentQA, quantum_int
-from lmov.series import CoeffRing, Series1
 
 
 def quantum_prod(parts) -> LaurentQA:
@@ -85,9 +84,9 @@ def support(f: LaurentQA) -> list:
     return sorted(k for k, _ in f.items())
 
 
-def series_x(ring: CoeffRing, order: int) -> Series1:
-    """The series x, truncated at ``order``."""
-    return Series1(ring, order, [ring.zero, ring.one])
+def series_x(cls, order: int) -> list:
+    """The series x over the coefficient class ``cls``, truncated at ``order``."""
+    return [cls.zero(), cls.one()] + [cls.zero()] * (order - 1)
 
 
 def m_matrix(lam: tuple, mu: tuple) -> LaurentQA:

@@ -23,16 +23,16 @@ recurrences that the packed rows replaced, on the running-sum multiply
 ``geometric_row``, the one-hole chain on LaurentQA (the double-loop
 ``cal_z_closed_form``, ``g_m_cleared``, and ``z2_g_m``, one general
 ``exact_div`` by ``_cleared_divisor``) and the power-sum
-``series_log`` / ``series_exp``, built on the ``Series1`` sum, product
-and scale (``series_add``, ``series_mul``, ...), with the plethystic log
+``series_log`` / ``series_exp``, built on the sum, product and scale of
+coefficient lists (``series_add``, ``series_mul``, ...), with the plethystic log
 ``plethystic_log`` on its Fraction weights moebius(d)/d, against the
 library's integral levels m f_m.  The genus-zero closed forms
 are checked against the generic machinery they replaced: the fixed-point
 solver ``solve_functional`` (with the series power, inverse and shift it
 needs) behind ``mirror_series``, the general-divisor ``exact_div`` that
 divided its coefficients by 1 - a (and that checks the library's
-``exact_div`` by factors 1 - q^i), and the bivariate ``Series2`` with its
-``series2_log``, the annulus kernel log before the substitution
+``exact_div`` by factors 1 - q^i), and the bivariate ``Series2`` (which
+carries its ring's zero) with its ``series2_log``, the annulus kernel log before the substitution
 X2 = t X1.  The twist-knot invariants are checked against their binomial
 sums (``b_minus``, ``b_plus``) from before ``arith.loop_quiver_dt``.
 The genus-zero Moebius sums, one integer numerator and one exact divmod
@@ -77,12 +77,10 @@ from lmov.qa import (
     PochFrac,
     Rat,
     ZBasisError,
-    ZBasisTable,
     _norm_c,
     one_minus_q_prod,
     quantum_int,
 )
-from lmov.series import CoeffRing, Series1
 
 # ---------------------------------------------------------------------------
 # the slow routines behind the integer fast paths
@@ -104,7 +102,7 @@ def laurent_mul(f: LaurentQA, g: LaurentQA) -> LaurentQA:
     """f * g by the schoolbook convolution of their dense 2-D coefficient
     grids: every pair of grid cells, zero or not, adds its product into
     the cell at the sum of their offsets."""
-    if f.is_zero() or g.is_zero():
+    if not f or not g:
         return LaurentQA.zero()
     fg, fu, fv = _grid(f)
     gg, gu, gv = _grid(g)
@@ -288,7 +286,7 @@ def gaussian_binomial(m: int, r: int) -> list[int]:
     return row[r] if row[r] else [1]
 
 
-def to_z_basis(f: LaurentQA) -> ZBasisTable:
+def to_z_basis(f: LaurentQA) -> dict:
     """Rewrite each a-slice of f as an exact polynomial in z^2 = q - 2 + 1/q.
 
     Extraction is top-down by leading q-exponent.  Fails (ZBasisError) if a
@@ -317,52 +315,52 @@ def to_z_basis(f: LaurentQA) -> ZBasisTable:
                     work[u] = _norm_c(s)
                 elif u in work:
                     del work[u]
-    return ZBasisTable(table)
+    return table
 
 
-def series_constant(ring: CoeffRing, order: int, c=None) -> Series1:
-    return Series1(ring, order, [c if c is not None else ring.one])
+def series_constant(cls, order: int, c=None) -> list:
+    """The series c (one by default) over the coefficient class ``cls``."""
+    return [cls.one() if c is None else c] + [cls.zero()] * order
 
 
-def series_add(s: Series1, other: Series1) -> Series1:
-    n = min(s.order, other.order)
-    return Series1(s.ring, n, [s.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
+def series_add(s: list, other: list) -> list:
+    return [a + b for a, b in zip(s, other)]
 
 
-def series_sub(s: Series1, other: Series1) -> Series1:
-    n = min(s.order, other.order)
-    return Series1(s.ring, n, [s.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
+def series_sub(s: list, other: list) -> list:
+    return [a - b for a, b in zip(s, other)]
 
 
-def series_mul(s: Series1, other: Series1) -> Series1:
-    n = min(s.order, other.order)
-    out = [s.ring.zero for _ in range(n + 1)]
-    for i, a in enumerate(s.coeffs[: n + 1]):
-        if a.is_zero():
+def series_mul(s: list, other: list) -> list:
+    n = min(len(s), len(other))
+    out = [type(s[0]).zero()] * n
+    for i, a in enumerate(s[:n]):
+        if not a:
             continue
-        for j in range(n + 1 - i):
-            b = other.coeffs[j]
-            if not b.is_zero():
+        for j in range(n - i):
+            b = other[j]
+            if b:
                 out[i + j] = out[i + j] + a * b
-    return Series1(s.ring, n, out)
+    return out
 
 
-def series_scale(s: Series1, c) -> Series1:
-    return Series1(s.ring, s.order, [x.scale(c) for x in s.coeffs])
+def series_scale(s: list, c) -> list:
+    return [x.scale(c) for x in s]
 
 
-def series_is_zero(s: Series1) -> bool:
-    return all(c.is_zero() for c in s.coeffs)
+def series_is_zero(s: list) -> bool:
+    return not any(s)
 
 
-def series_log(s: Series1) -> Series1:
+def series_log(s: list) -> list:
     """log of a series with constant term exactly one, truncated alike."""
-    if s.coeffs[0] != s.ring.one:
+    cls = type(s[0])
+    if s[0] != cls.one():
         raise ValueError("series_log needs constant term 1")
-    n = s.order
-    u = Series1(s.ring, n, [s.ring.zero] + s.coeffs[1:])
-    out = Series1(s.ring, n)
-    power = series_constant(s.ring, n)
+    n = len(s) - 1
+    u = [cls.zero()] + s[1:]
+    out = [cls.zero()] * (n + 1)
+    power = series_constant(cls, n)
     for k in range(1, n + 1):
         power = series_mul(power, u)
         if series_is_zero(power):
@@ -371,13 +369,13 @@ def series_log(s: Series1) -> Series1:
     return out
 
 
-def series_exp(s: Series1) -> Series1:
+def series_exp(s: list) -> list:
     """exp of a series with zero constant term, truncated alike."""
-    if not s.coeffs[0].is_zero():
+    if s[0]:
         raise ValueError("series_exp needs zero constant term")
-    n = s.order
-    out = series_constant(s.ring, n)
-    power = series_constant(s.ring, n)
+    n = len(s) - 1
+    out = series_constant(type(s[0]), n)
+    power = series_constant(type(s[0]), n)
     for k in range(1, n + 1):
         power = series_mul(power, s)
         if series_is_zero(power):
@@ -386,39 +384,37 @@ def series_exp(s: Series1) -> Series1:
     return out
 
 
-def plethystic_log(z: Series1) -> list:
+def plethystic_log(z: list) -> list:
     """[f_1, ..., f_N] with Z = exp(sum_m sum_d (1/d) adams_d(f_m) x^(dm)),
     by f_m = sum_{d|m} (moebius(d)/d) adams_d(L_{m/d}) from the power-sum
     ``series_log``; ``lmov.series.plethystic_dlog`` returns m f_m."""
     logz = series_log(z)
     out = []
-    for m in range(1, z.order + 1):
-        acc = z.ring.zero
+    for m in range(1, len(z)):
+        acc = type(z[0]).zero()
         for d in divisors(m):
             if moebius(d):
-                acc = acc + logz.coeffs[m // d].adams(d).scale(Fraction(moebius(d), d))
+                acc = acc + logz[m // d].adams(d).scale(Fraction(moebius(d), d))
         out.append(acc)
     return out
 
 
-def series_mul_coeff(s: Series1, c) -> Series1:
+def series_mul_coeff(s: list, c) -> list:
     """Multiply every coefficient by a fixed ring element."""
-    return Series1(s.ring, s.order, [x * c for x in s.coeffs])
+    return [x * c for x in s]
 
 
-def series_shift(s: Series1, k: int) -> Series1:
+def series_shift(s: list, k: int) -> list:
     """Multiply by x^k."""
     if k < 0:
         raise ValueError("shift needs k >= 0")
-    return Series1(
-        s.ring, s.order, [s.ring.zero] * k + s.coeffs[: s.order + 1 - k]
-    )
+    return [type(s[0]).zero()] * k + s[: len(s) - k]
 
 
-def series_pow_int(s: Series1, n: int) -> Series1:
+def series_pow_int(s: list, n: int) -> list:
     if n < 0:
         return series_pow_int(series_inverse(s), -n)
-    out = series_constant(s.ring, s.order)
+    out = series_constant(type(s[0]), len(s) - 1)
     base = s
     while n:
         if n & 1:
@@ -429,37 +425,35 @@ def series_pow_int(s: Series1, n: int) -> Series1:
     return out
 
 
-def series_inverse(s: Series1) -> Series1:
+def series_inverse(s: list) -> list:
     """Reciprocal of a series with invertible (one) constant term."""
-    c0 = s.coeffs[0]
-    if c0.is_zero():
+    c0 = s[0]
+    if not c0:
         raise ValueError("series has no reciprocal: zero constant term")
-    one = s.ring.one
+    zero, one = type(c0).zero(), type(c0).one()
     if c0 != one:
         raise ValueError("inverse implemented for unit constant term only")
-    n = s.order
-    inv = [s.ring.zero for _ in range(n + 1)]
+    n = len(s) - 1
+    inv = [zero] * (n + 1)
     inv[0] = one
     for k in range(1, n + 1):
-        acc = s.ring.zero
+        acc = zero
         for i in range(1, k + 1):
-            if not s.coeffs[i].is_zero():
-                acc = acc + s.coeffs[i] * inv[k - i]
-        inv[k] = s.ring.zero - acc
-    return Series1(s.ring, n, inv)
+            if s[i]:
+                acc = acc + s[i] * inv[k - i]
+        inv[k] = zero - acc
+    return inv
 
 
-def solve_functional(
-    phi: Callable[[Series1], Series1], ring: CoeffRing, order: int
-) -> Series1:
-    """Unique series solution Y(X) of Y = X * phi(Y) with phi(0) invertible.
+def solve_functional(phi: Callable[[list], list], cls, order: int) -> list:
+    """Unique series solution Y(X) of Y = X * phi(Y) with phi(0) invertible,
+    over the coefficient class ``cls``.
 
     Fixed-point iteration Y <- X*phi(Y): coefficients of degree <= k are
     frozen after k rounds, so ``order`` rounds suffice.
     """
-    y = Series1(ring, order)
-    phi0 = phi(y).coeffs[0]
-    if phi0.is_zero():
+    y = [cls.zero()] * (order + 1)
+    if not phi(y)[0]:
         raise ValueError("phi(0) must be invertible (nonzero constant term)")
     for _ in range(order):
         y = series_shift(phi(y), 1)
@@ -467,28 +461,29 @@ def solve_functional(
 
 
 class Series2:
-    """Power series in two variables truncated at total degree ``order``.
+    """Power series in two variables truncated at total degree ``order``,
+    over the coefficient ring whose zero is ``zero``.
 
-    Coefficients are stored densely on the triangle i + j <= order.
+    Coefficients are stored sparsely on the triangle i + j <= order.
     """
 
-    __slots__ = ("ring", "order", "coeffs")
+    __slots__ = ("zero", "order", "coeffs")
 
-    def __init__(self, ring: CoeffRing, order: int, coeffs: dict | None = None):
+    def __init__(self, zero, order: int, coeffs: dict | None = None):
         if order < 0:
             raise ValueError("order must be >= 0")
-        self.ring = ring
+        self.zero = zero
         self.order = order
         self.coeffs = {}
         if coeffs:
             for (i, j), c in coeffs.items():
-                if i + j <= order and not c.is_zero():
+                if i + j <= order and c:
                     self.coeffs[(i, j)] = c
 
     def coeff(self, i: int, j: int):
         if i + j > self.order:
             raise IndexError(f"({i},{j}) beyond total degree {self.order}")
-        return self.coeffs.get((i, j), self.ring.zero)
+        return self.coeffs.get((i, j), self.zero)
 
 
 def series2_log(s: Series2) -> Series2:
@@ -499,7 +494,7 @@ def series2_log(s: Series2) -> Series2:
     they are irrelevant for kernel coefficients with both indices >= 1.
     """
     n = s.order
-    if s.coeff(0, 0) != s.ring.one:
+    if s.coeff(0, 0) != type(s.zero).one():
         raise ValueError("series2_log needs constant term 1")
     # ds = dS/dX2: coefficient (i, j) of ds is (j+1) * S[(i, j+1)]
     ds: dict = {}
@@ -511,7 +506,7 @@ def series2_log(s: Series2) -> Series2:
     for deg in range(0, n):
         for i in range(deg + 1):
             j = deg - i
-            acc = ds.get((i, j), s.ring.zero)
+            acc = ds.get((i, j), s.zero)
             # subtract sum over nonconstant terms of S
             for (i1, j1), c in s.coeffs.items():
                 if i1 == 0 and j1 == 0:
@@ -522,12 +517,12 @@ def series2_log(s: Series2) -> Series2:
                 rc = r.get((i2, j2))
                 if rc is not None:
                     acc = acc - c * rc
-            if not acc.is_zero():
+            if acc:
                 r[(i, j)] = acc
     out: dict = {}
     for (i, j), c in r.items():
         out[(i, j + 1)] = c.scale(Fraction(1, j + 1))
-    return Series2(s.ring, n, out)
+    return Series2(s.zero, n, out)
 
 
 def series2_mul(s: Series2, other: Series2) -> Series2:
@@ -541,7 +536,7 @@ def series2_mul(s: Series2, other: Series2) -> Series2:
             cur = out.get(k)
             p = a * b
             out[k] = p if cur is None else cur + p
-    return Series2(s.ring, n, out)
+    return Series2(s.zero, n, out)
 
 
 def series2_add(s: Series2, other: Series2) -> Series2:
@@ -550,19 +545,19 @@ def series2_add(s: Series2, other: Series2) -> Series2:
     for k, c in other.coeffs.items():
         cur = out.get(k)
         out[k] = c if cur is None else cur + c
-    return Series2(s.ring, n, out)
+    return Series2(s.zero, n, out)
 
 
 def series2_scale(s: Series2, c) -> Series2:
-    return Series2(s.ring, s.order, {k: x.scale(c) for k, x in s.coeffs.items()})
+    return Series2(s.zero, s.order, {k: x.scale(c) for k, x in s.coeffs.items()})
 
 
 def exact_div(f: LaurentQA, g: LaurentQA) -> LaurentQA:
     """Return h with f = g * h exactly for any divisor, a-powers included;
     raise ExactDivisionError otherwise."""
-    if g.is_zero():
+    if not g:
         raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
+    if not f:
         return LaurentQA.zero()
     # general divisor: leading-term elimination under lex order on (u, v).
     # If f = g*h the lowest exponents add, which bounds the quotient support
@@ -593,14 +588,13 @@ def exact_div(f: LaurentQA, g: LaurentQA) -> LaurentQA:
 
 
 _A = LaurentQA.monomial(v=2)  # the variable a
-_LRING = CoeffRing(zero=LaurentQA.zero(), one=LaurentQA.one())
 
 
 def _mirror_phi(tau: int, order: int):
     """phi(Y) = (1-Y)^tau * (1 - a(1-Y)) acting on truncated series."""
 
-    def phi(y: Series1) -> Series1:
-        one = series_constant(_LRING, order)
+    def phi(y: list) -> list:
+        one = series_constant(LaurentQA, order)
         s = series_sub(one, y)  # 1 - Y
         p = series_pow_int(s, tau)
         return series_mul(p, series_sub(one, series_mul_coeff(s, _A)))
@@ -609,16 +603,16 @@ def _mirror_phi(tau: int, order: int):
 
 
 @lru_cache(maxsize=None)
-def mirror_series(tau: int, order: int) -> Series1:
+def mirror_series(tau: int, order: int) -> list:
     """Y(X) solving Y = X (1-Y)^tau (1 - a(1-Y)), truncated at ``order``,
     by fixed-point iteration."""
-    return solve_functional(_mirror_phi(tau, order), _LRING, order)
+    return solve_functional(_mirror_phi(tau, order), LaurentQA, order)
 
 
 def kernel_level(tau: int, n: int, order: int) -> LaurentQA:
     """Y_(n+1)/(1-a) from the fixed-point series, by the general division."""
     y = mirror_series(tau, order)
-    return exact_div(y.coeff(n + 1), y.coeff(1))  # Y_1 = 1 - a
+    return exact_div(y[n + 1], y[1])  # Y_1 = 1 - a
 
 
 def certified_int(x: Fraction | int, what: str) -> int:
@@ -985,8 +979,8 @@ class RationalQ:
 
     # -- inspection ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.num
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def is_laurent(self) -> bool:
         return self.den == (1,)
@@ -1019,9 +1013,9 @@ class RationalQ:
     def __add__(self, other):
         if not isinstance(other, RationalQ):
             return NotImplemented
-        if self.is_zero():
+        if not self:
             return other
-        if other.is_zero():
+        if not other:
             return self
         off = min(self.off, other.off)
         a = (0,) * (self.off - off) + self.num
@@ -1041,7 +1035,7 @@ class RationalQ:
     def __mul__(self, other):
         if not isinstance(other, RationalQ):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        if not self or not other:
             return RationalQ.zero()
         return RationalQ(
             _p_mul(self.num, other.num),
@@ -1052,9 +1046,9 @@ class RationalQ:
     def __truediv__(self, other):
         if not isinstance(other, RationalQ):
             return NotImplemented
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("division by zero RationalQ")
-        if self.is_zero():
+        if not self:
             return RationalQ.zero()
         return RationalQ(
             _p_mul(self.num, other.den),
@@ -1087,7 +1081,7 @@ class RationalQ:
         )
 
     def __repr__(self):
-        if self.is_zero():
+        if not self:
             return "0"
         n = LaurentQA({(self.off + i, 0): c for i, c in enumerate(self.num) if c})
         if self.is_laurent():
@@ -1115,7 +1109,7 @@ class RationalQA:
     __slots__ = ("_m",)
 
     def __init__(self, m: Mapping | None = None):
-        self._m = {v: r for v, r in (m or {}).items() if not r.is_zero()}
+        self._m = {v: r for v, r in (m or {}).items() if r}
 
     @classmethod
     def zero(cls) -> RationalQA:
@@ -1146,8 +1140,8 @@ class RationalQA:
         v = max(self._m)
         return v, self._m[v]
 
-    def is_zero(self) -> bool:
-        return not self._m
+    def __bool__(self) -> bool:
+        return bool(self._m)
 
     def __eq__(self, other):
         return isinstance(other, RationalQA) and self._m == other._m
@@ -1159,7 +1153,7 @@ class RationalQA:
         for v, r in other._m.items():
             s = m.get(v)
             s = r if s is None else s + r
-            if s.is_zero():
+            if not s:
                 m.pop(v, None)
             else:
                 m[v] = s
@@ -1183,7 +1177,7 @@ class RationalQA:
                 p = r1 * r2
                 s = m.get(v)
                 s = p if s is None else s + p
-                if s.is_zero():
+                if not s:
                     m.pop(v, None)
                 else:
                     m[v] = s
@@ -1195,7 +1189,7 @@ class RationalQA:
         return RationalQA({v: r.scale(c) for v, r in self._m.items()})
 
     def mul_rational(self, r: RationalQ) -> RationalQA:
-        if r.is_zero():
+        if not r:
             return RationalQA.zero()
         return RationalQA({v: x * r for v, x in self._m.items()})
 
@@ -1224,9 +1218,6 @@ class RationalQA:
         if not self._m:
             return "0"
         return " + ".join(f"a^({v}/2)*[{self._m[v]!r}]" for v in sorted(self._m))
-
-
-_QRING = CoeffRing(zero=RationalQ.zero(), one=RationalQ.one())
 
 
 def as_rational(f: PochFrac) -> RationalQA:
@@ -1322,12 +1313,12 @@ def h_top(n: int, tau: int) -> RationalQ:
     return num / _q_factorial_den(n)
 
 
-def z_tau_series(tau: int, order: int) -> Series1:
+def z_tau_series(tau: int, order: int) -> list:
     """Reduced partition function sum_n H_n(q) x^n truncated at x^order."""
-    return Series1(_QRING, order, [h_top(n, tau) for n in range(order + 1)])
+    return [h_top(n, tau) for n in range(order + 1)]
 
 
-def coha_series(loops: int, order: int) -> Series1:
+def coha_series(loops: int, order: int) -> list:
     """Hilbert-Poincare series of the loop quiver:
     sum_n q^(-(m-1) n(n-1)/2) / prod_{i<=n}(1-q^i) t^n."""
     if loops < 1:
@@ -1336,7 +1327,7 @@ def coha_series(loops: int, order: int) -> Series1:
     for n in range(order + 1):
         num = RationalQ.monomial(-(loops - 1) * n * (n - 1), 1)
         coeffs.append(num / _q_factorial_den(n))
-    return Series1(_QRING, order, coeffs)
+    return coeffs
 
 
 def _laurent_from_rational(r: RationalQ, what: str) -> dict:
@@ -1360,8 +1351,7 @@ def dt_rows(loops: int, max_n: int) -> dict:
     """c_{n,k} of the loop quiver from the plethystic log over RationalQ."""
     p = coha_series(loops, max_n)
     twist = (-1) ** ((loops - 1) % 2)
-    twisted = Series1(_QRING, max_n, [c.scale(twist ** n) for n, c in enumerate(p.coeffs)])
-    ls = plethystic_log(twisted)
+    ls = plethystic_log([c.scale(twist ** n) for n, c in enumerate(p)])
     rows = {}
     for n in range(1, max_n + 1):
         coeffs = _laurent_from_rational(ls[n - 1] * ONE_MINUS_Q, f"(1-q) L_{n}")
@@ -1394,7 +1384,7 @@ def cal_z_partition(nu: Partition, tau: int) -> RationalQA:
     size = sum(nu)
     for sigma in partitions_of(size):
         phi = _phi(nu, sigma, tau)
-        if phi.is_zero():
+        if not phi:
             continue
         num = phi
         for s in sigma:
@@ -1415,7 +1405,7 @@ def cal_z_sigma_sum(nu: Partition, tau: int) -> PochFrac:
     total = LaurentQA.zero()
     for sigma in partitions_of(n):
         num = _phi(nu, sigma, tau)
-        if num.is_zero():
+        if not num:
             continue
         for s in sigma:
             num = num * quantum_int_a(s)

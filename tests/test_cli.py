@@ -1,5 +1,7 @@
 import json
 import re
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -197,6 +199,30 @@ def test_verify_all_quick(capsys):
     assert len(lines) == 13
     assert all(l.startswith("PASS") for l in lines)
     assert [re.fullmatch(r"PASS  (\S+)  \[\d+\.\ds\]", l).group(1) for l in lines] == SUITES
+
+
+@pytest.mark.parametrize("bounds", ["QUICK", "FULL"])
+def test_sweep_builds_no_fraction(bounds, monkeypatch):
+    # every division in the sweep is by a divisor of the dividend, and each
+    # builds a Fraction only on a remainder; the caches are cleared first,
+    # so that no cell is read from an earlier test's run
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("lmov."):
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == name:
+                    obj.cache_clear()
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    reports = list(verify.run_all(getattr(verify, bounds)))
+    monkeypatch.undo()
+    assert [r.name for r in reports if r.ok] == SUITES
+    assert built == []
 
 
 def test_violation_fails_only_its_suite(tmp_path, monkeypatch, capsys):

@@ -67,7 +67,7 @@ def test_recursion_via_full_rational_arithmetic():
                     {(2 * n + 1 + 2 * n * tau, 1): 1, (1 + 2 * n * tau, -1): -1}
                 )
             )
-            assert (lead * h_next - hook * h).is_zero(), (n, tau)
+            assert not (lead * h_next - hook * h), (n, tau)
             h = h_next
 
 
@@ -249,7 +249,7 @@ def test_row_chain_matches_the_laurent_chain(tau):
         assert cal_z_cleared(m, tau) == reference.cal_z_closed_form(m, tau), (m, tau)
         want = reference.z2_g_m(m, tau)
         assert z2_g_m(m, tau) == want, (m, tau)
-        assert lmov_one_hole(m, tau).entries == to_z_basis(want).entries, (m, tau)
+        assert lmov_one_hole(m, tau) == to_z_basis(want), (m, tau)
 
 
 def test_row_chain_refuses_a_dividend_off_by_one(monkeypatch):
@@ -264,7 +264,7 @@ def test_row_chain_refuses_a_dividend_off_by_one(monkeypatch):
         return rows
 
     monkeypatch.setattr(onehole, "_cleared_rows", corrupt)
-    assert lmov_one_hole(2, 2).entries == to_z_basis(reference.z2_g_m(2, 2)).entries
+    assert lmov_one_hole(2, 2) == to_z_basis(reference.z2_g_m(2, 2))
     with pytest.raises(TheoremViolation, match="not divisible"):
         lmov_one_hole(3, 2)
 
@@ -311,14 +311,14 @@ def test_z2_g_m_mirror_symmetric():
 def test_lmov_one_hole_m1_table():
     for tau in range(-4, 5):
         s = (-1) ** (tau % 2)
-        assert lmov_one_hole(1, tau).entries == {(0, 1): s, (0, -1): -s}
+        assert lmov_one_hole(1, tau) == {(0, 1): s, (0, -1): -s}
 
 
 def test_lmov_one_hole_charge_bound():
     # max |Q| = m/2, i.e. |two_q| <= m; finitely many (g, Q)
     for tau in (-2, 1):
         for m in range(1, 6):
-            entries = lmov_one_hole(m, tau).entries
+            entries = lmov_one_hole(m, tau)
             assert entries
             assert all(abs(v) <= m for _, v in entries)
             assert all(g >= 0 for g, _ in entries)
@@ -326,9 +326,9 @@ def test_lmov_one_hole_charge_bound():
 
 def test_lmov_one_hole_tau_zero_vanishing():
     # only m = 1 survives at tau = 0
-    assert lmov_one_hole(1, 0).entries == {(0, 1): 1, (0, -1): -1}
+    assert lmov_one_hole(1, 0) == {(0, 1): 1, (0, -1): -1}
     for m in (2, 3, 4, 5):
-        assert lmov_one_hole(m, 0).entries == {}
+        assert lmov_one_hole(m, 0) == {}
 
 
 def test_disc_onehole_sign_dictionary():
@@ -338,7 +338,7 @@ def test_disc_onehole_sign_dictionary():
             disc = {2 * l - m: disc_n(m, l, tau) for l in range(0, m + 1)}
             disc = {k: v for k, v in disc.items() if v}
             one = {
-                v: n for (g, v), n in lmov_one_hole(m, tau).entries.items() if g == 0
+                v: n for (g, v), n in lmov_one_hole(m, tau).items() if g == 0
             }
             assert disc == {k: -v for k, v in one.items()}, (m, tau)
 
@@ -350,7 +350,7 @@ def test_one_hole_json_shape():
         {"g": 0, "two_q": 0, "n": -1},
         {"g": 0, "two_q": 2, "n": 1},
     ]
-    assert lmov_one_hole(2, 1).entries == {(0, 0): -1, (0, 2): 1}
+    assert lmov_one_hole(2, 1) == {(0, 0): -1, (0, 2): 1}
 
 
 # --- M matrix -------------------------------------------------------------------
@@ -410,16 +410,16 @@ def test_g_mu_general_single_row_matches_one_hole():
             r = g_mu_general((m,), tau)
             assert r.report.ok
             assert r.table is not None
-            assert r.table.entries == lmov_one_hole(m, tau).entries, (m, tau)
+            assert r.table == lmov_one_hole(m, tau), (m, tau)
 
 
 def test_g_mu_general_two_rows_frozen_values():
     r = g_mu_general((1, 1), 1)
     assert r.report.ok
-    assert r.table.entries == {(0, 2): 1, (0, 0): -1}
+    assert r.table == {(0, 2): 1, (0, 0): -1}
     r0 = g_mu_general((1, 1), 0)
     assert r0.report.ok
-    assert r0.table.entries == {}
+    assert r0.table == {}
 
 
 def test_general_partition_matches_reference():
@@ -446,7 +446,7 @@ def test_g_mu_general_integral_sweep():
             for mu in partitions_of(size):
                 r = g_mu_general(mu, tau)
                 assert r.report.ok, (mu, tau, r.report.failures)
-                assert r.table is not None and r.table.is_integral()
+                assert r.table is not None and all(type(c) is int for c in r.table.values())
 
 
 def test_cal_z_partition_matches_sigma_sum_reference():
@@ -545,16 +545,14 @@ def test_partition_sum_generating_identity():
     # sum over |lam| = m of k^l(lam) {lam}_(y^2) / z_lam equals the t^m
     # coefficient of ((1 - t/y)/(1 - t y))^k; drives the cyclotomic
     # divisibility argument behind the one-hole chain
-    from lmov.series import CoeffRing, Series1
-
-    ring = CoeffRing(zero=LaurentQA.zero(), one=LaurentQA.one())
     order = 6
+    pad = [LaurentQA.zero()] * (order - 1)
     y = LaurentQA.monomial(u=1)
     y_inv = LaurentQA.monomial(u=-1)
     for k in (1, 2, 3, 4):
         ratio = reference.series_mul(
-            Series1(ring, order, [LaurentQA.one(), y_inv.scale(-1)]),
-            reference.series_inverse(Series1(ring, order, [LaurentQA.one(), y.scale(-1)])),
+            [LaurentQA.one(), y_inv.scale(-1)] + pad,
+            reference.series_inverse([LaurentQA.one(), y.scale(-1)] + pad),
         )
         rhs = reference.series_pow_int(ratio, k)
         for m in range(0, order + 1):
@@ -564,4 +562,4 @@ def test_partition_sum_generating_identity():
                     Fraction(k ** len(lam), z_factor(lam))
                 )
                 lhs = lhs + term
-            assert lhs == rhs.coeff(m), (k, m)
+            assert lhs == rhs[m], (k, m)
