@@ -127,13 +127,24 @@ def loop_quiver_dt(m: int, n: int) -> int:
     return certified_div(total, n * n, "DT of the {}-loop quiver at n={}", m, n)
 
 
+def qbinomial_step(row: list, a: int, j: int, n: int) -> list:
+    """The dense row (1 - q^a) / (1 - q^j), one step of a q-binomial product
+    recurrence that gives [n, j]; a remainder is a TheoremViolation."""
+    p = row + [0] * a
+    p[a:] = [x - y for x, y in zip(p[a:], row)]
+    out = div_one_minus(p, j)
+    if out is None:
+        raise TheoremViolation(f"[{n}, {j}] is not a polynomial")
+    return out
+
+
 def gaussian_binomial(m: int, r: int) -> list[int]:
     """q-binomial coefficient as a dense list of coefficients of q^0..q^d.
 
     Computed by the product recurrence
     [m, j] = [m, j-1] (1 - q^(m-j+1)) / (1 - q^j) for j = 1..min(r, m-r):
     each step is one multiply by 1 - q^a and one ``div_one_minus`` by
-    1 - q^j, so [m, 0] = [m, m] = [1] costs nothing.
+    1 - q^j (``qbinomial_step``), so [m, 0] = [m, m] = [1] costs nothing.
     """
     if r < 0 or m < 0:
         raise ValueError("gaussian_binomial needs m, r >= 0")
@@ -141,10 +152,5 @@ def gaussian_binomial(m: int, r: int) -> list[int]:
         raise ValueError("gaussian_binomial needs r <= m")
     out = [1]
     for j in range(1, min(r, m - r) + 1):
-        a = m - j + 1
-        p = out + [0] * a
-        p[a:] = [x - y for x, y in zip(p[a:], out)]
-        out = div_one_minus(p, j)
-        if out is None:
-            raise TheoremViolation(f"[{m}, {j}] is not a polynomial")
+        out = qbinomial_step(out, m - j + 1, j, m)
     return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from . import genus0, gwdt, onehole, twist, verify
 from .arith import TheoremViolation
@@ -63,6 +64,7 @@ def _add_table_output(p: argparse.ArgumentParser) -> None:
     _add_out(p)
 
 
+@cache  # one parser per process serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="lmov", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

@@ -3,11 +3,17 @@
 Identical inputs produce byte-identical files: keys are sorted, floats
 never appear in a table, CSV uses LF line endings and UTF-8.
 
+``json_bytes`` writes the bytes of ``json.dumps(..., sort_keys=True,
+indent=2)`` plus a newline in one recursive pass, for dicts (str, int,
+float, bool or None keys), lists, tuples, str, int, float, bool, None and
+Fraction (an int, or ``{"num", "den"}``); anything else is a TypeError.
+``tests/reference.py`` keeps the ``json.dumps`` form it is tested against.
+
 A table is one ``(head, rows, columns)`` triple.  ``head`` holds the
 top-level JSON keys and ``rows`` the JSON row dicts; a row may nest its
 cells under ``"entries"``.  ``columns`` is the CSV header, where a column
-written ``value=n`` reads field ``n``.  Each CSV line merges the head, the
-row and one of its entries, then reads the columns in order.
+written ``value=n`` reads field ``n``.  Each CSV line reads the columns from
+one entry, else from the head and row, merged once per row.
 """
 
 from __future__ import annotations
@@ -15,39 +21,60 @@ from __future__ import annotations
 import contextlib
 import csv
 import io as _io
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import INFINITY as _INF, encode_basestring_ascii as _str
 
 
-def _jsonify(obj):
-    if isinstance(obj, Fraction):
-        if obj.denominator == 1:
-            return int(obj)
-        return {"num": obj.numerator, "den": obj.denominator}
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+def _key(k) -> str:
+    if isinstance(k, (str, int, float)) or k is None:  # bool is an int
+        return _str(k) if isinstance(k, str) else f'"{_value(k, "")}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _value(v, pad: str) -> str:
+    """``v`` as ``json.dumps(v, sort_keys=True, indent=2)`` writes it at
+    indent ``pad``: exact types first, then subclasses in the stdlib's order."""
+    t = type(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is str:
+        return _str(v)
+    inner = pad + "  "
+    if t is dict:
+        cells = [(_str(k) if type(k) is str else _key(k)) + ": "
+                 + (int.__repr__(x) if type(x) is int else _value(x, inner))
+                 for k, x in sorted(v.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(cells) + f"\n{pad}}}" if v else "{}"
+    if t is list or t is tuple:
+        cells = [int.__repr__(x) if type(x) is int else _value(x, inner) for x in v]
+        return f"[\n{inner}" + f",\n{inner}".join(cells) + f"\n{pad}]" if v else "[]"
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, Fraction):  # an int, or its numerator and denominator
+        whole = v.denominator == 1
+        return _value(v.numerator if whole else {"num": v.numerator, "den": v.denominator}, pad)
+    if isinstance(v, (dict, list, tuple)):
+        return _value(dict(v.items()) if isinstance(v, dict) else list(v), pad)
+    if isinstance(v, (str, int)):
+        return _str(v) if isinstance(v, str) else int.__repr__(v)
+    if isinstance(v, float):  # NaN and Infinity as the stdlib spells them
+        return ("NaN" if v != v else "Infinity" if v == _INF else "-Infinity" if v == -_INF
+                else float.__repr__(v))
+    raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
 
 
 def json_bytes(obj) -> bytes:
-    text = json.dumps(_jsonify(obj), sort_keys=True, indent=2)
-    return (text + "\n").encode("utf-8")
-
-
-def _csv_cell(v):
-    # a tuple is a partition: its parts separated by spaces
-    return " ".join(map(str, v)) if isinstance(v, tuple) else v
+    return (_value(obj, "") + "\n").encode("utf-8")
 
 
 def csv_bytes(rows) -> bytes:
+    # a tuple is a partition: its parts separated by spaces
+    lines = ([v if type(v) is int else " ".join(map(str, v)) if isinstance(v, tuple) else v
+              for v in row] for row in rows)
     buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
+    csv.writer(buf, lineterminator="\n").writerows(lines)
     return buf.getvalue().encode("utf-8")
 
 
@@ -55,12 +82,12 @@ def table_bytes(fmt: str, head: dict, rows: list, columns: list) -> bytes:
     """Serialise one table as ``json`` or ``csv`` (see the module docstring)."""
     if fmt == "json":
         return json_bytes({**head, "rows": rows})
-    fields = [c.partition("=") for c in columns]
-    lines = [[name for name, _, _ in fields]]
+    keys = [c.partition("=")[2] or c for c in columns]
+    lines = [[c.partition("=")[0] for c in columns]]
     for row in rows:
-        for entry in row.get("entries", ({},)):
-            cell = {**head, **row, **entry}
-            lines.append([cell[key or name] for name, _, key in fields])
+        outer = {**head, **row}  # an entry's own fields win over these
+        lines += ([entry[k] if k in entry else outer[k] for k in keys]
+                  for entry in row.get("entries", ({},)))
     return csv_bytes(lines)
 
 

@@ -43,7 +43,7 @@ from itertools import product
 from math import comb, factorial
 from typing import NamedTuple
 
-from .arith import Report, TheoremViolation, div_one_minus, divisors, gaussian_binomial, moebius
+from .arith import Report, TheoremViolation, div_one_minus, divisors, moebius, qbinomial_step
 from .partitions import (
     Partition,
     kappa,
@@ -131,11 +131,15 @@ def _cleared_rows(m: int, tau: int) -> dict:
         raise ValueError("cal_z_cleared needs m >= 1")
     if tau == 0:
         return {m: (0, [1]), -m: (0, [-1])}
-    mt = m * abs(tau)
+    mt = m * abs(tau)  # >= m; the chains bins[j] = [mt, j], diag[k] = [mt + k - 1, k]
+    bins, diag = [[1]], [[1]]
+    for j in range(1, m + 1):
+        bins.append(qbinomial_step(bins[-1], mt - j + 1, j, mt))
+        diag.append(qbinomial_step(diag[-1], mt + j - 1, j, mt + j - 1))
     rows = {}
-    for j in range(min(m, mt) + 1):  # each j fills its own a-slice
+    for j in range(m + 1):  # each j fills its own a-slice
         k = m - j
-        prod = _nonneg_mul(gaussian_binomial(mt, j), gaussian_binomial(mt + k - 1, k))
+        prod = _nonneg_mul(bins[j], diag[k])
         if (j + mt) % 2:
             prod = [-c for c in prod]
         rows[(k - j) * (1 if tau > 0 else -1)] = (j * (j - 1) - (mt - 1) * m, prod)

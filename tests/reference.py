@@ -49,10 +49,18 @@ the expansion the library's sub-multiset recurrence replaced.  Its
 ``_phi``, with 1/z_sigma weights, that the library's hook-content sum over
 lam replaced; ``cal_z_sigma_sum`` is the same sum on numerators over
 (q;q)_|nu|, fast enough to sweep every |nu| <= 6.
+The one-pass ``lmov.io`` writers are checked against the stdlib
+serialisers they replaced: ``json_bytes``, ``json.dumps(...,
+sort_keys=True, indent=2)`` of a copy with every Fraction turned into an
+int or a ``{"num", "den"}`` dict (``_jsonify``), and ``table_bytes``, whose
+CSV lines each merge the head, the row and one entry into a dict.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
@@ -1486,3 +1494,42 @@ def g_mu_target(mu: Partition, tau: int) -> RationalQA:
         ghat = ghat + fhat.adams(d).scale(Fraction(mo, d))
     z2 = RationalQ.from_laurent(quantum_int(1) * quantum_int(1))
     return ghat.mul_rational(z2).scale(z_factor(mu))
+
+
+# ---------------------------------------------------------------------------
+# the stdlib serialisers behind lmov.io
+# ---------------------------------------------------------------------------
+
+
+def _jsonify(obj):
+    if isinstance(obj, Fraction):
+        if obj.denominator == 1:
+            return int(obj)
+        return {"num": obj.numerator, "den": obj.denominator}
+    if isinstance(obj, dict):
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    return obj
+
+
+def json_bytes(obj) -> bytes:
+    text = json.dumps(_jsonify(obj), sort_keys=True, indent=2)
+    return (text + "\n").encode("utf-8")
+
+
+def table_bytes(fmt: str, head: dict, rows: list, columns: list) -> bytes:
+    """One table as JSON, or as CSV with one merged dict per line."""
+    if fmt == "json":
+        return json_bytes({**head, "rows": rows})
+    fields = [c.partition("=") for c in columns]
+    lines = [[name for name, _, _ in fields]]
+    for row in rows:
+        for entry in row.get("entries", ({},)):
+            cell = {**head, **row, **entry}
+            lines.append([cell[key or name] for name, _, key in fields])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for line in lines:
+        writer.writerow([" ".join(map(str, v)) if isinstance(v, tuple) else v for v in line])
+    return buf.getvalue().encode("utf-8")

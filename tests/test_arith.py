@@ -15,6 +15,7 @@ from lmov.arith import (
     divisors,
     gaussian_binomial,
     moebius,
+    qbinomial_step,
 )
 
 
@@ -175,6 +176,19 @@ def test_gaussian_binomial_degree():
 def test_gaussian_binomial_matches_pascal_reference(mr):
     m, r = mr
     assert gaussian_binomial(m, r) == reference.gaussian_binomial(m, r)
+
+
+def test_qbinomial_step_is_one_step_of_either_recurrence():
+    # [5, 2] = [5, 1] (1 - q^4) / (1 - q^2) and [5, 2] = [4, 1] (1 - q^5) / (1 - q^2)
+    want = reference.gaussian_binomial(5, 2)
+    assert qbinomial_step(reference.gaussian_binomial(5, 1), 4, 2, 5) == want
+    assert qbinomial_step(reference.gaussian_binomial(4, 1), 5, 2, 5) == want
+
+
+def test_qbinomial_step_remainder_is_a_violation():
+    # (1 - q) / (1 - q^2) is no polynomial
+    with pytest.raises(TheoremViolation, match=r"\[7, 2\] is not a polynomial"):
+        qbinomial_step([1], 1, 2, 7)
 
 
 def test_gaussian_binomial_trivial_rows_are_free():

@@ -123,6 +123,23 @@ def test_usage_error_exit_code():
     assert ei.value.code == EXIT_USAGE
 
 
+def test_usage_errors_after_an_earlier_call_in_the_same_process(capsys):
+    # one parser serves every main() call of a process
+    assert main(["disc", "--tau", "1", "--max-m", "2"]) == EXIT_OK
+    capsys.readouterr()
+    for argv, message in [
+        (["disc", "--tau", "1", "--max-m", "0"], "lmov disc: error: argument --max-m: "
+                                                 "must be >= 1, got 0\n"),
+        (["twist", "--p-min", "0", "--p-max", "1"], "lmov: error: --p-min 0 --p-max 1 "
+                                                    "holds no p <= -1 or p >= 2\n"),
+    ]:
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == EXIT_USAGE
+        assert capsys.readouterr().err == message
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_deterministic_output(tmp_path):
     pairs = [
         ["disc", "--tau", "3", "--max-m", "8", "--format", "csv"],

@@ -6,9 +6,9 @@ import pytest
 
 import reference
 from helpers import cli_output, m_matrix, quantum_int_a, quantum_prod, unpack_widths, z2_g_m
-from lmov.arith import TheoremViolation
+from lmov.arith import TheoremViolation, qbinomial_step
 from lmov.genus0 import disc_n
-from lmov import genus0, onehole, verify
+from lmov import arith, genus0, onehole, verify
 from lmov.onehole import (
     cal_z_cleared,
     cal_z_partition,
@@ -143,6 +143,43 @@ def test_cal_z_tau_zero_degeneration():
             RationalQ.from_laurent(quantum_int(m) * quantum_int(m))
         )
         assert cal_z(m, 0) == want
+
+
+def test_cleared_rows_q_binomial_chains_match_q_pascal(monkeypatch):
+    # every [mt, j] and [mt + k - 1, k] that the two running chains of
+    # _cleared_rows build, against the q-Pascal reference
+    built = []
+
+    def step(row, a, j, n):
+        out = qbinomial_step(row, a, j, n)
+        built.append((n, j, out))
+        return out
+
+    monkeypatch.setattr(onehole, "qbinomial_step", step)
+    onehole._cleared_rows.cache_clear()
+    try:
+        for tau in range(-6, 7):
+            for m in range(1, 11):
+                built.clear()
+                onehole._cleared_rows(m, tau)
+                mt = m * abs(tau)
+                want = {(mt, j) for j in range(1, m + 1)}
+                want |= {(mt + k - 1, k) for k in range(1, m + 1)}
+                assert {(n, j) for n, j, _ in built} == (want if tau else set()), (m, tau)
+                for n, j, out in built:
+                    assert out == reference.gaussian_binomial(n, j), (n, j)
+    finally:
+        onehole._cleared_rows.cache_clear()
+
+
+def test_cleared_rows_q_binomial_remainder_is_a_violation(monkeypatch):
+    monkeypatch.setattr(arith, "div_one_minus", lambda row, k: None)
+    onehole._cleared_rows.cache_clear()
+    try:
+        with pytest.raises(TheoremViolation, match=r"\[6, 1\] is not a polynomial"):
+            onehole._cleared_rows(3, 2)
+    finally:
+        onehole._cleared_rows.cache_clear()
 
 
 def test_cal_z_cleared_is_integral():
@@ -522,6 +559,25 @@ def test_general_denominator_failure_is_recorded(monkeypatch):
     assert verify.check_general_partition(3, range(1, 2)).failures == [
         {"tau": 1, "mu": (2, 1), "reason": "denominator did not clear"}
     ]
+
+
+def test_non_integer_general_entries_are_recorded(monkeypatch):
+    # one more q^(-|mu|) on an a-slice of z^2 num / ({mu} (q;q)_|mu|) lands
+    # on q^0 of that slice of the target, which stays palindromic, but the
+    # division by +-|mu| then leaves a remainder there
+    mu, tau = (1, 1), 1
+    size, v = sum(mu), min(g_mu_general(mu, tau).target.a_slices())
+    real = onehole.exact_div
+
+    def bumped(f, exponents):
+        exponents = tuple(exponents)
+        out = real(f, exponents)
+        return out + LaurentQA({(-size, v): 1}) if exponents == mu + (1, 2) else out
+
+    monkeypatch.setattr(onehole, "exact_div", bumped)
+    r = g_mu_general(mu, tau)
+    assert r.report.failures == [{"mu": mu, "reason": "non-integer entries"}]
+    assert any(type(c) is Fraction for c in r.table.values())
 
 
 @pytest.mark.parametrize(
