@@ -13,9 +13,9 @@ fed to the plethystic logarithm, carried as its integral levels m f_m
 numerator at q^((k+1)/2) divided by m, one divmod per entry.  The
 product-form reconstruction prod (1 - q^((k+1)/2 + l) x^m)^N_{m,k} over
 l >= 0 is verified exactly by summing the geometric layers into integer
-log levels over 1/(1-q^d) factors and comparing the numerators over
-(q;q)_n coefficient by coefficient, which implies agreement to every
-finite q-order.
+log levels over 1/(1-q^d) factors and comparing them with the reduced
+series' levels, numerators over (q;q)_n, which implies agreement to
+every finite q-order.
 
 Donaldson-Thomas route: identical plumbing applied to the loop-quiver
 Hilbert-Poincare series P_m(q, t) with t twisted by (-1)^(m-1); the
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .arith import Report, TheoremViolation
 from .qa import ExactDivisionError, LaurentQA, PochFrac, exact_div, one_minus_q_prod
-from .series import plethystic_dlog, series_dexp
+from .series import plethystic_dlog, series_dlog
 
 
 def h_top(n: int, tau: int) -> PochFrac:
@@ -94,8 +94,7 @@ def ooguri_vafa(tau: int, max_m: int) -> OVTable:
         try:
             g = _times_one_minus_q(gs[m - 1], m)
         except ExactDivisionError:
-            f = gs[m - 1].div(m)
-            reason = f"(1-q) f_{m} is not a Laurent polynomial: {f!r}"
+            reason = f"(1-q) f_{m} is not a Laurent polynomial: {m} f_{m} = {gs[m - 1]!r}"
             rep.failures.append({"m": m, "reason": reason})
             rows[m] = {}
             continue
@@ -120,7 +119,10 @@ def ov_reconstruction_residue(table: OVTable):
 
     The factors at level m contribute, after summing the geometric tower
     over l, the log levels D_(dm) = sum_k -m N_{m,k} q^(d(k+1)/2)/(1-q^d)
-    for every d, integers over (q;q)_(dm).
+    for every d, integers over (q;q)_(dm), compared with ``series_dlog`` of
+    the reduced series.  Exp is triangular with leading weight 1 (E_n is
+    D_n / n plus terms in D_k, k < n), so the first level that differs is
+    the first coefficient that differs, and the check divides nowhere.
     """
     order = table.max_m
     acc = [PochFrac.zero() for _ in range(order + 1)]
@@ -131,8 +133,8 @@ def ov_reconstruction_residue(table: OVTable):
             inv = one_minus_q_prod(i for i in range(1, n + 1) if i != d)
             layer = LaurentQA({(d * (k + 1), 0): -m * nmk for k, nmk in entries.items()})
             acc[n] = acc[n] + PochFrac(layer * inv, n)
-    z_rec, z = series_dexp(acc), z_tau_series(table.tau, order)
-    return next((n for n in range(order + 1) if z_rec[n] != z[n]), None)
+    want = series_dlog(z_tau_series(table.tau, order))
+    return next((n for n in range(order + 1) if acc[n] != want[n]), None)
 
 
 # ---------------------------------------------------------------------------

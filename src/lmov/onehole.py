@@ -18,7 +18,8 @@ q^((u0 + 2 e)/2) a^(v/2), and builds no LaurentQA on the way:
 2. ``_z2_rows`` -- Moebius/Adams combination over divisors of m, then
    exact division by {m}{m tau}/{1}^2, whose leading coefficient is +-1.
 3. ``lmov_one_hole`` -- the z^2-basis rewrite; each row must be a
-   palindrome centred on q^0 and all resulting entries must be integers.
+   palindrome centred on q^0.  The rows hold ints throughout: the
+   divisions of steps 1 and 2 certify integrality.
    ``cal_z_cleared`` is the LaurentQA view of the rows of step 1.
 
 tau = 0 degenerates: Z_m collapses to {m}_a / {m}^2, so the cleared sum
@@ -32,12 +33,12 @@ raised), via characters and the log on the power-sum partition algebra.
 derivation recurrence of ``series.series_dlog`` over the sub-multisets
 of mu, with integer weights.  Both are PochFracs, numerators over
 (q;q)_n; ``g_mu_general`` divides once, by the factors 1 - q^i of
-{mu} (q;q)_|mu| and then by |mu|, where it reads its table.
+{mu} (q;q)_|mu| and then by |mu|, where it reads its table, and records
+a remainder of either division as a failure.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial
@@ -150,7 +151,9 @@ def cal_z_cleared(m: int, tau: int) -> LaurentQA:
     """{m}{m tau} Z_m for tau != 0, and {m}^2 Z_m = {m}_a at tau = 0, from the
     q-binomial closed form: with t = |tau|, the sum over j + k = m of
     (-1)^(j + m t) q^((j(j-1) - (m t - 1) m)/2) a^(+-(k-j)/2) qbin(m t, j)
-    qbin(m t + k - 1, k), the a-sign that of tau (tau -> -tau is a -> 1/a)."""
+    qbin(m t + k - 1, k), the a-sign that of tau (tau -> -tau is a -> 1/a).
+    Integral: the zero-remainder checks of ``arith.div_one_minus`` under
+    ``qbinomial_step`` certify each q-binomial."""
     return _laurent(_cleared_rows(m, tau))
 
 
@@ -170,9 +173,8 @@ def colored_sum(m: int, tau: int) -> LaurentQA:
     (``_unpack``) needs its coefficients below 2^(8 width - 1).  The l1 norm
     is submultiplicative and |f_k|_1 = 2L, so |E_m|_1 <= m! [x^m]
     exp(2L sum_k x^k / k) = m! [x^m] (1 - x)^(-2L) = m! C(2L + m - 1, m),
-    which sets the width.  Each coefficient of E_m is then divided by m!; a
-    nonzero remainder keeps a Fraction, so that a non-integral sum still
-    fails the integrality check.
+    which sets the width.  E_m is then divided by (-1)^(m tau) m! (``div``),
+    which raises ExactDivisionError, carrying E_m, on a remainder.
     """
     if m < 1:
         raise ValueError("colored_sum needs m >= 1")
@@ -192,14 +194,9 @@ def colored_sum(m: int, tau: int) -> LaurentQA:
                 acc[v - k] = acc.get(v - k, 0) - h
             falling *= n - k
         e.append(acc)
-    fact, sign, rows = factorial(m), (-1) ** ((m * tau) % 2), {}
-    for v, row in e[m].items():
-        out = []
-        for c in _unpack(row, width, (length - 1) * m + 1):
-            quo, rem = divmod(sign * c, fact)
-            out.append(Fraction(sign * c, fact) if rem else quo)
-        rows[v] = (-(length - 1) * m, out)
-    return _laurent(rows)
+    size = (length - 1) * m + 1
+    rows = {v: (-(length - 1) * m, _unpack(row, width, size)) for v, row in e[m].items()}
+    return _laurent(rows).div((-1) ** ((m * tau) % 2) * factorial(m))
 
 
 def _z2_rows(m: int, tau: int) -> dict:
@@ -240,7 +237,9 @@ def _z2_rows(m: int, tau: int) -> dict:
 def lmov_one_hole(m: int, tau: int) -> dict:
     """Certified integer one-hole table n_{m,g,Q}(tau), keyed by (g, two_q).
     Each row of z^2 g_m must be a palindrome in integer powers of q, centred
-    on q^0; its half from q^0 up is rewritten in z^2."""
+    on q^0; its half from q^0 up is rewritten in z^2.  Integrality is
+    certified by the zero-remainder checks of ``arith.div_one_minus`` under
+    ``qbinomial_step`` and ``_z2_rows``; the rewrite only adds and doubles."""
     entries = {}
     for v, (u0, row) in _z2_rows(m, tau).items():
         if u0 % 2 or u0 != 1 - len(row) or row != row[::-1]:
@@ -248,9 +247,6 @@ def lmov_one_hole(m: int, tau: int) -> dict:
                                    f"(m={m}, tau={tau})")
         for g, c in _z2_rewrite(row[len(row) // 2 :]):
             entries[(g, v)] = c
-    if not all(type(c) is int for c in entries.values()):
-        raise TheoremViolation(f"non-integer one-hole invariant at m={m}, tau={tau}: "
-                               f"{entries}")
     return entries
 
 
@@ -345,9 +341,9 @@ def g_mu_general(mu: Partition, tau: int) -> GeneralHoleResult:
     {mu} = (-1)^l(mu) q^(-|mu|/2) prod (1 - q^(mu_i)), z^2 num is divided
     by the factors 1 - q^i of mu and of (q;q)_|mu|, and the quotient is
     then multiplied by (-1)^l(mu) q^(|mu|/2) and divided by |mu|,
-    coefficient by coefficient, keeping a Fraction only where that leaves
-    a remainder.  Failures are reported, not raised: only the single-row
-    case is a theorem.
+    coefficient by coefficient.  Failures, a remainder of either division
+    among them, are reported, not raised: only the single-row case is a
+    theorem.
     """
     mu = tuple(sorted(mu, reverse=True))
     if not mu:
@@ -366,13 +362,14 @@ def g_mu_general(mu: Partition, tau: int) -> GeneralHoleResult:
     except ExactDivisionError:
         rep.failures.append({"mu": mu, "reason": "denominator did not clear"})
         return GeneralHoleResult(mu, tau, None, None, rep)
-    sign = (-1) ** (len(mu) % 2)
-    target = sized.shift(du=size).div(sign * size)
+    try:
+        target = sized.shift(du=size).div((-1) ** (len(mu) % 2) * size)
+    except ExactDivisionError:
+        rep.failures.append({"mu": mu, "reason": "non-integer entries"})
+        return GeneralHoleResult(mu, tau, None, None, rep)
     try:
         table = to_z_basis(target)
     except ZBasisError as e:
         rep.failures.append({"mu": mu, "reason": f"z-basis: {e}"})
         return GeneralHoleResult(mu, tau, target, None, rep)
-    if not all(type(c) is int for c in table.values()):
-        rep.failures.append({"mu": mu, "reason": "non-integer entries"})
     return GeneralHoleResult(mu, tau, target, table, rep)

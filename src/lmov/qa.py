@@ -1,6 +1,6 @@
 """Exact algebra in the variables q^(1/2) and a^(1/2).
 
-Two layers, both over exact rational coefficients:
+Two layers, both over int coefficients:
 
 * ``LaurentQA`` -- Laurent polynomials in q^(1/2), a^(1/2).
 * ``PochFrac``  -- a LaurentQA numerator over the q-Pochhammer symbol
@@ -12,14 +12,13 @@ Two layers, both over exact rational coefficients:
 
 Exponents live on the half-integer lattice and are stored doubled:
 ``u`` counts powers of q^(1/2) and ``v`` counts powers of a^(1/2), so all
-exponent bookkeeping is plain integer arithmetic.  Coefficients are ints
-whenever possible and ``fractions.Fraction`` otherwise; no floats appear
-anywhere.  Division by an int (``div``) is one divmod per coefficient and
-builds a Fraction only on a remainder.
+exponent bookkeeping is plain integer arithmetic.  Coefficients are ints;
+``div`` (by an int, one divmod per coefficient) and ``exact_div`` raise
+``ExactDivisionError``, carrying the dividend, where a remainder arises.
+``+`` and ``*`` are duck-typed, so a caller may hold other exact numbers.
 
-``LaurentQA`` multiplies by the dict loop over all term pairs, with
-``_norm_c`` applied only to coefficients that are not ints.  The integer
-hot paths (the one-hole chain, the colored sum, the annulus kernel log)
+``LaurentQA`` multiplies by the dict loop over all term pairs.  The
+integer hot paths (the one-hole chain, the colored sum, the annulus kernel log)
 do not multiply LaurentQAs: they run on one dense int row per a-slice,
 through ``_nonneg_mul`` and ``_z2_rewrite``; the colored sum and the
 annulus log pack each row into its value at x = 2^(8 width), so that a
@@ -38,18 +37,15 @@ used by the one-hole invariant tables.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .arith import div_one_minus, gaussian_binomial
 
-Rat = int | Fraction
-
 
 class ExactDivisionError(ArithmeticError):
-    """Division was not exact; carries the offending remainder."""
+    """Division was not exact; ``remainder`` carries the refused dividend."""
 
     def __init__(self, message, remainder=None):
         super().__init__(message)
@@ -58,13 +54,6 @@ class ExactDivisionError(ArithmeticError):
 
 class ZBasisError(ValueError):
     """Input is not a polynomial in z^2 over a^(1/2)-monomials."""
-
-
-def _norm_c(c):
-    # canonical scalar: collapse integral Fractions to int
-    if type(c) is Fraction and c.denominator == 1:
-        return int(c)
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +94,7 @@ def _unpack(packed: int, width: int, length: int) -> list:
 # ---------------------------------------------------------------------------
 
 class LaurentQA:
-    """Laurent polynomial in q^(1/2) and a^(1/2) with exact coefficients.
+    """Laurent polynomial in q^(1/2) and a^(1/2) with int coefficients.
 
     Immutable by convention: every operation returns a new value.  The
     internal map sends ``(u, v)`` to the coefficient of q^(u/2) a^(v/2);
@@ -115,16 +104,11 @@ class LaurentQA:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping | None = None):
-        d = {}
-        if coeffs:
-            for (u, v), c in coeffs.items():
-                if c:
-                    d[(u, v)] = c if type(c) is int else _norm_c(c)
-        self._c = d
+        self._c = {k: c for k, c in coeffs.items() if c} if coeffs else {}
 
     @classmethod
     def _make(cls, d: dict) -> LaurentQA:
-        # internal: d must already be clean (no zeros, normalized scalars)
+        # internal: d must already be clean (no zeros)
         self = object.__new__(cls)
         self._c = d
         return self
@@ -138,8 +122,7 @@ class LaurentQA:
         return cls._make({(0, 0): 1})
 
     @classmethod
-    def monomial(cls, u: int = 0, v: int = 0, c: Rat = 1) -> LaurentQA:
-        c = _norm_c(c)
+    def monomial(cls, u: int = 0, v: int = 0, c: int = 1) -> LaurentQA:
         return cls._make({(u, v): c} if c else {})
 
     # -- inspection ---------------------------------------------------------
@@ -147,12 +130,8 @@ class LaurentQA:
     def items(self):
         return iter(self._c.items())
 
-    def coeff(self, u: int, v: int) -> Rat:
+    def coeff(self, u: int, v: int) -> int:
         return self._c.get((u, v), 0)
-
-    def is_integral(self) -> bool:
-        """Certify that every stored coefficient is an integer."""
-        return all(type(c) is int for c in self._c.values())
 
     def a_slices(self) -> dict:
         """Group coefficients by a-exponent: v -> {u: coefficient}."""
@@ -179,7 +158,7 @@ class LaurentQA:
         for k, c in other._c.items():
             s = d.get(k, 0) + c
             if s:
-                d[k] = s if type(s) is int else _norm_c(s)
+                d[k] = s
             elif k in d:
                 del d[k]
         return LaurentQA._make(d)
@@ -203,9 +182,7 @@ class LaurentQA:
             for (u2, v2), c2 in b.items():
                 k = (u1 + u2, v1 + v2)
                 d[k] = d.get(k, 0) + c1 * c2
-        return LaurentQA._make(
-            {k: c if type(c) is int else _norm_c(c) for k, c in d.items() if c}
-        )
+        return LaurentQA._make({k: c for k, c in d.items() if c})
 
     def __pow__(self, n: int) -> LaurentQA:
         if n < 0:
@@ -220,22 +197,19 @@ class LaurentQA:
                 base = base * base
         return out
 
-    def scale(self, c: Rat) -> LaurentQA:
-        c = _norm_c(c)
+    def scale(self, c: int) -> LaurentQA:
         if not c:
             return LaurentQA.zero()
-        return LaurentQA._make({k: _norm_c(x * c) for k, x in self._c.items()})
+        return LaurentQA._make({k: x * c for k, x in self._c.items()})
 
     def div(self, n: int) -> LaurentQA:
-        """Every coefficient divided by the nonzero int n: one divmod per int
-        coefficient, and a Fraction only where it leaves a remainder."""
+        """Every coefficient divided by the nonzero int n, one divmod each;
+        a remainder raises ExactDivisionError, which carries self."""
         d = {}
         for k, c in self._c.items():
-            if type(c) is int:
-                quo, rem = divmod(c, n)
-                d[k] = Fraction(c, n) if rem else quo
-            else:
-                d[k] = c / n  # a non-integral Fraction over n stays non-integral
+            d[k], rem = divmod(c, n)
+            if rem:
+                raise ExactDivisionError(f"not divisible by {n}", remainder=self)
         return LaurentQA._make(d)
 
     def shift(self, du: int = 0, dv: int = 0) -> LaurentQA:
@@ -317,7 +291,7 @@ def exact_div(f: LaurentQA, exponents: Iterable[int]) -> LaurentQA:
                     )
             for e, c in enumerate(row):
                 if c:
-                    out[(lo + 2 * e, v)] = _norm_c(c)
+                    out[(lo + 2 * e, v)] = c
     return LaurentQA._make(out)
 
 
@@ -367,7 +341,7 @@ def to_z_basis(f: LaurentQA) -> dict:
             if u >= 0:
                 h[u // 2] = c
         for g, c in _z2_rewrite(h):
-            table[(g, v)] = _norm_c(c)
+            table[(g, v)] = c
     return table
 
 
@@ -405,10 +379,10 @@ class PochFrac:
 
     Immutable by convention.  A series whose x^n coefficient has this
     shape keeps it under products (the denominators combine through a
-    q-binomial), Adams operations, sums of equal degree and division by an
-    int, which is all that the log, exp and plethystic log of
-    ``lmov.series`` do.  Zero has
-    no degree; adding nonzero values of different degrees raises.
+    q-binomial), Adams operations, sums of equal degree and scaling by an
+    int, which is all that the log and plethystic log of ``lmov.series``
+    do.  Zero has no degree; adding nonzero values of different degrees
+    raises.
     Equality compares (num, n), so at equal n it is equality of rational
     functions.
     """
@@ -455,11 +429,8 @@ class PochFrac:
             num = num * _q_binomial(n, self.n)
         return PochFrac(num, n)
 
-    def scale(self, c: Rat) -> PochFrac:
+    def scale(self, c: int) -> PochFrac:
         return PochFrac(self.num.scale(c), self.n)
-
-    def div(self, n: int) -> PochFrac:
-        return PochFrac(self.num.div(n), self.n)
 
     def adams(self, d: int) -> PochFrac:
         """Substitute q -> q^d, a -> a^d; the degree becomes d n."""

@@ -3,19 +3,21 @@
 A series is the list of its coefficients up to a fixed order N: slot n
 holds the coefficient of x^n, and the maps below never look beyond N.
 Coefficients can be any value supporting ``+``, ``*``, ``scale``
-(multiplication by an exact rational), ``div`` (division by an int),
-truthiness, the class methods ``zero`` and ``one`` and -- where the
-plethystic operations are used -- ``adams``.  LaurentQA from
-:mod:`lmov.qa` qualifies.  So does PochFrac, since these maps only add,
-multiply, scale, divide and take Adams operations: slot n of every series
-they build holds a value of x-degree n, so the sums they form are always
-over one (q;q)_n.
+(multiplication by an int), truthiness, the class methods ``zero`` and
+``one``, ``adams`` where the plethystic operations are used, and ``div``
+(exact division by an int, raising on a remainder) where an exp is taken.
+LaurentQA from :mod:`lmov.qa` qualifies.  So does PochFrac for the two
+logs, since they only add, multiply, scale and take Adams operations:
+slot n of every series they build holds a value of x-degree n, so the
+sums they form are always over one (q;q)_n.
 
 A log is carried as its levels D_n = n [x^n] log S, the coefficients of
 x d/dx log S: they have integer weights, so a reader divides once, where
-it reads its table.  There is no bivariate series; the annulus kernel is
-a one-variable series after a substitution, and ``lmov.genus0`` runs the
-``series_dlog`` recurrence on its int rows.
+it reads its table.  The exps divide by n at level n, so they run only
+where the exp is integral; a level that leaves a remainder raises
+``lmov.qa.ExactDivisionError``.  There is no bivariate series; the
+annulus kernel is a one-variable series after a substitution, and
+``lmov.genus0`` runs the ``series_dlog`` recurrence on its int rows.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ def series_dexp(d: list) -> list:
     """Inverse of ``series_dlog``: E with E_0 = 1 from D with D_0 = 0.
 
     n E_n = sum_{k<=n} D_k E_(n-k) (x E' = D E): O(N^2) ring products and
-    one ``div`` by n per level."""
+    one ``div`` by n per level, which raises ExactDivisionError when E_n
+    is not integral."""
     if d[0]:
         raise ValueError("series_dexp needs zero constant term")
     out = [type(d[0]).one()]

@@ -6,19 +6,22 @@ integrality proofs, partition multiplicities, the pairing matrix M, a JSON
 round trip of LaurentQA, the one-hole rows as a LaurentQA, the a-side
 quantum integer {n}_a, a row packed at 2^(8 width)) without the
 library shipping them, plus a runner that captures the command line's
-output and a recorder of the slot widths that a module unpacks at.  The slow rational-function reference lives in ``reference.py``.
+output, a recorder of the slot widths that a module unpacks at, and a
+division for series exps over PochFrac or with non-integral values.
+The slow rational-function reference lives in ``reference.py``.
 """
 
 import io
-from contextlib import redirect_stdout
+from contextlib import ExitStack, contextmanager, redirect_stdout
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from unittest.mock import patch
 
 from lmov import onehole
 from lmov.cli import EXIT_OK, main
 from lmov.partitions import mn_character, partitions_of, z_factor
-from lmov.qa import LaurentQA, quantum_int
+from lmov.qa import LaurentQA, PochFrac, quantum_int
 
 
 def quantum_prod(parts) -> LaurentQA:
@@ -141,3 +144,19 @@ def unpack_widths(monkeypatch, module) -> list:
     widths, real = [], module._unpack
     monkeypatch.setattr(module, "_unpack", lambda p, w, n: widths.append(w) or real(p, w, n))
     return widths
+
+
+@contextmanager
+def series_division(keep_fractions: bool):
+    """Inside, PochFrac divides its numerator, so that ``series.series_dexp``
+    runs over PochFrac, which has no division of its own.  With
+    keep_fractions, ``LaurentQA.div`` is the product with Fraction(1, n),
+    which keeps a Fraction on a remainder, so that it also runs where the
+    exp is not integral."""
+    with ExitStack() as stack:
+        stack.enter_context(patch.object(
+            PochFrac, "div", lambda p, n: PochFrac(p.num.div(n), p.n), create=True))
+        if keep_fractions:
+            stack.enter_context(patch.object(
+                LaurentQA, "div", lambda f, n: f.scale(Fraction(1, n))))
+        yield

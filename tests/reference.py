@@ -83,12 +83,20 @@ from lmov.qa import (
     ExactDivisionError,
     LaurentQA,
     PochFrac,
-    Rat,
     ZBasisError,
-    _norm_c,
     one_minus_q_prod,
     quantum_int,
 )
+
+Rat = int | Fraction
+
+
+def _norm_c(c):
+    # canonical scalar: collapse integral Fractions to int
+    if type(c) is Fraction and c.denominator == 1:
+        return int(c)
+    return c
+
 
 # ---------------------------------------------------------------------------
 # the slow routines behind the integer fast paths

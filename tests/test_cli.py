@@ -1,13 +1,15 @@
+import importlib.util
 import json
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from lmov import cli, genus0, gwdt, onehole, verify
 from lmov.arith import TheoremViolation
-from lmov.qa import LaurentQA
+from lmov.qa import ExactDivisionError, LaurentQA
 from lmov.cli import EXIT_OK, EXIT_THEOREM, EXIT_USAGE, main
 
 SUITES = [
@@ -218,11 +220,11 @@ def test_verify_all_quick(capsys):
     assert [re.fullmatch(r"PASS  (\S+)  \[\d+\.\ds\]", l).group(1) for l in lines] == SUITES
 
 
-@pytest.mark.parametrize("bounds", ["QUICK", "FULL"])
-def test_sweep_builds_no_fraction(bounds, monkeypatch):
-    # every division in the sweep is by a divisor of the dividend, and each
-    # builds a Fraction only on a remainder; the caches are cleared first,
-    # so that no cell is read from an earlier test's run
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """The arguments of every Fraction built from here on, until
+    ``monkeypatch.undo()``.  The package's caches are cleared first, so
+    that no value is read from an earlier test's run."""
     for name, mod in list(sys.modules.items()):
         if name.startswith("lmov."):
             for obj in vars(mod).values():
@@ -236,10 +238,74 @@ def test_sweep_builds_no_fraction(bounds, monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return built
+
+
+@pytest.mark.parametrize("bounds", ["QUICK", "FULL"])
+def test_sweep_builds_no_fraction(bounds, fractions_built, monkeypatch):
+    # every division in the sweep is exact, and a remainder would be
+    # reported where it arises, not kept as a Fraction
     reports = list(verify.run_all(getattr(verify, bounds)))
     monkeypatch.undo()
     assert [r.name for r in reports if r.ok] == SUITES
-    assert built == []
+    assert fractions_built == []
+
+
+def make_tables_requests() -> list:
+    """The argument lists of every request that scripts/make_tables.py runs,
+    less the output options."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "make_tables.py"
+    spec = importlib.util.spec_from_file_location("make_tables", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    framed = [[a.format(tau=tau) for a in job] for tau in range(-3, 4) for job in script.JOBS]
+    return framed + script.FIXED
+
+
+def test_table_requests_build_no_fraction(fractions_built, monkeypatch, tmp_path, capsys):
+    # every make_tables.py request in both formats, and gwdt-check
+    requests = make_tables_requests()
+    assert len(requests) == 39
+    codes = [main(argv + ["--format", fmt, "--out", str(tmp_path / f"{i}.{fmt}")])
+             for i, argv in enumerate(requests) for fmt in ("json", "csv")]
+    codes += [main(["gwdt-check", "--tau", str(tau)]) for tau in (-1, -2, -3)]
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert codes == [EXIT_OK] * 81
+    assert fractions_built == []
+
+
+def test_a_remainder_in_a_round_trip_fails_cleanly(monkeypatch, capsys):
+    # one more 1 on level 2 of the log that the log/exp round trip feeds to
+    # series_dexp: 2 E_2 turns odd at q^0, the exp refuses it, and the
+    # infrastructure suite records a mismatch instead of raising
+    real_dlog, real_dexp, raised = verify.series_dlog, verify.series_dexp, []
+
+    def bumped(s):
+        d = real_dlog(s)
+        return d[:2] + [d[2] + LaurentQA.one()] + d[3:]
+
+    def recorded(d):
+        try:
+            return real_dexp(d)
+        except ExactDivisionError as e:
+            raised.append(e)
+            raise
+
+    monkeypatch.setattr(verify, "series_dlog", bumped)
+    monkeypatch.setattr(verify, "series_dexp", recorded)
+    assert verify.check_infrastructure(3, 2, 0).failures == [{"log-exp-roundtrip": "mismatch"}]
+    assert len(raised) == 1
+    reports = list(verify.run_all(verify.QUICK))
+    assert [r.name for r in reports] == SUITES
+    assert [(r.name, r.failures) for r in reports if not r.ok] == [
+        ("infrastructure", [{"log-exp-roundtrip": "mismatch"}])
+    ]
+    code, text = run(["verify-all", "--quick"], capsys)
+    assert code == EXIT_THEOREM
+    assert [l.split()[1] for l in text.splitlines() if l.startswith("FAIL")] == ["infrastructure"]
+    assert "{'log-exp-roundtrip': 'mismatch'}" in text
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_violation_fails_only_its_suite(tmp_path, monkeypatch, capsys):

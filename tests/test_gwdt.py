@@ -131,10 +131,10 @@ def test_levels_that_do_not_clear_keep_their_failure_text(monkeypatch):
 
     monkeypatch.setattr(gwdt, "exact_div", broken)
     table = ooguri_vafa(1, 3)
-    f_3 = plethystic_dlog(z_tau_series(1, 3))[2].scale(Fraction(1, 3))
+    level = plethystic_dlog(z_tau_series(1, 3))[2]
     assert table.rows[3] == {} and table.rows[2]
     assert table.report.failures == [
-        {"m": 3, "reason": f"(1-q) f_3 is not a Laurent polynomial: {f_3!r}"},
+        {"m": 3, "reason": f"(1-q) f_3 is not a Laurent polynomial: 3 f_3 = {level!r}"},
         {"reason": "product reconstruction mismatch"},
     ]
     with pytest.raises(TheoremViolation,
@@ -180,6 +180,19 @@ def test_ov_integrality_and_reconstruction_sweep():
         table = ooguri_vafa(tau, 6)
         assert table.report.ok, (tau, table.report.failures)
         assert ov_reconstruction_residue(table) is None
+
+
+@pytest.mark.parametrize("tau", [-3, -1, 0, 2])
+def test_ov_reconstruction_residue_names_the_first_bad_level(tau):
+    # one N_{m,k} off by one changes the log level m and no level below it
+    table = ooguri_vafa(tau, 8)
+    assert ov_reconstruction_residue(table) is None
+    for m in (2, 3, 5):
+        k = min(table.rows[m], default=0)
+        rows = dict(table.rows)
+        rows[m] = dict(rows[m])
+        rows[m][k] = rows[m].get(k, 0) + 1
+        assert ov_reconstruction_residue(table._replace(rows=rows)) == m, (tau, m, k)
 
 
 def test_ov_negative_entries_are_not_failures():

@@ -60,6 +60,17 @@ def test_invariant_modules_import_none_of_each_other(module):
     assert not lmov_imports(module) & INVARIANTS
 
 
+@pytest.mark.parametrize("module", ["qa", "series", "onehole"])
+def test_exact_algebra_imports_nothing_from_fractions(module):
+    # the exact algebra stores ints only: a remainder is reported where it
+    # arises, never kept as a Fraction
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for a in node.names]
+    names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "fractions" not in names
+
+
 def test_only_cli_imports_verify():
     assert [m for m in MODULES if "verify" in lmov_imports(m)] == ["cli"]
 

@@ -19,7 +19,7 @@ from lmov.onehole import (
     verify_recursion,
 )
 from lmov.partitions import partitions_of, z_factor
-from lmov.qa import LaurentQA, PochFrac, quantum_int, to_z_basis
+from lmov.qa import ExactDivisionError, LaurentQA, PochFrac, quantum_int, to_z_basis
 from reference import (
     RationalQ,
     RationalQA,
@@ -185,7 +185,7 @@ def test_cleared_rows_q_binomial_remainder_is_a_violation(monkeypatch):
 def test_cal_z_cleared_is_integral():
     for tau in range(-4, 5):
         for m in range(1, 7):
-            assert cal_z_cleared(m, tau).is_integral(), (m, tau)
+            assert all(type(c) is int for _, c in cal_z_cleared(m, tau).items()), (m, tau)
 
 
 def test_cal_z_cleared_consistent_with_cal_z():
@@ -246,7 +246,8 @@ def test_packed_colored_sum_matches_the_list_rows(tau, monkeypatch):
 def test_onehole_chain_reports_colored_sum_mismatch(monkeypatch):
     # f_k scaled by k breaks the colored sum's integrality from m = 2 on,
     # while the closed form and the divisor {m}{m tau}/{1}^2 (parts k = 1)
-    # are untouched: the sum keeps its Fractions and the chain names the cells
+    # are untouched: the division by m! raises, carrying E_m, and the chain
+    # names the cells
     real, real_row = onehole._packed_geometric, reference.geometric_row
     monkeypatch.setattr(onehole, "_packed_geometric", lambda w, k, n: k * real(w, k, n))
     monkeypatch.setattr(reference, "geometric_row",
@@ -254,15 +255,23 @@ def test_onehole_chain_reports_colored_sum_mismatch(monkeypatch):
     widths = unpack_widths(monkeypatch, onehole)
     for tau in (1, 2):
         for m in (1, 2, 3):
-            # the scaled sums stay inside the slot bound: they are the list
-            # rows' Fractions, not unpacked carries
+            # the scaled sums stay inside the slot bound: E_m is m! times
+            # the list rows' Fractions, not unpacked carries
             widths.clear()
             want = reference.colored_sum(m, tau)
-            assert colored_sum(m, tau) == want
+            if all(Fraction(c).denominator == 1 for _, c in want.items()):
+                assert colored_sum(m, tau) == want
+            else:
+                with pytest.raises(ExactDivisionError) as ei:
+                    colored_sum(m, tau)
+                assert ei.value.remainder == want.scale((-1) ** (m * tau % 2) * factorial(m))
             top = max(abs(factorial(m) * c) for _, c in want.items())
             assert top < 2 ** (8 * widths[0] - 1), (m, tau)
     assert colored_sum(1, 2) == cal_z_cleared(1, 2)
-    assert not colored_sum(2, 2).is_integral()
+    with pytest.raises(ExactDivisionError, match="^not divisible by 2$"):
+        colored_sum(2, 2)
+    rep = verify.check_gaussian_form(3, range(1, 3))
+    assert [(f["tau"], f["m"]) for f in rep.failures] == [(1, 2), (1, 3), (2, 2), (2, 3)]
     rep = verify.check_onehole_chain(3, range(1, 3))
     cells = [(f["tau"], f["m"]) for f in rep.failures]
     assert cells == [(1, 2), (1, 3), (2, 2), (2, 3)]
@@ -577,7 +586,7 @@ def test_non_integer_general_entries_are_recorded(monkeypatch):
     monkeypatch.setattr(onehole, "exact_div", bumped)
     r = g_mu_general(mu, tau)
     assert r.report.failures == [{"mu": mu, "reason": "non-integer entries"}]
-    assert any(type(c) is Fraction for c in r.table.values())
+    assert r.target is None and r.table is None
 
 
 @pytest.mark.parametrize(
