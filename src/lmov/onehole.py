@@ -14,13 +14,12 @@ q^((u0 + 2 e)/2) a^(v/2), and builds no LaurentQA on the way:
    closed form.  ``colored_sum`` is the definition, the colored sum over
    the partitions of m as the exp recurrence on rows of the same shape,
    each packed into one big int, independent of the closed form; the
-   verification suites hold the two equal.
+   verification suites hold the two equal (``closed_form_is_colored_sum``).
 2. ``_z2_rows`` -- Moebius/Adams combination over divisors of m, then
    exact division by {m}{m tau}/{1}^2, whose leading coefficient is +-1.
 3. ``lmov_one_hole`` -- the z^2-basis rewrite; each row must be a
    palindrome centred on q^0.  The rows hold ints throughout: the
    divisions of steps 1 and 2 certify integrality.
-   ``cal_z_cleared`` is the LaurentQA view of the rows of step 1.
 
 tau = 0 degenerates: Z_m collapses to {m}_a / {m}^2, so the cleared sum
 is {m}_a and the divisor switches to {m}^2/{1}^2.
@@ -61,8 +60,8 @@ from .qa import (
     Z_SQUARED,
     ZBasisError,
     _nonneg_mul,
+    _pack,
     _packed_geometric,
-    _unpack,
     _z2_rewrite,
     exact_div,
     one_minus_q_prod,
@@ -121,15 +120,14 @@ def row_top_step(h: PochFrac, n: int, tau: int) -> PochFrac:
 # ---------------------------------------------------------------------------
 
 
-def _laurent(rows: dict) -> LaurentQA:
-    return LaurentQA({(u + 2 * e, v): c for v, (u, r) in rows.items() for e, c in enumerate(r)})
-
-
 @lru_cache(maxsize=None)
 def _cleared_rows(m: int, tau: int) -> dict:
-    # the rows of cal_z_cleared; q-binomial coefficients are positive
+    """The rows of {m}{m tau} Z_m (tau != 0; {m}^2 Z_m = {m}_a at tau = 0) by
+    the q-binomial closed form, t = |tau|: the sum over j + k = m of
+    (-1)^(j + m t) q^((j(j-1) - (m t - 1) m)/2) a^(+-(k-j)/2) qbin(m t, j)
+    qbin(m t + k - 1, k), a-sign that of tau, each qbin certified by ``qbinomial_step``."""
     if m < 1:
-        raise ValueError("cal_z_cleared needs m >= 1")
+        raise ValueError("_cleared_rows needs m >= 1")
     if tau == 0:
         return {m: (0, [1]), -m: (0, [-1])}
     mt = m * abs(tau)  # >= m; the chains bins[j] = [mt, j], diag[k] = [mt + k - 1, k]
@@ -147,35 +145,19 @@ def _cleared_rows(m: int, tau: int) -> dict:
     return rows
 
 
-def cal_z_cleared(m: int, tau: int) -> LaurentQA:
-    """{m}{m tau} Z_m for tau != 0, and {m}^2 Z_m = {m}_a at tau = 0, from the
-    q-binomial closed form: with t = |tau|, the sum over j + k = m of
-    (-1)^(j + m t) q^((j(j-1) - (m t - 1) m)/2) a^(+-(k-j)/2) qbin(m t, j)
-    qbin(m t + k - 1, k), the a-sign that of tau (tau -> -tau is a -> 1/a).
-    Integral: the zero-remainder checks of ``arith.div_one_minus`` under
-    ``qbinomial_step`` certify each q-binomial."""
-    return _laurent(_cleared_rows(m, tau))
+def colored_sum(m: int, tau: int) -> tuple:
+    """(width, rows): E_m = (-1)^(m tau) m! {m}{m tau} Z_m, tau != 0, by the
+    definition of Z_m as the colored sum over |nu| = m: m! [x^m] exp(sum_k
+    f_k x^k / k), f_k = {L k}/{k} {k}_a, L = m |tau|; rows[v] is its a-slice
+    v from q^(-(L-1)m/2) up, packed: its value at q = 2^(8 width).
 
-
-def colored_sum(m: int, tau: int) -> LaurentQA:
-    """{m}{m tau} Z_m by its definition, the colored sum over |nu| = m,
-    for tau != 0: (-1)^(m tau) [x^m] exp(sum_k f_k x^k / k) with
-    f_k = {m tau k}/{k} {k}_a.
-
-    The exp recurrence runs on n! [x^n], which stays integral:
-    E_n = sum_k f_k (n-1)!/(n-k)! E_(n-k), on one int row per a-slice.
-    With L = m |tau|, {L k}/{k} = q^(-(L-1)k/2) (1 + q^k + ... + q^(k(L-1))),
-    so every row of E_n runs from q^(-(L-1)n/2) to q^((L-1)n/2); {k}_a
-    moves a row to the a-slices v + k and v - k.  Each row is packed, as
-    its value at q = 2^(8 width), so the geometric factor is one multiply
-    (``_packed_geometric``) per row of E_(n-k), shared by the 2 slices it
-    lands on.  Packing is a ring map, so this is exact; unpacking E_m
-    (``_unpack``) needs its coefficients below 2^(8 width - 1).  The l1 norm
-    is submultiplicative and |f_k|_1 = 2L, so |E_m|_1 <= m! [x^m]
-    exp(2L sum_k x^k / k) = m! [x^m] (1 - x)^(-2L) = m! C(2L + m - 1, m),
-    which sets the width.  E_m is then divided by (-1)^(m tau) m! (``div``),
-    which raises ExactDivisionError, carrying E_m, on a remainder.
-    """
+    The recurrence E_n = sum_k f_k (n-1)!/(n-k)! E_(n-k) for n! [x^n] stays
+    integral.  {L k}/{k} = q^(-(L-1)k/2) (1 + q^k + ... + q^(k(L-1))), so a
+    row of E_n runs from q^(-(L-1)n/2) to q^((L-1)n/2); {k}_a moves it to
+    the a-slices v +- k.  Packing is a ring map: the geometric factor is one
+    multiply (``_packed_geometric``) per row of E_(n-k), shared by 2 slices.
+    The l1 norm is submultiplicative and |f_k|_1 = 2L, so |E_m|_1 <= m! [x^m]
+    exp(2L sum_k x^k / k) = m! C(2L + m - 1, m) < 2^(8 width - 1)."""
     if m < 1:
         raise ValueError("colored_sum needs m >= 1")
     if tau == 0:
@@ -194,9 +176,27 @@ def colored_sum(m: int, tau: int) -> LaurentQA:
                 acc[v - k] = acc.get(v - k, 0) - h
             falling *= n - k
         e.append(acc)
-    size = (length - 1) * m + 1
-    rows = {v: (-(length - 1) * m, _unpack(row, width, size)) for v, row in e[m].items()}
-    return _laurent(rows).div((-1) ** ((m * tau) % 2) * factorial(m))
+    return width, e[m]
+
+
+def closed_form_is_colored_sum(m: int, tau: int) -> bool:
+    """Whether E_m (``colored_sum``) is (-1)^(m tau) m! times the closed form
+    (``_cleared_rows``), tau != 0, as one packed int per nonzero a-slice.  Two
+    rows with entries below x/2 = 2^(8 width - 1) in absolute value that first
+    differ at slot j have values that differ by x^j (d + x k), 0 < |d| < x: so
+    packing is injective on such rows, as E_m is by its l1 bound.  A cleared
+    row with max |c| m! >= x/2, on the other q^(1/2)-parity or starting (on a
+    nonzero entry) below E_m is a mismatch; so is E_m not divisible by m!."""
+    width, packed = colored_sum(m, tau)
+    rows = {v: r for v, r in _cleared_rows(m, tau).items() if any(r[1])}
+    fact, lo, half = factorial(m), -(m * abs(tau) - 1) * m, 1 << (8 * width - 1)
+    scale = (-1) ** ((m * tau) % 2) * fact
+    for v, (u0, row) in rows.items():
+        shift, odd = divmod(u0 - lo, 2)
+        if (odd or shift < 0 or max(map(abs, row)) * fact >= half
+                or packed.get(v) != (scale * _pack(row, width)) << (8 * width * shift)):
+            return False
+    return rows.keys() == {v for v, p in packed.items() if p}
 
 
 def _z2_rows(m: int, tau: int) -> dict:

@@ -17,14 +17,13 @@ exponent bookkeeping is plain integer arithmetic.  Coefficients are ints;
 ``ExactDivisionError``, carrying the dividend, where a remainder arises.
 ``+`` and ``*`` are duck-typed, so a caller may hold other exact numbers.
 
-``LaurentQA`` multiplies by the dict loop over all term pairs.  The
-integer hot paths (the one-hole chain, the colored sum, the annulus kernel log)
-do not multiply LaurentQAs: they run on one dense int row per a-slice,
-through ``_nonneg_mul`` and ``_z2_rewrite``; the colored sum and the
-annulus log pack each row into its value at x = 2^(8 width), so that a
-geometric factor is one big-int multiply (``_packed_geometric``), and
-``_unpack`` them.  Every division is by factors 1 - x^k, as strided
-running sums (``arith.div_one_minus``), in ``exact_div`` on each a-slice.
+``LaurentQA`` multiplies by the dict loop over all term pairs.  The integer
+hot paths (the one-hole chain, the colored sum, the annulus kernel log) run
+on one dense int row per a-slice instead, through ``_nonneg_mul`` and
+``_z2_rewrite``; the colored sum and the annulus log carry each row as its
+value at x = 2^(8 width) (``_pack``, ``_unpack``), so that a geometric
+factor is one big-int multiply (``_packed_geometric``).  Every division is
+by factors 1 - x^k, as strided running sums (``arith.div_one_minus``).
 
 ``to_z_basis`` rewrites a q-symmetric LaurentQA as a polynomial in
 z^2 = q - 2 + q^(-1) slice by slice in a, bottom-up on one dense list per
@@ -45,11 +44,12 @@ from .arith import div_one_minus, gaussian_binomial
 
 
 class ExactDivisionError(ArithmeticError):
-    """Division was not exact; ``remainder`` carries the refused dividend."""
+    """Division was not exact.  ``dividend`` is what was refused: the a-slice
+    of f for ``exact_div``, the whole LaurentQA for ``LaurentQA.div``."""
 
-    def __init__(self, message, remainder=None):
+    def __init__(self, message, dividend=None):
         super().__init__(message)
-        self.remainder = remainder
+        self.dividend = dividend
 
 
 class ZBasisError(ValueError):
@@ -78,10 +78,17 @@ def _packed_geometric(width: int, step: int, count: int) -> int:
     return int.from_bytes(b"\x01".ljust(width * step, b"\x00") * count, "little")
 
 
+def _pack(row: list, width: int) -> int:
+    """The row's value at x = 2^(8 width), each entry below 2^(8 width - 1) in absolute value."""
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * len(row), "little")
+    raw = b"".join([(c + half).to_bytes(width, "little") for c in row])
+    return int.from_bytes(raw, "little") - bias
+
+
 def _unpack(packed: int, width: int, length: int) -> list:
-    """The int row of the given length whose value at x = 2^(8 width) is
-    packed, when each entry is below 2^(8 width - 1) in absolute value:
-    then adding 2^(8 width - 1) to every slot leaves no slot negative."""
+    """``_pack``'s inverse on rows of the given length whose entries are all
+    below 2^(8 width - 1) in absolute value: the bias leaves no slot negative."""
     half = 1 << (8 * width - 1)
     bias = int.from_bytes(half.to_bytes(width, "little") * length, "little")
     raw = (packed + bias).to_bytes(width * length, "little")
@@ -209,7 +216,7 @@ class LaurentQA:
         for k, c in self._c.items():
             d[k], rem = divmod(c, n)
             if rem:
-                raise ExactDivisionError(f"not divisible by {n}", remainder=self)
+                raise ExactDivisionError(f"not divisible by {n}", dividend=self)
         return LaurentQA._make(d)
 
     def shift(self, du: int = 0, dv: int = 0) -> LaurentQA:
@@ -287,7 +294,7 @@ def exact_div(f: LaurentQA, exponents: Iterable[int]) -> LaurentQA:
                 if row is None:
                     raise ExactDivisionError(
                         f"not divisible in a-slice v={v}",
-                        remainder=LaurentQA._make({(u, v): c for u, c in sl.items()}),
+                        dividend=LaurentQA._make({(u, v): c for u, c in sl.items()}),
                     )
             for e, c in enumerate(row):
                 if c:

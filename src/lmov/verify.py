@@ -86,13 +86,6 @@ def check_recursion(max_n: int, tau_range: range) -> Report:
     return rep
 
 
-def _closed_form_is_colored_sum(m: int, tau: int) -> bool:
-    try:  # a colored sum that does not divide by m! is a mismatch
-        return onehole.cal_z_cleared(m, tau) == onehole.colored_sum(m, tau)
-    except ExactDivisionError:
-        return False
-
-
 def check_onehole_chain(max_m: int, tau_range: range) -> Report:
     """The cleared sum against, at tau != 0, its colored-sum definition;
     exact divisibility, q-symmetry and z^2 membership, the m = 1 table.
@@ -103,7 +96,7 @@ def check_onehole_chain(max_m: int, tau_range: range) -> Report:
     rep = Report("one-hole-chain", {"max_m": max_m, "tau": list(tau_range)})
     for tau in tau_range:
         for m in range(1, max_m + 1):
-            if tau and not _closed_form_is_colored_sum(m, tau):
+            if tau and not onehole.closed_form_is_colored_sum(m, tau):
                 rep.failures.append({"tau": tau, "m": m, "reason": "closed form != colored sum"})
             try:
                 table = onehole.lmov_one_hole(m, tau)  # division, z-basis
@@ -123,7 +116,7 @@ def check_gaussian_form(max_m: int, tau_range: range) -> Report:
         if tau < 1:
             raise ValueError("gaussian closed form needs tau >= 1")
         for m in range(1, max_m + 1):
-            if not _closed_form_is_colored_sum(m, tau):
+            if not onehole.closed_form_is_colored_sum(m, tau):
                 rep.failures.append({"tau": tau, "m": m})
     return rep
 

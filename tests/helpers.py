@@ -3,15 +3,18 @@
 They restate textbook definitions next to the library so that the tests
 can check the library's structure (the p-adic congruences behind the
 integrality proofs, partition multiplicities, the pairing matrix M, a JSON
-round trip of LaurentQA, the one-hole rows as a LaurentQA, the a-side
-quantum integer {n}_a, a row packed at 2^(8 width)) without the
+round trip of LaurentQA, the one-hole rows as a LaurentQA, among them
+the closed form and the colored sum unpacked and divided by m!, the
+a-side quantum integer {n}_a, a row packed at 2^(8 width)) without the
 library shipping them, plus a runner that captures the command line's
-output, a recorder of the slot widths that a module unpacks at, and a
-division for series exps over PochFrac or with non-integral values.
+output, a recorder of the slot widths that a module unpacks at, a cache
+reset, and a division for series exps over PochFrac or with non-integral
+values.
 The slow rational-function reference lives in ``reference.py``.
 """
 
 import io
+import sys
 from contextlib import ExitStack, contextmanager, redirect_stdout
 from fractions import Fraction
 from functools import cache
@@ -21,7 +24,7 @@ from unittest.mock import patch
 from lmov import onehole
 from lmov.cli import EXIT_OK, main
 from lmov.partitions import mn_character, partitions_of, z_factor
-from lmov.qa import LaurentQA, PochFrac, quantum_int
+from lmov.qa import LaurentQA, PochFrac, _unpack, quantum_int
 
 
 def quantum_prod(parts) -> LaurentQA:
@@ -107,9 +110,42 @@ def m_matrix(lam: tuple, mu: tuple) -> LaurentQA:
     return total
 
 
+def laurent(rows: dict) -> LaurentQA:
+    """The rows {v: (u0, row)}, row[e] the coefficient of q^((u0 + 2 e)/2)
+    a^(v/2), as one LaurentQA."""
+    return LaurentQA({(u + 2 * e, v): c for v, (u, r) in rows.items() for e, c in enumerate(r)})
+
+
 def z2_g_m(m: int, tau: int) -> LaurentQA:
     """z^2 g_m as a Laurent polynomial: the rows behind ``lmov_one_hole``."""
-    return onehole._laurent(onehole._z2_rows(m, tau))
+    return laurent(onehole._z2_rows(m, tau))
+
+
+def cal_z_cleared(m: int, tau: int) -> LaurentQA:
+    """{m}{m tau} Z_m (tau != 0), {m}_a (tau = 0): the closed-form rows
+    ``onehole._cleared_rows`` as a LaurentQA."""
+    return laurent(onehole._cleared_rows(m, tau))
+
+
+def colored_sum(m: int, tau: int) -> LaurentQA:
+    """{m}{m tau} Z_m by its colored-sum definition: E_m of
+    ``onehole.colored_sum`` unpacked and divided by (-1)^(m tau) m!; a
+    remainder raises ExactDivisionError, whose ``dividend`` is E_m."""
+    width, packed = onehole.colored_sum(m, tau)
+    length = m * abs(tau)
+    size = (length - 1) * m + 1
+    rows = {v: (-(length - 1) * m, _unpack(p, width, size)) for v, p in packed.items()}
+    return laurent(rows).div((-1) ** ((m * tau) % 2) * factorial(m))
+
+
+def clear_lmov_caches() -> None:
+    """Empty every cache of the package, so that nothing is read from an
+    earlier computation."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("lmov."):
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == name:
+                    obj.cache_clear()
 
 
 def laurent_to_json(f: LaurentQA) -> list:

@@ -588,7 +588,7 @@ def exact_div(f: LaurentQA, g: LaurentQA) -> LaurentQA:
         lt = max(rem)
         tkey = (lt[0] - gl[0], lt[1] - gl[1])
         if tkey[0] < u_lo or tkey[1] < v_lo:
-            raise ExactDivisionError("not divisible", remainder=LaurentQA(rem))
+            raise ExactDivisionError("not divisible", dividend=LaurentQA(rem))
         tc = _norm_c(Fraction(rem.pop(lt)) / glc)
         quo[tkey] = quo.get(tkey, 0) + tc
         for (u, v), gc in g._c.items():
@@ -755,7 +755,7 @@ def cal_z_cleared(m: int, tau: int) -> LaurentQA:
 
 @lru_cache(maxsize=None)
 def cal_z_closed_form(m: int, tau: int) -> LaurentQA:
-    """The q-binomial closed form of ``lmov.onehole.cal_z_cleared``, each
+    """The q-binomial closed form of ``lmov.onehole._cleared_rows``, each
     product of two q-binomials by the double loop over their terms."""
     if tau == 0:
         return quantum_int_a(m)
@@ -1004,7 +1004,7 @@ class RationalQ:
     def to_laurent(self) -> LaurentQA:
         if not self.is_laurent():
             raise ExactDivisionError(
-                "denominator is nontrivial", remainder=None
+                "denominator is nontrivial", dividend=None
             )
         return LaurentQA(
             {(self.off + i, 0): c for i, c in enumerate(self.num) if c}

@@ -5,14 +5,24 @@ from math import comb, factorial
 import pytest
 
 import reference
-from helpers import cli_output, m_matrix, quantum_int_a, quantum_prod, unpack_widths, z2_g_m
+from helpers import (
+    cal_z_cleared,
+    clear_lmov_caches,
+    cli_output,
+    colored_sum,
+    laurent,
+    m_matrix,
+    pack,
+    quantum_int_a,
+    quantum_prod,
+    z2_g_m,
+)
 from lmov.arith import TheoremViolation, qbinomial_step
 from lmov.genus0 import disc_n
 from lmov import arith, genus0, onehole, verify
 from lmov.onehole import (
-    cal_z_cleared,
     cal_z_partition,
-    colored_sum,
+    closed_form_is_colored_sum,
     dlog_mu,
     g_mu_general,
     lmov_one_hole,
@@ -229,44 +239,44 @@ def test_colored_sum_matches_partition_sum(tau):
 
 
 @pytest.mark.parametrize("tau", [t for t in range(-5, 6) if t])
-def test_packed_colored_sum_matches_the_list_rows(tau, monkeypatch):
+def test_packed_colored_sum_matches_the_list_rows(tau):
     # at every FULL cell; the l1 bound |E_m|_1 <= m! C(2L + m - 1, m),
     # L = m |tau|, holds, and the width it sets holds the largest
     # coefficient of E_m = m! [x^m]
-    widths = unpack_widths(monkeypatch, onehole)
     for m in range(1, 9):
-        widths.clear()
+        width, _ = onehole.colored_sum(m, tau)
         want = reference.colored_sum(m, tau)
         assert colored_sum(m, tau) == want, (m, tau)
         coeffs = [factorial(m) * abs(c) for _, c in want.items()]
         assert sum(coeffs) <= factorial(m) * comb(2 * m * abs(tau) + m - 1, m)
-        assert max(coeffs) < 2 ** (8 * min(widths) - 1), (m, tau)
+        assert max(coeffs) < 2 ** (8 * width - 1), (m, tau)
 
 
 def test_onehole_chain_reports_colored_sum_mismatch(monkeypatch):
     # f_k scaled by k breaks the colored sum's integrality from m = 2 on,
     # while the closed form and the divisor {m}{m tau}/{1}^2 (parts k = 1)
-    # are untouched: the division by m! raises, carrying E_m, and the chain
-    # names the cells
+    # are untouched: E_m is no multiple of m!, dividing it raises, carrying
+    # E_m, and the chain names the cells without raising
     real, real_row = onehole._packed_geometric, reference.geometric_row
     monkeypatch.setattr(onehole, "_packed_geometric", lambda w, k, n: k * real(w, k, n))
     monkeypatch.setattr(reference, "geometric_row",
                         lambda row, k, n: [k * c for c in real_row(row, k, n)])
-    widths = unpack_widths(monkeypatch, onehole)
     for tau in (1, 2):
         for m in (1, 2, 3):
             # the scaled sums stay inside the slot bound: E_m is m! times
             # the list rows' Fractions, not unpacked carries
-            widths.clear()
+            width, _ = onehole.colored_sum(m, tau)
             want = reference.colored_sum(m, tau)
             if all(Fraction(c).denominator == 1 for _, c in want.items()):
                 assert colored_sum(m, tau) == want
+                assert closed_form_is_colored_sum(m, tau)
             else:
                 with pytest.raises(ExactDivisionError) as ei:
                     colored_sum(m, tau)
-                assert ei.value.remainder == want.scale((-1) ** (m * tau % 2) * factorial(m))
+                assert ei.value.dividend == want.scale((-1) ** (m * tau % 2) * factorial(m))
+                assert not closed_form_is_colored_sum(m, tau)
             top = max(abs(factorial(m) * c) for _, c in want.items())
-            assert top < 2 ** (8 * widths[0] - 1), (m, tau)
+            assert top < 2 ** (8 * width - 1), (m, tau)
     assert colored_sum(1, 2) == cal_z_cleared(1, 2)
     with pytest.raises(ExactDivisionError, match="^not divisible by 2$"):
         colored_sum(2, 2)
@@ -276,6 +286,78 @@ def test_onehole_chain_reports_colored_sum_mismatch(monkeypatch):
     cells = [(f["tau"], f["m"]) for f in rep.failures]
     assert cells == [(1, 2), (1, 3), (2, 2), (2, 3)]
     assert {f["reason"] for f in rep.failures} == {"closed form != colored sum"}
+
+
+@pytest.mark.parametrize("tau", [t for t in range(-6, 7) if t])
+def test_packed_certificate_matches_the_dict_comparison(tau):
+    # the closed form against the definition as LaurentQA dicts, both from
+    # the list-row references: the double-loop closed form and the list-row
+    # colored sum, E_m divided by (-1)^(m tau) m!
+    for m in range(1, 10):
+        want = reference.cal_z_closed_form(m, tau) == reference.colored_sum(m, tau)
+        assert closed_form_is_colored_sum(m, tau) == want, (m, tau)
+        assert want, (m, tau)
+
+
+def _mutants(m: int, tau: int) -> dict:
+    """Cleared rows that the packed certificate must refuse, by name."""
+    rows = onehole._cleared_rows(m, tau)
+    width, _ = onehole.colored_sum(m, tau)
+    v = max(rows)
+    u0, row = rows[v]
+    half = 1 << (8 * width - 1)
+    big = -(-half // factorial(m))  # the least entry with |c| m! >= 2^(8 width - 1)
+    # same value at x = 2^(8 width) as the true row: only the width check
+    # tells them apart
+    alias = [row[0] + (1 << 8 * width), row[1] - 1] + row[2:]
+    return {
+        "entry + 1": {**rows, v: (u0, [row[0] + 1] + row[1:])},
+        "entry - 1": {**rows, v: (u0, row[:-1] + [row[-1] - 1])},
+        "shifted up a q-step": {**rows, v: (u0 + 2, row)},
+        "shifted down a q-step": {**rows, v: (u0 - 2, row)},
+        "half a q-step off": {**rows, v: (u0 + 1, row)},
+        "slice dropped": {w: r for w, r in rows.items() if w != v},
+        "extra slice": {**rows, v + 2 * m + 2: (u0, row)},
+        "mixed signs": {**rows, v: (u0, [-row[0]] + row[1:])},
+        "entry at the width bound": {**rows, v: (u0, row[:-1] + [big])},
+        "entry past the width bound": {**rows, v: (u0, row[:-1] + [-2 * big])},
+        "alias of the true row": {**rows, v: (u0, alias)},
+    }
+
+
+@pytest.mark.parametrize("m, tau", [(2, 1), (3, -2), (5, 3), (8, -4)])
+def test_packed_certificate_refuses_every_mutant(m, tau, monkeypatch):
+    assert closed_form_is_colored_sum(m, tau)
+    for name, rows in _mutants(m, tau).items():
+        assert laurent(rows) != cal_z_cleared(m, tau), name
+        monkeypatch.setattr(onehole, "_cleared_rows", lambda m_, t_, rows=rows: rows)
+        assert closed_form_is_colored_sum(m, tau) is False, name
+        monkeypatch.undo()
+    assert closed_form_is_colored_sum(m, tau)
+
+
+def test_alias_row_packs_to_the_true_row():
+    # the alias mutant is refused by the width check alone
+    rows, (width, _) = onehole._cleared_rows(5, 3), onehole.colored_sum(5, 3)
+    v = max(rows)
+    _, alias = _mutants(5, 3)["alias of the true row"][v]
+    assert pack(alias, width) == pack(rows[v][1], width)
+    assert max(alias) * factorial(5) >= 2 ** (8 * width - 1)
+
+
+def test_colored_sum_suites_build_no_laurent(monkeypatch):
+    # the packed certificate compares ints: neither suite builds a LaurentQA
+    clear_lmov_caches()
+    built = []
+    init, make = LaurentQA.__init__, LaurentQA._make.__func__
+    monkeypatch.setattr(LaurentQA, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    monkeypatch.setattr(LaurentQA, "_make", classmethod(lambda cls, d: built.append(d) or make(cls, d)))
+    onehole_rep = verify.check_onehole_chain(**verify.FULL["onehole"])
+    gaussian_rep = verify.check_gaussian_form(**verify.FULL["gaussian"])
+    monkeypatch.undo()
+    assert onehole_rep.ok and gaussian_rep.ok
+    assert built == []
 
 
 def test_g_m_prime_case():
