@@ -4,8 +4,8 @@ Subcommands compute invariant tables (disc, annulus, multihole, onehole,
 ov, dt, twist), run the GW/DT identity check, or sweep every property
 suite (verify-all).  Tables are deterministic JSON (default) or CSV.
 
-Exit status: 0 success, 1 usage error, 2 violation of a proved theorem
-(the test suite asserts 2 is unreachable on the shipped ranges).
+Exit status: 0 success, 1 usage error or out of memory, 2 violation of a
+proved theorem (the test suite asserts 2 is unreachable on shipped ranges).
 """
 
 from __future__ import annotations
@@ -232,6 +232,9 @@ def main(argv=None) -> int:
     except OSError as e:  # the output could not be written
         where = args.out or "stdout"
         print(f"lmov: error: cannot write {where}: {e.strerror or e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("lmov: error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

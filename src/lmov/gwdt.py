@@ -6,15 +6,15 @@ PochFrac, an exact Laurent numerator over the known denominator (q;q)_n,
 so "is a Laurent polynomial" decisions are exact divisions by known
 products of factors 1 - q^i, never numeric truncations.
 
-Ooguri-Vafa route: the reduced series Z_tau(q, x) = sum H_n(q) x^n is
-fed to the plethystic logarithm, carried as its integral levels m f_m
-(``series.plethystic_dlog``); each level must collapse to
-(Laurent polynomial)/(1-q), and the integer table N_{m,k} is the
-numerator at q^((k+1)/2) divided by m, one divmod per entry.  The
+Ooguri-Vafa route: the log levels of the reduced series Z_tau(q, x) =
+sum H_n(q) x^n, taken once, feed the plethystic logarithm, carried as its
+integral levels m f_m (``series.plethystic_dlog``); each level must
+collapse to (Laurent polynomial)/(1-q), and the integer table N_{m,k} is
+the numerator at q^((k+1)/2) divided by m, one divmod per entry.  The
 product-form reconstruction prod (1 - q^((k+1)/2 + l) x^m)^N_{m,k} over
-l >= 0 is verified exactly by summing the geometric layers into integer
-log levels over 1/(1-q^d) factors and comparing them with the reduced
-series' levels, numerators over (q;q)_n, which implies agreement to
+l >= 0 is verified exactly: each geometric tower over l is one level g_m
+over (q;q)_m, and ``series.plethystic_dexp`` of the g_m must give back
+the same levels, numerators over (q;q)_n, which implies agreement to
 every finite q-order.
 
 Donaldson-Thomas route: identical plumbing applied to the loop-quiver
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .arith import Report, TheoremViolation
 from .qa import ExactDivisionError, LaurentQA, PochFrac, exact_div, one_minus_q_prod
-from .series import plethystic_dlog, series_dlog
+from .series import plethystic_dexp, plethystic_dlog, series_dlog
 
 
 def h_top(n: int, tau: int) -> PochFrac:
@@ -57,13 +57,6 @@ def coha_series(loops: int, order: int) -> list:
     ]
 
 
-def _times_one_minus_q(f: PochFrac, n: int) -> LaurentQA:
-    """(1-q) f for f of degree n, as a Laurent polynomial: one exact
-    division of the numerator by (q;q)_n / (1-q).  Raises
-    ExactDivisionError when (1-q) f is not a Laurent polynomial."""
-    return exact_div(f.num, range(2, n + 1))
-
-
 # ---------------------------------------------------------------------------
 # Ooguri-Vafa extraction
 # ---------------------------------------------------------------------------
@@ -88,11 +81,12 @@ def ooguri_vafa(tau: int, max_m: int) -> OVTable:
     if max_m < 1:
         raise ValueError("ooguri_vafa needs max_m >= 1")
     rep = Report("ov", {"tau": tau, "max_m": max_m})
-    gs = plethystic_dlog(z_tau_series(tau, max_m))
+    levels = series_dlog(z_tau_series(tau, max_m))
+    gs = plethystic_dlog(levels)
     rows: dict = {}
     for m in range(1, max_m + 1):
-        try:
-            g = _times_one_minus_q(gs[m - 1], m)
+        try:  # (1-q) m f_m: the numerator over (q;q)_m / (1-q)
+            g = exact_div(gs[m - 1].num, range(2, m + 1))
         except ExactDivisionError:
             reason = f"(1-q) f_{m} is not a Laurent polynomial: {m} f_{m} = {gs[m - 1]!r}"
             rep.failures.append({"m": m, "reason": reason})
@@ -108,33 +102,26 @@ def ooguri_vafa(tau: int, max_m: int) -> OVTable:
             entries[k] = n
         rows[m] = entries
     table = OVTable(tau, max_m, rows, rep)
-    if ov_reconstruction_residue(table) is not None:
+    if ov_reconstruction_residue(table, levels) is not None:
         rep.failures.append({"reason": "product reconstruction mismatch"})
     return table
 
 
-def ov_reconstruction_residue(table: OVTable):
-    """Exact check that prod_{m,k,l>=0} (1 - q^((k+1)/2+l) x^m)^N_{m,k}
-    rebuilds the reduced series; None if it matches, else the first bad n.
+def ov_reconstruction_residue(table: OVTable, levels: list):
+    """None if prod_{m,k,l>=0} (1 - q^((k+1)/2+l) x^m)^N_{m,k} rebuilds the
+    reduced series whose ``series_dlog`` is ``levels``, else the first bad n.
 
-    The factors at level m contribute, after summing the geometric tower
-    over l, the log levels D_(dm) = sum_k -m N_{m,k} q^(d(k+1)/2)/(1-q^d)
-    for every d, integers over (q;q)_(dm), compared with ``series_dlog`` of
-    the reduced series.  Exp is triangular with leading weight 1 (E_n is
-    D_n / n plus terms in D_k, k < n), so the first level that differs is
-    the first coefficient that differs, and the check divides nowhere.
+    Summed over l, the factors at level m have the plethystic level
+    g_m = -m sum_k N_{m,k} q^((k+1)/2) / (1-q), a numerator over (q;q)_m;
+    ``plethystic_dexp`` of the g_m is compared with ``levels``.  Exp is
+    triangular with leading weight 1 (E_n is D_n / n plus terms in D_k,
+    k < n): the first level that differs is the first coefficient that does.
     """
-    order = table.max_m
-    acc = [PochFrac.zero() for _ in range(order + 1)]
-    for m, entries in table.rows.items():
-        for d in range(1, order // m + 1):
-            # 1/(1-q^d) at x-degree n = dm is prod_{i<=n, i != d} (1-q^i) / (q;q)_n
-            n = d * m
-            inv = one_minus_q_prod(i for i in range(1, n + 1) if i != d)
-            layer = LaurentQA({(d * (k + 1), 0): -m * nmk for k, nmk in entries.items()})
-            acc[n] = acc[n] + PochFrac(layer * inv, n)
-    want = series_dlog(z_tau_series(table.tau, order))
-    return next((n for n in range(order + 1) if acc[n] != want[n]), None)
+    gs = []
+    for m in range(1, table.max_m + 1):
+        tower = LaurentQA({(k + 1, 0): -m * nmk for k, nmk in table.rows[m].items()})
+        gs.append(PochFrac(tower * one_minus_q_prod(range(2, m + 1)), m))
+    return next((n for n, d in enumerate(plethystic_dexp(gs)) if d != levels[n]), None)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +149,13 @@ def dt_extract(loops: int, max_n: int) -> DTTable:
         raise ValueError("dt_extract needs max_n >= 1")
     p = coha_series(loops, max_n)
     twist = (-1) ** ((loops - 1) % 2)
-    gs = plethystic_dlog(
+    gs = plethystic_dlog(series_dlog(
         [c.scale(twist ** (n % 2)) if twist < 0 else c for n, c in enumerate(p)]
-    )
+    ))
     rows: dict = {}
     for n in range(1, max_n + 1):
         try:
-            g = _times_one_minus_q(gs[n - 1], n)
+            g = exact_div(gs[n - 1].num, range(2, n + 1))
         except ExactDivisionError as e:
             raise TheoremViolation(
                 f"(1-q) L_{n} is not a Laurent polynomial (loops={loops}, max_n={max_n})"

@@ -310,19 +310,19 @@ def _z2_rewrite(h: list) -> list:
     """The pairs (g, c), g descending and c nonzero, with sum c (z^2)^g the
     palindrome whose coefficients of q^0, q^1, ... are h.
 
-    Bottom-up on the half ``top`` from q^d down to q^0: z^2 vanishes at
-    q = 1, so c_g is the palindrome's value there, top[-1] + 2 sum(top[:-1]).
-    Less c_g at q^0, the palindrome has a double root at q = 1, so its
-    quotient by z^2 = (1 - q)^2 / q is exact; its half from q^(d-1) down is
-    the double running sum of top[:-1], so no remainder is left to check."""
+    Bottom-up on the half ``top`` from q^d down to q^0, with running sums
+    s: z^2 vanishes at q = 1, so c_g is the palindrome's value there,
+    2 s[-1] - top[-1].  Less c_g at q^0, it has a double root at q = 1, so
+    its quotient by z^2 = (1 - q)^2 / q is exact; its half from q^(d-1)
+    down is the running sum of s[:-1], so no remainder is left to check."""
     out = []
     top = h[::-1]
     for g in range(len(h)):
-        c = top.pop()
-        c += 2 * sum(top)
+        s = list(accumulate(top))
+        c = 2 * s[-1] - top[-1]
         if c:
             out.append((g, c))
-        top = list(accumulate(accumulate(top)))
+        top = list(accumulate(s[:-1]))
     return out[::-1]
 
 

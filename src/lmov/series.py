@@ -4,19 +4,21 @@ A series is the list of its coefficients up to a fixed order N: slot n
 holds the coefficient of x^n, and the maps below never look beyond N.
 Coefficients can be any value supporting ``+``, ``*``, ``scale``
 (multiplication by an int), truthiness, the class methods ``zero`` and
-``one``, ``adams`` where the plethystic operations are used, and ``div``
-(exact division by an int, raising on a remainder) where an exp is taken.
-LaurentQA from :mod:`lmov.qa` qualifies.  So does PochFrac for the two
-logs, since they only add, multiply, scale and take Adams operations:
-slot n of every series they build holds a value of x-degree n, so the
-sums they form are always over one (q;q)_n.
+``one``, ``adams`` for the plethystic maps, and ``div`` (exact division
+by an int, raising on a remainder) for ``series_dexp``.  LaurentQA from
+:mod:`lmov.qa` qualifies; so does PochFrac for the other maps, as slot n
+of each list they build has x-degree n, so each sum is over one (q;q)_n.
 
 A log is carried as its levels D_n = n [x^n] log S, the coefficients of
 x d/dx log S: they have integer weights, so a reader divides once, where
-it reads its table.  The exps divide by n at level n, so they run only
-where the exp is integral; a level that leaves a remainder raises
-``lmov.qa.ExactDivisionError``.  There is no bivariate series; the
-annulus kernel is a one-variable series after a substitution, and
+it reads its table.  Each map takes one step: ``series_dlog`` from a
+series to its levels and ``series_dexp`` back; ``plethystic_dlog`` from
+levels to the plethystic levels g_m = m f_m and ``plethystic_dexp`` back.
+``gwdt.ooguri_vafa`` takes the levels once, reads its table from their
+``plethystic_dlog`` and holds ``plethystic_dexp`` of the rebuilt g_m to
+them; ``gwdt.dt_extract`` reads ``plethystic_dlog(series_dlog(...))``;
+``lmov.verify`` round-trips each pair.  Only ``series_dexp`` divides, by
+n at level n, raising ``lmov.qa.ExactDivisionError`` on a remainder;
 ``lmov.genus0`` runs the ``series_dlog`` recurrence on its int rows.
 """
 
@@ -60,31 +62,26 @@ def series_dexp(d: list) -> list:
     return out
 
 
-def plethystic_dlog(z: list) -> list:
-    """Degree-graded plethystic logarithm of a series with Z(0) = 1, as levels.
-
-    Returns [g_1, ..., g_N], g_m = m f_m, where
-    Z = exp( sum_{m>=1} sum_{d>=1} (1/d) adams_d(f_m) x^(d*m) ), computed
-    as g_m = sum_{d|m} moebius(d) adams_d(D_{m/d}) from ``series_dlog``.
-    """
-    dz = series_dlog(z)
+def plethystic_dlog(levels: list) -> list:
+    """The levels D_0..D_N of Z = exp( sum_{m,d>=1} (1/d) adams_d(f_m) x^(dm) )
+    to [g_1, ..., g_N], g_m = m f_m = sum_{d|m} moebius(d) adams_d(D_{m/d})."""
     out = []
-    for m in range(1, len(z)):
-        acc = dz[0]
+    for m in range(1, len(levels)):
+        acc = levels[0]
         for d in divisors(m):
             mu = moebius(d)
             if mu:
-                acc = acc + dz[m // d].adams(d).scale(mu)
+                acc = acc + levels[m // d].adams(d).scale(mu)
         out.append(acc)
     return out
 
 
 def plethystic_dexp(gs: list) -> list:
-    """Inverse of plethystic_dlog on [g_1, ..., g_N], N >= 1, through
-    D_n = sum_{dm=n} adams_d(g_m)."""
+    """Inverse of plethystic_dlog on [g_1, ..., g_N], N >= 1: the levels
+    D_n = sum_{dm=n} adams_d(g_m), with D_0 = 0."""
     order = len(gs)
     acc = [type(gs[0]).zero()] * (order + 1)
     for m, gm in enumerate(gs, start=1):
         for d in range(1, order // m + 1):
             acc[d * m] = acc[d * m] + gm.adams(d)
-    return series_dexp(acc)
+    return acc

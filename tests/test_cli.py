@@ -190,6 +190,18 @@ def test_bad_input_exits_1_before_computation(argv, monkeypatch, capsys):
     assert re.fullmatch(r"lmov( [a-z-]+)?: error: [^\n]+\n", captured.err), captured.err
 
 
+@pytest.mark.parametrize("argv", [["ov", "--tau", "1"], ["verify-all", "--quick"]], ids=" ".join)
+def test_out_of_memory_exits_1_with_one_line(argv, monkeypatch, capsys):
+    def exhausted(tau, max_m):
+        raise MemoryError
+
+    monkeypatch.setattr(gwdt, "ooguri_vafa", exhausted)
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "lmov: error: out of memory\n"
+    assert "Traceback" not in err
+
+
 def _failing_replace(src, dst):
     raise PermissionError(13, "Permission denied")
 

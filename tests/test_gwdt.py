@@ -20,7 +20,7 @@ from lmov.gwdt import (
     z_tau_series,
 )
 from lmov.qa import LaurentQA, PochFrac
-from lmov.series import plethystic_dlog
+from lmov.series import plethystic_dexp, plethystic_dlog, series_dlog
 from lmov.twist import b_minus, b_plus
 from reference import RationalQ, as_rational, dt_rows, framed_row, one_minus_q_pow, ov_rows
 
@@ -99,20 +99,48 @@ def test_plethystic_dlog_levels_have_integer_numerators():
     series = [z_tau_series(tau, 8) for tau in range(-5, 6)]
     series += [_twisted_coha(loops, 8) for loops in range(1, 6)]
     for z in series:
-        for m, g in enumerate(plethystic_dlog(z), start=1):
+        for m, g in enumerate(plethystic_dlog(series_dlog(z)), start=1):
             assert all(type(c) is int for _, c in g.num.items()), m
+
+
+@pytest.mark.parametrize(
+    "z", [z_tau_series(tau, 8) for tau in range(-3, 4)]
+    + [_twisted_coha(loops, 8) for loops in range(1, 6)],
+    ids=[f"tau={tau}" for tau in range(-3, 4)] + [f"loops={loops}" for loops in range(1, 6)],
+)
+def test_plethystic_round_trip_on_poch_levels(z):
+    levels = series_dlog(z)
+    assert plethystic_dexp(plethystic_dlog(levels)) == levels
+
+
+def test_ooguri_vafa_takes_the_log_once(monkeypatch):
+    # the table and the product-form check read the same levels
+    calls = []
+
+    def counted(s):
+        calls.append(len(s))
+        return series_dlog(s)
+
+    monkeypatch.setattr("lmov.series.series_dlog", counted)
+    monkeypatch.setattr(gwdt, "series_dlog", counted)
+    for tau in (-2, 1):
+        calls.clear()
+        assert ooguri_vafa(tau, 5).report.ok
+        assert calls == [6], tau
 
 
 def test_non_integer_level_entries_keep_their_failure_text(monkeypatch):
     # one coefficient of (1-q) m f_m off by one is no longer divisible by m = 2:
     # -2 q becomes -q at tau = 1, and 2 q^-1 becomes 3 q^-1 for two loops
-    real = gwdt._times_one_minus_q
+    real = gwdt.exact_div
 
-    def off_by_one(f, n):
-        out = real(f, n)
-        return out + LaurentQA.monomial(2 if out.coeff(2, 0) else -2) if n == 2 else out
+    def off_by_one(f, exponents):
+        out = real(f, exponents)
+        if exponents != range(2, 3):
+            return out
+        return out + LaurentQA.monomial(2 if out.coeff(2, 0) else -2)
 
-    monkeypatch.setattr(gwdt, "_times_one_minus_q", off_by_one)
+    monkeypatch.setattr(gwdt, "exact_div", off_by_one)
     assert ooguri_vafa(1, 2).report.failures == [
         {"m": 2, "k": 1, "reason": "non-integer 1/2"},
         {"reason": "product reconstruction mismatch"},
@@ -131,7 +159,7 @@ def test_levels_that_do_not_clear_keep_their_failure_text(monkeypatch):
 
     monkeypatch.setattr(gwdt, "exact_div", broken)
     table = ooguri_vafa(1, 3)
-    level = plethystic_dlog(z_tau_series(1, 3))[2]
+    level = plethystic_dlog(series_dlog(z_tau_series(1, 3)))[2]
     assert table.rows[3] == {} and table.rows[2]
     assert table.report.failures == [
         {"m": 3, "reason": f"(1-q) f_3 is not a Laurent polynomial: 3 f_3 = {level!r}"},
@@ -179,20 +207,21 @@ def test_ov_integrality_and_reconstruction_sweep():
     for tau in (-3, 0, 2):
         table = ooguri_vafa(tau, 6)
         assert table.report.ok, (tau, table.report.failures)
-        assert ov_reconstruction_residue(table) is None
+        assert ov_reconstruction_residue(table, series_dlog(z_tau_series(tau, 6))) is None
 
 
 @pytest.mark.parametrize("tau", [-3, -1, 0, 2])
 def test_ov_reconstruction_residue_names_the_first_bad_level(tau):
     # one N_{m,k} off by one changes the log level m and no level below it
     table = ooguri_vafa(tau, 8)
-    assert ov_reconstruction_residue(table) is None
-    for m in (2, 3, 5):
+    levels = series_dlog(z_tau_series(tau, 8))
+    assert ov_reconstruction_residue(table, levels) is None
+    for m in (2, 3, 5, 8):
         k = min(table.rows[m], default=0)
         rows = dict(table.rows)
         rows[m] = dict(rows[m])
         rows[m][k] = rows[m].get(k, 0) + 1
-        assert ov_reconstruction_residue(table._replace(rows=rows)) == m, (tau, m, k)
+        assert ov_reconstruction_residue(table._replace(rows=rows), levels) == m, (tau, m, k)
 
 
 def test_ov_negative_entries_are_not_failures():

@@ -137,7 +137,7 @@ def test_solve_functional_mirror_first_coefficient():
 
 def test_plethystic_log_free_particle():
     # Z = 1/(1-x): f_1 = 1, f_m = 0 for m >= 2
-    fs = plethystic_dlog(geometric(8))
+    fs = plethystic_dlog(series_dlog(geometric(8)))
     assert fs[0] == LaurentQA.one()
     assert not any(fs[1:])
 
@@ -149,7 +149,7 @@ def test_plethystic_log_pure_exponential():
     acc = [LaurentQA.zero() for _ in range(order + 1)]
     for d in range(1, order + 1):
         acc[d] = c.adams(d).scale(Fraction(1, d)).scale(d)
-    fs = plethystic_dlog(series_dexp(acc))
+    fs = plethystic_dlog(series_dlog(series_dexp(acc)))
     assert fs[0] == c
     assert not any(fs[1:])
 
@@ -158,7 +158,7 @@ def test_plethystic_log_degree_two_formula():
     # f_2 = Z_2 - Z_1^2/2 - adams_2(Z_1)/2
     z1 = quantum_int_a(1)
     z2 = quantum_int(2) * LaurentQA.monomial(v=-2)
-    fs = plethystic_dlog([LaurentQA.one(), z1, z2])
+    fs = plethystic_dlog(series_dlog([LaurentQA.one(), z1, z2]))
     want = z2 - (z1 * z1).scale(Fraction(1, 2)) - z1.adams(2).scale(Fraction(1, 2))
     assert fs[1] == want.scale(2)
 
@@ -166,12 +166,13 @@ def test_plethystic_log_degree_two_formula():
 @given(st.lists(small_coeff, min_size=1, max_size=5))
 def test_plethystic_roundtrip(tail):
     z = [LaurentQA.one()] + tail
-    assert plethystic_dexp(plethystic_dlog(z)) == z
+    d = series_dlog(z)
+    assert plethystic_dexp(plethystic_dlog(d)) == d
 
 
 def test_plethystic_log_rejects_bad_constant():
     with pytest.raises(ValueError):
-        plethystic_dlog([LaurentQA.monomial(c=2)] + [LaurentQA.zero()] * 3)
+        plethystic_dlog(series_dlog([LaurentQA.monomial(c=2)] + [LaurentQA.zero()] * 3))
 
 
 def test_series2_log_matches_univariate_diagonal():
