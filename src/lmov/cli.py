@@ -4,16 +4,24 @@ Subcommands compute invariant tables (disc, annulus, multihole, onehole,
 ov, dt, twist), run the GW/DT identity check, or sweep every property
 suite (verify-all).  Tables are deterministic JSON (default) or CSV.
 
+A command line is ``lmov COMMAND`` and then the command's options from
+``COMMANDS`` in any order, each ``--name VALUE`` or ``--name=VALUE``.  A
+value may be a negative number, a repeated option keeps its last value,
+and a unique prefix of a name stands for it.  A usage error prints one
+line and exits 1 before any computation.  The line names the first of:
+an ambiguous prefix; a bad or missing value, in argv order; a missing
+required option; the unrecognized arguments.  ``-h`` prints help.
+
 Exit status: 0 success, 1 usage error or out of memory, 2 violation of a
 proved theorem (the test suite asserts 2 is unreachable on shipped ranges).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
-from functools import cache
+from types import SimpleNamespace
 
 from . import genus0, gwdt, onehole, twist, verify
 from .arith import TheoremViolation
@@ -25,104 +33,182 @@ EXIT_USAGE = 1
 EXIT_THEOREM = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; 2 is reserved here
-    def error(self, message):
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        sys.exit(EXIT_USAGE)
-
-
 def _int_in(lo: int | None = None, hi: int | None = None):
-    """argparse type: an int in [lo, hi]; a bound of None is open."""
+    """Option value: an int in [lo, hi]; a bound of None is open."""
 
     def parse(text: str) -> int:
-        n = int(text)
+        try:
+            n = int(text)
+        except ValueError:
+            raise ValueError(f"invalid int value: {text!r}") from None
         if lo is not None and n < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+            raise ValueError(f"must be >= {lo}, got {n}")
         if hi is not None and n > hi:
-            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {n}")
+            raise ValueError(f"must be <= {hi}, got {n}")
         return n
 
-    parse.__name__ = "int"  # argparse names the type in its own messages
     return parse
 
 
 def _out_path(path: str) -> str:
+    if not path:
+        raise ValueError("empty path")
     if not os.path.isdir(os.path.dirname(path) or "."):
-        raise argparse.ArgumentTypeError(f"no directory to write {path!r} into")
+        raise ValueError(f"no directory to write {path!r} into")
     if os.path.isdir(path):
-        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+        raise ValueError(f"{path!r} is a directory")
     return path
 
 
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", type=_out_path, default=None, help="output path (default stdout)")
+# COMMANDS maps each command to its help and its options, and each option
+# to (parse, default, help): parse reads the value from the text, or is
+# the tuple of accepted texts, or is None for a flag, which takes no value.
+REQUIRED = object()  # the default of an option that must be given
+_INT, _POSITIVE = _int_in(), _int_in(lo=1)
+_TAU = {"--tau": (_INT, REQUIRED, "framing")}
+_OUT = {"--out": (_out_path, None, "output path (default stdout)")}
+_TABLE = {"--format": (("json", "csv"), "json", "table format"), **_OUT}
+COMMANDS = {
+    "disc": ("genus-0 one-hole integer table n_{m,l}",
+             {**_TAU, "--max-m": (_POSITIVE, 12, "bound on m"), **_TABLE}),
+    "annulus": ("genus-0 two-hole table n_{(m1,m2),l}",
+                {**_TAU, "--max-total": (_int_in(lo=2), 8, "bound on m1+m2"), **_TABLE}),
+    "multihole": ("genus-0 top-charge table, >= 3 holes",
+                  {**_TAU, "--max-size": (_int_in(lo=3), 8, "bound on |mu|"), **_TABLE}),
+    "onehole": ("all-genus one-hole tables n_{m,g,Q}", {
+        **_TAU, "--max-m": (_POSITIVE, 6, "bound on m"),
+        "--half-format": (("doubled", "fraction"), "doubled",
+                          "serialize Q as two_q integers or explicit halves like 3/2"),
+        **_TABLE}),
+    "ov": ("Ooguri-Vafa integer table N_{m,k}",
+           {**_TAU, "--max-m": (_POSITIVE, 8, "bound on m"), **_TABLE}),
+    "dt": ("quantum DT invariants of the loop quiver", {
+        "--loops": (_POSITIVE, REQUIRED, "number of loops"),
+        "--max-n": (_POSITIVE, 6, "bound on n"), **_TABLE}),
+    "twist": ("twist-knot extremal invariants", {
+        "--p-min": (_INT, -6, "least p"), "--p-max": (_INT, 6, "greatest p"),
+        "--max-r": (_POSITIVE, 20, "bound on r"), **_TABLE}),
+    "gwdt-check": ("reduced series vs loop-quiver series", {
+        "--tau": (_int_in(hi=-1), REQUIRED, "framing, must be <= -1"),
+        "--order": (_int_in(lo=0), 12, "series order"), **_OUT}),
+    "verify-all": ("run every property suite", {
+        "--quick": (None, False, "reduced bounds"),
+        "--seed": (_INT, 0, "seed of the sampled checks"), **_OUT}),
+}
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a value, never an option
 
 
-def _add_table_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_out(p)
+def _fail(prog: str, message: str):
+    sys.stderr.write(f"{prog}: error: {message}\n")
+    sys.exit(EXIT_USAGE)
 
 
-@cache  # one parser per process serves every main() call
-def build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="lmov", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-    positive = _int_in(lo=1)
+def _dest(name: str) -> str:
+    return name[2:].replace("-", "_")
 
-    p = sub.add_parser("disc", help="genus-0 one-hole integer table n_{m,l}")
-    p.add_argument("--tau", type=int, required=True)
-    p.add_argument("--max-m", type=positive, default=12)
-    _add_table_output(p)
 
-    p = sub.add_parser("annulus", help="genus-0 two-hole table n_{(m1,m2),l}")
-    p.add_argument("--tau", type=int, required=True)
-    p.add_argument("--max-total", type=_int_in(lo=2), default=8, help="bound on m1+m2")
-    _add_table_output(p)
+def _help(prog: str) -> str:
+    """The help of ``lmov`` or ``lmov COMMAND``, the same at any width."""
+    if prog == "lmov":
+        usage, about = "lmov [-h] COMMAND [OPTION ...]", __doc__.strip()
+        rows = {command: what for command, (what, _) in COMMANDS.items()}
+    else:
+        (about, options), usage = COMMANDS[prog[5:]], f"{prog} [-h]"
+        rows = {"-h, --help": "show this help and exit"}
+        for name, (parse, default, what) in options.items():
+            if isinstance(parse, tuple):
+                name += " {" + ",".join(parse) + "}"
+            elif parse is not None:
+                name += " " + _dest(name).upper()
+            usage += f" {name}" if default is REQUIRED else f" [{name}]"
+            if default is REQUIRED:
+                what += " (required)"
+            elif parse is not None and default is not None:
+                what += f" (default {default})"
+            rows[name] = what
+    width = max(map(len, rows))
+    lines = [f"  {left:<{width}}  {right}" for left, right in rows.items()]
+    return "\n".join([f"usage: {usage}", "", about, "", *lines, ""])
 
-    p = sub.add_parser("multihole", help="genus-0 top-charge table, >= 3 holes")
-    p.add_argument("--tau", type=int, required=True)
-    p.add_argument("--max-size", type=_int_in(lo=3), default=8, help="bound on |mu|")
-    _add_table_output(p)
 
-    p = sub.add_parser("onehole", help="all-genus one-hole tables n_{m,g,Q}")
-    p.add_argument("--tau", type=int, required=True)
-    p.add_argument("--max-m", type=positive, default=6)
-    p.add_argument(
-        "--half-format",
-        choices=("doubled", "fraction"),
-        default="doubled",
-        help="serialize Q as two_q integers or explicit halves like 3/2",
-    )
-    _add_table_output(p)
+def _read(prog: str, token: str, names) -> tuple | None:
+    """How a token reads: None for a value, else the option it names (None
+    for an unknown option) and the text after its ``=``, if any."""
+    if token[:1] != "-" or token == "-" or _NEGATIVE.match(token):
+        return None
+    head, eq, text = token.partition("=")
+    if token in names:
+        return token, None
+    if eq and head in names:
+        return head, text
+    if token[1] == "-":
+        found = [(name, text if eq else None) for name in names if name.startswith(head)]
+    else:
+        found = [(name, token[2:]) for name in names if name == token[:2]]
+    if len(found) > 1:
+        matches = ", ".join(name for name, _ in found)
+        _fail(prog, f"ambiguous option: {token} could match {matches}")
+    if found:
+        return found[0]
+    return None if " " in token else (None, None)
 
-    p = sub.add_parser("ov", help="Ooguri-Vafa integer table N_{m,k}")
-    p.add_argument("--tau", type=int, required=True)
-    p.add_argument("--max-m", type=positive, default=8)
-    _add_table_output(p)
 
-    p = sub.add_parser("dt", help="quantum DT invariants of the loop quiver")
-    p.add_argument("--loops", type=positive, required=True)
-    p.add_argument("--max-n", type=positive, default=6)
-    _add_table_output(p)
+def _scan(prog: str, options: dict, argv: list, ns: SimpleNamespace) -> list:
+    """Set the options that ``argv`` gives in ``ns`` and return the tokens
+    that name none of them; ``--`` and all after it name none."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    read = [_read(prog, token, _HELP + tuple(options)) for token in argv[:end]]
+    extras, i = [], 0
+    while i < end:
+        name, text = read[i] or (None, None)
+        parse = options[name][0] if name in options else None
+        i += 1
+        if name is None:
+            extras.append(argv[i - 1])
+        elif parse is None and text is not None:
+            spelled = "/".join(_HELP) if name in _HELP else name
+            _fail(prog, f"argument {spelled}: ignored explicit argument {text!r}")
+        elif name in _HELP:
+            sys.stdout.write(_help(prog))
+            sys.exit(EXIT_OK)
+        elif parse is None:
+            setattr(ns, _dest(name), True)
+        elif text is None and (i == end or read[i] is not None):
+            _fail(prog, f"argument {name}: expected one argument")
+        else:
+            if text is None:
+                text, i = argv[i], i + 1
+            if isinstance(parse, tuple) and text not in parse:
+                choices = ", ".join(map(repr, parse))
+                _fail(prog, f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+            try:
+                setattr(ns, _dest(name), text if isinstance(parse, tuple) else parse(text))
+            except ValueError as e:
+                _fail(prog, f"argument {name}: {e}")
+    return extras + argv[end:]
 
-    p = sub.add_parser("twist", help="twist-knot extremal invariants")
-    p.add_argument("--p-min", type=int, default=-6)
-    p.add_argument("--p-max", type=int, default=6)
-    p.add_argument("--max-r", type=positive, default=20)
-    _add_table_output(p)
 
-    p = sub.add_parser("gwdt-check", help="reduced series vs loop-quiver series")
-    p.add_argument("--tau", type=_int_in(hi=-1), required=True, help="must be <= -1")
-    p.add_argument("--order", type=_int_in(lo=0), default=12)
-    _add_out(p)
-
-    p = sub.add_parser("verify-all", help="run every property suite")
-    p.add_argument("--quick", action="store_true", help="reduced bounds")
-    p.add_argument("--seed", type=int, default=0)
-    _add_out(p)
-
-    return top
+def parse_args(argv) -> SimpleNamespace:
+    """The options of an ``lmov`` command line, by the names ``main`` reads.
+    A usage error prints one line and exits 1; help exits 0."""
+    argv = list(argv)
+    i = next((i for i, t in enumerate(argv) if t == "--" or not _read("lmov", t, ())), len(argv))
+    extras = _scan("lmov", {}, argv[:i], SimpleNamespace())
+    if argv[i:] in ([], ["--"]):
+        _fail("lmov", "the following arguments are required: command")
+    if argv[i] not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail("lmov", f"argument command: invalid choice: {argv[i]!r} (choose from {choices})")
+    prog, options = f"lmov {argv[i]}", COMMANDS[argv[i]][1]
+    ns = SimpleNamespace(command=argv[i], **{_dest(n): o[1] for n, o in options.items()})
+    extras += _scan(prog, options, argv[i + 1:], ns)
+    missing = [name for name in options if getattr(ns, _dest(name)) is REQUIRED]
+    if missing:
+        _fail(prog, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail("lmov", f"unrecognized arguments: {' '.join(extras)}")
+    return ns
 
 
 def _twist_ps(args) -> list:
@@ -215,10 +301,9 @@ def _verify_all(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     if args.command == "twist" and not _twist_ps(args):
-        parser.error(f"--p-min {args.p_min} --p-max {args.p_max} holds no p <= -1 or p >= 2")
+        _fail("lmov", f"--p-min {args.p_min} --p-max {args.p_max} holds no p <= -1 or p >= 2")
     try:
         if args.command == "gwdt-check":
             return _gwdt_check(args)

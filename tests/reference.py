@@ -49,6 +49,9 @@ the expansion the library's sub-multiset recurrence replaced.  Its
 ``_phi``, with 1/z_sigma weights, that the library's hook-content sum over
 lam replaced; ``cal_z_sigma_sum`` is the same sum on numerators over
 (q;q)_|nu|, fast enough to sweep every |nu| <= 6.
+The command-line scan ``lmov.cli.parse_args`` is checked against the
+argparse parser it replaced, ``argparse_parser``, built as before with
+its validators ``_int_in`` and ``_out_path``.
 The one-pass ``lmov.io`` writers are checked against the stdlib
 serialisers they replaced: ``json_bytes``, ``json.dumps(...,
 sort_keys=True, indent=2)`` of a copy with every Fraction turned into an
@@ -58,16 +61,19 @@ CSV lines each merge the head, the row and one entry into a dict.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
+import os
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
 from typing import Callable, Mapping
 
 from helpers import quantum_int_a, quantum_prod
-from lmov import genus0
+from lmov import cli, genus0
 from lmov.arith import TheoremViolation, div_one_minus, divisors, moebius
 from lmov.genus0 import _annulus_column, _disc_numerator
 from lmov.partitions import (
@@ -1541,3 +1547,107 @@ def table_bytes(fmt: str, head: dict, rows: list, columns: list) -> bytes:
     for line in lines:
         writer.writerow([" ".join(map(str, v)) if isinstance(v, tuple) else v for v in line])
     return buf.getvalue().encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# the argparse parser behind lmov.cli.parse_args
+# ---------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on usage errors by default; 2 is reserved here
+    def error(self, message):
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.exit(cli.EXIT_USAGE)
+
+
+def _int_in(lo: int | None = None, hi: int | None = None):
+    """argparse type: an int in [lo, hi]; a bound of None is open."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if lo is not None and n < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        if hi is not None and n > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in its own messages
+    return parse
+
+
+def _out_path(path: str) -> str:
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise argparse.ArgumentTypeError(f"no directory to write {path!r} into")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    return path
+
+
+def _add_out(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", type=_out_path, default=None, help="output path (default stdout)")
+
+
+def _add_table_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_out(p)
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    top = _Parser(prog="lmov", description=cli.__doc__)
+    sub = top.add_subparsers(dest="command", required=True)
+    positive = _int_in(lo=1)
+
+    p = sub.add_parser("disc", help="genus-0 one-hole integer table n_{m,l}")
+    p.add_argument("--tau", type=int, required=True)
+    p.add_argument("--max-m", type=positive, default=12)
+    _add_table_output(p)
+
+    p = sub.add_parser("annulus", help="genus-0 two-hole table n_{(m1,m2),l}")
+    p.add_argument("--tau", type=int, required=True)
+    p.add_argument("--max-total", type=_int_in(lo=2), default=8, help="bound on m1+m2")
+    _add_table_output(p)
+
+    p = sub.add_parser("multihole", help="genus-0 top-charge table, >= 3 holes")
+    p.add_argument("--tau", type=int, required=True)
+    p.add_argument("--max-size", type=_int_in(lo=3), default=8, help="bound on |mu|")
+    _add_table_output(p)
+
+    p = sub.add_parser("onehole", help="all-genus one-hole tables n_{m,g,Q}")
+    p.add_argument("--tau", type=int, required=True)
+    p.add_argument("--max-m", type=positive, default=6)
+    p.add_argument(
+        "--half-format",
+        choices=("doubled", "fraction"),
+        default="doubled",
+        help="serialize Q as two_q integers or explicit halves like 3/2",
+    )
+    _add_table_output(p)
+
+    p = sub.add_parser("ov", help="Ooguri-Vafa integer table N_{m,k}")
+    p.add_argument("--tau", type=int, required=True)
+    p.add_argument("--max-m", type=positive, default=8)
+    _add_table_output(p)
+
+    p = sub.add_parser("dt", help="quantum DT invariants of the loop quiver")
+    p.add_argument("--loops", type=positive, required=True)
+    p.add_argument("--max-n", type=positive, default=6)
+    _add_table_output(p)
+
+    p = sub.add_parser("twist", help="twist-knot extremal invariants")
+    p.add_argument("--p-min", type=int, default=-6)
+    p.add_argument("--p-max", type=int, default=6)
+    p.add_argument("--max-r", type=positive, default=20)
+    _add_table_output(p)
+
+    p = sub.add_parser("gwdt-check", help="reduced series vs loop-quiver series")
+    p.add_argument("--tau", type=_int_in(hi=-1), required=True, help="must be <= -1")
+    p.add_argument("--order", type=_int_in(lo=0), default=12)
+    _add_out(p)
+
+    p = sub.add_parser("verify-all", help="run every property suite")
+    p.add_argument("--quick", action="store_true", help="reduced bounds")
+    p.add_argument("--seed", type=int, default=0)
+    _add_out(p)
+
+    return top

@@ -1,11 +1,16 @@
+import contextlib
 import importlib.util
+import io
 import json
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import reference
 from helpers import clear_lmov_caches
 from lmov import cli, genus0, gwdt, onehole, verify
 from lmov.arith import TheoremViolation
@@ -126,7 +131,7 @@ def test_usage_error_exit_code():
 
 
 def test_usage_errors_after_an_earlier_call_in_the_same_process(capsys):
-    # one parser serves every main() call of a process
+    # the scan keeps no state from one main() call to the next
     assert main(["disc", "--tau", "1", "--max-m", "2"]) == EXIT_OK
     capsys.readouterr()
     for argv, message in [
@@ -139,7 +144,6 @@ def test_usage_errors_after_an_earlier_call_in_the_same_process(capsys):
             main(argv)
         assert ei.value.code == EXIT_USAGE
         assert capsys.readouterr().err == message
-    assert cli.build_parser() is cli.build_parser()
 
 
 def test_deterministic_output(tmp_path):
@@ -172,6 +176,8 @@ BAD_INPUT = [
     ["twist", "--p-min", "3", "--p-max", "2"],
     ["twist", "--p-min", "0", "--p-max", "1"],
     ["disc", "--tau", "x"],
+    ["disc", "--tau", "1", "--out", ""],
+    ["verify-all", "--quick", "--out", ""],
 ]
 
 
@@ -268,6 +274,136 @@ def make_tables_requests() -> list:
     spec.loader.exec_module(script)
     framed = [[a.format(tau=tau) for a in job] for tau in range(-3, 4) for job in script.JOBS]
     return framed + script.FIXED
+
+
+def perfbench_requests() -> list:
+    """The argument lists of every table request of the benchmark's
+    workloads, read from perfbench/workloads.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [list(argv) for w in ("onehole", "ov-dt") for argv in workloads.table_requests(w)]
+
+
+HERE = str(Path(__file__).resolve().parent)  # a directory, so a valid --out goes in it
+PARSE_CORPUS = (
+    perfbench_requests()
+    + [argv + ["--format", fmt, "--out", f"{HERE}/t.{fmt}"]
+       for argv in make_tables_requests() for fmt in ("json", "csv")]
+    + [argv for argv in BAD_INPUT if "" not in argv]  # --out "" is refused only by the scan
+    + [
+        ["disc", "--tau=-3"],
+        ["disc", "--tau", "1", "--max-m", "3", "--tau", "2"],
+        ["annulus", "--max", "3"],
+        ["annulus", "--tau", "2", "--max", "3"],
+        ["twist", "--p", "1"],
+        ["twist", "--p=1"],
+        ["disc", "--tau"],
+        ["disc", "--tau", "--max-m", "2"],
+        ["disc", "--tau", "1", "extra"],
+        ["disc", "extra"],
+        ["disc", "--bogus", "--tau", "x"],
+        ["verify-all", "--quick=1"],
+        [],
+        ["no-such-command"],
+        # an ambiguous prefix is reported before a bad value that precedes it
+        ["twist", "--max-r", "x", "--p", "1"],
+        ["onehole", "--tau", "1", "--h", "fraction"],
+        ["disc", "-hx"],
+        ["--help=x"],
+        ["disc", "--tau", "-1e3"],
+        ["disc", "--tau", "-.5"],
+        ["disc", "--tau", "-x y"],
+        ["disc", "--tau="],
+        ["disc", "--tau", "1", "--f", "csv", "--fo=json", "--ma", "2"],
+        ["disc", "--tau", "1", "--", "x"],
+        ["disc", "--", "--tau", "1"],
+        ["-x", "disc", "--tau", "1", "y"],
+        ["--", "disc"],
+        ["--"],
+        ["verify-all", "--quick", "--s", "-2", "--quick"],
+        ["verify-all", "--seed", "1_0"],
+        ["disc", "--tau", "1", "--format", "xml"],
+        ["disc", "--tau", "1", "--out", HERE],
+        ["gwdt-check", "--tau=0"],
+        ["gwdt-check", "--tau", "-2", "--order", "0", "--out", "-"],
+    ]
+)
+
+
+def parse_outcome(parse, argv) -> tuple:
+    """``(vars(namespace), stderr)`` if ``parse(argv)`` returns, else
+    ``(exit code, stderr)``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as e:
+            result = e.code
+    return result, err.getvalue()
+
+
+def reference_parse(argv):
+    return reference.argparse_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_parse_args_matches_the_argparse_reference(argv):
+    got, want = parse_outcome(cli.parse_args, argv), parse_outcome(reference_parse, argv)
+    assert got == want
+    # accepted, or refused with one line and exit 1
+    assert isinstance(want[0], dict) or (want[0] == EXIT_USAGE and want[1].count("\n") == 1)
+
+
+TOKENS = [
+    "--tau", "--ta", "--t", "--max-m", "--max", "--m", "--format", "--f", "--out", "--o",
+    "--quick", "--q", "--seed", "--p", "--p-min", "--loops", "--order", "--half-format", "--h",
+    "-h", "-x", "-", "--", "1", "0", "-3", "x", "", "csv", "fraction", "--tau=-1", "--quick=",
+    "-.5", "-1e3", "-x y", "--bogus", HERE, "disc", "twist",
+]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([*cli.COMMANDS, "dis", "-x", "--", ""]),
+       st.lists(st.sampled_from(TOKENS), max_size=6))
+def test_parse_args_matches_the_argparse_reference_on_any_line(command, tokens):
+    argv = [command, *tokens]
+    got, want = parse_outcome(cli.parse_args, argv), parse_outcome(reference_parse, argv)
+    assume("argument --out: empty path" not in got[1])
+    assert got == want or got[0] == want[0] == EXIT_OK  # help text differs by design
+
+
+HELP_REQUESTS = [["-h"], ["--help"], ["--he"]] + [[command, "-h"] for command in cli.COMMANDS]
+
+
+@pytest.mark.parametrize("argv", HELP_REQUESTS, ids=" ".join)
+def test_help_is_built_from_the_table_at_any_width(argv, monkeypatch, capsys):
+    shown = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        shown.append(out)
+    assert shown[0] == shown[1]
+    if argv[0] not in cli.COMMANDS:
+        assert cli.__doc__.strip() in out
+        assert all(re.search(f"^  {c} +{re.escape(about)}$", out, re.M)
+                   for c, (about, _) in cli.COMMANDS.items())
+        return
+    about, options = cli.COMMANDS[argv[0]]
+    assert out.startswith(f"usage: lmov {argv[0]} ") and f"\n\n{about}\n\n" in out
+    for name, (parse, default, what) in options.items():
+        assert re.search(f"^  {name}.* {re.escape(what)}", out, re.M), name
+        if isinstance(parse, tuple):
+            assert f"{name} {{{','.join(parse)}}}" in out
+        if default is cli.REQUIRED:
+            assert f"{what} (required)" in out
+        elif parse is not None and default is not None:
+            assert f"{what} (default {default})" in out
 
 
 def test_table_requests_build_no_fraction(fractions_built, monkeypatch, tmp_path, capsys):

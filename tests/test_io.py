@@ -146,5 +146,5 @@ def test_csv_field_found_nowhere_is_a_key_error():
 ])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_every_table_kind_matches_the_reference(argv, fmt):
-    table = cli._table(cli.build_parser().parse_args(argv))
+    table = cli._table(cli.parse_args(argv))
     assert io.table_bytes(fmt, *table) == reference.table_bytes(fmt, *table)

@@ -85,6 +85,20 @@ def test_the_cli_starts_without_dataclasses_or_inspect():
     assert run.stdout == "[]\n"
 
 
+def test_a_table_request_loads_no_argument_parser():
+    # the command line is read from cli.COMMANDS: no request pays for
+    # argparse, or for the gettext and locale modules it loads
+    code = ("import sys, lmov.cli; names = {'argparse', 'gettext', 'locale'}; "
+            "seen = [sorted(names & set(sys.modules))]; "
+            "lmov.cli.main(['disc', '--tau', '1', '--max-m', '2']); "
+            "seen.append(sorted(names & set(sys.modules))); print(seen, file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stderr == "[[], []]\n"
+    assert '"table": "disc"' in run.stdout
+
+
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
