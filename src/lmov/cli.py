@@ -224,9 +224,9 @@ def _table(args) -> tuple:
     cmd, tau = args.command, getattr(args, "tau", None)
     if cmd == "disc":
         rows = [
-            {"m": m, "l": l, "n": genus0.disc_n(m, l, tau), "integral": True}
-            for m in range(1, args.max_m + 1)
-            for l in range(m + 1)
+            {"m": m, "l": l, "n": n, "integral": True}
+            for m, row in enumerate(genus0.disc_rows(tau, args.max_m), 1)
+            for l, n in enumerate(row)
         ]
         head = {"table": "disc", "tau": tau, "max_m": args.max_m}
         return head, rows, ["m", "l", "tau", "value=n", "integral"]

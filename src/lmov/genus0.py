@@ -2,21 +2,25 @@
 
 The disc and annulus tables come with two independent routes:
 
-* closed combinatorial formulas (``_disc_numerator``, the integer m^2 c,
-  and ``annulus_top_numerator`` for the top slice of the annulus, an
-  integer (m1+m2) c);
+* closed combinatorial formulas (``_disc_numerator_rows``, the integers
+  m^2 c_{m,l}, and ``annulus_top_numerator`` for the top slice of the
+  annulus, an integer (m1+m2) c);
 * the mirror-curve series Y = X (1-Y)^tau (1 - a(1-Y)), whose X-expansion
   Lagrange inversion gives in closed form (``kernel_level``), followed by
-  the integral log levels of ``series_dlog``, compared with the closed
-  form on integers.  The annulus kernel, a series in X1 and X2, becomes a
-  series in X1 alone under the substitution X2 = t X1; its log runs
-  ``series_dlog``'s recurrence on one int t-row per a-exponent, packed
-  into one big int (``_annulus_log``), from which ``_annulus_column``
-  reads the integers (m1+m2) c_{(m1,m2),l}.
+  ``series_dlog``'s recurrence for the integral log levels, run on packed
+  ints.  The disc oracle (``disc_series_check``) packs each level of 1 - Y
+  as one int a-row, so it certifies the whole route, Lagrange levels and
+  then log, against the closed form.  The annulus kernel, a series in X1
+  and X2, is one in X1 alone after X2 = t X1; its log runs on one packed
+  int t-row per a-exponent (``_annulus_log``), from which
+  ``_annulus_column`` reads the integers (m1+m2) c_{(m1,m2),l}.
 
 Single-cover invariants are Moebius sums over common divisors, each one
 integer numerator over m^2 (disc) or m1+m2 (annulus), certified by one exact
 ``divmod`` where integrality is a theorem; elsewhere tables carry a flag.
+``disc_rows`` builds each disc numerator row once per (m, tau) and adds
+row m/d into row m at stride d.  Multi-hole values are memoised, so the
+cover check computes each once.
 
 Index conventions (fixed here once and used by the CLI and tests):
 the annulus coefficient table is indexed by the raw a-exponent l of the
@@ -33,36 +37,54 @@ from math import comb, gcd
 
 from .arith import Report, TheoremViolation, binomial_ext, certified_div, divisors, moebius
 from .partitions import Partition, parts_gcd, scale_down
-from .qa import LaurentQA, _packed_geometric, _unpack
-from .series import series_dlog
+from .qa import LaurentQA, _pack, _packed_geometric, _unpack
 
 
 # ---------------------------------------------------------------------------
 # disc (one hole, genus 0)
 # ---------------------------------------------------------------------------
 
-def _disc_numerator(m: int, l: int, tau: int) -> int:
-    """m^2 c_{m,l}(tau), an integer."""
-    sign = -1 if (m * tau + m + l) % 2 == 0 else 1
-    return sign * binomial_ext(m, l) * binomial_ext(m * tau + l - 1, m - 1)
+def _disc_numerator_rows(tau: int, max_m: int) -> list:
+    """[[], row_1, ..., row_max_m]: row m holds the integers m^2 c_{m,l}(tau),
+    l = 0..m, each a signed product of two binomials."""
+    rows = [[]]
+    for m in range(1, max_m + 1):
+        sign = -1 if (m * tau + m) % 2 == 0 else 1  # (-1)^(m tau + m + l + 1) at l = 0
+        rows.append([(sign if l % 2 == 0 else -sign) * binomial_ext(m, l)
+                     * binomial_ext(m * tau + l - 1, m - 1) for l in range(m + 1)])
+    return rows
 
 
-def disc_n(m: int, l: int, tau: int) -> int:
-    """Single-cover disc invariant n_{m,l}(tau): one integer over m^2, certified."""
-    if m < 1:
-        raise ValueError("disc_n needs m >= 1")
-    if not 0 <= l <= m:
-        raise ValueError("disc_n needs 0 <= l <= m")
-    g = gcd(m, l)  # gcd(m, 0) = m, so l = 0 sums over all divisors of m
-    total = 0
-    for d in divisors(g):
-        mu = moebius(d)
-        if mu:
-            total += mu * _disc_numerator(m // d, l // d, tau)
-    return certified_div(total, m * m, "n_({},{})(tau={})", m, l, tau)
+def disc_rows(tau: int, max_m: int) -> list:
+    """Single-cover disc invariants for m = 1..max_m, row m-1 being
+    [n_{m,0}, ..., n_{m,m}]: m^2 n_{m,l} = sum_{d | gcd(m,l)} mu(d)
+    (m/d)^2 c_{m/d,l/d}, one strided add of the numerator row m/d per d | m,
+    certified divisible by m^2; the first remainder, in the order m, l, is a
+    TheoremViolation."""
+    nums, rows = _disc_numerator_rows(tau, max_m), []
+    for m in range(1, max_m + 1):
+        total = nums[m][:]
+        for d in divisors(m)[1:]:
+            mu = moebius(d)
+            if mu:
+                total[::d] = [t + mu * c for t, c in zip(total[::d], nums[m // d])]
+        sq = m * m
+        if any(t % sq for t in total):
+            for l, t in enumerate(total):
+                certified_div(t, sq, "n_({},{})(tau={})", m, l, tau)
+        rows.append([t // sq for t in total])
+    return rows
 
 
-_ONE_MINUS_A = LaurentQA({(0, 0): 1, (0, 2): -1})
+def _dlog_width(norm: list) -> int:
+    """Byte width of the packed levels D_n, n < len(norm), of
+    ``series_dlog``'s recurrence, given norm[n] >= |S_n|_1: the l1 norm is
+    submultiplicative, so |D_n|_1 <= n |S_n|_1 + sum_(0<k<n) |D_k|_1
+    |S_(n-k)|_1, and each bound stays below 2^(8 width - 8)."""
+    bound = [0]
+    for n in range(1, len(norm)):
+        bound.append(n * norm[n] + sum(bound[k] * norm[n - k] for k in range(1, n)))
+    return max(bound).bit_length() // 8 + 1
 
 
 def _lagrange_numerator(tau: int, n: int) -> list:
@@ -95,39 +117,39 @@ def kernel_level(tau: int, n: int) -> LaurentQA:
 
 
 def disc_series_check(tau: int, max_m: int) -> Report:
-    """Check the mirror-curve series route against the disc closed form,
-    on integers, for m <= max_m.
+    """Check the mirror-curve route, Lagrange levels and then log, against
+    the disc closed form, on integers, for m <= max_m.
 
-    Rebuilds 1 - Y(X) from the Lagrange levels (``kernel_level``) and takes
-    its levels D_m = m [X^m] log(1 - Y) with ``series_dlog``.  The disc
-    potential integrates log(1 - Y) termwise, so with x = (-1)^tau a^(1/2) X
-    restored, (-1)^(m tau) D_m at a^(l - m/2) is -m^2 c_{m,l}(tau), which
-    must equal -``_disc_numerator`` for all 0 <= l <= m.  Since Y is the
-    Lagrange closed form, what this certifies is the ``series_dlog`` step.
+    Each level S_n = -(1 - a) kernel_level(tau, n - 1) of 1 - Y(X) is one
+    int a-row, packed (``_pack``) at the width of ``_dlog_width``; the
+    levels D_m = m [X^m] log(1 - Y) follow ``series_dlog``'s recurrence, one
+    big-int product a term, and each is read back once (``_unpack``).  With
+    x = (-1)^tau a^(1/2) X restored, (-1)^(m tau) D_m at a^(l - m/2) must be
+    -m^2 c_{m,l}(tau) for 0 <= l <= m.  A kernel term off the a-row (a
+    q-power, an odd or out-of-range a-exponent) is recorded at the level m
+    it enters.  ``series.series_dlog`` itself is held by the infrastructure
+    round trips and the OV and DT suites.
     """
     if max_m < 1:
         raise ValueError("disc_series_check needs max_m >= 1")
     rep = Report("disc-series", {"tau": tau, "max_m": max_m})
-    one_minus_y = [LaurentQA.one()] + [
-        -(_ONE_MINUS_A * kernel_level(tau, n)) for n in range(max_m)
-    ]
-    dlogy = series_dlog(one_minus_y)
+    rows, off_row = [[0]], [[]]
+    for n in range(1, max_m + 1):
+        terms = dict(kernel_level(tau, n - 1).items())
+        off_row.append([(u, v) for u, v in terms if u or v % 2 or not 0 <= v < 2 * n])
+        kern = [terms.get((0, 2 * i), 0) for i in range(n)]
+        rows.append([b - c for b, c in zip([0] + kern, kern + [0])])  # (a - 1) K
+    width = _dlog_width([sum(map(abs, row)) for row in rows])
+    s, d = [_pack(row, width) for row in rows], [0]
+    nums = _disc_numerator_rows(tau, max_m)
     for m in range(1, max_m + 1):
-        level = dlogy[m]
-        # x-coordinates: multiply by (-1)^(m*tau); a-exponent l is raw v/2
-        sign = (-1) ** ((m * tau) % 2)
-        for l in range(0, m + 1):
-            got = sign * level.coeff(0, 2 * l)
-            want = -_disc_numerator(m, l, tau)
-            if got != want:
-                rep.failures.append({"m": m, "l": l, "got": got, "want": want})
-        extra = [
-            (u, v)
-            for (u, v), _ in level.items()
-            if u != 0 or v < 0 or v > 2 * m or v % 2
-        ]
-        if extra:
-            rep.failures.append({"m": m, "unexpected_support": extra})
+        d.append(m * s[m] - sum(d[k] * s[m - k] for k in range(1, m)))
+        sign = (-1) ** ((m * tau) % 2)  # x-coordinates
+        for l, c in enumerate(_unpack(d[m], width, m + 1)):
+            if sign * c != -nums[m][l]:
+                rep.failures.append({"m": m, "l": l, "got": sign * c, "want": -nums[m][l]})
+        if off_row[m]:
+            rep.failures.append({"m": m, "unexpected_support": off_row[m]})
     return rep
 
 
@@ -153,17 +175,12 @@ def _annulus_log(tau: int, order: int) -> list:
     1 + ... + t^(n-k) is one multiply (``_packed_geometric``), before the
     a-coefficients of kernel_level(tau, n-k) move it.  Packing is a ring
     map, so this is exact; unpacking a level (``_unpack``) needs its
-    coefficients below 2^(8 width - 1).  The l1 norm is submultiplicative
-    and |S_n|_1 = (n+1) |kernel_level(tau, n)|_1, so the recurrence gives
-    |D_n|_1 <= n |S_n|_1 + sum_(0<k<n) |D_k|_1 |S_(n-k)|_1; the largest of
-    these bounds over n <= order sets the width.
+    coefficients below 2^(8 width - 1), and ``_dlog_width`` sets the width
+    from |S_n|_1 = (n+1) |kernel_level(tau, n)|_1.
     """
     kern = [kernel_level(tau, n) for n in range(order + 1)]
-    norm = [(n + 1) * sum(abs(c) for _, c in kern[n].items()) for n in range(order + 1)]
-    bound = [0]
-    for n in range(1, order + 1):
-        bound.append(n * norm[n] + sum(bound[k] * norm[n - k] for k in range(1, n)))
-    width = max(bound).bit_length() // 8 + 1
+    width = _dlog_width([(n + 1) * sum(abs(c) for _, c in kern[n].items())
+                         for n in range(order + 1)])
     geometric = [_packed_geometric(width, 1, count) for count in range(order + 2)]
     packed, d = [{}], [{}]
     for n in range(1, order + 1):
@@ -231,6 +248,7 @@ def annulus_n(m1: int, m2: int, l: int, tau: int, order: int | None = None):
 # multi-hole (>= 3 holes, genus 0, top charge)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1 << 12)
 def multihole_K(mu: Partition, tau: int) -> int:
     """Top-charge multi-cover invariant for a partition with >= 3 parts."""
     if len(mu) < 3:
@@ -244,6 +262,7 @@ def multihole_K(mu: Partition, tau: int) -> int:
     return out
 
 
+@lru_cache(maxsize=1 << 12)
 def multihole_n(mu: Partition, tau: int) -> int:
     """Single-cover multi-hole invariant via Moebius inversion over d | mu.
 

@@ -137,9 +137,6 @@ class LaurentQA:
     def items(self):
         return iter(self._c.items())
 
-    def coeff(self, u: int, v: int) -> int:
-        return self._c.get((u, v), 0)
-
     def a_slices(self) -> dict:
         """Group coefficients by a-exponent: v -> {u: coefficient}."""
         out: dict = {}

@@ -38,7 +38,10 @@ sums (``b_minus``, ``b_plus``) from before ``arith.loop_quiver_dt``.
 The genus-zero Moebius sums, one integer numerator and one exact divmod
 in the library, are checked against the sums of Fractions they replaced
 (``disc_n``, ``annulus_n``, with ``certified_int``, and the Fraction maps
-``disc_c`` and ``annulus_c``), and the library's ``math.comb``
+``disc_c`` and ``annulus_c``; ``disc_c`` reads ``genus0.binomial_ext``, so
+that a test that patches it reaches both sums), the packed disc-series
+oracle against its LaurentQA form (``disc_series_check``, levels by
+``series_dlog``), and the library's ``math.comb``
 ``binomial_ext`` against the falling factorial.  The row numerator ``_row_numerator`` behind
 ``unknot_row`` gives ``recursion_pair``, the full-row sides of the framed
 row recursion that the library reduced to their 2-term core.
@@ -74,8 +77,8 @@ from typing import Callable, Mapping
 
 from helpers import quantum_int_a, quantum_prod
 from lmov import cli, genus0
-from lmov.arith import TheoremViolation, div_one_minus, divisors, moebius
-from lmov.genus0 import _annulus_column, _disc_numerator
+from lmov.arith import Report, TheoremViolation, div_one_minus, divisors, moebius
+from lmov.genus0 import _annulus_column
 from lmov.partitions import (
     Partition,
     kappa,
@@ -93,6 +96,7 @@ from lmov.qa import (
     one_minus_q_prod,
     quantum_int,
 )
+from lmov.series import series_dlog
 
 Rat = int | Fraction
 
@@ -637,6 +641,41 @@ def kernel_level(tau: int, n: int, order: int) -> LaurentQA:
     return exact_div(y[n + 1], y[1])  # Y_1 = 1 - a
 
 
+_ONE_MINUS_A = LaurentQA({(0, 0): 1, (0, 2): -1})
+
+
+def disc_series_check(tau: int, max_m: int) -> Report:
+    """``genus0.disc_series_check`` on LaurentQA levels: 1 - Y(X) rebuilt
+    from ``genus0.kernel_level`` as LaurentQA coefficients, its levels
+    taken by ``series_dlog``, each compared coefficient by coefficient with
+    the negated closed-form numerator, and any term of a level off the
+    a-row (a power of q, an odd or out-of-range a-exponent) recorded."""
+    if max_m < 1:
+        raise ValueError("disc_series_check needs max_m >= 1")
+    rep = Report("disc-series", {"tau": tau, "max_m": max_m})
+    one_minus_y = [LaurentQA.one()] + [
+        -(_ONE_MINUS_A * genus0.kernel_level(tau, n)) for n in range(max_m)
+    ]
+    dlogy = series_dlog(one_minus_y)
+    for m in range(1, max_m + 1):
+        level = dict(dlogy[m].items())
+        # x-coordinates: multiply by (-1)^(m*tau); a-exponent l is raw v/2
+        sign = (-1) ** ((m * tau) % 2)
+        for l in range(0, m + 1):
+            got = sign * level.get((0, 2 * l), 0)
+            want = -(disc_c(m, l, tau) * m * m)
+            if got != want:
+                rep.failures.append({"m": m, "l": l, "got": got, "want": int(want)})
+        extra = [
+            (u, v)
+            for (u, v) in level
+            if u != 0 or v < 0 or v > 2 * m or v % 2
+        ]
+        if extra:
+            rep.failures.append({"m": m, "unexpected_support": extra})
+    return rep
+
+
 def certified_int(x: Fraction | int, what: str) -> int:
     f = Fraction(x)
     if f.denominator != 1:
@@ -662,7 +701,11 @@ def disc_c(m: int, l: int, tau: int) -> Fraction:
         raise ValueError("disc_c needs m >= 1")
     if not 0 <= l <= m:
         raise ValueError("disc_c needs 0 <= l <= m")
-    return Fraction(_disc_numerator(m, l, tau), m * m)
+    # m^2 c_{m,l}, a signed product of two binomials; through genus0's
+    # binomial_ext, so that a test that patches it reaches this sum too
+    sign = -1 if (m * tau + m + l) % 2 == 0 else 1
+    num = sign * genus0.binomial_ext(m, l) * genus0.binomial_ext(m * tau + l - 1, m - 1)
+    return Fraction(num, m * m)
 
 
 def disc_n(m: int, l: int, tau: int) -> int:

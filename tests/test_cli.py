@@ -452,14 +452,21 @@ def test_a_remainder_in_a_round_trip_fails_cleanly(monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_violation_fails_only_its_suite(tmp_path, monkeypatch, capsys):
-    def broken(m, l, tau):
-        raise TheoremViolation(f"n_({m},{l})(tau={tau}) is not an integer: 1/2")
+def test_infrastructure_builds_each_z_squared_power_once(monkeypatch):
+    calls, real = [], LaurentQA.__pow__
+    monkeypatch.setattr(LaurentQA, "__pow__", lambda f, n: calls.append(n) or real(f, n))
+    assert verify.check_infrastructure(**verify.FULL["infra"], seed=0).ok
+    assert calls == [0, 1, 2, 3, 4]
 
-    monkeypatch.setattr(genus0, "disc_n", broken)
+
+def test_violation_fails_only_its_suite(tmp_path, monkeypatch, capsys):
+    def broken(tau, max_m):
+        raise TheoremViolation(f"n_(1,0)(tau={tau}) is not an integer: 1/2")
+
+    monkeypatch.setattr(genus0, "disc_rows", broken)
     reports = list(verify.run_all(verify.QUICK, seed=6))
     assert [r.name for r in reports] == SUITES
-    # general-partition reads disc_n too, for its genus-zero dictionary
+    # general-partition reads disc_rows too, for its genus-zero dictionary
     assert [r.name for r in reports if not r.ok] == ["disc-integrality", "general-partition"]
     assert reports[SUITES.index("general-partition")].failures == [
         {"violation": "n_(1,0)(tau=-1) is not an integer: 1/2"}

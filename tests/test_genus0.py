@@ -5,15 +5,15 @@ from math import gcd
 import pytest
 
 import reference
-from helpers import cli_output, unpack_widths
-from lmov import genus0
+from helpers import clear_lmov_caches, cli_output, unpack_widths
+from lmov import genus0, verify
 from lmov.arith import TheoremViolation, binomial_ext, divisors, moebius
 from lmov.cli import EXIT_THEOREM, main
 from lmov.genus0 import (
     _annulus_column,
     annulus_n,
     annulus_top_numerator,
-    disc_n,
+    disc_rows,
     disc_series_check,
     kernel_level,
     multihole_K,
@@ -45,17 +45,19 @@ def test_disc_c_domain():
 
 def test_disc_n_examples():
     for tau in range(-3, 4):
-        assert disc_n(1, 0, tau) == (-1) ** (tau % 2)
-    assert disc_n(2, 2, 0) == 0
-    assert disc_n(2, 1, 1) == 1
+        assert disc_rows(tau, 1) == [[(-1) ** (tau % 2), -((-1) ** (tau % 2))]]
+    assert disc_rows(0, 2)[1][2] == 0
+    assert disc_rows(1, 2)[1][1] == 1
+    assert disc_rows(1, 0) == []
 
 
 def test_disc_n_matches_fraction_sum_reference():
     # one integer numerator over m^2 against the sum of Fractions mu(d)/d^2 c
     for tau in range(-12, 13):
-        for m in range(1, 61):
-            for l in range(0, m + 1):
-                assert disc_n(m, l, tau) == reference.disc_n(m, l, tau), (m, l, tau)
+        rows = disc_rows(tau, 60)
+        assert [len(row) for row in rows] == list(range(2, 62)), tau
+        for m, row in enumerate(rows, 1):
+            assert row == [reference.disc_n(m, l, tau) for l in range(m + 1)], (m, tau)
 
 
 def test_disc_n_off_by_one_binomial_is_a_violation(monkeypatch, capsys):
@@ -64,28 +66,47 @@ def test_disc_n_off_by_one_binomial_is_a_violation(monkeypatch, capsys):
     monkeypatch.setattr(
         genus0, "binomial_ext", lambda n, k: real(n, k) + ((n, k) == (2, 1))
     )
+    clear_lmov_caches()
     with pytest.raises(TheoremViolation) as want:
         reference.disc_n(2, 1, 1)
     assert str(want.value) == "n_(2,1)(tau=1) is not an integer: 9/4"
     with pytest.raises(TheoremViolation) as got:
-        disc_n(2, 1, 1)
+        disc_rows(1, 2)
     assert str(got.value) == str(want.value)
     try:
         assert main(["verify-all", "--quick"]) == EXIT_THEOREM
-    finally:  # the sweep's mirror-curve levels saw the broken binomial too
-        genus0.kernel_level.cache_clear()
-        genus0._annulus_log.cache_clear()
+    finally:  # the sweep's mirror-curve levels and multi-hole values saw it too
+        clear_lmov_caches()
     assert capsys.readouterr().out.splitlines()[0].startswith("FAIL  disc-integrality  [")
+
+
+def test_disc_rows_raise_at_the_first_bad_cell(monkeypatch):
+    # a remainder in several cells: the message names the first in the
+    # order m, l, the cell the per-cell sum raised at
+    real = genus0._disc_numerator_rows
+
+    def bumped(tau, max_m):
+        rows = real(tau, max_m)
+        for m, l in [(5, 4), (3, 2), (3, 1), (7, 0)]:
+            if m <= max_m:
+                rows[m][l] += 1
+        return rows
+
+    monkeypatch.setattr(genus0, "_disc_numerator_rows", bumped)
+    with pytest.raises(TheoremViolation, match=r"^n_\(3,1\)\(tau=2\) is not an integer: "):
+        disc_rows(2, 8)
+    assert len(disc_rows(2, 2)) == 2
 
 
 def test_disc_n_moebius_inverts():
     # c_{m,l} = sum over d of n_{m/d,l/d}/d^2 recovers the multi-cover side
     for tau in (-2, 1, 3):
+        rows = disc_rows(tau, 8)
         for m in range(1, 9):
             for l in range(0, m + 1):
                 total = Fraction(0)
                 for d in divisors(gcd(m, l) if l else m):
-                    total += Fraction(disc_n(m // d, l // d, tau), d * d)
+                    total += Fraction(rows[m // d - 1][l // d], d * d)
                 assert total == disc_c(m, l, tau), (m, l, tau)
 
 
@@ -106,11 +127,68 @@ def test_disc_series_oracle_small():
         assert rep.ok, rep.failures[:3]
 
 
+@pytest.mark.parametrize("tau", range(-8, 9))
+def test_packed_disc_oracle_matches_the_laurent_oracle(tau):
+    for max_m in (1, 2, 5, 16):
+        got, want = disc_series_check(tau, max_m), reference.disc_series_check(tau, max_m)
+        assert (got.name, got.params, got.failures) == (want.name, want.params, want.failures)
+        assert got.ok
+
+
+@pytest.mark.parametrize("bump", [lambda n: 1, lambda n: n + 1])
+def test_packed_disc_oracle_matches_the_laurent_oracle_on_a_broken_kernel(monkeypatch, bump):
+    # one Lagrange coefficient of level n = 3 off: by 1, N = 4 does not
+    # divide it and both routes raise the same violation; by N, it
+    # divides, and both report the same cells
+    real = genus0._lagrange_numerator
+
+    def off(tau, n):
+        out = real(tau, n)
+        if n == 3:
+            out[1] += bump(n)
+        return out
+
+    monkeypatch.setattr(genus0, "_lagrange_numerator", off)
+    try:
+        for tau in (-3, -2, 0, 1, 4):
+            for max_m in (3, 4, 9):
+                genus0.kernel_level.cache_clear()
+                try:
+                    got = disc_series_check(tau, max_m).failures
+                except TheoremViolation as e:
+                    got = str(e)
+                genus0.kernel_level.cache_clear()
+                try:
+                    want = reference.disc_series_check(tau, max_m).failures
+                except TheoremViolation as e:
+                    want = str(e)
+                assert got == want, (tau, max_m)
+                assert bool(got) == (max_m >= 4), (tau, max_m)
+    finally:
+        genus0.kernel_level.cache_clear()
+
+
+def test_packed_disc_oracle_records_a_kernel_term_off_the_row(monkeypatch):
+    # a q-power, an odd a-exponent and an a-power past the row, each in
+    # kernel level 2, which enters S_3: recorded at m = 3, never dropped
+    real = genus0.kernel_level
+    for extra in [(2, 0), (0, 1), (0, 6), (0, -2)]:
+        def broken(tau, n, extra=extra):
+            out = real(tau, n)
+            return out + LaurentQA({extra: 5}) if n == 2 else out
+
+        monkeypatch.setattr(genus0, "kernel_level", broken)
+        failures = disc_series_check(1, 5).failures
+        assert {"m": 3, "unexpected_support": [extra]} in failures, extra
+        assert reference.disc_series_check(1, 5).failures != [], extra
+
+
 def test_disc_table_shape():
     argv = ["disc", "--tau", "-2", "--max-m", "4"]
     rows = json.loads(cli_output(*argv))["rows"]
     assert [(r["m"], r["l"]) for r in rows] == [(m, l) for m in range(1, 5) for l in range(m + 1)]
-    assert all(r["n"] == disc_n(r["m"], r["l"], -2) and r["integral"] for r in rows)
+    want = disc_rows(-2, 4)
+    assert all(r["n"] == want[r["m"] - 1][r["l"]] and r["integral"] for r in rows)
     header, *lines = cli_output(*argv, "--format", "csv").splitlines()
     assert header == "m,l,tau,value,integral"
     assert lines == [f"{r['m']},{r['l']},-2,{r['n']},True" for r in rows]
@@ -305,6 +383,28 @@ def test_multihole_cover_consistency():
             for mu in partitions_of(size):
                 if len(mu) >= 3:
                     assert multihole_cover_check(mu, tau), (mu, tau)
+
+
+def test_the_genus_zero_suites_compute_each_value_once(monkeypatch):
+    # at the FULL disc range, one numerator (two binomials) per cell, and
+    # at the FULL multihole range one K and one n per (mu, tau)
+    calls, real = [], genus0.binomial_ext
+    monkeypatch.setattr(genus0, "binomial_ext", lambda n, k: calls.append(n) or real(n, k))
+    disc = verify.FULL["disc"]
+    assert verify.check_disc_integrality(**disc).ok
+    assert len(calls) == 2 * 14_620 == 2 * len(disc["tau_range"]) * sum(
+        m + 1 for m in range(1, disc["max_m"] + 1))
+    clear_lmov_caches()
+    try:
+        bounds = verify.FULL["multihole"]
+        assert verify.check_multihole(**bounds).ok
+        cells = sum(len(mu) >= 3 for size in range(3, bounds["max_size"] + 1)
+                    for mu in partitions_of(size)) * len(bounds["tau_range"])
+        for cached in (genus0.multihole_K, genus0.multihole_n):
+            info = cached.cache_info()
+            assert info.misses == info.currsize == cells == 1_133, cached
+    finally:
+        clear_lmov_caches()
 
 
 def test_multihole_table():
