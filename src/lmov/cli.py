@@ -14,10 +14,12 @@ required option; the unrecognized arguments.  ``-h`` prints help.
 
 Exit status: 0 success, 1 usage error or out of memory, 2 violation of a
 proved theorem (the test suite asserts 2 is unreachable on shipped ranges).
+``main`` freezes the heap once argv parses, so shutdown stops collecting it.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import sys
@@ -301,7 +303,10 @@ def _verify_all(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command line; return its exit status.  What is alive once argv
+    parses lives until exit, so ``gc.freeze`` there lets shutdown skip it."""
     args = parse_args(sys.argv[1:] if argv is None else argv)
+    gc.freeze()
     if args.command == "twist" and not _twist_ps(args):
         _fail("lmov", f"--p-min {args.p_min} --p-max {args.p_max} holds no p <= -1 or p >= 2")
     try:

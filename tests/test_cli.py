@@ -1,8 +1,12 @@
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +20,7 @@ from lmov import cli, genus0, gwdt, onehole, verify
 from lmov.arith import TheoremViolation
 from lmov.qa import ExactDivisionError, LaurentQA
 from lmov.cli import EXIT_OK, EXIT_THEOREM, EXIT_USAGE, main
+from test_golden_outputs import GOLDEN
 
 SUITES = [
     "disc-integrality",
@@ -159,6 +164,33 @@ def test_deterministic_output(tmp_path):
         assert main(argv + ["--out", str(a)]) == EXIT_OK
         assert main(argv + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes(), argv
+
+
+def _lmov(argv):
+    """``python -m lmov.cli ARGV`` in a fresh process: ``sys.exit(main())``
+    and then the interpreter's own exit, with stdout a block-buffered pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parent.parent)
+    return subprocess.run([sys.executable, "-m", "lmov.cli", *argv], env=env,
+                          capture_output=True)
+
+
+@pytest.mark.parametrize("request_line", [
+    "onehole --tau -3 --max-m 8 --format csv",
+    "gwdt-check --tau -1 --order 8",  # two writes: the JSON, then PASS
+])
+def test_the_exit_path_delivers_every_byte(request_line):
+    run = _lmov(request_line.split())
+    assert (run.returncode, run.stderr) == (EXIT_OK, b"")
+    assert hashlib.sha256(run.stdout).hexdigest() == dict(GOLDEN)[request_line]
+
+
+def test_the_exit_path_writes_every_byte_of_out(tmp_path):
+    out = tmp_path / "disc.json"
+    run = _lmov(["disc", "--tau", "-2", "--max-m", "8", "--out", str(out)])
+    assert (run.returncode, run.stdout, run.stderr) == (EXIT_OK, b"", b"")
+    digest = dict(GOLDEN)["disc --tau -2 --max-m 8"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 BAD_INPUT = [

@@ -99,6 +99,20 @@ def test_a_table_request_loads_no_argument_parser():
     assert '"table": "disc"' in run.stdout
 
 
+def test_main_freezes_the_heap_and_import_does_not():
+    # the freeze belongs to a process that runs one command line: importing
+    # lmov.cli leaves its importer's collector as it was
+    code = ("import gc, sys, lmov.cli; counts = [gc.get_freeze_count()]; "
+            "lmov.cli.main(['disc', '--tau', '1', '--max-m', '2']); "
+            "counts.append(gc.get_freeze_count()); print(counts, file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    before, after = ast.literal_eval(run.stderr)
+    assert before == 0
+    assert after > 0
+
+
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
