@@ -10,7 +10,7 @@ factor of the row kernels.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from fractions import Fraction  # at import: see ROADMAP on perfbench's request clock
 from functools import cache
 from itertools import accumulate
 from math import comb, isqrt
@@ -24,12 +24,18 @@ class TheoremViolation(AssertionError):
     """
 
 
+def ratio_text(num: int, den: int) -> str:
+    """num/den (den > 0, not dividing num) in lowest terms, the sign on the
+    numerator: the text of a failed division."""
+    return str(Fraction(num, den))
+
+
 def certified_div(num: int, den: int, what: str, *args) -> int:
     """num / den (den > 0) by one divmod; a remainder is a TheoremViolation
     naming ``what.format(*args)``, formatted only then."""
     q, r = divmod(num, den)
     if r:
-        raise TheoremViolation(f"{what.format(*args)} is not an integer: {Fraction(num, den)}")
+        raise TheoremViolation(f"{what.format(*args)} is not an integer: {ratio_text(num, den)}")
     return q
 
 

@@ -233,12 +233,12 @@ def _table(args) -> tuple:
         head = {"table": "disc", "tau": tau, "max_m": args.max_m}
         return head, rows, ["m", "l", "tau", "value=n", "integral"]
     if cmd == "annulus":
-        rows = []
-        for m1 in range(1, args.max_total):
-            for m2 in range(1, args.max_total + 1 - m1):
-                for l in range(m1 + m2 + 1):
-                    v, ok = genus0.annulus_n(m1, m2, l, tau, order=args.max_total)
-                    rows.append({"m1": m1, "m2": m2, "l": l, "n": v, "integral": ok})
+        rows = [
+            {"m1": m1, "m2": m2, "l": l, "n": n, "integral": True}
+            for m1 in range(1, args.max_total)
+            for m2 in range(1, args.max_total + 1 - m1)
+            for l, n in enumerate(genus0.annulus_row(m1, m2, tau, args.max_total))
+        ]
         head = {"table": "annulus", "tau": tau, "max_total": args.max_total}
         return head, rows, ["m1", "m2", "l", "tau", "value=n", "integral"]
     if cmd == "multihole":

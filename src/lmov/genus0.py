@@ -17,21 +17,21 @@ The disc and annulus tables come with two independent routes:
 
 Single-cover invariants are Moebius sums over common divisors, each one
 integer numerator over m^2 (disc) or m1+m2 (annulus), certified by one exact
-``divmod`` where integrality is a theorem; elsewhere tables carry a flag.
-``disc_rows`` builds each disc numerator row once per (m, tau) and adds
-row m/d into row m at stride d.  Multi-hole values are memoised, so the
-cover check computes each once.
+``divmod`` at every charge: integrality is a theorem there.  ``disc_rows``
+builds each disc numerator row once per (m, tau) and adds row m/d into row
+m at stride d; ``annulus_row`` adds column (m1/d, m2/d) into row (m1, m2)
+at stride d.  Multi-hole values are memoised, so the cover check computes
+each once.
 
 Index conventions (fixed here once and used by the CLI and tests):
 the annulus coefficient table is indexed by the raw a-exponent l of the
-X-kernel log, 0 <= l <= m1+m2.  The closed-form / certified-integral
-slice sits at l = m1 + m2 (the top a-degree; equivalently charge
-Q = (m1+m2)/2 after restoring x = (-1)^tau a^(1/2) X).
+X-kernel log, 0 <= l <= m1+m2.  The closed-form slice sits at
+l = m1 + m2 (the top a-degree; equivalently charge Q = (m1+m2)/2 after
+restoring x = (-1)^tau a^(1/2) X).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
@@ -221,27 +221,24 @@ def annulus_top_numerator(m1: int, m2: int, tau: int) -> int:
     return binomial_ext(m1 * tau + m1 - 1, m1) * binomial_ext(m2 * tau + m2, m2)
 
 
-def annulus_n(m1: int, m2: int, l: int, tau: int, order: int | None = None):
-    """Single-cover annulus invariant n_{(m1,m2),l}(tau) as (value, integral):
-    one integer Moebius sum over m1+m2.  On the top slice l = m1+m2 the
-    division is a theorem, certified, and value an int; below it one divmod
-    gives an int where it is whole and a Fraction where it is not, and
-    ``integral`` says which."""
+def annulus_row(m1: int, m2: int, tau: int, order: int | None = None) -> list:
+    """Single-cover annulus invariants [n_{(m1,m2),0}, ..., n_{(m1,m2),m1+m2}]:
+    (m1+m2) n_{(m1,m2),l} = sum_{d | gcd(m1,m2,l)} s_d mu(d) (m1+m2)/d
+    c_{(m1/d,m2/d),l/d}, s_d = (-1)^floor((m1+m2) tau/d), one strided add of
+    column (m1/d, m2/d) per d | gcd(m1, m2), certified divisible by m1+m2;
+    the first remainder, in l order, is a TheoremViolation."""
     if m1 < 1 or m2 < 1:
-        raise ValueError("annulus_n needs m1, m2 >= 1")
+        raise ValueError("annulus_row needs m1, m2 >= 1")
     n = m1 + m2
-    if not 0 <= l <= n:
-        raise ValueError("annulus_n needs 0 <= l <= m1+m2")
-    total = 0
-    for d in divisors(gcd(gcd(m1, m2), l)):
+    total = [0] * (n + 1)
+    for d in divisors(gcd(m1, m2)):
         mu = moebius(d)
         if mu:
             sign = -mu if (n * tau // d) % 2 else mu
-            total += sign * _annulus_column(m1 // d, m2 // d, tau, order).get(l // d, 0)
-    if l == n:
-        return certified_div(total, n, "n_(({},{}),{})(tau={})", m1, m2, l, tau), True
-    quo, rem = divmod(total, n)
-    return (Fraction(total, n) if rem else quo), not rem
+            for l, c in _annulus_column(m1 // d, m2 // d, tau, order).items():
+                total[d * l] += sign * c
+    return [certified_div(t, n, "n_(({},{}),{})(tau={})", m1, m2, l, tau)
+            for l, t in enumerate(total)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,9 @@ extracted c_{n,k} must be nonnegative integers with finite support.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import Report, TheoremViolation
+from .arith import Report, TheoremViolation, ratio_text
 from .qa import ExactDivisionError, LaurentQA, PochFrac, exact_div, one_minus_q_prod
 from .series import plethystic_dexp, plethystic_dlog, series_dlog
 
@@ -97,7 +96,7 @@ def ooguri_vafa(tau: int, max_m: int) -> OVTable:
             k = u - 1  # exponent q^(u/2) = q^((k+1)/2)
             n, r = divmod(-c, m)
             if r:
-                rep.failures.append({"m": m, "k": k, "reason": f"non-integer {Fraction(-c, m)}"})
+                rep.failures.append({"m": m, "k": k, "reason": f"non-integer {ratio_text(-c, m)}"})
                 continue
             entries[k] = n
         rows[m] = entries
@@ -171,7 +170,7 @@ def dt_extract(loops: int, max_n: int) -> DTTable:
             val, r = divmod(sign * c, n)
             if r:
                 raise TheoremViolation(
-                    f"non-integer DT entry c_({n},{k}) = {Fraction(sign * c, n)}"
+                    f"non-integer DT entry c_({n},{k}) = {ratio_text(sign * c, n)}"
                 )
             if k < 0 or val < 0:
                 raise TheoremViolation(

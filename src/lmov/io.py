@@ -5,8 +5,8 @@ never appear in a table, CSV uses LF line endings and UTF-8.
 
 ``json_bytes`` writes the bytes of ``json.dumps(..., sort_keys=True,
 indent=2)`` plus a newline in one recursive pass, for dicts (str, int,
-float, bool or None keys), lists, tuples, str, int, float, bool, None and
-Fraction (an int, or ``{"num", "den"}``); anything else is a TypeError.
+float, bool or None keys), lists, tuples, str, int, float, bool and None;
+anything else is a TypeError, as in ``json.dumps``.
 ``tests/reference.py`` keeps the ``json.dumps`` form it is tested against.
 
 A table is one ``(head, rows, columns)`` triple.  ``head`` holds the
@@ -23,7 +23,6 @@ import csv
 import io as _io
 import os
 import sys
-from fractions import Fraction
 from json.encoder import INFINITY as _INF, encode_basestring_ascii as _str
 
 
@@ -52,9 +51,6 @@ def _value(v, pad: str) -> str:
         return f"[\n{inner}" + f",\n{inner}".join(cells) + f"\n{pad}]" if v else "[]"
     if v is None or v is True or v is False:
         return "null" if v is None else "true" if v else "false"
-    if isinstance(v, Fraction):  # an int, or its numerator and denominator
-        whole = v.denominator == 1
-        return _value(v.numerator if whole else {"num": v.numerator, "den": v.denominator}, pad)
     if isinstance(v, (dict, list, tuple)):
         return _value(dict(v.items()) if isinstance(v, dict) else list(v), pad)
     if isinstance(v, (str, int)):

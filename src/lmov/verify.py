@@ -38,8 +38,9 @@ def check_disc_oracle(max_m: int, tau_range: range) -> Report:
 
 def check_annulus(max_total: int, tau_range: range) -> Report:
     """The top slice l = m1+m2 of every kernel-log column against its
-    closed form, both as the integer (m1+m2) c; the certified single-cover
-    top entries; the quadratic special value n_(1,1) = tau(tau+1)/2."""
+    closed form, both as the integer (m1+m2) c; every single-cover row
+    ``genus0.annulus_row``, certified at every charge; the quadratic
+    special value n_(1,1) = tau(tau+1)/2."""
     rep = Report("annulus", {"max_total": max_total, "tau": list(tau_range)})
     for tau in tau_range:
         for m1 in range(1, max_total):
@@ -50,8 +51,8 @@ def check_annulus(max_total: int, tau_range: range) -> Report:
                     rep.failures.append(
                         {"tau": tau, "m1": m1, "m2": m2, "got": top, "want": want}
                     )
-                genus0.annulus_n(m1, m2, m1 + m2, tau, order=max_total)
-        v, _ = genus0.annulus_n(1, 1, 2, tau, order=max_total)
+                genus0.annulus_row(m1, m2, tau, max_total)
+        v = genus0.annulus_row(1, 1, tau, max_total)[2]
         if v != tau * (tau + 1) // 2:
             rep.failures.append({"tau": tau, "n_(1,1)": v})
     return rep
@@ -126,7 +127,7 @@ def _genus_zero_matches(mu: tuple, tau: int, table, order: int) -> bool:
     if len(mu) == 1:
         return got == genus0.disc_rows(tau, size)[-1] and table == onehole.lmov_one_hole(size, tau)
     if len(mu) == 2:
-        return got == [genus0.annulus_n(*mu, l, tau, order)[0] for l in range(size + 1)]
+        return got == genus0.annulus_row(*mu, tau, order)
     return got[size] == genus0.multihole_n(mu, tau)
 
 
@@ -134,7 +135,7 @@ def check_general_partition(max_size: int, tau_range: range) -> Report:
     """Conjecture-level sweep: integral tables for every partition, and the
     genus-zero dictionary: the g = 0 row, signed by (-1)^l(mu), is row
     |mu| of ``disc_rows`` for one part (and the table is ``lmov_one_hole``'s),
-    ``annulus_n`` at every charge for two, ``multihole_n`` at the top
+    ``annulus_row`` for two, ``multihole_n`` at the top
     charge for three or more."""
     rep = Report("general-partition", {"max_size": max_size, "tau": list(tau_range)})
     for tau in tau_range:

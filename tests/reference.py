@@ -57,8 +57,8 @@ argparse parser it replaced, ``argparse_parser``, built as before with
 its validators ``_int_in`` and ``_out_path``.
 The one-pass ``lmov.io`` writers are checked against the stdlib
 serialisers they replaced: ``json_bytes``, ``json.dumps(...,
-sort_keys=True, indent=2)`` of a copy with every Fraction turned into an
-int or a ``{"num", "den"}`` dict (``_jsonify``), and ``table_bytes``, whose
+sort_keys=True, indent=2)`` of a copy with every tuple turned into a
+list (``_jsonify``), and ``table_bytes``, whose
 CSV lines each merge the head, the row and one entry into a dict.
 """
 
@@ -1559,10 +1559,6 @@ def g_mu_target(mu: Partition, tau: int) -> RationalQA:
 
 
 def _jsonify(obj):
-    if isinstance(obj, Fraction):
-        if obj.denominator == 1:
-            return int(obj)
-        return {"num": obj.numerator, "den": obj.denominator}
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -16,6 +16,7 @@ from lmov.arith import (
     gaussian_binomial,
     moebius,
     qbinomial_step,
+    ratio_text,
 )
 
 
@@ -89,6 +90,14 @@ def test_certified_div():
         certified_div(-6, 4, "n_(2,1)")
     with pytest.raises(TheoremViolation, match=r"^n_\(2,1\) is not an integer: -3/2$"):
         certified_div(-6, 4, "n_({},{})", 2, 1)
+
+
+def test_ratio_text_is_the_text_of_the_fraction():
+    # reduced, the sign on the numerator, wherever the division leaves a remainder
+    for p in range(-30, 31):
+        for q in range(1, 13):
+            if p % q:
+                assert ratio_text(p, q) == str(Fraction(p, q)), (p, q)
 
 
 def test_certified_div_formats_its_message_only_on_a_remainder():

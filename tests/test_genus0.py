@@ -11,7 +11,7 @@ from lmov.arith import TheoremViolation, binomial_ext, divisors, moebius
 from lmov.cli import EXIT_THEOREM, main
 from lmov.genus0 import (
     _annulus_column,
-    annulus_n,
+    annulus_row,
     annulus_top_numerator,
     disc_rows,
     disc_series_check,
@@ -263,53 +263,68 @@ def test_annulus_symmetry():
                 assert a == b
 
 
-def test_annulus_n_values():
+def test_annulus_row_values():
     for tau in range(-6, 7):
-        v, certified = annulus_n(1, 1, 2, tau)
-        assert certified
-        assert v == tau * (tau + 1) // 2
-    assert annulus_n(1, 1, 2, 1)[0] == 1
-    assert annulus_n(2, 2, 4, 1, order=4)[0] == 4
+        assert annulus_row(1, 1, tau)[2] == tau * (tau + 1) // 2
+    assert annulus_row(1, 1, 1)[2] == 1
+    assert annulus_row(2, 2, 1, order=4)[4] == 4
 
 
-def test_annulus_n_matches_fraction_sum_reference():
-    # one integer numerator over m1+m2 against the sum of Fractions mu(d)/d c
+def test_annulus_row_matches_fraction_sum_reference():
+    # one integer numerator over m1+m2 against the sum of Fractions mu(d)/d c,
+    # whole rows: every charge is an int, equal to the reference's Fraction
     for tau in range(-6, 7):
         for m1 in range(1, 12):
             for m2 in range(1, 13 - m1):
-                for l in range(m1 + m2 + 1):
-                    got = annulus_n(m1, m2, l, tau, order=12)
-                    want = reference.annulus_n(m1, m2, l, tau, order=12)
-                    # the reference keeps a Fraction below the top slice;
-                    # the library gives an int wherever the value is whole
-                    assert got == want, (m1, m2, l, tau)
-                    assert type(got[0]) is (int if got[1] else Fraction), (m1, m2, l, tau)
+                got = annulus_row(m1, m2, tau, order=12)
+                want = [reference.annulus_n(m1, m2, l, tau, order=12)[0]
+                        for l in range(m1 + m2 + 1)]
+                assert got == want, (m1, m2, tau)
+                assert all(type(n) is int for n in got), (m1, m2, tau)
 
 
-def test_annulus_n_below_the_top_keeps_a_fraction_on_a_remainder(monkeypatch):
-    # a kernel-log column off by one below the top slice: 1 more than a
-    # multiple of m1+m2 = 3 is a Fraction, flagged as not integral
-    want, _ = reference.annulus_n(1, 2, 1, 2)
+@pytest.fixture
+def off_by_one_at_tau_2(monkeypatch):
+    # a kernel-log column off by one below the top slice at tau = 2: 1 more
+    # than a multiple of m1+m2 where the true column has none
     real = genus0._annulus_column
 
     def off_by_one(m1, m2, tau, order):
         col = dict(real(m1, m2, tau, order))
-        col[1] = col.get(1, 0) + 1
+        if tau == 2:
+            col[1] = col.get(1, 0) + 1
         return col
 
     monkeypatch.setattr(genus0, "_annulus_column", off_by_one)
-    value, integral = annulus_n(1, 2, 1, 2)
-    assert type(value) is Fraction and value.denominator == 3 and not integral
-    assert value == want + Fraction(1, 3)
 
 
-def test_annulus_n_rejects_bad_arguments():
-    for m1, m2, l in [(0, 0, 0), (0, 2, 1), (2, 0, 1), (1, 2, 4), (1, 1, -1)]:
-        with pytest.raises(ValueError, match="annulus_n needs"):
-            annulus_n(m1, m2, l, 1)
+def test_annulus_row_remainder_below_the_top_is_a_violation(off_by_one_at_tau_2):
+    # the first remainder in l order, its ratio 1/3 off the reference's value
+    want = [reference.annulus_n(1, 2, l, 2)[0] for l in range(4)]
+    with pytest.raises(TheoremViolation) as e:
+        annulus_row(1, 2, 2)
+    assert str(e.value) == f"n_((1,2),1)(tau=2) is not an integer: {want[1] + Fraction(1, 3)}"
+    assert annulus_row(1, 2, 1) == [reference.annulus_n(1, 2, l, 1)[0] for l in range(4)]
 
 
-def test_annulus_n_closed_form_regression():
+def test_annulus_row_remainder_exits_2_and_fails_the_annulus_suite(off_by_one_at_tau_2, capsys):
+    assert main(["annulus", "--tau", "2", "--max-total", "3"]) == EXIT_THEOREM
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("theorem violation: n_((1,1),1)(tau=2) is not an integer: ")
+    # QUICK's general-partition sweep stops at tau = 1: it reads no bumped row
+    reports = list(verify.run_all(verify.QUICK))
+    assert [r.name for r in reports if not r.ok] == ["annulus"]
+    assert reports[2].failures[0]["violation"].startswith("n_((1,1),1)(tau=2)")
+
+
+def test_annulus_row_rejects_bad_arguments():
+    for m1, m2 in [(0, 0), (0, 2), (2, 0)]:
+        with pytest.raises(ValueError, match="annulus_row needs"):
+            annulus_row(m1, m2, 1)
+
+
+def test_annulus_row_closed_form_regression():
     # single-cover top-slice closed form with the inversion-consistent sign
     def closed(m1, m2, tau):
         tot = Fraction(0)
@@ -330,7 +345,7 @@ def test_annulus_n_closed_form_regression():
     for tau in range(-4, 5):
         for m1 in range(1, 7):
             for m2 in range(1, 8 - m1):
-                v, _ = annulus_n(m1, m2, m1 + m2, tau, order=7)
+                v = annulus_row(m1, m2, tau, order=7)[m1 + m2]
                 assert Fraction(v) == closed(m1, m2, tau), (m1, m2, tau)
 
 
@@ -342,7 +357,7 @@ def test_annulus_truncation_guard():
 def test_annulus_table_shape():
     argv = ["annulus", "--tau", "1", "--max-total", "4"]
     rows = json.loads(cli_output(*argv))["rows"]
-    assert all(r["integral"] for r in rows if r["l"] == r["m1"] + r["m2"])
+    assert all(r["integral"] for r in rows)
     header, *lines = cli_output(*argv, "--format", "csv").splitlines()
     assert header == "m1,m2,l,tau,value,integral"
     assert len(lines) == len(rows)

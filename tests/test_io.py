@@ -44,8 +44,6 @@ LEAVES = st.one_of(
     st.none(),
     st.text(),  # escapes and non-ASCII
     st.floats(),  # NaN and the infinities too
-    st.fractions(),
-    st.integers().map(Fraction),
     st.text().map(Label),
     st.floats().map(Seconds),
     st.sampled_from(Colour),
@@ -77,7 +75,6 @@ def test_json_bytes_is_json_dumps(value):
 def test_json_bytes_spells_the_edge_cases_like_json_dumps():
     value = {
         "inf": [float("inf"), float("-inf"), float("nan"), -0.0, 1e300],
-        "fractions": [Fraction(-3, 4), Fraction(6, 3), Fraction(0)],
         "empty": [{}, [], ()],
         "text": "tab\t quote\" é \U0001f600",
         "keys": [{1.5: 1, float("inf"): 2}, {-(10**40): 0, True: 1}, {None: 0}],
@@ -91,6 +88,7 @@ def test_json_bytes_spells_the_edge_cases_like_json_dumps():
     {"cells": [frozenset()]},
     {(1, 2): 3},  # a tuple key
     {"a": 1, 2: 3},  # keys that do not sort
+    Fraction(1, 3),
 ])
 def test_json_bytes_raises_type_error_where_json_dumps_does(value):
     with pytest.raises(TypeError):
@@ -104,7 +102,6 @@ CELLS = st.one_of(
     st.integers(),
     st.booleans(),
     st.text(),
-    st.fractions(),
     st.lists(st.integers(min_value=1, max_value=9), max_size=4).map(tuple),  # a partition
 )
 FIELDS = st.dictionaries(st.sampled_from(NAMES), CELLS, max_size=4)
