@@ -3,12 +3,11 @@
 Modules:
 
 * ``arith``      -- Moebius function, divisors, extended and Gaussian
-  binomials, loop-quiver DT invariants, and the ``Report`` every check
-  returns.
+  binomials, loop-quiver DT invariants, exact division by 1 - x^k.
 * ``partitions`` -- integer partitions and symmetric-group characters.
 * ``qa``         -- exact Laurent polynomials in q^(1/2), a^(1/2), their
   quotients by the q-Pochhammer symbol (q;q)_n, quantum integers, Adams
-  operations, exact division, the z^2 basis as a plain dict.
+  operations, exact division or None, the z^2 basis as a plain dict.
 * ``series``     -- one-variable truncated power series as plain coefficient
   lists, their logarithm and exponential, plethystic logarithm and
   exponential.
@@ -20,6 +19,8 @@ Modules:
   Donaldson-Thomas extraction, the GW/DT series identity.
 * ``twist``      -- extremal BPS invariants of twist knots, as signed
   loop-quiver DT invariants.
+* ``verify``     -- the verification sweep: one report per suite, built
+  from the failure-record lists of the checks below it.
 * ``cli``        -- the ``lmov`` command-line front end.
 """
 

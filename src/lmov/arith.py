@@ -1,11 +1,13 @@
-"""Number-theoretic and combinatorial primitives, and the check report.
+"""Number-theoretic and combinatorial primitives.
 
 Everything is exact integer arithmetic; trial division is plenty at the
 scales the invariant tables need (n well below 10^6).  This module is the
 leaf of the package: it imports nothing from lmov, so every layer above
-can share ``Report``, ``TheoremViolation``, ``certified_div`` and
-``div_one_minus``, the exact division by 1 - x^k behind every geometric
-factor of the row kernels.
+can share ``TheoremViolation``, ``certified_div`` and ``div_one_minus``,
+the exact division by 1 - x^k behind every geometric factor of the row
+kernels.  A refused division is ``None``, as ``div_one_minus`` returns
+it; each caller decides whether that is a ``TheoremViolation`` or a
+failure record.
 """
 
 from __future__ import annotations
@@ -53,26 +55,6 @@ def div_one_minus(row: list, k: int) -> list | None:
         return None
     del row[cut:]
     return row
-
-
-class Report:
-    """Outcome of one check; empty ``failures`` means success.
-
-    ``seconds`` is the wall time the verification sweep measured for it.
-    """
-
-    __slots__ = ("name", "params", "failures", "seconds")
-
-    def __init__(self, name: str, params: dict, failures: list | None = None,
-                 seconds: float = 0.0):
-        self.name = name
-        self.params = params
-        self.failures = [] if failures is None else failures
-        self.seconds = seconds
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 @cache

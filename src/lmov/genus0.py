@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, gcd
 
-from .arith import Report, TheoremViolation, binomial_ext, certified_div, divisors, moebius
+from .arith import TheoremViolation, binomial_ext, certified_div, divisors, moebius
 from .partitions import Partition, parts_gcd, scale_down
 from .qa import LaurentQA, _pack, _packed_geometric, _unpack
 
@@ -116,9 +116,10 @@ def kernel_level(tau: int, n: int) -> LaurentQA:
                       for i, c in enumerate(num)})
 
 
-def disc_series_check(tau: int, max_m: int) -> Report:
+def disc_series_check(tau: int, max_m: int) -> list:
     """Check the mirror-curve route, Lagrange levels and then log, against
-    the disc closed form, on integers, for m <= max_m.
+    the disc closed form, on integers, for m <= max_m; return the failure
+    records, empty when the two agree.
 
     Each level S_n = -(1 - a) kernel_level(tau, n - 1) of 1 - Y(X) is one
     int a-row, packed (``_pack``) at the width of ``_dlog_width``; the
@@ -132,7 +133,7 @@ def disc_series_check(tau: int, max_m: int) -> Report:
     """
     if max_m < 1:
         raise ValueError("disc_series_check needs max_m >= 1")
-    rep = Report("disc-series", {"tau": tau, "max_m": max_m})
+    failures = []
     rows, off_row = [[0]], [[]]
     for n in range(1, max_m + 1):
         terms = dict(kernel_level(tau, n - 1).items())
@@ -147,10 +148,10 @@ def disc_series_check(tau: int, max_m: int) -> Report:
         sign = (-1) ** ((m * tau) % 2)  # x-coordinates
         for l, c in enumerate(_unpack(d[m], width, m + 1)):
             if sign * c != -nums[m][l]:
-                rep.failures.append({"m": m, "l": l, "got": sign * c, "want": -nums[m][l]})
+                failures.append({"m": m, "l": l, "got": sign * c, "want": -nums[m][l]})
         if off_row[m]:
-            rep.failures.append({"m": m, "unexpected_support": off_row[m]})
-    return rep
+            failures.append({"m": m, "unexpected_support": off_row[m]})
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +196,10 @@ def _annulus_log(tau: int, order: int) -> list:
     return d
 
 
+@lru_cache(maxsize=None)
 def _annulus_column(m1: int, m2: int, tau: int, order: int | None) -> dict:
-    """{l: (m1+m2) c_{(m1,m2),l}}, integers read off the kernel log."""
+    """{l: (m1+m2) c_{(m1,m2),l}}, integers read off the kernel log once per
+    column, for the annulus suite's top slice and ``annulus_row``; read-only."""
     n = m1 + m2
     if order is None:
         order = n

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arith import Report, TheoremViolation, ratio_text
-from .qa import ExactDivisionError, LaurentQA, PochFrac, exact_div, one_minus_q_prod
+from .arith import TheoremViolation, ratio_text
+from .qa import LaurentQA, PochFrac, exact_div, one_minus_q_prod
 from .series import plethystic_dexp, plethystic_dlog, series_dlog
 
 
@@ -67,28 +67,27 @@ class OVTable(NamedTuple):
     tau: int
     max_m: int
     rows: dict  # m -> {k: N}
-    report: Report
+    failures: list  # failure records; empty when every check held
 
 
 def ooguri_vafa(tau: int, max_m: int) -> OVTable:
     """Extract N_{m,k}(tau) = -[q^((k+1)/2)] ((1-q) m f_m) / m, one divmod per
     entry, for m <= max_m from the reduced series, and check the product form.
     Integrality and finite support are conjecture-level checks: failures
-    land in the report instead of raising.  The entries carry their sign;
+    land in ``failures`` instead of raising.  The entries carry their sign;
     a negative entry is data, not a failure.
     """
     if max_m < 1:
         raise ValueError("ooguri_vafa needs max_m >= 1")
-    rep = Report("ov", {"tau": tau, "max_m": max_m})
+    failures: list = []
     levels = series_dlog(z_tau_series(tau, max_m))
     gs = plethystic_dlog(levels)
     rows: dict = {}
     for m in range(1, max_m + 1):
-        try:  # (1-q) m f_m: the numerator over (q;q)_m / (1-q)
-            g = exact_div(gs[m - 1].num, range(2, m + 1))
-        except ExactDivisionError:
+        g = exact_div(gs[m - 1].num, range(2, m + 1))  # (1-q) m f_m: over (q;q)_m / (1-q)
+        if g is None:
             reason = f"(1-q) f_{m} is not a Laurent polynomial: {m} f_{m} = {gs[m - 1]!r}"
-            rep.failures.append({"m": m, "reason": reason})
+            failures.append({"m": m, "reason": reason})
             rows[m] = {}
             continue
         entries: dict = {}
@@ -96,13 +95,13 @@ def ooguri_vafa(tau: int, max_m: int) -> OVTable:
             k = u - 1  # exponent q^(u/2) = q^((k+1)/2)
             n, r = divmod(-c, m)
             if r:
-                rep.failures.append({"m": m, "k": k, "reason": f"non-integer {ratio_text(-c, m)}"})
+                failures.append({"m": m, "k": k, "reason": f"non-integer {ratio_text(-c, m)}"})
                 continue
             entries[k] = n
         rows[m] = entries
-    table = OVTable(tau, max_m, rows, rep)
+    table = OVTable(tau, max_m, rows, failures)
     if ov_reconstruction_residue(table, levels) is not None:
-        rep.failures.append({"reason": "product reconstruction mismatch"})
+        failures.append({"reason": "product reconstruction mismatch"})
     return table
 
 
@@ -153,12 +152,11 @@ def dt_extract(loops: int, max_n: int) -> DTTable:
     ))
     rows: dict = {}
     for n in range(1, max_n + 1):
-        try:
-            g = exact_div(gs[n - 1].num, range(2, n + 1))
-        except ExactDivisionError as e:
+        g = exact_div(gs[n - 1].num, range(2, n + 1))
+        if g is None:
             raise TheoremViolation(
                 f"(1-q) L_{n} is not a Laurent polynomial (loops={loops}, max_n={max_n})"
-            ) from e
+            )
         sign = (-1) ** (((loops - 1) * n) % 2)
         entries: dict = {}
         for (u, _), c in sorted(g.items()):
@@ -187,35 +185,37 @@ def dt_extract(loops: int, max_n: int) -> DTTable:
 # ---------------------------------------------------------------------------
 
 
-def gwdt_check(tau: int, order: int) -> Report:
+def gwdt_check(tau: int, order: int) -> list:
     """Exact equality Z_tau(q, x) = P_{-tau}(q, (-1)^(tau-1) x q^(1/2))
-    coefficient by coefficient up to x^order; needs tau <= -1."""
+    coefficient by coefficient up to x^order, for tau <= -1; returns the
+    failure records {"n": n}, one per coefficient that differs."""
     if tau > -1:
         raise ValueError("gwdt_check needs tau <= -1")
-    rep = Report("gwdt-identity", {"tau": tau, "order": order})
     z = z_tau_series(tau, order)
     p = coha_series(-tau, order)
+    failures = []
     for n in range(order + 1):
         sub = PochFrac(LaurentQA.monomial(n, c=(-1) ** ((n * (tau - 1)) % 2)), 0)
         if z[n] != p[n] * sub:
-            rep.failures.append({"n": n})
-    return rep
+            failures.append({"n": n})
+    return failures
 
 
-def ov_dt_shift_check(ov: OVTable, max_n: int) -> Report:
+def ov_dt_shift_check(ov: OVTable, max_n: int) -> list:
     """Empirical dictionary between the two integer tables for tau <= -1:
 
     N_{n, n-2k-1}(tau) = -(-1)^((tau-1) n) c_{n,k} of the (-tau)-loop
     quiver, the index shift coming from matching q^(n/2 + l - k) factors
-    against q^((k'+1)/2 + l).  Reads the rows n <= max_n of ``ov``.
+    against q^((k'+1)/2 + l).  Reads the rows n <= max_n of ``ov``; the
+    failure records name each row that differs.
     """
     tau = ov.tau
     if tau > -1:
         raise ValueError("ov_dt_shift_check needs tau <= -1")
     if max_n > ov.max_m:
         raise ValueError("ov_dt_shift_check needs max_n <= the table's max_m")
-    rep = Report("ov-dt-shift", {"tau": tau, "max_n": max_n})
     dt = dt_extract(-tau, max_n)
+    failures = []
     for n in range(1, max_n + 1):
         mapped = {}
         sign = -((-1) ** (((tau - 1) * n) % 2))
@@ -224,5 +224,5 @@ def ov_dt_shift_check(ov: OVTable, max_n: int) -> Report:
             if val:
                 mapped[n - 2 * k - 1] = val
         if mapped != ov.rows[n]:
-            rep.failures.append({"n": n, "dt_mapped": mapped, "ov": ov.rows[n]})
-    return rep
+            failures.append({"n": n, "dt_mapped": mapped, "ov": ov.rows[n]})
+    return failures

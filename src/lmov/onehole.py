@@ -43,7 +43,7 @@ from itertools import product
 from math import comb, factorial
 from typing import NamedTuple
 
-from .arith import Report, TheoremViolation, div_one_minus, divisors, moebius, qbinomial_step
+from .arith import TheoremViolation, div_one_minus, divisors, moebius, qbinomial_step
 from .partitions import (
     Partition,
     kappa,
@@ -54,7 +54,6 @@ from .partitions import (
     z_factor,
 )
 from .qa import (
-    ExactDivisionError,
     LaurentQA,
     PochFrac,
     Z_SQUARED,
@@ -84,7 +83,7 @@ def _recursion_pair(n: int) -> tuple:
     return lead * f, hook * quantum_int(n + 1)
 
 
-def verify_recursion(max_n: int) -> Report:
+def verify_recursion(max_n: int) -> list:
     """Exact check, for all n < max_n, of the core of the framed row recursion
 
     (-1)^tau (q^(n+1) - 1) H_{n+1} = hook_n q^(n tau) H_n,
@@ -94,17 +93,14 @@ def verify_recursion(max_n: int) -> Report:
     signs and powers of q cancel on the two sides for every tau, and the
     factor R_n / prod_{i<=n+1} {i} is common to both, so the recursion
     is the tau-free identity (q^(n+1) - 1) f_n = hook_n {n+1} of 2-term
-    Laurent polynomials; that is what this checks.  ``row_top_step`` runs
-    the framing factor on the top a-slice.
+    Laurent polynomials; that is what this checks, returning the failure
+    records {"n": n} of the n where it fails.  ``row_top_step`` runs the
+    framing factor on the top a-slice.
     """
     if max_n < 1:
         raise ValueError("verify_recursion needs max_n >= 1")
-    rep = Report("framed-row-recursion", {"max_n": max_n})
-    for n in range(max_n):
-        p, r = _recursion_pair(n)
-        if p != r:
-            rep.failures.append({"n": n})
-    return rep
+    pairs = map(_recursion_pair, range(max_n))
+    return [{"n": n} for n, (p, r) in enumerate(pairs) if p != r]
 
 
 def row_top_step(h: PochFrac, n: int, tau: int) -> PochFrac:
@@ -268,11 +264,10 @@ def _quantum_dim(lam: Partition) -> LaurentQA:
             hooks.append(p - j + cols[j] - i - 1)
             num = num * LaurentQA({(j - i, 1): 1, (i - j, -1): -1})
     n = len(hooks)
-    try:
-        quot = exact_div(one_minus_q_prod(range(1, n + 1)), hooks)
-    except ExactDivisionError:
+    quot = exact_div(one_minus_q_prod(range(1, n + 1)), hooks)
+    if quot is None:
         raise TheoremViolation(f"(q;q)_n / prod (1 - q^h) is not a polynomial "
-                               f"(lam={lam})") from None
+                               f"(lam={lam})")
     return (num * quot).shift(du=sum(hooks)).scale((-1) ** (n % 2))
 
 
@@ -322,11 +317,9 @@ def dlog_mu(mu: Partition, tau: int) -> PochFrac:
 
 
 class GeneralHoleResult(NamedTuple):
-    mu: Partition
-    tau: int
     target: LaurentQA | None  # z^2 * z_mu * g-hat_mu, when it is a Laurent polynomial
     table: dict | None  # {(g, two_q): n}, when the z^2-basis rewrite exists
-    report: Report
+    failures: list  # failure records; empty when the table exists
 
 
 def g_mu_general(mu: Partition, tau: int) -> GeneralHoleResult:
@@ -350,26 +343,20 @@ def g_mu_general(mu: Partition, tau: int) -> GeneralHoleResult:
         raise ValueError("g_mu_general needs a nonempty partition")
     if min(mu) < 1:
         raise ValueError("g_mu_general needs parts >= 1")
-    rep = Report("general-one-hole", {"mu": mu, "tau": tau})
     s = PochFrac.zero()
     for d in divisors(parts_gcd(mu)):
         mo = moebius(d)
         if mo:
             s = s + dlog_mu(scale_down(mu, d), tau).adams(d).scale(mo * d ** len(mu))
     size = sum(mu)
-    try:
-        sized = exact_div(s.num * Z_SQUARED, mu + tuple(range(1, size + 1)))
-    except ExactDivisionError:
-        rep.failures.append({"mu": mu, "reason": "denominator did not clear"})
-        return GeneralHoleResult(mu, tau, None, None, rep)
-    try:
-        target = sized.shift(du=size).div((-1) ** (len(mu) % 2) * size)
-    except ExactDivisionError:
-        rep.failures.append({"mu": mu, "reason": "non-integer entries"})
-        return GeneralHoleResult(mu, tau, None, None, rep)
+    sized = exact_div(s.num * Z_SQUARED, mu + tuple(range(1, size + 1)))
+    if sized is None:
+        return GeneralHoleResult(None, None, [{"mu": mu, "reason": "denominator did not clear"}])
+    target = sized.shift(du=size).div((-1) ** (len(mu) % 2) * size)
+    if target is None:
+        return GeneralHoleResult(None, None, [{"mu": mu, "reason": "non-integer entries"}])
     try:
         table = to_z_basis(target)
     except ZBasisError as e:
-        rep.failures.append({"mu": mu, "reason": f"z-basis: {e}"})
-        return GeneralHoleResult(mu, tau, target, None, rep)
-    return GeneralHoleResult(mu, tau, target, table, rep)
+        return GeneralHoleResult(target, None, [{"mu": mu, "reason": f"z-basis: {e}"}])
+    return GeneralHoleResult(target, table, [])

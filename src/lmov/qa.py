@@ -13,8 +13,9 @@ Two layers, both over int coefficients:
 Exponents live on the half-integer lattice and are stored doubled:
 ``u`` counts powers of q^(1/2) and ``v`` counts powers of a^(1/2), so all
 exponent bookkeeping is plain integer arithmetic.  Coefficients are ints;
-``div`` (by an int, one divmod per coefficient) and ``exact_div`` raise
-``ExactDivisionError``, carrying the dividend, where a remainder arises.
+``div`` (by an int, one divmod per coefficient) and ``exact_div`` return
+None where a remainder arises, as ``arith.div_one_minus`` does, and the
+caller decides what a refusal means.
 ``+`` and ``*`` are duck-typed, so a caller may hold other exact numbers.
 
 ``LaurentQA`` multiplies by the dict loop over all term pairs.  The integer
@@ -41,15 +42,6 @@ from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .arith import div_one_minus, gaussian_binomial
-
-
-class ExactDivisionError(ArithmeticError):
-    """Division was not exact.  ``dividend`` is what was refused: the a-slice
-    of f for ``exact_div``, the whole LaurentQA for ``LaurentQA.div``."""
-
-    def __init__(self, message, dividend=None):
-        super().__init__(message)
-        self.dividend = dividend
 
 
 class ZBasisError(ValueError):
@@ -206,14 +198,14 @@ class LaurentQA:
             return LaurentQA.zero()
         return LaurentQA._make({k: x * c for k, x in self._c.items()})
 
-    def div(self, n: int) -> LaurentQA:
+    def div(self, n: int) -> LaurentQA | None:
         """Every coefficient divided by the nonzero int n, one divmod each;
-        a remainder raises ExactDivisionError, which carries self."""
+        None when one leaves a remainder."""
         d = {}
         for k, c in self._c.items():
             d[k], rem = divmod(c, n)
             if rem:
-                raise ExactDivisionError(f"not divisible by {n}", dividend=self)
+                return None
         return LaurentQA._make(d)
 
     def shift(self, du: int = 0, dv: int = 0) -> LaurentQA:
@@ -263,16 +255,16 @@ Z_SQUARED = LaurentQA({(2, 0): 1, (0, 0): -2, (-2, 0): 1})
 # exact division
 # ---------------------------------------------------------------------------
 
-def exact_div(f: LaurentQA, exponents: Iterable[int]) -> LaurentQA:
-    """f / prod over i in exponents of (1 - q^i), each i >= 1; raise
-    ExactDivisionError when that is not a Laurent polynomial.
+def exact_div(f: LaurentQA, exponents: Iterable[int]) -> LaurentQA | None:
+    """f / prod over i in exponents of (1 - q^i), each i >= 1, or None when
+    that is not a Laurent polynomial.
 
     Each a-slice of f splits into its two q^(1/2)-parities; the factors have
     integer q-exponents, so they divide the slice exactly when they divide
     each part.  A nonempty part is laid out as one dense row in steps of q,
     from its lowest term, and divided by one factor 1 - x^i at a time
     (``div_one_minus``).  A factor that leaves a remainder refuses the
-    division; the error carries the dividend's a-slice."""
+    whole division."""
     exponents = tuple(exponents)
     if min(exponents, default=1) < 1:
         raise ValueError("exact_div needs exponents >= 1")
@@ -289,10 +281,7 @@ def exact_div(f: LaurentQA, exponents: Iterable[int]) -> LaurentQA:
             for i in exponents:
                 row = div_one_minus(row, i)
                 if row is None:
-                    raise ExactDivisionError(
-                        f"not divisible in a-slice v={v}",
-                        dividend=LaurentQA._make({(u, v): c for u, c in sl.items()}),
-                    )
+                    return None
             for e, c in enumerate(row):
                 if c:
                     out[(lo + 2 * e, v)] = c

@@ -5,7 +5,7 @@ holds the coefficient of x^n, and the maps below never look beyond N.
 Coefficients can be any value supporting ``+``, ``*``, ``scale``
 (multiplication by an int), truthiness, the class methods ``zero`` and
 ``one``, ``adams`` for the plethystic maps, and ``div`` (exact division
-by an int, raising on a remainder) for ``series_dexp``.  LaurentQA from
+by an int, None on a remainder) for ``series_dexp``.  LaurentQA from
 :mod:`lmov.qa` qualifies; so does PochFrac for the other maps, as slot n
 of each list they build has x-degree n, so each sum is over one (q;q)_n.
 
@@ -18,8 +18,8 @@ levels to the plethystic levels g_m = m f_m and ``plethystic_dexp`` back.
 ``plethystic_dlog`` and holds ``plethystic_dexp`` of the rebuilt g_m to
 them; ``gwdt.dt_extract`` reads ``plethystic_dlog(series_dlog(...))``;
 ``lmov.verify`` round-trips each pair.  Only ``series_dexp`` divides, by
-n at level n, raising ``lmov.qa.ExactDivisionError`` on a remainder;
-``lmov.genus0`` runs the ``series_dlog`` recurrence on its int rows.
+n at level n, and returns None on a remainder; ``lmov.genus0`` runs the
+``series_dlog`` recurrence on its int rows.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ def series_dlog(s: list) -> list:
     return d
 
 
-def series_dexp(d: list) -> list:
-    """Inverse of ``series_dlog``: E with E_0 = 1 from D with D_0 = 0.
+def series_dexp(d: list) -> list | None:
+    """Inverse of ``series_dlog``: E with E_0 = 1 from D with D_0 = 0, or
+    None when some E_n is not integral.
 
     n E_n = sum_{k<=n} D_k E_(n-k) (x E' = D E): O(N^2) ring products and
-    one ``div`` by n per level, which raises ExactDivisionError when E_n
-    is not integral."""
+    one ``div`` by n per level, whose None ends the map."""
     if d[0]:
         raise ValueError("series_dexp needs zero constant term")
     out = [type(d[0]).one()]
@@ -59,6 +59,8 @@ def series_dexp(d: list) -> list:
             if d[k] and out[n - k]:
                 acc = acc + d[k] * out[n - k]
         out.append(acc.div(n))
+        if out[-1] is None:
+            return None
     return out
 
 

@@ -1,9 +1,12 @@
 """Property suites behind ``lmov verify-all`` and the acceptance tests.
 
-Each suite returns a Report; a failure in any suite is what the CLI maps
-to exit status 2.  Bounds are parameters so the same code runs the quick
-CLI sweep and the full acceptance sweep.  ``run_all`` runs the whole
-sweep, for the CLI and for any other caller.
+Each suite returns a Report of its failure records; a failure in any
+suite is what the CLI maps to exit status 2.  Below the suites a check
+returns a plain list of failure records, and a refused division is None,
+so this is the one place that builds a Report.  Bounds are parameters so
+the same code runs the quick CLI sweep and the full acceptance sweep.
+``run_all`` runs the whole sweep, for the CLI and for any other caller;
+its table names each suite and records the bounds it ran at.
 """
 
 from __future__ import annotations
@@ -13,26 +16,40 @@ import time
 from math import factorial
 
 from . import genus0, gwdt, onehole, twist
-from .arith import Report, TheoremViolation
+from .arith import TheoremViolation
 from .partitions import mn_character, partitions_of, permutation_count, z_factor
-from .qa import Z_SQUARED, ExactDivisionError, LaurentQA, PochFrac, to_z_basis
+from .qa import Z_SQUARED, LaurentQA, PochFrac, to_z_basis
 from .series import plethystic_dexp, plethystic_dlog, series_dexp, series_dlog
+
+
+class Report:
+    """Outcome of one suite; empty ``failures`` means success.  ``run_all``
+    sets the suite's ``name``, the bounds it ran at (``params``) and the
+    wall time it measured (``seconds``)."""
+
+    __slots__ = ("failures", "name", "params", "seconds")
+
+    def __init__(self, failures: list | None = None):
+        self.failures = [] if failures is None else failures
+        self.name, self.params, self.seconds = "", {}, 0.0
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def check_disc_integrality(max_m: int, tau_range: range) -> Report:
     """Every n_{m,l}(tau), m <= max_m, certified an integer: one
     ``genus0.disc_rows`` table per tau, whose first remainder raises."""
-    rep = Report("disc-integrality", {"max_m": max_m, "tau": list(tau_range)})
     for tau in tau_range:
         genus0.disc_rows(tau, max_m)
-    return rep
+    return Report()
 
 
 def check_disc_oracle(max_m: int, tau_range: range) -> Report:
-    rep = Report("disc-series-oracle", {"max_m": max_m, "tau": list(tau_range)})
+    rep = Report()
     for tau in tau_range:
-        sub = genus0.disc_series_check(tau, max_m)
-        rep.failures.extend({"tau": tau, **m} for m in sub.failures)
+        rep.failures.extend({"tau": tau, **f} for f in genus0.disc_series_check(tau, max_m))
     return rep
 
 
@@ -41,7 +58,7 @@ def check_annulus(max_total: int, tau_range: range) -> Report:
     closed form, both as the integer (m1+m2) c; every single-cover row
     ``genus0.annulus_row``, certified at every charge; the quadratic
     special value n_(1,1) = tau(tau+1)/2."""
-    rep = Report("annulus", {"max_total": max_total, "tau": list(tau_range)})
+    rep = Report()
     for tau in tau_range:
         for m1 in range(1, max_total):
             for m2 in range(1, max_total + 1 - m1):
@@ -59,7 +76,7 @@ def check_annulus(max_total: int, tau_range: range) -> Report:
 
 
 def check_multihole(max_size: int, tau_range: range) -> Report:
-    rep = Report("multihole", {"max_size": max_size, "tau": list(tau_range)})
+    rep = Report()
     for tau in tau_range:
         for size in range(3, max_size + 1):
             for mu in partitions_of(size):
@@ -73,8 +90,7 @@ def check_recursion(max_n: int, tau_range: range) -> Report:
     (``onehole.verify_recursion``), and per framing the top a-slice run from
     H_0 = 1 by ``onehole.row_top_step``, each H_n for n <= max_n equal to
     the closed form ``gwdt.h_top(n, tau)`` that the OV extraction reads."""
-    rep = Report("row-recursion", {"max_n": max_n, "tau": list(tau_range)})
-    rep.failures.extend(onehole.verify_recursion(max_n).failures)
+    rep = Report(onehole.verify_recursion(max_n))
     for tau in tau_range:
         h = PochFrac.one()
         for n in range(max_n + 1):
@@ -91,7 +107,7 @@ def check_onehole_chain(max_m: int, tau_range: range) -> Report:
     ``qbinomial_step`` and ``_z2_rows`` certify integrality.  A cell that
     violates a theorem is recorded with its message, and the sweep goes
     on to the next cell."""
-    rep = Report("one-hole-chain", {"max_m": max_m, "tau": list(tau_range)})
+    rep = Report()
     for tau in tau_range:
         for m in range(1, max_m + 1):
             if tau and not onehole.closed_form_is_colored_sum(m, tau):
@@ -109,7 +125,7 @@ def check_onehole_chain(max_m: int, tau_range: range) -> Report:
 
 
 def check_gaussian_form(max_m: int, tau_range: range) -> Report:
-    rep = Report("gaussian-closed-form", {"max_m": max_m, "tau": list(tau_range)})
+    rep = Report()
     for tau in tau_range:
         if tau < 1:
             raise ValueError("gaussian closed form needs tau >= 1")
@@ -137,29 +153,26 @@ def check_general_partition(max_size: int, tau_range: range) -> Report:
     |mu| of ``disc_rows`` for one part (and the table is ``lmov_one_hole``'s),
     ``annulus_row`` for two, ``multihole_n`` at the top
     charge for three or more."""
-    rep = Report("general-partition", {"max_size": max_size, "tau": list(tau_range)})
+    rep = Report()
     for tau in tau_range:
         for size in range(1, max_size + 1):
             for mu in partitions_of(size):
                 r = onehole.g_mu_general(mu, tau)
-                rep.failures.extend(
-                    {"tau": tau, **f} for f in r.report.failures
-                )
+                rep.failures.extend({"tau": tau, **f} for f in r.failures)
                 if r.table is not None and not _genus_zero_matches(mu, tau, r.table, max_size):
                     rep.failures.append({"tau": tau, "mu": mu, "reason": "g = 0 != genus zero"})
     return rep
 
 
 def check_gwdt_identity(order: int, tau_range: range) -> Report:
-    rep = Report("gwdt-identity", {"order": order, "tau": list(tau_range)})
+    rep = Report()
     for tau in tau_range:
-        sub = gwdt.gwdt_check(tau, order)
-        rep.failures.extend({"tau": tau, **f} for f in sub.failures)
+        rep.failures.extend({"tau": tau, **f} for f in gwdt.gwdt_check(tau, order))
     return rep
 
 
 def check_dt(max_loops: int, max_n: int) -> Report:
-    rep = Report("dt-extraction", {"max_loops": max_loops, "max_n": max_n})
+    rep = Report()
     for loops in range(1, max_loops + 1):
         table = gwdt.dt_extract(loops, max_n)  # raises on any violation
         if table.rows[1] != {0: 1}:
@@ -168,35 +181,32 @@ def check_dt(max_loops: int, max_n: int) -> Report:
 
 
 def check_ov(max_m: int, tau_range: range) -> Report:
-    rep = Report("ov-extraction", {"max_m": max_m, "tau": list(tau_range)})
+    rep = Report()
     for tau in tau_range:
         table = gwdt.ooguri_vafa(tau, max_m)
-        rep.failures.extend({"tau": tau, **f} for f in table.report.failures)
+        rep.failures.extend({"tau": tau, **f} for f in table.failures)
         want = {0: (-1) ** (tau % 2)}
         if table.rows[1] != want:
             rep.failures.append({"tau": tau, "N_1": table.rows[1], "want": want})
         if tau <= -1:
-            sub = gwdt.ov_dt_shift_check(table, min(max_m, 6))
-            rep.failures.extend({"tau": tau, **f} for f in sub.failures)
+            shifted = gwdt.ov_dt_shift_check(table, min(max_m, 6))
+            rep.failures.extend({"tau": tau, **f} for f in shifted)
     return rep
 
 
 def check_twist(p_values: list, max_r: int) -> Report:
-    rep = Report("twist-integrality", {"p": p_values, "max_r": max_r})
     for p in p_values:
         for r in range(1, max_r + 1):
             twist.b_minus(p, r)
             twist.b_plus(p, r)
-    return rep
+    return Report()
 
 
 def check_infrastructure(max_n: int, samples: int, seed: int) -> Report:
     """Character orthogonality, z-basis round trip, a random series' levels
     through the plethystic log and exp and back to the series by the exp;
     an exp that leaves a remainder is a mismatch."""
-    rep = Report(
-        "infrastructure", {"max_n": max_n, "samples": samples, "seed": seed}
-    )
+    rep = Report()
     # first and second orthogonality, times n! (n!/z_mu is the class size)
     for n in range(1, max_n + 1):
         parts, nfact = partitions_of(n), factorial(n)
@@ -246,11 +256,7 @@ def check_infrastructure(max_n: int, samples: int, seed: int) -> Report:
     levels = series_dlog(coeffs)
     if plethystic_dexp(plethystic_dlog(levels)) != levels:
         rep.failures.append({"plethystic-roundtrip": "mismatch"})
-    try:
-        ok = series_dexp(levels) == coeffs
-    except ExactDivisionError:
-        ok = False
-    if not ok:
+    if series_dexp(levels) != coeffs:  # a refused exp is None
         rep.failures.append({"log-exp-roundtrip": "mismatch"})
     return rep
 
@@ -290,9 +296,10 @@ FULL = {
 
 def run_all(bounds: dict, seed: int = 0):
     """Run every suite in a fixed order; yields one Report per suite, with
-    the bounds it ran at (ranges as lists) in ``params`` and its wall time
-    in ``seconds``.  A TheoremViolation fails only the suite that raised
-    it: its report carries the message, and the later suites still run."""
+    its name from the table below, the bounds it ran at (ranges as lists)
+    in ``params`` and its wall time in ``seconds``.  A TheoremViolation
+    fails only the suite that raised it: its report carries the message,
+    and the later suites still run."""
     suites = [
         ("disc-integrality", check_disc_integrality, bounds["disc"]),
         ("disc-series-oracle", check_disc_oracle, bounds["disc_oracle"]),
@@ -314,6 +321,6 @@ def run_all(bounds: dict, seed: int = 0):
         try:
             rep = check(**params)
         except TheoremViolation as e:
-            rep = Report(name, ran_at, [{"violation": str(e)}])
-        rep.params, rep.seconds = ran_at, time.perf_counter() - start
+            rep = Report([{"violation": str(e)}])
+        rep.name, rep.params, rep.seconds = name, ran_at, time.perf_counter() - start
         yield rep

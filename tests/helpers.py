@@ -129,8 +129,8 @@ def cal_z_cleared(m: int, tau: int) -> LaurentQA:
 
 def colored_sum(m: int, tau: int) -> LaurentQA:
     """{m}{m tau} Z_m by its colored-sum definition: E_m of
-    ``onehole.colored_sum`` unpacked and divided by (-1)^(m tau) m!; a
-    remainder raises ExactDivisionError, whose ``dividend`` is E_m."""
+    ``onehole.colored_sum`` unpacked and divided by (-1)^(m tau) m!, or
+    None when that division leaves a remainder."""
     width, packed = onehole.colored_sum(m, tau)
     length = m * abs(tau)
     size = (length - 1) * m + 1
@@ -182,16 +182,20 @@ def unpack_widths(monkeypatch, module) -> list:
     return widths
 
 
+def _poch_div(p: PochFrac, n: int) -> PochFrac | None:
+    num = p.num.div(n)
+    return None if num is None else PochFrac(num, p.n)
+
+
 @contextmanager
 def series_division(keep_fractions: bool):
-    """Inside, PochFrac divides its numerator, so that ``series.series_dexp``
-    runs over PochFrac, which has no division of its own.  With
-    keep_fractions, ``LaurentQA.div`` is the product with Fraction(1, n),
-    which keeps a Fraction on a remainder, so that it also runs where the
-    exp is not integral."""
+    """Inside, PochFrac divides its numerator (None on a remainder), so that
+    ``series.series_dexp`` runs over PochFrac, which has no division of its
+    own.  With keep_fractions, ``LaurentQA.div`` is the product with
+    Fraction(1, n), which keeps a Fraction on a remainder, so that it also
+    runs where the exp is not integral."""
     with ExitStack() as stack:
-        stack.enter_context(patch.object(
-            PochFrac, "div", lambda p, n: PochFrac(p.num.div(n), p.n), create=True))
+        stack.enter_context(patch.object(PochFrac, "div", _poch_div, create=True))
         if keep_fractions:
             stack.enter_context(patch.object(
                 LaurentQA, "div", lambda f, n: f.scale(Fraction(1, n))))

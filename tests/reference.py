@@ -77,7 +77,7 @@ from typing import Callable, Mapping
 
 from helpers import quantum_int_a, quantum_prod
 from lmov import cli, genus0
-from lmov.arith import Report, TheoremViolation, div_one_minus, divisors, moebius
+from lmov.arith import TheoremViolation, div_one_minus, divisors, moebius
 from lmov.genus0 import _annulus_column
 from lmov.partitions import (
     Partition,
@@ -89,7 +89,6 @@ from lmov.partitions import (
     z_factor,
 )
 from lmov.qa import (
-    ExactDivisionError,
     LaurentQA,
     PochFrac,
     ZBasisError,
@@ -97,6 +96,11 @@ from lmov.qa import (
     quantum_int,
 )
 from lmov.series import series_dlog
+
+
+class NotDivisible(ArithmeticError):
+    """A reference division was not exact.  The library returns None there;
+    the oracle raises, so that a caller that expects a quotient fails loudly."""
 
 Rat = int | Fraction
 
@@ -580,7 +584,7 @@ def series2_scale(s: Series2, c) -> Series2:
 
 def exact_div(f: LaurentQA, g: LaurentQA) -> LaurentQA:
     """Return h with f = g * h exactly for any divisor, a-powers included;
-    raise ExactDivisionError otherwise."""
+    raise NotDivisible otherwise."""
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     if not f:
@@ -598,7 +602,7 @@ def exact_div(f: LaurentQA, g: LaurentQA) -> LaurentQA:
         lt = max(rem)
         tkey = (lt[0] - gl[0], lt[1] - gl[1])
         if tkey[0] < u_lo or tkey[1] < v_lo:
-            raise ExactDivisionError("not divisible", dividend=LaurentQA(rem))
+            raise NotDivisible("not divisible")
         tc = _norm_c(Fraction(rem.pop(lt)) / glc)
         quo[tkey] = quo.get(tkey, 0) + tc
         for (u, v), gc in g._c.items():
@@ -644,15 +648,16 @@ def kernel_level(tau: int, n: int, order: int) -> LaurentQA:
 _ONE_MINUS_A = LaurentQA({(0, 0): 1, (0, 2): -1})
 
 
-def disc_series_check(tau: int, max_m: int) -> Report:
+def disc_series_check(tau: int, max_m: int) -> list:
     """``genus0.disc_series_check`` on LaurentQA levels: 1 - Y(X) rebuilt
     from ``genus0.kernel_level`` as LaurentQA coefficients, its levels
     taken by ``series_dlog``, each compared coefficient by coefficient with
     the negated closed-form numerator, and any term of a level off the
-    a-row (a power of q, an odd or out-of-range a-exponent) recorded."""
+    a-row (a power of q, an odd or out-of-range a-exponent) recorded; the
+    list of failure records."""
     if max_m < 1:
         raise ValueError("disc_series_check needs max_m >= 1")
-    rep = Report("disc-series", {"tau": tau, "max_m": max_m})
+    failures = []
     one_minus_y = [LaurentQA.one()] + [
         -(_ONE_MINUS_A * genus0.kernel_level(tau, n)) for n in range(max_m)
     ]
@@ -665,15 +670,15 @@ def disc_series_check(tau: int, max_m: int) -> Report:
             got = sign * level.get((0, 2 * l), 0)
             want = -(disc_c(m, l, tau) * m * m)
             if got != want:
-                rep.failures.append({"m": m, "l": l, "got": got, "want": int(want)})
+                failures.append({"m": m, "l": l, "got": got, "want": int(want)})
         extra = [
             (u, v)
             for (u, v) in level
             if u != 0 or v < 0 or v > 2 * m or v % 2
         ]
         if extra:
-            rep.failures.append({"m": m, "unexpected_support": extra})
-    return rep
+            failures.append({"m": m, "unexpected_support": extra})
+    return failures
 
 
 def certified_int(x: Fraction | int, what: str) -> int:
@@ -1052,9 +1057,7 @@ class RationalQ:
 
     def to_laurent(self) -> LaurentQA:
         if not self.is_laurent():
-            raise ExactDivisionError(
-                "denominator is nontrivial", dividend=None
-            )
+            raise NotDivisible("denominator is nontrivial")
         return LaurentQA(
             {(self.off + i, 0): c for i, c in enumerate(self.num) if c}
         )

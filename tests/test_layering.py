@@ -8,6 +8,7 @@ package itself: what only the tests use lives in ``tests/``.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -74,6 +75,26 @@ def test_exact_algebra_imports_nothing_from_fractions(module):
 
 def test_only_cli_imports_verify():
     assert [m for m in MODULES if "verify" in lmov_imports(m)] == ["cli"]
+
+
+def test_report_belongs_to_the_sweep():
+    # below verify a check returns a plain list of failure records
+    tree = ast.parse((SRC / "verify.py").read_text())
+    assert "Report" in [n.name for n in tree.body if isinstance(n, ast.ClassDef)]
+    named = [p.stem for p in sorted(SRC.glob("*.py")) if "Report" in p.read_text()]
+    assert named == ["verify"]
+
+
+def test_the_only_exceptions_are_theorem_violation_and_z_basis_error():
+    # a refused division is None, as arith.div_one_minus returns it, and
+    # each caller decides whether that raises or records
+    found = []
+    for module in MODULES:
+        mod = importlib.import_module(f"lmov.{module}")
+        found += [name for name, obj in vars(mod).items()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == mod.__name__]
+    assert sorted(found) == ["TheoremViolation", "ZBasisError"]
 
 
 def test_the_cli_starts_without_dataclasses_or_inspect():
