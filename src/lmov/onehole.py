@@ -277,12 +277,10 @@ def cal_z_partition(nu: Partition, tau: int) -> PochFrac:
     (-1)^(|nu| tau) sum over |lam| = |nu| of chi_lam(nu) q^(kappa_lam tau/2) W_lam,
     over (q;q)_|nu|, with W_lam the hook-content product of ``_quantum_dim``."""
     size = sum(nu)
-    total = LaurentQA.zero()
-    for lam in partitions_of(size):
-        c = mn_character(lam, nu)
-        if c:
-            total = total + _quantum_dim(lam).shift(du=kappa(lam) * tau).scale(c)
-    return PochFrac(total.scale((-1) ** ((size * tau) % 2)), size)
+    sign = (-1) ** ((size * tau) % 2)
+    terms = ((sign * c, _quantum_dim(lam), LaurentQA.monomial(kappa(lam) * tau))
+             for lam in partitions_of(size) if (c := mn_character(lam, nu)))
+    return PochFrac(LaurentQA.dot(terms), size)
 
 
 def _splits(mu: Partition):
@@ -306,14 +304,14 @@ def dlog_mu(mu: Partition, tau: int) -> PochFrac:
         G_mu = |mu| cal_Z_mu - sum_rho w G_rho cal_Z_(mu - rho)
 
     over the nonempty proper sub-multisets rho of mu, with the integer weight
-    w = z_mu / (z_rho z_(mu - rho)), a product of binomials: no division."""
+    w = z_mu / (z_rho z_(mu - rho)), a product of binomials: one
+    ``PochFrac.dot``, and no division."""
     if not mu:
         raise ValueError("dlog_mu needs a nonempty partition")
-    total, z = PochFrac.zero(), z_factor(mu)
-    for rho, rest in _splits(mu):
-        w = z // (z_factor(rho) * z_factor(rest))
-        total = total + dlog_mu(rho, tau) * cal_z_partition(rest, tau).scale(-w)
-    return cal_z_partition(mu, tau).scale(sum(mu)) + total
+    z = z_factor(mu)
+    return PochFrac.dot([(sum(mu), cal_z_partition(mu, tau), PochFrac.one())] + [
+        (-(z // (z_factor(rho) * z_factor(rest))), dlog_mu(rho, tau), cal_z_partition(rest, tau))
+        for rho, rest in _splits(mu)])
 
 
 class GeneralHoleResult(NamedTuple):

@@ -18,7 +18,10 @@ None where a remainder arises, as ``arith.div_one_minus`` does, and the
 caller decides what a refusal means.
 ``+`` and ``*`` are duck-typed, so a caller may hold other exact numbers.
 
-``LaurentQA`` multiplies by the dict loop over all term pairs.  The integer
+``LaurentQA.dot`` is the one product loop: the sum of c a b over (c, a, b)
+triples, every term pair of every product added into one dict whose zeros
+are dropped once.  ``*`` is a one-term ``dot``, as in ``PochFrac``, whose
+``dot`` folds each product's q-binomial into the same sum.  The integer
 hot paths (the one-hole chain, the colored sum, the annulus kernel log) run
 on one dense int row per a-slice instead, through ``_nonneg_mul`` and
 ``_z2_rewrite``; the colored sum and the annulus log carry each row as its
@@ -170,14 +173,23 @@ class LaurentQA:
     def __mul__(self, other: LaurentQA) -> LaurentQA:
         if not isinstance(other, LaurentQA):
             return NotImplemented
-        a, b = self._c, other._c
-        if len(a) > len(b):
-            a, b = b, a
+        return LaurentQA.dot(((1, self, other),))
+
+    @staticmethod
+    def dot(terms: Iterable) -> LaurentQA:
+        """The sum of c a b over the (c, a, b) triples, c an int: every
+        product lands in one dict, and zeros are dropped once, at the end."""
         d: dict = {}
-        for (u1, v1), c1 in a.items():
-            for (u2, v2), c2 in b.items():
-                k = (u1 + u2, v1 + v2)
-                d[k] = d.get(k, 0) + c1 * c2
+        get = d.get
+        for c, a, b in terms:
+            a, b = a._c, b._c
+            if len(a) > len(b):
+                a, b = b, a
+            for (u1, v1), c1 in a.items():
+                c1 *= c
+                for (u2, v2), c2 in b.items():
+                    k = (u1 + u2, v1 + v2)
+                    d[k] = get(k, 0) + c1 * c2
         return LaurentQA._make({k: c for k, c in d.items() if c})
 
     def __pow__(self, n: int) -> LaurentQA:
@@ -414,13 +426,26 @@ class PochFrac:
     def __mul__(self, other: PochFrac) -> PochFrac:
         if not isinstance(other, PochFrac):
             return NotImplemented
-        if not self.num or not other.num:
-            return PochFrac.zero()
-        n = self.n + other.n
-        num = self.num * other.num
-        if self.n and other.n:
-            num = num * _q_binomial(n, self.n)
-        return PochFrac(num, n)
+        return PochFrac.dot(((1, self, other),))
+
+    @staticmethod
+    def dot(terms: Iterable) -> PochFrac:
+        """The sum of c a b over the (c, a, b) triples, c an int, as one
+        ``LaurentQA.dot`` of the numerators: a product of two positive
+        degrees enters as a.num b.num times the q-binomial [n, a.n].  Zero
+        terms are skipped; the others must share one degree n, as in ``+``."""
+        parts, n = [], None
+        for c, a, b in terms:
+            if not (c and a.num and b.num):
+                continue
+            m = a.n + b.n
+            if n is None:
+                n = m
+            elif m != n:
+                raise ValueError(f"cannot add over (q;q)_{n} and (q;q)_{m}")
+            parts.append((c, a.num * b.num, _q_binomial(m, a.n)) if a.n and b.n
+                         else (c, a.num, b.num))
+        return PochFrac(LaurentQA.dot(parts), n or 0)
 
     def scale(self, c: int) -> PochFrac:
         return PochFrac(self.num.scale(c), self.n)

@@ -2,10 +2,12 @@
 
 A series is the list of its coefficients up to a fixed order N: slot n
 holds the coefficient of x^n, and the maps below never look beyond N.
-Coefficients can be any value supporting ``+``, ``*``, ``scale``
-(multiplication by an int), truthiness, the class methods ``zero`` and
-``one``, ``adams`` for the plethystic maps, and ``div`` (exact division
-by an int, None on a remainder) for ``series_dexp``.  LaurentQA from
+Coefficients can be any value supporting ``+``, ``scale``
+(multiplication by an int), truthiness, the class methods ``zero``,
+``one`` and ``dot`` (the sum of c a b over (c, a, b) triples, one pass per
+level of ``series_dlog`` and ``series_dexp``), ``adams`` for the
+plethystic maps, and ``div`` (exact division by an int, None on a
+remainder) for ``series_dexp``.  LaurentQA from
 :mod:`lmov.qa` qualifies; so does PochFrac for the other maps, as slot n
 of each list they build has x-degree n, so each sum is over one (q;q)_n.
 
@@ -30,17 +32,15 @@ from .arith import divisors, moebius
 def series_dlog(s: list) -> list:
     """Levels D_n = n [x^n] log S of a series with constant term exactly one.
 
-    D_n = n S_n - sum_{k<n} D_k S_(n-k) (x S' = S D): O(N^2) ring
-    products, on integers whenever S has integer coefficients."""
-    if s[0] != type(s[0]).one():
+    D_n = n S_n - sum_{k<n} D_k S_(n-k) (x S' = S D): one ``dot`` per
+    level, on integers whenever S has integer coefficients."""
+    ring = type(s[0])
+    one = ring.one()
+    if s[0] != one:
         raise ValueError("series_dlog needs constant term 1")
-    d = [type(s[0]).zero()]
+    d = [ring.zero()]
     for n in range(1, len(s)):
-        acc = d[0]
-        for k in range(1, n):
-            if d[k] and s[n - k]:
-                acc = acc + d[k] * s[n - k]
-        d.append(s[n].scale(n) + acc.scale(-1))
+        d.append(ring.dot([(n, s[n], one)] + [(-1, d[k], s[n - k]) for k in range(1, n)]))
     return d
 
 
@@ -48,17 +48,14 @@ def series_dexp(d: list) -> list | None:
     """Inverse of ``series_dlog``: E with E_0 = 1 from D with D_0 = 0, or
     None when some E_n is not integral.
 
-    n E_n = sum_{k<=n} D_k E_(n-k) (x E' = D E): O(N^2) ring products and
-    one ``div`` by n per level, whose None ends the map."""
+    n E_n = sum_{k<=n} D_k E_(n-k) (x E' = D E): one ``dot`` and one
+    ``div`` by n per level, whose None ends the map."""
     if d[0]:
         raise ValueError("series_dexp needs zero constant term")
-    out = [type(d[0]).one()]
+    ring = type(d[0])
+    out = [ring.one()]
     for n in range(1, len(d)):
-        acc = d[0]
-        for k in range(1, n + 1):
-            if d[k] and out[n - k]:
-                acc = acc + d[k] * out[n - k]
-        out.append(acc.div(n))
+        out.append(ring.dot([(1, d[k], out[n - k]) for k in range(1, n + 1)]).div(n))
         if out[-1] is None:
             return None
     return out

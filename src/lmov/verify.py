@@ -240,9 +240,8 @@ def check_infrastructure(max_n: int, samples: int, seed: int) -> Report:
             g, v, c = rng.randint(0, 4), rng.randint(-3, 3), rng.randint(-9, 9)
             entries[(g, v)] = entries.get((g, v), 0) + c
         entries = {k: c for k, c in entries.items() if c}
-        f = LaurentQA.zero()
-        for (g, v), c in entries.items():
-            f = f + z2_powers[g].scale(c).shift(dv=v)
+        f = LaurentQA.dot((c, z2_powers[g], LaurentQA.monomial(0, v))
+                          for (g, v), c in entries.items())
         if to_z_basis(f) != entries:
             rep.failures.append({"z-roundtrip": repr(f)})
     # log-level round trips at order 12 over LaurentQA coefficients

@@ -249,6 +249,85 @@ def test_packed_geometric_matches_the_dense_div_reference(row, step, count):
 
 
 # ---------------------------------------------------------------------------
+# dot: one pass per sum of products
+# ---------------------------------------------------------------------------
+
+dot_terms = st.lists(st.tuples(st.integers(-9, 9), laurents, laurents), max_size=6)
+
+
+def _laurent_sum(products):
+    total = LaurentQA.zero()
+    for p in products:
+        total = total + p
+    return total
+
+
+@given(dot_terms, st.booleans())
+def test_dot_matches_the_sum_of_reference_products(terms, cancel):
+    # c = 0, negative c, zero operands and the empty list all come up; with
+    # cancel, every term also enters negated, so the sum is zero
+    if cancel:
+        terms = terms + [(-c, b, a) for c, a, b in terms]
+    want = _laurent_sum(reference.laurent_mul(a, b).scale(c) for c, a, b in terms)
+    got = LaurentQA.dot(terms)
+    assert got == want
+    assert all(c for _, c in got.items())
+    if cancel:
+        assert not got
+
+
+def test_dot_examples():
+    x, y = LaurentQA({(1, 0): 2, (0, 2): -1}), LaurentQA({(-1, 0): 3, (4, -2): 1})
+    assert LaurentQA.dot([]) == LaurentQA.zero()
+    assert LaurentQA.dot([(0, x, y)]) == LaurentQA.zero()
+    assert LaurentQA.dot([(1, x, LaurentQA.zero())]) == LaurentQA.zero()
+    assert LaurentQA.dot([(-3, x, y)]) == reference.laurent_mul(x, y).scale(-3)
+    assert LaurentQA.dot([(2, x, y), (-1, y, x), (-1, x, y)]) == LaurentQA.zero()
+    assert x * y == LaurentQA.dot([(1, x, y)])
+
+
+def _pochfracs(n):
+    # (c, a, b) with a.n + b.n = n
+    return st.tuples(st.integers(-5, 5), laurents, laurents, st.integers(0, n)).map(
+        lambda t: (t[0], PochFrac(t[1], t[3]), PochFrac(t[2], n - t[3])))
+
+
+def _dense_q_binomial(n, k):
+    return LaurentQA({(2 * e, 0): c for e, c in enumerate(reference.gaussian_binomial(n, k))})
+
+
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(_pochfracs(n), max_size=5))))
+def test_pochfrac_dot_matches_the_sum_of_products(n_terms):
+    n, terms = n_terms
+    got = PochFrac.dot(terms)
+    want = PochFrac.zero()
+    for c, a, b in terms:
+        want = want + (a * b).scale(c)
+    assert got == want
+    # and the dense reference: the sum of c a.num b.num [n, a.n]_q, over (q;q)_n
+    mul = reference.laurent_mul
+    want = _laurent_sum(mul(mul(a.num, b.num), _dense_q_binomial(a.n + b.n, a.n)).scale(c)
+                        for c, a, b in terms)
+    assert got == PochFrac(want, n)
+
+
+@given(nonzero_laurents, nonzero_laurents, st.integers(0, 3), st.integers(1, 3),
+       st.integers(-5, 5).filter(bool), st.booleans())
+def test_pochfrac_dot_of_mixed_degrees_raises_as_add_does(f, g, n, gap, c, zero_first):
+    # degrees n + 1 and n + 1 + gap; the zero terms have no degree, and are skipped
+    first, second = (c, PochFrac(f, n), PochFrac(g, 1)), (-c, PochFrac(g, n + gap), PochFrac(f, 1))
+    terms = [first, (1, PochFrac.zero(), PochFrac(f, 7)), second]
+    if zero_first:
+        terms.insert(0, (0, PochFrac(f, 9), PochFrac(g, 9)))
+    with pytest.raises(ValueError) as added:
+        (first[1] * first[2]).scale(c) + (second[1] * second[2]).scale(-c)
+    with pytest.raises(ValueError) as dotted:
+        PochFrac.dot(terms)
+    assert str(dotted.value) == str(added.value)
+
+
+# ---------------------------------------------------------------------------
 # z^2 basis
 # ---------------------------------------------------------------------------
 

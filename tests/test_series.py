@@ -1,4 +1,7 @@
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 
 import reference
 from helpers import quantum_int_a, series_division, series_x
+from lmov import onehole
 from lmov.qa import LaurentQA, PochFrac, one_minus_q_prod, quantum_int
 from lmov.series import plethystic_dexp, plethystic_dlog, series_dexp, series_dlog
 from reference import Series2, series2_log
@@ -98,6 +102,43 @@ def test_series_dexp_of_the_power_sums_is_the_unknot_row():
         assert e[n] == PochFrac(row, n), n
     for n in range(6):
         assert reference.as_rational(e[n]) == reference.unknot_row(n), n
+
+
+@contextmanager
+def counting_adds():
+    """Inside, every call of ``LaurentQA.__add__`` and ``PochFrac.__add__``
+    is counted by class name."""
+    calls = Counter()
+
+    def counted(cls):
+        add = cls.__add__
+
+        def counting(self, other):
+            calls[cls.__name__] += 1
+            return add(self, other)
+        return patch.object(cls, "__add__", counting)
+
+    with counted(LaurentQA), counted(PochFrac):
+        yield calls
+
+
+def test_the_level_recurrences_sum_in_one_dot_each():
+    # series_dlog, series_dexp and dlog_mu take each level as one dot, whose
+    # products land in one dict: no running sum calls + on the coefficients
+    laurent = [LaurentQA.one()] + [LaurentQA({(k, 0): 1, (-k, 2): k - 3}) for k in range(1, 9)]
+    poch = [PochFrac.one()] + [PochFrac(LaurentQA({(k, 0): 2, (0, 2): -1}), k)
+                               for k in range(1, 9)]
+    onehole.dlog_mu.cache_clear()
+    onehole.cal_z_partition.cache_clear()
+    with counting_adds() as calls, series_division(keep_fractions=True):
+        round_trips = [series_dexp(series_dlog(s)) for s in (laurent, poch)]
+        level = onehole.dlog_mu((2, 1, 1), 2)
+        assert not calls
+        PochFrac.one() + PochFrac.one()  # the counter counts: one PochFrac sum of numerators
+    assert calls == {"LaurentQA": 1, "PochFrac": 1}
+    assert round_trips == [laurent, poch]
+    # G_mu = |mu| z_mu f_mu, with z_mu = 4 at mu = (2, 1, 1)
+    assert reference.as_rational(level) == reference.f_mu((2, 1, 1), 2).scale(4 * 4)
 
 
 def test_solve_functional_identity_phi():
