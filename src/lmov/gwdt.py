@@ -17,9 +17,11 @@ over (q;q)_m, and ``series.plethystic_dexp`` of the g_m must give back
 the same levels, numerators over (q;q)_n, which implies agreement to
 every finite q-order.
 
-Donaldson-Thomas route: identical plumbing applied to the loop-quiver
-Hilbert-Poincare series P_m(q, t) with t twisted by (-1)^(m-1); the
-extracted c_{n,k} must be nonnegative integers with finite support.
+Donaldson-Thomas route: the same extraction, ``_bps_levels``, applied to
+the log levels of the loop-quiver Hilbert-Poincare series P_m(q, t) with
+t twisted by (-1)^(m-1); the extracted c_{n,k} must be nonnegative
+integers with finite support.  Each route keeps its own index map and
+sign, and decides what a failure means: OV records it, DT raises.
 """
 
 from __future__ import annotations
@@ -70,6 +72,18 @@ class OVTable(NamedTuple):
     failures: list  # failure records; empty when every check held
 
 
+def _bps_levels(levels: list):
+    """The plethystic levels g_m = m f_m of the series whose ``series_dlog``
+    is ``levels``, each read through (1-q) g_m, level by level: the pairs
+    (g_m, terms), where terms lists (u, c, c / m) over the terms c q^(u/2)
+    of (1-q) g_m in ascending u, the quotient None where m leaves a
+    remainder, and terms is None where (1-q) g_m is not a Laurent polynomial."""
+    for m, g in enumerate(plethystic_dlog(levels), start=1):
+        num = exact_div(g.num, range(2, m + 1))  # (1-q) g_m: over (q;q)_m / (1-q)
+        yield g, None if num is None else [(u, c, None if c % m else c // m)
+                                           for (u, _), c in sorted(num.items())]
+
+
 def ooguri_vafa(tau: int, max_m: int) -> OVTable:
     """Extract N_{m,k}(tau) = -[q^((k+1)/2)] ((1-q) m f_m) / m, one divmod per
     entry, for m <= max_m from the reduced series, and check the product form.
@@ -81,24 +95,19 @@ def ooguri_vafa(tau: int, max_m: int) -> OVTable:
         raise ValueError("ooguri_vafa needs max_m >= 1")
     failures: list = []
     levels = series_dlog(z_tau_series(tau, max_m))
-    gs = plethystic_dlog(levels)
     rows: dict = {}
-    for m in range(1, max_m + 1):
-        g = exact_div(gs[m - 1].num, range(2, m + 1))  # (1-q) m f_m: over (q;q)_m / (1-q)
-        if g is None:
-            reason = f"(1-q) f_{m} is not a Laurent polynomial: {m} f_{m} = {gs[m - 1]!r}"
+    for m, (g, terms) in enumerate(_bps_levels(levels), start=1):
+        rows[m] = {}
+        if terms is None:
+            reason = f"(1-q) f_{m} is not a Laurent polynomial: {m} f_{m} = {g!r}"
             failures.append({"m": m, "reason": reason})
-            rows[m] = {}
             continue
-        entries: dict = {}
-        for (u, _), c in sorted(g.items()):
+        for u, c, n in terms:
             k = u - 1  # exponent q^(u/2) = q^((k+1)/2)
-            n, r = divmod(-c, m)
-            if r:
+            if n is None:
                 failures.append({"m": m, "k": k, "reason": f"non-integer {ratio_text(-c, m)}"})
-                continue
-            entries[k] = n
-        rows[m] = entries
+            else:
+                rows[m][k] = -n
     table = OVTable(tau, max_m, rows, failures)
     if ov_reconstruction_residue(table, levels) is not None:
         failures.append({"reason": "product reconstruction mismatch"})
@@ -147,36 +156,26 @@ def dt_extract(loops: int, max_n: int) -> DTTable:
         raise ValueError("dt_extract needs max_n >= 1")
     p = coha_series(loops, max_n)
     twist = (-1) ** ((loops - 1) % 2)
-    gs = plethystic_dlog(series_dlog(
-        [c.scale(twist ** (n % 2)) if twist < 0 else c for n, c in enumerate(p)]
-    ))
+    levels = series_dlog([c.scale(twist ** (n % 2)) if twist < 0 else c for n, c in enumerate(p)])
     rows: dict = {}
-    for n in range(1, max_n + 1):
-        g = exact_div(gs[n - 1].num, range(2, n + 1))
-        if g is None:
+    for n, (_, terms) in enumerate(_bps_levels(levels), start=1):
+        if terms is None:
             raise TheoremViolation(
                 f"(1-q) L_{n} is not a Laurent polynomial (loops={loops}, max_n={max_n})"
             )
         sign = (-1) ** (((loops - 1) * n) % 2)
-        entries: dict = {}
-        for (u, _), c in sorted(g.items()):
+        rows[n] = {}
+        for u, c, val in terms:
             if u % 2:
-                raise TheoremViolation(
-                    f"half-integer q-power in DT level {n} (loops={loops})"
-                )
+                raise TheoremViolation(f"half-integer q-power in DT level {n} (loops={loops})")
             k = -u // 2
-            val, r = divmod(sign * c, n)
-            if r:
+            if val is None:
                 raise TheoremViolation(
                     f"non-integer DT entry c_({n},{k}) = {ratio_text(sign * c, n)}"
                 )
+            rows[n][k] = val = sign * val
             if k < 0 or val < 0:
-                raise TheoremViolation(
-                    f"DT entry outside the certified cone: c_({n},{k}) = {val}"
-                )
-            if val:
-                entries[k] = val
-        rows[n] = entries
+                raise TheoremViolation(f"DT entry outside the certified cone: c_({n},{k}) = {val}")
     return DTTable(loops, max_n, rows)
 
 

@@ -341,11 +341,8 @@ def g_mu_general(mu: Partition, tau: int) -> GeneralHoleResult:
         raise ValueError("g_mu_general needs a nonempty partition")
     if min(mu) < 1:
         raise ValueError("g_mu_general needs parts >= 1")
-    s = PochFrac.zero()
-    for d in divisors(parts_gcd(mu)):
-        mo = moebius(d)
-        if mo:
-            s = s + dlog_mu(scale_down(mu, d), tau).adams(d).scale(mo * d ** len(mu))
+    s = PochFrac.dot([(moebius(d) * d ** len(mu), dlog_mu(scale_down(mu, d), tau).adams(d),
+                       PochFrac.one()) for d in divisors(parts_gcd(mu)) if moebius(d)])
     size = sum(mu)
     sized = exact_div(s.num * Z_SQUARED, mu + tuple(range(1, size + 1)))
     if sized is None:

@@ -15,8 +15,10 @@ Exponents live on the half-integer lattice and are stored doubled:
 exponent bookkeeping is plain integer arithmetic.  Coefficients are ints;
 ``div`` (by an int, one divmod per coefficient) and ``exact_div`` return
 None where a remainder arises, as ``arith.div_one_minus`` does, and the
-caller decides what a refusal means.
-``+`` and ``*`` are duck-typed, so a caller may hold other exact numbers.
+caller decides what a refusal means.  Coefficient arithmetic is
+duck-typed, so a caller may hold other exact numbers.  Every sum in
+``lmov`` is a ``dot``: ``LaurentQA`` keeps ``+`` and ``-`` for callers
+outside it, and ``PochFrac`` has no ``+``.
 
 ``LaurentQA.dot`` is the one product loop: the sum of c a b over (c, a, b)
 triples, every term pair of every product added into one dict whose zeros
@@ -138,9 +140,6 @@ class LaurentQA:
         for (u, v), c in self._c.items():
             out.setdefault(v, {})[u] = c
         return out
-
-    def __len__(self) -> int:
-        return len(self._c)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentQA) and self._c == other._c
@@ -386,8 +385,9 @@ class PochFrac:
     shape keeps it under products (the denominators combine through a
     q-binomial), Adams operations, sums of equal degree and scaling by an
     int, which is all that the log and plethystic log of ``lmov.series``
-    do.  Zero has no degree; adding nonzero values of different degrees
-    raises.
+    do.  ``dot`` is the only sum: zero has no degree and is skipped, and
+    nonzero terms of different degrees are refused, even where a partial
+    sum of them cancels.
     Equality compares (num, n), so at equal n it is equality of rational
     functions.
     """
@@ -412,17 +412,6 @@ class PochFrac:
     def __eq__(self, other) -> bool:
         return isinstance(other, PochFrac) and self.n == other.n and self.num == other.num
 
-    def __add__(self, other: PochFrac) -> PochFrac:
-        if not isinstance(other, PochFrac):
-            return NotImplemented
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        if self.n != other.n:
-            raise ValueError(f"cannot add over (q;q)_{self.n} and (q;q)_{other.n}")
-        return PochFrac(self.num + other.num, self.n)
-
     def __mul__(self, other: PochFrac) -> PochFrac:
         if not isinstance(other, PochFrac):
             return NotImplemented
@@ -433,7 +422,7 @@ class PochFrac:
         """The sum of c a b over the (c, a, b) triples, c an int, as one
         ``LaurentQA.dot`` of the numerators: a product of two positive
         degrees enters as a.num b.num times the q-binomial [n, a.n].  Zero
-        terms are skipped; the others must share one degree n, as in ``+``."""
+        terms are skipped; the others must share one degree n."""
         parts, n = [], None
         for c, a, b in terms:
             if not (c and a.num and b.num):

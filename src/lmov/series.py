@@ -2,26 +2,26 @@
 
 A series is the list of its coefficients up to a fixed order N: slot n
 holds the coefficient of x^n, and the maps below never look beyond N.
-Coefficients can be any value supporting ``+``, ``scale``
-(multiplication by an int), truthiness, the class methods ``zero``,
-``one`` and ``dot`` (the sum of c a b over (c, a, b) triples, one pass per
-level of ``series_dlog`` and ``series_dexp``), ``adams`` for the
-plethystic maps, and ``div`` (exact division by an int, None on a
-remainder) for ``series_dexp``.  LaurentQA from
-:mod:`lmov.qa` qualifies; so does PochFrac for the other maps, as slot n
-of each list they build has x-degree n, so each sum is over one (q;q)_n.
+Coefficients can be any value supporting ``==``, truthiness, the class
+methods ``zero``, ``one`` and ``dot`` (the sum of c a b over (c, a, b)
+triples, c an int: every map builds each level as one ``dot``, and none
+adds with ``+``), ``adams`` for the plethystic maps, and ``div`` (exact
+division by an int, None on a remainder) for ``series_dexp``.  LaurentQA
+from :mod:`lmov.qa` qualifies; so does PochFrac for the other maps, as
+slot n of each list they build has x-degree n, so each ``dot`` is over
+one (q;q)_n.
 
 A log is carried as its levels D_n = n [x^n] log S, the coefficients of
 x d/dx log S: they have integer weights, so a reader divides once, where
 it reads its table.  Each map takes one step: ``series_dlog`` from a
 series to its levels and ``series_dexp`` back; ``plethystic_dlog`` from
 levels to the plethystic levels g_m = m f_m and ``plethystic_dexp`` back.
-``gwdt.ooguri_vafa`` takes the levels once, reads its table from their
-``plethystic_dlog`` and holds ``plethystic_dexp`` of the rebuilt g_m to
-them; ``gwdt.dt_extract`` reads ``plethystic_dlog(series_dlog(...))``;
-``lmov.verify`` round-trips each pair.  Only ``series_dexp`` divides, by
-n at level n, and returns None on a remainder; ``lmov.genus0`` runs the
-``series_dlog`` recurrence on its int rows.
+``gwdt.ooguri_vafa`` and ``gwdt.dt_extract`` read their tables from the
+``plethystic_dlog`` of their levels, through one extractor, and
+``ooguri_vafa`` holds ``plethystic_dexp`` of the rebuilt g_m to the same
+levels; ``lmov.verify`` round-trips each pair.  Only ``series_dexp``
+divides, by n at level n, and returns None on a remainder;
+``lmov.genus0`` runs the ``series_dlog`` recurrence on its int rows.
 """
 
 from __future__ import annotations
@@ -63,24 +63,19 @@ def series_dexp(d: list) -> list | None:
 
 def plethystic_dlog(levels: list) -> list:
     """The levels D_0..D_N of Z = exp( sum_{m,d>=1} (1/d) adams_d(f_m) x^(dm) )
-    to [g_1, ..., g_N], g_m = m f_m = sum_{d|m} moebius(d) adams_d(D_{m/d})."""
-    out = []
-    for m in range(1, len(levels)):
-        acc = levels[0]
-        for d in divisors(m):
-            mu = moebius(d)
-            if mu:
-                acc = acc + levels[m // d].adams(d).scale(mu)
-        out.append(acc)
-    return out
+    to [g_1, ..., g_N], g_m = m f_m = sum_{d|m} moebius(d) adams_d(D_{m/d}):
+    one ``dot`` per level."""
+    ring = type(levels[0])
+    one = ring.one()
+    return [ring.dot([(moebius(d), levels[m // d].adams(d), one)
+                      for d in divisors(m) if moebius(d)])
+            for m in range(1, len(levels))]
 
 
 def plethystic_dexp(gs: list) -> list:
     """Inverse of plethystic_dlog on [g_1, ..., g_N], N >= 1: the levels
-    D_n = sum_{dm=n} adams_d(g_m), with D_0 = 0."""
-    order = len(gs)
-    acc = [type(gs[0]).zero()] * (order + 1)
-    for m, gm in enumerate(gs, start=1):
-        for d in range(1, order // m + 1):
-            acc[d * m] = acc[d * m] + gm.adams(d)
-    return acc
+    D_n = sum_{dm=n} adams_d(g_m), with D_0 = 0, one ``dot`` per level."""
+    ring = type(gs[0])
+    one = ring.one()
+    return [ring.zero()] + [ring.dot([(1, gs[m - 1].adams(n // m), one) for m in divisors(n)])
+                            for n in range(1, len(gs) + 1)]

@@ -148,6 +148,33 @@ def test_non_integer_level_entries_keep_their_failure_text(monkeypatch):
         dt_extract(2, 2)
 
 
+@pytest.mark.parametrize("extra, message", [
+    # q^(1/2): an odd u, divisible by 2
+    (LaurentQA.monomial(1, c=2), r"half-integer q-power in DT level 2 \(loops=2\)"),
+    # q^1 and q^0: k = -1, and a negative entry at k = 0
+    (LaurentQA.monomial(2, c=2), r"DT entry outside the certified cone: c_\(2,-1\) = 1"),
+    (LaurentQA.monomial(0, c=-2), r"DT entry outside the certified cone: c_\(2,0\) = -1"),
+    # an odd u that also leaves a remainder: the odd u is named first
+    (LaurentQA.monomial(1, c=3), r"half-integer q-power in DT level 2 \(loops=2\)"),
+    # a remainder at q^-2 below an odd u at q^(1/2): the entries are read in
+    # ascending u, so the remainder is named first
+    (LaurentQA({(-4, 0): 1, (1, 0): 2}), r"non-integer DT entry c_\(2,2\) = 1/2"),
+])
+def test_dt_failures_keep_their_text_and_order(monkeypatch, extra, message):
+    # dt_extract(2, 2) with ``extra`` added to (1-q) 2 L_2, which is 2 q^-1
+    real = gwdt.exact_div
+    level = plethystic_dlog(series_dlog(_twisted_coha(2, 2)))[1]
+    assert real(level.num, range(2, 3)) == LaurentQA.monomial(-2, c=2)
+
+    def patched(f, exponents):
+        out = real(f, exponents)
+        return out + extra if exponents == range(2, 3) else out
+
+    monkeypatch.setattr(gwdt, "exact_div", patched)
+    with pytest.raises(TheoremViolation, match=f"^{message}$"):
+        dt_extract(2, 2)
+
+
 def test_levels_that_do_not_clear_keep_their_failure_text(monkeypatch):
     # (q;q)_3 / (1-q) divides the numerator of each level 3, and no longer
     # does once 1 is added to it: (1-q) f_3 and (1-q) L_3 are not Laurent

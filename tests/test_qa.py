@@ -301,10 +301,10 @@ def _dense_q_binomial(n, k):
 def test_pochfrac_dot_matches_the_sum_of_products(n_terms):
     n, terms = n_terms
     got = PochFrac.dot(terms)
-    want = PochFrac.zero()
+    want = RationalQA.zero()
     for c, a, b in terms:
-        want = want + (a * b).scale(c)
-    assert got == want
+        want = want + as_rational((a * b).scale(c))
+    assert as_rational(got) == want
     # and the dense reference: the sum of c a.num b.num [n, a.n]_q, over (q;q)_n
     mul = reference.laurent_mul
     want = _laurent_sum(mul(mul(a.num, b.num), _dense_q_binomial(a.n + b.n, a.n)).scale(c)
@@ -320,11 +320,15 @@ def test_pochfrac_dot_of_mixed_degrees_raises_as_add_does(f, g, n, gap, c, zero_
     terms = [first, (1, PochFrac.zero(), PochFrac(f, 7)), second]
     if zero_first:
         terms.insert(0, (0, PochFrac(f, 9), PochFrac(g, 9)))
-    with pytest.raises(ValueError) as added:
-        (first[1] * first[2]).scale(c) + (second[1] * second[2]).scale(-c)
     with pytest.raises(ValueError) as dotted:
         PochFrac.dot(terms)
-    assert str(dotted.value) == str(added.value)
+    assert str(dotted.value) == f"cannot add over (q;q)_{n + 1} and (q;q)_{n + 1 + gap}"
+    # a partial sum that cancels keeps the degrees of its terms: x - x + y is
+    # refused, with x over (q;q)_(n + 1) and y over (q;q)_(n + 1 + gap)
+    x, y, one = PochFrac(f, n + 1), PochFrac(g, n + 1 + gap), PochFrac.one()
+    with pytest.raises(ValueError) as cancelled:
+        PochFrac.dot([(c, x, one), (-c, x, one), (1, y, one)])
+    assert str(cancelled.value) == str(dotted.value)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +507,8 @@ def test_pochfrac_matches_reference(f, g, n, k, c, d):
     a, b, b_n = PochFrac(f, n), PochFrac(g, k), PochFrac(g, n)
     ra = as_rational(a)
     assert as_rational(a * b) == ra * as_rational(b)
-    assert as_rational(a + b_n) == ra + as_rational(b_n)
+    one = PochFrac.one()
+    assert as_rational(PochFrac.dot([(1, a, one), (1, b_n, one)])) == ra + as_rational(b_n)
     assert (a == b_n) == (ra == as_rational(b_n))
     assert as_rational(a.scale(c)) == ra.scale(c)
     assert as_rational(a.adams(d)) == ra.adams(d)
@@ -513,13 +518,16 @@ def test_pochfrac_degrees():
     one_minus_q = LaurentQA({(0, 0): 1, (2, 0): -1})
     assert one_minus_q_prod([]) == LaurentQA.one()
     assert one_minus_q_prod([1, 1]) == one_minus_q * one_minus_q
-    # zero is degree-free, and a cancelled sum is zero again
-    x = PochFrac(LaurentQA.monomial(1), 3)
+    # zero is degree-free, and a cancelled sum is zero again; dot is the only sum
+    x, one = PochFrac(LaurentQA.monomial(1), 3), PochFrac.one()
     assert PochFrac(LaurentQA.zero(), 5) == PochFrac.zero()
-    assert x + PochFrac.zero() == x and not (x + x.scale(-1))
-    assert (x + x.scale(-1)) + PochFrac.one() == PochFrac.one()
+    cancelled = PochFrac.dot([(1, x, one), (-1, x, one)])
+    assert PochFrac.dot([(1, x, one), (1, PochFrac.zero(), one)]) == x and not cancelled
+    assert PochFrac.dot([(1, cancelled, one), (1, one, one)]) == one
     with pytest.raises(ValueError):
-        x + PochFrac.one()
+        PochFrac.dot([(1, x, one), (1, one, one)])
+    with pytest.raises(TypeError):
+        x + x
     # 1/(1-q) * 1/(1-q) = (1+q)/(q;q)_2
     inv = PochFrac(LaurentQA.one(), 1)
     assert inv * inv == PochFrac(LaurentQA({(0, 0): 1, (2, 0): 1}), 2)

@@ -1,4 +1,3 @@
-from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest.mock import patch
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 from helpers import quantum_int_a, series_division, series_x
-from lmov import onehole
+from lmov import gwdt, onehole
 from lmov.qa import LaurentQA, PochFrac, one_minus_q_prod, quantum_int
 from lmov.series import plethystic_dexp, plethystic_dlog, series_dexp, series_dlog
 from reference import Series2, series2_log
@@ -62,19 +61,21 @@ def test_series_exp_log_roundtrip(tail):
 @given(st.lists(small_coeff, min_size=1, max_size=6), st.booleans())
 def test_series_log_exp_match_power_sums(tail, poch):
     # the derivative recurrences against the O(N^3) power sums, over LaurentQA
-    # and over PochFrac coefficients (slot n of degree n); the exps need not
-    # be integral, so they run with a division that keeps Fractions
+    # and over PochFrac coefficients (slot n of degree n), whose power sums run
+    # on their rational values; the exps need not be integral, so they run
+    # with a division that keeps Fractions
     cls = PochFrac if poch else LaurentQA
+    value = reference.as_rational if poch else (lambda c: c)
     if poch:
         tail = [PochFrac(c, n) for n, c in enumerate(tail, start=1)]
     s = [cls.one()] + tail
-    want = [c.scale(n) for n, c in enumerate(reference.series_log(s))]
-    assert series_dlog(s) == want
+    want = [c.scale(n) for n, c in enumerate(reference.series_log([value(c) for c in s]))]
+    assert [value(c) for c in series_dlog(s)] == want
     s0 = [cls.zero()] + tail
     d0 = [c.scale(n) for n, c in enumerate(s0)]
-    want = reference.series_exp(s0)
+    want = reference.series_exp([value(c) for c in s0])
     with series_division(keep_fractions=True):
-        assert series_dexp(d0) == want
+        assert [value(c) for c in series_dexp(d0)] == want
     # the library's own division gives the same exp where it is integral,
     # and refuses it where it is not
     if poch:
@@ -106,39 +107,45 @@ def test_series_dexp_of_the_power_sums_is_the_unknot_row():
 
 @contextmanager
 def counting_adds():
-    """Inside, every call of ``LaurentQA.__add__`` and ``PochFrac.__add__``
-    is counted by class name."""
-    calls = Counter()
+    """Inside, every call of ``LaurentQA.__add__`` is counted."""
+    calls = []
+    add = LaurentQA.__add__
 
-    def counted(cls):
-        add = cls.__add__
+    def counting(self, other):
+        calls.append(other)
+        return add(self, other)
 
-        def counting(self, other):
-            calls[cls.__name__] += 1
-            return add(self, other)
-        return patch.object(cls, "__add__", counting)
-
-    with counted(LaurentQA), counted(PochFrac):
+    with patch.object(LaurentQA, "__add__", counting):
         yield calls
 
 
 def test_the_level_recurrences_sum_in_one_dot_each():
-    # series_dlog, series_dexp and dlog_mu take each level as one dot, whose
-    # products land in one dict: no running sum calls + on the coefficients
+    # series_dlog, series_dexp, plethystic_dlog and plethystic_dexp over both
+    # rings, dlog_mu, g_mu_general's Moebius sum and the OV and DT extractions
+    # take each sum as one dot, whose products land in one dict: no running
+    # sum calls + on a LaurentQA (PochFrac has no +)
     laurent = [LaurentQA.one()] + [LaurentQA({(k, 0): 1, (-k, 2): k - 3}) for k in range(1, 9)]
     poch = [PochFrac.one()] + [PochFrac(LaurentQA({(k, 0): 2, (0, 2): -1}), k)
                                for k in range(1, 9)]
     onehole.dlog_mu.cache_clear()
     onehole.cal_z_partition.cache_clear()
-    with counting_adds() as calls, series_division(keep_fractions=True):
-        round_trips = [series_dexp(series_dlog(s)) for s in (laurent, poch)]
+    with counting_adds() as calls:
+        with series_division(keep_fractions=True):
+            round_trips = [series_dexp(series_dlog(s)) for s in (laurent, poch)]
+        levels = [series_dlog(s) for s in (laurent, poch)]
+        plethystic_trips = [plethystic_dexp(plethystic_dlog(d)) for d in levels]
         level = onehole.dlog_mu((2, 1, 1), 2)
+        general = onehole.g_mu_general((2, 2), -1)
+        ov = gwdt.ooguri_vafa(-2, 6)
+        gwdt.dt_extract(2, 6)  # raises on any failure
         assert not calls
-        PochFrac.one() + PochFrac.one()  # the counter counts: one PochFrac sum of numerators
-    assert calls == {"LaurentQA": 1, "PochFrac": 1}
-    assert round_trips == [laurent, poch]
+        LaurentQA.one() + LaurentQA.one()  # the counter counts
+    assert len(calls) == 1
+    assert round_trips == [laurent, poch] and plethystic_trips == levels
     # G_mu = |mu| z_mu f_mu, with z_mu = 4 at mu = (2, 1, 1)
     assert reference.as_rational(level) == reference.f_mu((2, 1, 1), 2).scale(4 * 4)
+    assert general.failures == [] and ov.failures == []
+    assert gwdt.ov_dt_shift_check(ov, 6) == []
 
 
 def test_solve_functional_identity_phi():
