@@ -6,14 +6,15 @@ The disc and annulus tables come with two independent routes:
   m^2 c_{m,l}, and ``annulus_top_numerator`` for the top slice of the
   annulus, an integer (m1+m2) c);
 * the mirror-curve series Y = X (1-Y)^tau (1 - a(1-Y)), whose X-expansion
-  Lagrange inversion gives in closed form (``kernel_level``), followed by
-  ``series_dlog``'s recurrence for the integral log levels, run on packed
-  ints.  The disc oracle (``disc_series_check``) packs each level of 1 - Y
-  as one int a-row, so it certifies the whole route, Lagrange levels and
-  then log, against the closed form.  The annulus kernel, a series in X1
-  and X2, is one in X1 alone after X2 = t X1; its log runs on one packed
-  int t-row per a-exponent (``_annulus_log``), from which
-  ``_annulus_column`` reads the integers (m1+m2) c_{(m1,m2),l}.
+  Lagrange inversion gives in closed form, each level one int a-row
+  (``kernel_level``), followed by ``series_dlog``'s recurrence for the
+  integral log levels, run on packed ints.  The disc oracle
+  (``disc_series_check``) packs each level of 1 - Y as one int a-row, so
+  it certifies the whole route, Lagrange levels and then log, against the
+  closed form.  The annulus kernel, a series in X1 and X2, is one in X1
+  alone after X2 = t X1; its log runs on one packed int t-row per
+  a-exponent (``_annulus_log``), from which ``_annulus_column`` reads the
+  integers (m1+m2) c_{(m1,m2),l}.
 
 Single-cover invariants are Moebius sums over common divisors, each one
 integer numerator over m^2 (disc) or m1+m2 (annulus), certified by one exact
@@ -35,9 +36,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, gcd
 
-from .arith import TheoremViolation, binomial_ext, certified_div, divisors, moebius
+from .arith import binomial_ext, certified_div, divisors, moebius
 from .partitions import Partition, parts_gcd, scale_down
-from .qa import LaurentQA, _pack, _packed_geometric, _unpack
+from .qa import _pack, _packed_geometric, _unpack, _width
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +81,11 @@ def _dlog_width(norm: list) -> int:
     """Byte width of the packed levels D_n, n < len(norm), of
     ``series_dlog``'s recurrence, given norm[n] >= |S_n|_1: the l1 norm is
     submultiplicative, so |D_n|_1 <= n |S_n|_1 + sum_(0<k<n) |D_k|_1
-    |S_(n-k)|_1, and each bound stays below 2^(8 width - 8)."""
+    |S_(n-k)|_1, and ``_width`` keeps each bound below 2^(8 width - 1)."""
     bound = [0]
     for n in range(1, len(norm)):
         bound.append(n * norm[n] + sum(bound[k] * norm[n - k] for k in range(1, n)))
-    return max(bound).bit_length() // 8 + 1
+    return _width(max(bound))
 
 
 def _lagrange_numerator(tau: int, n: int) -> list:
@@ -105,15 +106,14 @@ def _lagrange_numerator(tau: int, n: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def kernel_level(tau: int, n: int) -> LaurentQA:
-    """Y_(n+1) / (1-a) for the mirror curve Y = X (1-Y)^tau (1 - a(1-Y)).
+def kernel_level(tau: int, n: int) -> list:
+    """Y_(n+1) / (1-a) for the mirror curve Y = X (1-Y)^tau (1 - a(1-Y)), as
+    its int a-row [c_0, ..., c_n], index = a-power; read-only.
 
     Certifies the exact division of the Lagrange sum by N = n+1; a nonzero
     remainder is a TheoremViolation."""
     what = "N Y_N of the mirror curve over N = {} (tau={}, n={})"
-    num = _lagrange_numerator(tau, n)
-    return LaurentQA({(0, 2 * i): certified_div(c, n + 1, what, n + 1, tau, n)
-                      for i, c in enumerate(num)})
+    return [certified_div(c, n + 1, what, n + 1, tau, n) for c in _lagrange_numerator(tau, n)]
 
 
 def disc_series_check(tau: int, max_m: int) -> list:
@@ -126,19 +126,15 @@ def disc_series_check(tau: int, max_m: int) -> list:
     levels D_m = m [X^m] log(1 - Y) follow ``series_dlog``'s recurrence, one
     big-int product a term, and each is read back once (``_unpack``).  With
     x = (-1)^tau a^(1/2) X restored, (-1)^(m tau) D_m at a^(l - m/2) must be
-    -m^2 c_{m,l}(tau) for 0 <= l <= m.  A kernel term off the a-row (a
-    q-power, an odd or out-of-range a-exponent) is recorded at the level m
-    it enters.  ``series.series_dlog`` itself is held by the infrastructure
-    round trips and the OV and DT suites.
+    -m^2 c_{m,l}(tau) for 0 <= l <= m.  ``series.series_dlog`` itself is
+    held by the infrastructure round trips and the OV and DT suites.
     """
     if max_m < 1:
         raise ValueError("disc_series_check needs max_m >= 1")
     failures = []
-    rows, off_row = [[0]], [[]]
+    rows = [[0]]
     for n in range(1, max_m + 1):
-        terms = dict(kernel_level(tau, n - 1).items())
-        off_row.append([(u, v) for u, v in terms if u or v % 2 or not 0 <= v < 2 * n])
-        kern = [terms.get((0, 2 * i), 0) for i in range(n)]
+        kern = kernel_level(tau, n - 1)
         rows.append([b - c for b, c in zip([0] + kern, kern + [0])])  # (a - 1) K
     width = _dlog_width([sum(map(abs, row)) for row in rows])
     s, d = [_pack(row, width) for row in rows], [0]
@@ -149,8 +145,6 @@ def disc_series_check(tau: int, max_m: int) -> list:
         for l, c in enumerate(_unpack(d[m], width, m + 1)):
             if sign * c != -nums[m][l]:
                 failures.append({"m": m, "l": l, "got": sign * c, "want": -nums[m][l]})
-        if off_row[m]:
-            failures.append({"m": m, "unexpected_support": off_row[m]})
     return failures
 
 
@@ -162,7 +156,7 @@ def disc_series_check(tau: int, max_m: int) -> list:
 def _annulus_log(tau: int, order: int) -> list:
     """n times the X^n coefficient of the log of the normalized Bergmann
     kernel (Y(X2)-Y(X1))/(X2-X1)/(1-a), after the substitution X2 = t X1,
-    for n <= order: level n maps a doubled a-exponent v to its t-row, the
+    for n <= order: level n maps an a-exponent l to its t-row, the
     coefficients of t^0 .. t^n.
 
     The kernel is sum_n kernel_level(tau, n) (X1^n + X1^(n-1) X2 + ... +
@@ -179,43 +173,31 @@ def _annulus_log(tau: int, order: int) -> list:
     coefficients below 2^(8 width - 1), and ``_dlog_width`` sets the width
     from |S_n|_1 = (n+1) |kernel_level(tau, n)|_1.
     """
-    kern = [kernel_level(tau, n) for n in range(order + 1)]
-    width = _dlog_width([(n + 1) * sum(abs(c) for _, c in kern[n].items())
-                         for n in range(order + 1)])
+    kern = [[(i, c) for i, c in enumerate(kernel_level(tau, n)) if c]
+            for n in range(order + 1)]
+    width = _dlog_width([(n + 1) * sum(abs(c) for _, c in kern[n]) for n in range(order + 1)])
     geometric = [_packed_geometric(width, 1, count) for count in range(order + 2)]
     packed, d = [{}], [{}]
     for n in range(1, order + 1):
-        acc = {v: n * c * geometric[n + 1] for (_, v), c in kern[n].items()}
+        acc = {l: n * c * geometric[n + 1] for l, c in kern[n]}
         for k in range(1, n):
-            for v, row in packed[k].items():
+            for l, row in packed[k].items():
                 h = row * geometric[n - k + 1]
-                for (_, v2), c in kern[n - k].items():
-                    acc[v + v2] = acc.get(v + v2, 0) - c * h
+                for i, c in kern[n - k]:
+                    acc[l + i] = acc.get(l + i, 0) - c * h
         packed.append(acc)
-        d.append({v: _unpack(row, width, n + 1) for v, row in acc.items()})
+        d.append({l: _unpack(row, width, n + 1) for l, row in acc.items()})
     return d
 
 
 @lru_cache(maxsize=None)
-def _annulus_column(m1: int, m2: int, tau: int, order: int | None) -> dict:
+def _annulus_column(m1: int, m2: int, tau: int, order: int) -> dict:
     """{l: (m1+m2) c_{(m1,m2),l}}, integers read off the kernel log once per
     column, for the annulus suite's top slice and ``annulus_row``; read-only."""
     n = m1 + m2
-    if order is None:
-        order = n
     if n > order:
         raise ValueError(f"m1+m2 = {n} exceeds configured truncation {order}")
-    out: dict = {}
-    for v, row in _annulus_log(tau, order)[n].items():
-        if not row[m2]:
-            continue
-        if v % 2:
-            raise TheoremViolation(
-                "annulus kernel coefficient is not an a-polynomial "
-                f"(tau={tau}, m1={m1}, m2={m2})"
-            )
-        out[v // 2] = row[m2]
-    return out
+    return {l: row[m2] for l, row in _annulus_log(tau, order)[n].items() if row[m2]}
 
 
 def annulus_top_numerator(m1: int, m2: int, tau: int) -> int:
@@ -224,7 +206,7 @@ def annulus_top_numerator(m1: int, m2: int, tau: int) -> int:
     return binomial_ext(m1 * tau + m1 - 1, m1) * binomial_ext(m2 * tau + m2, m2)
 
 
-def annulus_row(m1: int, m2: int, tau: int, order: int | None = None) -> list:
+def annulus_row(m1: int, m2: int, tau: int, order: int) -> list:
     """Single-cover annulus invariants [n_{(m1,m2),0}, ..., n_{(m1,m2),m1+m2}]:
     (m1+m2) n_{(m1,m2),l} = sum_{d | gcd(m1,m2,l)} s_d mu(d) (m1+m2)/d
     c_{(m1/d,m2/d),l/d}, s_d = (-1)^floor((m1+m2) tau/d), one strided add of

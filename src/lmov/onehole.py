@@ -32,8 +32,9 @@ raised), via characters and the log on the power-sum partition algebra.
 derivation recurrence of ``series.series_dlog`` over the sub-multisets
 of mu, with integer weights.  Both are PochFracs, numerators over
 (q;q)_n; ``g_mu_general`` divides once, by the factors 1 - q^i of
-{mu} (q;q)_|mu| and then by |mu|, where it reads its table, and records
-a remainder of either division as a failure.
+{mu} (q;q)_|mu| and then by |mu|, where it reads its table; it records a
+remainder of either division, or a target that ``to_z_basis`` refuses,
+as a failure.
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ from .qa import (
     LaurentQA,
     PochFrac,
     Z_SQUARED,
-    ZBasisError,
     _nonneg_mul,
     _pack,
     _packed_geometric,
-    _z2_rewrite,
+    _width,
+    _z2_row,
     exact_div,
     one_minus_q_prod,
     quantum_int,
@@ -159,7 +160,7 @@ def colored_sum(m: int, tau: int) -> tuple:
     if tau == 0:
         raise ValueError("colored_sum needs tau != 0")
     length = m * abs(tau)
-    width = (factorial(m) * comb(2 * length + m - 1, m)).bit_length() // 8 + 1
+    width = _width(factorial(m) * comb(2 * length + m - 1, m))
     geometric = {k: _packed_geometric(width, k, length) for k in range(1, m + 1)}
     e = [{0: 1}]
     for n in range(1, m + 1):
@@ -238,10 +239,11 @@ def lmov_one_hole(m: int, tau: int) -> dict:
     ``qbinomial_step`` and ``_z2_rows``; the rewrite only adds and doubles."""
     entries = {}
     for v, (u0, row) in _z2_rows(m, tau).items():
-        if u0 % 2 or u0 != 1 - len(row) or row != row[::-1]:
+        pairs = _z2_row(u0, row)
+        if pairs is None:
             raise TheoremViolation(f"z^2 g_m outside Q[z^2, a^(+-1/2)] "
                                    f"(m={m}, tau={tau})")
-        for g, c in _z2_rewrite(row[len(row) // 2 :]):
+        for g, c in pairs:
             entries[(g, v)] = c
     return entries
 
@@ -332,9 +334,9 @@ def g_mu_general(mu: Partition, tau: int) -> GeneralHoleResult:
     {mu} = (-1)^l(mu) q^(-|mu|/2) prod (1 - q^(mu_i)), z^2 num is divided
     by the factors 1 - q^i of mu and of (q;q)_|mu|, and the quotient is
     then multiplied by (-1)^l(mu) q^(|mu|/2) and divided by |mu|,
-    coefficient by coefficient.  Failures, a remainder of either division
-    among them, are reported, not raised: only the single-row case is a
-    theorem.
+    coefficient by coefficient.  Failures (a remainder of either division,
+    a target with no z^2 rewrite) are reported, not raised: only the
+    single-row case is a theorem.
     """
     mu = tuple(sorted(mu, reverse=True))
     if not mu:
@@ -350,8 +352,8 @@ def g_mu_general(mu: Partition, tau: int) -> GeneralHoleResult:
     target = sized.shift(du=size).div((-1) ** (len(mu) % 2) * size)
     if target is None:
         return GeneralHoleResult(None, None, [{"mu": mu, "reason": "non-integer entries"}])
-    try:
-        table = to_z_basis(target)
-    except ZBasisError as e:
-        return GeneralHoleResult(target, None, [{"mu": mu, "reason": f"z-basis: {e}"}])
+    table = to_z_basis(target)
+    if table is None:
+        return GeneralHoleResult(target, None,
+                                 [{"mu": mu, "reason": "target not in Z[z^2, a^(+-1/2)]"}])
     return GeneralHoleResult(target, table, [])

@@ -16,9 +16,8 @@ exponent bookkeeping is plain integer arithmetic.  Coefficients are ints;
 ``div`` (by an int, one divmod per coefficient) and ``exact_div`` return
 None where a remainder arises, as ``arith.div_one_minus`` does, and the
 caller decides what a refusal means.  Coefficient arithmetic is
-duck-typed, so a caller may hold other exact numbers.  Every sum in
-``lmov`` is a ``dot``: ``LaurentQA`` keeps ``+`` and ``-`` for callers
-outside it, and ``PochFrac`` has no ``+``.
+duck-typed, so a caller may hold other exact numbers.  Every sum is a
+``dot``: neither class has ``+``, ``-`` or ``**``.
 
 ``LaurentQA.dot`` is the one product loop: the sum of c a b over (c, a, b)
 triples, every term pair of every product added into one dict whose zeros
@@ -26,18 +25,19 @@ are dropped once.  ``*`` is a one-term ``dot``, as in ``PochFrac``, whose
 ``dot`` folds each product's q-binomial into the same sum.  The integer
 hot paths (the one-hole chain, the colored sum, the annulus kernel log) run
 on one dense int row per a-slice instead, through ``_nonneg_mul`` and
-``_z2_rewrite``; the colored sum and the annulus log carry each row as its
+``_z2_row``; the colored sum and the annulus log carry each row as its
 value at x = 2^(8 width) (``_pack``, ``_unpack``), so that a geometric
-factor is one big-int multiply (``_packed_geometric``).  Every division is
-by factors 1 - x^k, as strided running sums (``arith.div_one_minus``).
+factor is one big-int multiply (``_packed_geometric``), at the width that
+``_width`` sets.  Every division is by factors 1 - x^k, as strided
+running sums (``arith.div_one_minus``).
 
-``to_z_basis`` rewrites a q-symmetric LaurentQA as a polynomial in
-z^2 = q - 2 + q^(-1) slice by slice in a, bottom-up on one dense list per
-slice that holds only the exponents q^0 and up (the rest mirror them):
-the coefficient of (z^2)^0 is the value at q = 1, and dividing what is
-left by z^2 = (1 - q)^2 / q is two running sums.  The result, the plain
-dict {(g, v): n} of f = sum n (z^2)^g a^(v/2), is the genus-graded form
-used by the one-hole invariant tables.
+``_z2_row`` rewrites a row as a polynomial in z^2 = q - 2 + q^(-1), or
+refuses it with None unless it is a palindrome in integer powers of q
+centred on q^0: bottom-up on its half from q^0 up, the coefficient of
+(z^2)^0 is the value at q = 1, and dividing what is left by
+z^2 = (1 - q)^2 / q is two running sums.  ``to_z_basis`` reads each
+a-slice of a LaurentQA as one such row, into the dict {(g, v): n} of
+f = sum n (z^2)^g a^(v/2), or None: the one-hole tables' genus grading.
 """
 
 from __future__ import annotations
@@ -49,21 +49,23 @@ from typing import Iterable, Mapping
 from .arith import div_one_minus, gaussian_binomial
 
 
-class ZBasisError(ValueError):
-    """Input is not a polynomial in z^2 over a^(1/2)-monomials."""
-
-
 # ---------------------------------------------------------------------------
 # dense rows
 # ---------------------------------------------------------------------------
+
+def _width(bound: int) -> int:
+    """The byte width of a packed slot for entries of absolute value at most
+    the int bound >= 0: the least width with bound < 2^(8 width - 1), so
+    that ``_unpack``'s bias leaves no slot negative and no slot carries."""
+    return bound.bit_length() // 8 + 1
+
 
 def _nonneg_mul(a: list, b: list) -> list:
     """The product of two dense lists of non-negative ints by one big-int
     multiply.  A product slot sums at most min(len a, len b) products of
     entries, so max a max b min(len a, len b) bounds it; each slot is wide
-    enough for that bound, and no slot carries into the next."""
-    bound = max(*a, 1) * max(*b, 1) * min(len(a), len(b))  # >= every input, too
-    n = bound.bit_length() // 8 + 1
+    enough for that bound (``_width``), and no slot carries into the next."""
+    n = _width(max(*a, 1) * max(*b, 1) * min(len(a), len(b)))  # >= every input, too
     pa = int.from_bytes(b"".join(c.to_bytes(n, "little") for c in a), "little")
     pb = int.from_bytes(b"".join(c.to_bytes(n, "little") for c in b), "little")
     raw = (pa * pb).to_bytes((len(a) + len(b) - 1) * n, "little")
@@ -149,26 +151,6 @@ class LaurentQA:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: LaurentQA) -> LaurentQA:
-        if not isinstance(other, LaurentQA):
-            return NotImplemented
-        d = dict(self._c)
-        for k, c in other._c.items():
-            s = d.get(k, 0) + c
-            if s:
-                d[k] = s
-            elif k in d:
-                del d[k]
-        return LaurentQA._make(d)
-
-    def __neg__(self) -> LaurentQA:
-        return LaurentQA._make({k: -c for k, c in self._c.items()})
-
-    def __sub__(self, other: LaurentQA) -> LaurentQA:
-        if not isinstance(other, LaurentQA):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: LaurentQA) -> LaurentQA:
         if not isinstance(other, LaurentQA):
             return NotImplemented
@@ -190,19 +172,6 @@ class LaurentQA:
                     k = (u1 + u2, v1 + v2)
                     d[k] = get(k, 0) + c1 * c2
         return LaurentQA._make({k: c for k, c in d.items() if c})
-
-    def __pow__(self, n: int) -> LaurentQA:
-        if n < 0:
-            raise ValueError("negative powers are not defined for LaurentQA")
-        out = LaurentQA.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
 
     def scale(self, c: int) -> LaurentQA:
         if not c:
@@ -323,28 +292,35 @@ def _z2_rewrite(h: list) -> list:
     return out[::-1]
 
 
-def to_z_basis(f: LaurentQA) -> dict:
+def _z2_row(u0: int, row: list) -> list | None:
+    """``_z2_rewrite``'s pairs for the row of coefficients of q^(u0/2 + e),
+    or None unless it is a palindrome in integer powers of q about q^0."""
+    if u0 % 2 or u0 != 1 - len(row) or row != row[::-1]:
+        return None
+    return _z2_rewrite(row[len(row) // 2 :])
+
+
+def to_z_basis(f: LaurentQA) -> dict | None:
     """Rewrite each a-slice of f as an exact polynomial in z^2 = q - 2 + 1/q:
     the dict {(g, v): n}, n nonzero, with f = sum n (z^2)^g a^(v/2).  When f
     is z^2 g_m the key g is the genus label and v doubles the charge Q.
 
-    Fails (ZBasisError) if a slice has odd half-exponents or is not
-    palindromic under q <-> 1/q; the tolerance is exact zero.  A palindromic
-    slice is then rewritten bottom-up by ``_z2_rewrite`` on the dense list
-    h[e] of its coefficients of q^e, e >= 0.
+    Each slice is laid out as one row in steps of q from its lowest term
+    and read by ``_z2_row``; None when a slice mixes the two
+    q^(1/2)-parities or ``_z2_row`` refuses it.
     """
     table: dict = {}
     for v, sl in f.a_slices().items():
+        lo = min(sl)
+        row = [0] * ((max(sl) - lo) // 2 + 1)
         for u, c in sl.items():
-            if u % 2:
-                raise ZBasisError(f"half-odd q-exponent u={u} in a-slice v={v}")
-            if sl.get(-u, 0) != c:
-                raise ZBasisError(f"a-slice v={v} is not symmetric under q <-> 1/q")
-        h = [0] * (max(sl) // 2 + 1)
-        for u, c in sl.items():
-            if u >= 0:
-                h[u // 2] = c
-        for g, c in _z2_rewrite(h):
+            if (u - lo) % 2:
+                return None
+            row[(u - lo) // 2] = c
+        pairs = _z2_row(lo, row)
+        if pairs is None:
+            return None
+        for g, c in pairs:
             table[(g, v)] = c
     return table
 

@@ -233,7 +233,9 @@ def check_infrastructure(max_n: int, samples: int, seed: int) -> Report:
     # z-basis round trip: random entries n at (g, v), expanded once as
     # f = sum n (z^2)^g a^(v/2), symmetric under q <-> 1/q
     rng = random.Random(seed)
-    z2_powers = [Z_SQUARED ** g for g in range(5)]
+    z2_powers = [LaurentQA.one()]
+    for _ in range(4):
+        z2_powers.append(z2_powers[-1] * Z_SQUARED)
     for _ in range(samples):
         entries: dict = {}
         for _ in range(rng.randint(1, 6)):

@@ -3,7 +3,9 @@
 They restate textbook definitions next to the library so that the tests
 can check the library's structure (the p-adic congruences behind the
 integrality proofs, partition multiplicities, the pairing matrix M, a JSON
-round trip of LaurentQA, the one-hole rows as a LaurentQA, among them
+round trip of LaurentQA, ``lsum``, the one sum of LaurentQAs that the
+tests and the reference take, as a ``LaurentQA.dot``, an int a-row as a
+LaurentQA, the one-hole rows as a LaurentQA, among them
 the closed form and the colored sum unpacked and divided by m!, the
 a-side quantum integer {n}_a, a row packed at 2^(8 width)) without the
 library shipping them, plus a runner that captures the command line's
@@ -25,6 +27,17 @@ from lmov import onehole
 from lmov.cli import EXIT_OK, main
 from lmov.partitions import mn_character, partitions_of, z_factor
 from lmov.qa import LaurentQA, PochFrac, _unpack, quantum_int
+
+
+def lsum(*terms) -> LaurentQA:
+    """The sum of c f over the (c, f) pairs: one ``LaurentQA.dot``, the
+    only sum that LaurentQA has."""
+    return LaurentQA.dot((c, f, LaurentQA.one()) for c, f in terms)
+
+
+def a_row(row: list) -> LaurentQA:
+    """The int a-row [c_0, c_1, ...], index = a-power, as sum c_l a^l."""
+    return LaurentQA({(0, 2 * l): c for l, c in enumerate(row)})
 
 
 def quantum_prod(parts) -> LaurentQA:
@@ -78,7 +91,7 @@ def aut_order(mu: tuple) -> int:
 
 def quantum_int_a(n: int) -> LaurentQA:
     """{n}_a = a^(n/2) - a^(-n/2)."""
-    return LaurentQA.monomial(v=n) - LaurentQA.monomial(v=-n)
+    return lsum((1, LaurentQA.monomial(v=n)), (-1, LaurentQA.monomial(v=-n)))
 
 
 def is_one(f: LaurentQA) -> bool:
@@ -100,14 +113,9 @@ def m_matrix(lam: tuple, mu: tuple) -> LaurentQA:
     chi_lam(nu) chi_mu(nu) / z_nu * prod_j (q^(-nu_j/2) - q^(nu_j/2))."""
     if sum(lam) != sum(mu):
         raise ValueError("m_matrix needs |lam| = |mu|")
-    total = LaurentQA.zero()
-    for nu in partitions_of(sum(lam)):
-        c = mn_character(lam, nu) * mn_character(mu, nu)
-        if not c:
-            continue
-        prod = quantum_prod(nu).scale((-1) ** (len(nu) % 2))
-        total = total + prod.scale(Fraction(c, z_factor(nu)))
-    return total
+    return lsum(*((Fraction((-1) ** (len(nu) % 2) * c, z_factor(nu)), quantum_prod(nu))
+                  for nu in partitions_of(sum(lam))
+                  if (c := mn_character(lam, nu) * mn_character(mu, nu))))
 
 
 def laurent(rows: dict) -> LaurentQA:

@@ -15,10 +15,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from helpers import clear_lmov_caches
+from helpers import clear_lmov_caches, lsum
 from lmov import cli, genus0, gwdt, onehole, verify
 from lmov.arith import TheoremViolation
-from lmov.qa import LaurentQA
+from lmov.qa import Z_SQUARED, LaurentQA
 from lmov.cli import EXIT_OK, EXIT_THEOREM, EXIT_USAGE, main
 from test_golden_outputs import GOLDEN
 
@@ -481,7 +481,7 @@ def test_a_remainder_in_a_round_trip_fails_cleanly(monkeypatch, capsys):
 
     def bumped(s):
         d = real_dlog(s)
-        return d[:2] + [d[2] + LaurentQA.one()] + d[3:]
+        return d[:2] + [lsum((1, d[2]), (1, LaurentQA.one()))] + d[3:]
 
     def recorded(d):
         out = real_dexp(d)
@@ -505,10 +505,12 @@ def test_a_remainder_in_a_round_trip_fails_cleanly(monkeypatch, capsys):
 
 
 def test_infrastructure_builds_each_z_squared_power_once(monkeypatch):
-    calls, real = [], LaurentQA.__pow__
-    monkeypatch.setattr(LaurentQA, "__pow__", lambda f, n: calls.append(n) or real(f, n))
+    # a running product: (z^2)^g from (z^2)^(g-1), one multiply for each g <= 4
+    calls, real = [], LaurentQA.__mul__
+    monkeypatch.setattr(LaurentQA, "__mul__",
+                        lambda f, g: calls.append(g is Z_SQUARED) or real(f, g))
     assert verify.check_infrastructure(**verify.FULL["infra"], seed=0).ok
-    assert calls == [0, 1, 2, 3, 4]
+    assert calls.count(True) == 4
 
 
 def test_violation_fails_only_its_suite(tmp_path, monkeypatch, capsys):
@@ -564,29 +566,6 @@ def test_annulus_division_failure_exits_2(monkeypatch, capsys):
     finally:
         for cached in caches:
             cached.cache_clear()
-
-
-def test_annulus_kernel_failure_exits_2(monkeypatch, capsys):
-    # a half-integer a-power in a kernel coefficient is a theorem violation,
-    # not a crash
-    real = genus0._annulus_log
-
-    def with_half_a_power(tau, order):
-        return [{v + 1: row for v, row in level.items()} for level in real(tau, order)]
-
-    monkeypatch.setattr(genus0, "_annulus_log", with_half_a_power)
-    real.cache_clear()
-    genus0._annulus_column.cache_clear()  # columns read from the real log
-    try:
-        assert main(["annulus", "--tau", "1", "--max-total", "3"]) == EXIT_THEOREM
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "not an a-polynomial (tau=1, m1=1, m2=1)" in err
-        reports = list(verify.run_all(verify.QUICK))
-        assert [r.name for r in reports if not r.ok] == ["annulus", "general-partition"]
-    finally:
-        real.cache_clear()
-        genus0._annulus_column.cache_clear()
 
 
 def test_ov_failure_records_keyed_by_int_reach_the_report(tmp_path, monkeypatch, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cli_output
+from helpers import cli_output, lsum
 from lmov import gwdt
 from lmov.arith import TheoremViolation, binomial_ext, loop_quiver_dt
 from lmov.genus0 import disc_rows
@@ -137,7 +137,7 @@ def test_non_integer_level_entries_keep_their_failure_text(monkeypatch):
         out = real(f, exponents)
         if exponents != range(2, 3):
             return out
-        return out + LaurentQA.monomial(2 if dict(out.items()).get((2, 0)) else -2)
+        return lsum((1, out), (1, LaurentQA.monomial(2 if dict(out.items()).get((2, 0)) else -2)))
 
     monkeypatch.setattr(gwdt, "exact_div", off_by_one)
     assert ooguri_vafa(1, 2).failures == [
@@ -168,7 +168,7 @@ def test_dt_failures_keep_their_text_and_order(monkeypatch, extra, message):
 
     def patched(f, exponents):
         out = real(f, exponents)
-        return out + extra if exponents == range(2, 3) else out
+        return lsum((1, out), (1, extra)) if exponents == range(2, 3) else out
 
     monkeypatch.setattr(gwdt, "exact_div", patched)
     with pytest.raises(TheoremViolation, match=f"^{message}$"):
@@ -181,7 +181,8 @@ def test_levels_that_do_not_clear_keep_their_failure_text(monkeypatch):
     real = gwdt.exact_div
 
     def broken(f, exponents):
-        return real(f + LaurentQA.one() if exponents == range(2, 4) else f, exponents)
+        return real(lsum((1, f), (1, LaurentQA.one())) if exponents == range(2, 4) else f,
+                    exponents)
 
     monkeypatch.setattr(gwdt, "exact_div", broken)
     table = ooguri_vafa(1, 3)

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import lmov
+from lmov.qa import LaurentQA
 
 SRC = Path(lmov.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
@@ -85,16 +86,33 @@ def test_report_belongs_to_the_sweep():
     assert named == ["verify"]
 
 
-def test_the_only_exceptions_are_theorem_violation_and_z_basis_error():
-    # a refused division is None, as arith.div_one_minus returns it, and
-    # each caller decides whether that raises or records
+def test_the_only_exception_is_theorem_violation():
+    # a refused division or z^2 rewrite is None, as arith.div_one_minus
+    # returns it, and each caller decides whether that raises or records
     found = []
     for module in MODULES:
         mod = importlib.import_module(f"lmov.{module}")
         found += [name for name, obj in vars(mod).items()
                   if isinstance(obj, type) and issubclass(obj, BaseException)
                   and obj.__module__ == mod.__name__]
-    assert sorted(found) == ["TheoremViolation", "ZBasisError"]
+    assert found == ["TheoremViolation"]
+
+
+def qa_names(module: str) -> set:
+    """The names that ``module`` imports from ``lmov.qa``."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return {a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "qa"
+            for a in node.names}
+
+
+def test_genus0_runs_on_packed_int_rows():
+    # the mirror-curve kernel is an int a-row: no LaurentQA in genus0
+    assert qa_names("genus0") == {"_pack", "_unpack", "_packed_geometric", "_width"}
+
+
+def test_dot_is_the_only_sum_of_laurent_polynomials():
+    assert not {"__add__", "__sub__", "__neg__", "__pow__"} & set(vars(LaurentQA))
 
 
 def test_the_cli_starts_without_dataclasses_or_inspect():

@@ -11,6 +11,7 @@ from helpers import (
     cli_output,
     colored_sum,
     laurent,
+    lsum,
     m_matrix,
     pack,
     quantum_int_a,
@@ -89,7 +90,7 @@ def test_verify_recursion_reports_pass():
 
 def _extra_term(r):
     u, v = max(k for k, _ in r.items())
-    return r + LaurentQA.monomial(u + 1, v)
+    return lsum((1, r), (1, LaurentQA.monomial(u + 1, v)))
 
 
 @pytest.mark.parametrize(
@@ -502,8 +503,8 @@ def test_m_matrix_size_two_table():
     # on classes ((1,1), (2)) with z-factors (2, 2)
     neg1 = quantum_int(1).scale(-1)
     neg2 = quantum_int(2).scale(-1)
-    m22 = (neg1 * neg1 + neg2).scale(Fraction(1, 2))
-    m2_11 = (neg1 * neg1 - neg2).scale(Fraction(1, 2))
+    m22 = lsum((Fraction(1, 2), neg1 * neg1), (Fraction(1, 2), neg2))
+    m2_11 = lsum((Fraction(1, 2), neg1 * neg1), (Fraction(-1, 2), neg2))
     assert m_matrix((2,), (2,)) == m22
     assert m_matrix((2,), (1, 1)) == m2_11
     assert m_matrix((1, 1), (1, 1)) == m22
@@ -615,7 +616,7 @@ def test_hook_quotient_failure_fails_only_general_partition(monkeypatch):
     q3 = onehole.one_minus_q_prod(range(1, 4))
 
     def broken(f, g):
-        return real(f + LaurentQA.one() if f == q3 else f, g)
+        return real(lsum((1, f), (1, LaurentQA.one())) if f == q3 else f, g)
 
     monkeypatch.setattr(onehole, "exact_div", broken)
     for cached in (onehole._quantum_dim, cal_z_partition, dlog_mu):
@@ -642,7 +643,8 @@ def test_general_denominator_failure_is_recorded(monkeypatch):
 
     def broken(f, exponents):
         exponents = tuple(exponents)
-        return real(f + LaurentQA.one() if exponents == (2, 1, 1, 2, 3) else f, exponents)
+        one_more = lsum((1, f), (1, LaurentQA.one()))
+        return real(one_more if exponents == (2, 1, 1, 2, 3) else f, exponents)
 
     monkeypatch.setattr(onehole, "exact_div", broken)
     r = g_mu_general((2, 1), 1)
@@ -664,12 +666,38 @@ def test_non_integer_general_entries_are_recorded(monkeypatch):
     def bumped(f, exponents):
         exponents = tuple(exponents)
         out = real(f, exponents)
-        return out + LaurentQA({(-size, v): 1}) if exponents == mu + (1, 2) else out
+        bump = LaurentQA({(-size, v): 1})
+        return lsum((1, out), (1, bump)) if exponents == mu + (1, 2) else out
 
     monkeypatch.setattr(onehole, "exact_div", bumped)
     r = g_mu_general(mu, tau)
     assert r.failures == [{"mu": mu, "reason": "non-integer entries"}]
     assert r.target is None and r.table is None
+
+
+def test_a_target_off_the_z2_basis_is_recorded(monkeypatch):
+    # |mu| more at q^(1 - |mu|) on an a-slice of z^2 num / ({mu} (q;q)_|mu|)
+    # lands on q^1 of that slice of the target: the division by +-|mu| is
+    # exact, but the slice is no palindrome, so it has no z^2 rewrite
+    mu, tau = (1, 1), 1
+    size, v = sum(mu), min(g_mu_general(mu, tau).target.a_slices())
+    real = onehole.exact_div
+
+    def bumped(f, exponents):
+        exponents = tuple(exponents)
+        out = real(f, exponents)
+        bump = LaurentQA({(2 - size, v): size})
+        return lsum((1, out), (1, bump)) if exponents == mu + (1, 2) else out
+
+    monkeypatch.setattr(onehole, "exact_div", bumped)
+    r = g_mu_general(mu, tau)
+    reason = "target not in Z[z^2, a^(+-1/2)]"
+    assert r.failures == [{"mu": mu, "reason": reason}]
+    sl = r.target.a_slices()[v]
+    assert r.table is None and sl.get(2, 0) != sl.get(-2, 0)
+    assert verify.check_general_partition(2, range(1, 2)).failures == [
+        {"tau": 1, "mu": mu, "reason": reason}
+    ]
 
 
 @pytest.mark.parametrize(
@@ -706,10 +734,6 @@ def test_partition_sum_generating_identity():
         )
         rhs = reference.series_pow_int(ratio, k)
         for m in range(0, order + 1):
-            lhs = LaurentQA.zero()
-            for lam in partitions_of(m):
-                term = quantum_prod(lam).scale(
-                    Fraction(k ** len(lam), z_factor(lam))
-                )
-                lhs = lhs + term
+            lhs = lsum(*((Fraction(k ** len(lam), z_factor(lam)), quantum_prod(lam))
+                         for lam in partitions_of(m)))
             assert lhs == rhs[m], (k, m)
