@@ -24,26 +24,33 @@ triples, every term pair of every product added into one dict whose zeros
 are dropped once.  ``*`` is a one-term ``dot``, as in ``PochFrac``, whose
 ``dot`` folds each product's q-binomial into the same sum.  The integer
 hot paths (the one-hole chain, the colored sum, the annulus kernel log) run
-on one dense int row per a-slice instead, through ``_nonneg_mul`` and
-``_z2_row``; the colored sum and the annulus log carry each row as its
-value at x = 2^(8 width) (``_pack``, ``_unpack``), so that a geometric
-factor is one big-int multiply (``_packed_geometric``), at the width that
-``_width`` sets.  Every division is by factors 1 - x^k, as strided
-running sums (``arith.div_one_minus``).
+on one dense int row per a-slice instead, carried as its value at
+x = 2^(8 width) (``_pack``, ``_unpack``) at the width that ``_width`` sets
+from an l1 bound: a product of two rows (``_nonneg_mul``), or of a row
+and a geometric factor (``_packed_geometric``), is then one big-int
+multiply, and the z^2 rewrite (``_z2_row``) one int recurrence.  Slots
+of 1, 2, 4 or 8 bytes are packed and read by one ``struct`` call
+(``_nonneg_mul``, ``_unpack``).  Every division is by factors 1 - x^k, as
+strided running sums (``arith.div_one_minus``).
 
 ``_z2_row`` rewrites a row as a polynomial in z^2 = q - 2 + q^(-1), or
 refuses it with None unless it is a palindrome in integer powers of q
-centred on q^0: bottom-up on its half from q^0 up, the coefficient of
-(z^2)^0 is the value at q = 1, and dividing what is left by
-z^2 = (1 - q)^2 / q is two running sums.  ``to_z_basis`` reads each
-a-slice of a LaurentQA as one such row, into the dict {(g, v): n} of
+centred on q^0.  With t = q + 1/q = 2 + z^2, q^e + q^(-e) is a difference
+of two Chebyshev polynomials in t, so the coefficients in z^2 of the whole
+row are those of one Chebyshev recurrence, run on one int at
+z^2 = 2^(8 width): a shift and three adds per term of the half, and one
+``_unpack`` (``_z2_rewrite``); from 320 terms on, where its slots grow too
+wide, the half is read bottom-up by running sums.  ``to_z_basis`` reads
+each a-slice of a LaurentQA as one such row, into the dict {(g, v): n} of
 f = sum n (z^2)^g a^(v/2), or None: the one-hole tables' genus grading.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from itertools import accumulate
+from math import lcm
 from typing import Iterable, Mapping
 
 from .arith import div_one_minus, gaussian_binomial
@@ -60,15 +67,30 @@ def _width(bound: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
+# the struct format of an unsigned slot of 1, 2, 4 or 8 bytes; its signed
+# format is the lower case
+_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def _nonneg_mul(a: list, b: list) -> list:
     """The product of two dense lists of non-negative ints by one big-int
     multiply.  A product slot sums at most min(len a, len b) products of
     entries, so max a max b min(len a, len b) bounds it; each slot is wide
-    enough for that bound (``_width``), and no slot carries into the next."""
+    enough for that bound (``_width``), and no slot carries into the next.
+    A width of at most 8 bytes rounds up to 1, 2, 4 or 8, so that
+    ``struct`` packs each list and unpacks the product in one call; a wider
+    slot goes through one bytes object per entry."""
     n = _width(max(*a, 1) * max(*b, 1) * min(len(a), len(b)))  # >= every input, too
+    length = len(a) + len(b) - 1
+    if n <= 8:
+        n = 1 << (n - 1).bit_length()
+        fmt = _UNSIGNED[n]
+        pa = int.from_bytes(struct.pack(f"<{len(a)}{fmt}", *a), "little")
+        pb = int.from_bytes(struct.pack(f"<{len(b)}{fmt}", *b), "little")
+        return list(struct.unpack(f"<{length}{fmt}", (pa * pb).to_bytes(length * n, "little")))
     pa = int.from_bytes(b"".join(c.to_bytes(n, "little") for c in a), "little")
     pb = int.from_bytes(b"".join(c.to_bytes(n, "little") for c in b), "little")
-    raw = (pa * pb).to_bytes((len(a) + len(b) - 1) * n, "little")
+    raw = (pa * pb).to_bytes(length * n, "little")
     return [int.from_bytes(raw[k : k + n], "little") for k in range(0, len(raw), n)]
 
 
@@ -77,21 +99,34 @@ def _packed_geometric(width: int, step: int, count: int) -> int:
     return int.from_bytes(b"\x01".ljust(width * step, b"\x00") * count, "little")
 
 
+@lru_cache(maxsize=None)
+def _slots(width: int, length: int) -> tuple:
+    """The bias, 2^(8 width - 1) in each of length slots, and at a width of
+    1, 2, 4 or 8 bytes the ``struct`` reader of that many signed slots
+    (None at any other width)."""
+    bias = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * length, "little")
+    fmt = _UNSIGNED.get(width)
+    return bias, fmt and struct.Struct(f"<{length}{fmt.lower()}").unpack
+
+
 def _pack(row: list, width: int) -> int:
     """The row's value at x = 2^(8 width), each entry below 2^(8 width - 1) in absolute value."""
     half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * len(row), "little")
     raw = b"".join([(c + half).to_bytes(width, "little") for c in row])
-    return int.from_bytes(raw, "little") - bias
+    return int.from_bytes(raw, "little") - _slots(width, len(row))[0]
 
 
 def _unpack(packed: int, width: int, length: int) -> list:
     """``_pack``'s inverse on rows of the given length whose entries are all
-    below 2^(8 width - 1) in absolute value: the bias leaves no slot negative."""
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * length, "little")
-    raw = (packed + bias).to_bytes(width * length, "little")
-    return [int.from_bytes(raw[k : k + width], "little") - half
+    below 2^(8 width - 1) in absolute value: adding the bias leaves no slot
+    negative, and flipping each slot's top bit back leaves the slot's entry
+    in two's complement, which ``struct`` reads in one call at a width of
+    1, 2, 4 or 8 bytes (``_slots``)."""
+    bias, read = _slots(width, length)
+    raw = ((packed + bias) ^ bias).to_bytes(width * length, "little")
+    if read:
+        return list(read(raw))
+    return [int.from_bytes(raw[k : k + width], "little", signed=True)
             for k in range(0, len(raw), width)]
 
 
@@ -272,29 +307,82 @@ def exact_div(f: LaurentQA, exponents: Iterable[int]) -> LaurentQA | None:
 # z^2 basis
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _chebyshev_l1(k: int) -> int:
+    """The l1 norm F_(2k+2) of U_k(w) = [x^k] 1/(1 - (2 + w) x + x^2), a
+    polynomial in w with coefficients C(k + g + 1, 2 g + 1) >= 0: so the norm
+    is U_k at w = 1, and U_k(1) = 3 U_(k-1)(1) - U_(k-2)(1) from U_0 = 1,
+    U_1 = 3 is the recurrence of F_2, F_4, F_6, ..."""
+    a, b = 0, 1
+    for _ in range(2 * k + 2):
+        a, b = b, a + b
+    return a
+
+
+# The recurrence's slots widen by log2 of the golden ratio squared, 1.39
+# bits, per term of the half, so its work grows as the cube of the length;
+# the running sums' as the square.  On the one-hole chain's rows (m <= 16,
+# |tau| <= 5) the two cost the same at about 320 terms.
+_Z2_RUNNING_SUMS_FROM = 320
+
+
 def _z2_rewrite(h: list) -> list:
     """The pairs (g, c), g descending and c nonzero, with sum c (z^2)^g the
     palindrome whose coefficients of q^0, q^1, ... are h.
 
-    Bottom-up on the half ``top`` from q^d down to q^0, with running sums
-    s: z^2 vanishes at q = 1, so c_g is the palindrome's value there,
-    2 s[-1] - top[-1].  Less c_g at q^0, it has a double root at q = 1, so
-    its quotient by z^2 = (1 - q)^2 / q is exact; its half from q^(d-1)
-    down is the running sum of s[:-1], so no remainder is left to check."""
-    out = []
-    top = h[::-1]
-    for g in range(len(h)):
-        s = list(accumulate(top))
-        c = 2 * s[-1] - top[-1]
-        if c:
-            out.append((g, c))
-        top = list(accumulate(s[:-1]))
-    return out[::-1]
+    With t = q + 1/q = 2 + z^2 and U_k = [x^k] 1/(1 - t x + x^2), q^e + q^(-e)
+    is U_e - U_(e-2), so with T the half reversed and N = len(h) - 1,
+    sum c_g w^g is [x^N] T(x) (1 - x^2) / (1 - (2 + w) x + x^2) at w = z^2.
+    At w = 2^(8 width) that is one int recurrence, one shift and three adds
+    a step: y_k = T_k + (2 + w) y_(k-1) - y_(k-2), and the sum is
+    y_N - y_(N-2) = 2 y_N - (2 + w) y_(N-1) - T_N.  Each U_k(w) has
+    coefficients >= 0 that sum to F_(2k+2) (``_chebyshev_l1``), so no c_g
+    exceeds |T (1 - x^2)|_1 F_(2N+2) <= 2 |h|_1 F_(2N+2), which sets the
+    width; ``_unpack`` reads every c_g at once.  A width of at most 8 bytes
+    rounds up to 1, 2, 4 or 8, which ``_unpack`` reads in one call.
+
+    From ``_Z2_RUNNING_SUMS_FROM`` terms on, where the slots grow too wide,
+    the rewrite runs bottom-up instead, on the half ``top`` from q^N down to
+    q^0, with running sums s: z^2 vanishes at q = 1, so c_g is the
+    palindrome's value there, 2 s[-1] - top[-1].  Less c_g at q^0, it has a
+    double root at q = 1, so its quotient by z^2 = (1 - q)^2 / q is exact;
+    its half from q^(N-1) down is the running sum of s[:-1].
+
+    A row of exact non-int numbers (Fractions) is cleared by the lcm of its
+    denominators; its pairs are divided back in the row's own arithmetic."""
+    norm = sum(map(abs, h))
+    if type(norm) is not int:
+        d = lcm(*(c.denominator for c in h))
+        zero = norm - norm
+        return [(g, (zero + c) / d) for g, c in _z2_rewrite([(c * d).numerator for c in h])]
+    n = len(h)
+    if n >= _Z2_RUNNING_SUMS_FROM:
+        out = []
+        top = h[::-1]
+        for g in range(n):
+            s = list(accumulate(top))
+            c = 2 * s[-1] - top[-1]
+            if c:
+                out.append((g, c))
+            top = list(accumulate(s[:-1]))
+        return out[::-1]
+    width = _width(2 * norm * _chebyshev_l1(n - 1))
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+    shift = 8 * width
+    y0 = y1 = 0
+    for t in reversed(h):
+        y0, y1 = y1, (y1 << shift) + 2 * y1 - y0 + t
+    c = _unpack(2 * y1 - (y0 << shift) - 2 * y0 - h[0], width, n)
+    out = [(g, x) for g, x in enumerate(c) if x]
+    out.reverse()
+    return out
 
 
 def _z2_row(u0: int, row: list) -> list | None:
     """``_z2_rewrite``'s pairs for the row of coefficients of q^(u0/2 + e),
-    or None unless it is a palindrome in integer powers of q about q^0."""
+    or None unless it is a palindrome in integer powers of q about q^0;
+    its half from q^0 up is what ``_z2_rewrite`` rewrites."""
     if u0 % 2 or u0 != 1 - len(row) or row != row[::-1]:
         return None
     return _z2_rewrite(row[len(row) // 2 :])
@@ -306,8 +394,8 @@ def to_z_basis(f: LaurentQA) -> dict | None:
     is z^2 g_m the key g is the genus label and v doubles the charge Q.
 
     Each slice is laid out as one row in steps of q from its lowest term
-    and read by ``_z2_row``; None when a slice mixes the two
-    q^(1/2)-parities or ``_z2_row`` refuses it.
+    and read by ``_z2_row``, one ``_z2_rewrite`` per slice; None when a
+    slice mixes the two q^(1/2)-parities or ``_z2_row`` refuses it.
     """
     table: dict = {}
     for v, sl in f.a_slices().items():

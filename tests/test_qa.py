@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -11,6 +11,8 @@ from lmov.arith import divisors
 from lmov.qa import (
     LaurentQA,
     PochFrac,
+    _Z2_RUNNING_SUMS_FROM,
+    _chebyshev_l1,
     _nonneg_mul,
     _pack,
     _packed_geometric,
@@ -208,10 +210,22 @@ def test_exact_div_bivariate_divisor():
         reference.exact_div(lsum((1, f * g), (1, LaurentQA.one())), f)
 
 
+def _at_each_slot_top(test):
+    # max a max b min(len a, len b) at 2^(8n - 1) - 1 and at 2^(8n - 1), where
+    # 2 half^2 fills the middle slot: widths n and n + 1, so that every struct
+    # slot (1, 2, 4 and 8 bytes, 3 and 5 rounded up) and the bytes path run
+    for n in (1, 2, 3, 4, 8, 9):
+        half = 2 ** (4 * n - 1)
+        test = example([2 ** (8 * n - 1) - 1, 3], [1])(test)
+        test = example([half, half], [half, half])(test)
+    return test
+
+
 @given(
     st.lists(st.integers(0, 9) | st.integers(0, 10**30), min_size=1, max_size=12),
     st.lists(st.integers(0, 9) | st.integers(0, 10**30), min_size=1, max_size=12),
 )
+@_at_each_slot_top
 def test_nonneg_mul_matches_the_double_loop(a, b):
     want = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -346,16 +360,72 @@ def test_pochfrac_dot_of_mixed_degrees_raises_as_add_does(f, g, n, gap, c, zero_
 # ---------------------------------------------------------------------------
 
 
-@given(int_or_fraction_rows.filter(bool))
+# up to 400 terms of up to 2^40: slots wider than 8 bytes, N >= 100, and
+# rows on both sides of qa._Z2_RUNNING_SUMS_FROM
+long_int_rows = st.integers(1, 400).flatmap(lambda n: st.lists(
+    st.integers(-9, 9) | st.integers(-2**40, 2**40), min_size=n, max_size=n))
+
+
+@given(int_or_fraction_rows.filter(bool) | long_int_rows)
+@example([(-1) ** k * (2**40 - k) for k in range(_Z2_RUNNING_SUMS_FROM - 1)])
+@example([(-1) ** k * (2**40 - k) for k in range(_Z2_RUNNING_SUMS_FROM)])
 def test_z2_rewrite_matches_the_top_down_reference(half):
-    # bottom-up running sums against the top-down subtraction of binomial
-    # rows, on the palindrome whose coefficients of q^0, q^1, ... are half
+    # the packed Chebyshev recurrence against the top-down subtraction of
+    # binomial rows, on the palindrome whose coefficients of q^0, q^1, ... are half
     got = _z2_rewrite(list(half))
     assert got == reference.z2_rewrite(list(half))
     assert [g for g, _ in got] == sorted({g for g, _ in got}, reverse=True)
     assert all(c for _, c in got)
     if all(type(c) is int for c in half):
         assert all(type(c) is int for _, c in got)
+
+
+def _chebyshev_rows(n):
+    # U_k(w) = [x^k] 1/(1 - (2 + w) x + x^2) as lists of coefficients of w^0,
+    # w^1, ..., k = 0..n, by U_k = (2 + w) U_(k-1) - U_(k-2)
+    rows = [[1], [2, 1]]
+    while len(rows) <= n:
+        prev, prev2 = rows[-1], rows[-2]
+        nxt = [2 * c for c in prev] + [0]
+        for i, c in enumerate(prev):
+            nxt[i + 1] += c
+        for i, c in enumerate(prev2):
+            nxt[i] -= c
+        rows.append(nxt)
+    return rows[: n + 1]
+
+
+def test_chebyshev_coefficients_are_nonnegative_and_sum_to_every_other_fibonacci():
+    # the premise of the rewrite's width: |U_k(w)|_1 = F_(2k+2) for k <= 300
+    fib = [0, 1]
+    while len(fib) < 2 * 300 + 3:
+        fib.append(fib[-1] + fib[-2])
+    for k, row in enumerate(_chebyshev_rows(300)):
+        assert min(row) >= 0, k
+        assert sum(row) == fib[2 * k + 2] == _chebyshev_l1(k), k
+
+
+@given(st.lists(st.integers(-9, 9) | st.integers(-2**40, 2**40), min_size=1, max_size=60))
+def test_unpacked_chebyshev_run_stays_within_the_width_bound(half):
+    # y_k = B_k + (2 + w) y_(k-1) - y_(k-2) on lists in w, B = T (1 - x^2), T the
+    # half reversed: every |y_k|_1 <= |B|_1 F_(2k+2), y_N is the rewrite, and
+    # the width that _z2_rewrite sets from 2 |half|_1 covers |B|_1
+    top = half[::-1]
+    b = [x - y for x, y in zip(top, [0, 0] + top)]
+    norm = sum(map(abs, b))
+    y2, y1 = [], []
+    for k, bk in enumerate(b):
+        y = [0] * (k + 1)
+        y[0] = bk
+        for i, c in enumerate(y1):
+            y[i] += 2 * c
+            y[i + 1] += c
+        for i, c in enumerate(y2):
+            y[i] -= c
+        assert sum(map(abs, y)) <= norm * _chebyshev_l1(k)
+        y2, y1 = y1, y
+    assert [(g, c) for g, c in reversed(list(enumerate(y1))) if c] == _z2_rewrite(list(half))
+    assert norm <= 2 * sum(map(abs, half))
 
 
 def test_z_basis_examples():
