@@ -251,11 +251,11 @@ def _table(args) -> tuple:
         head = {"table": "multihole", "tau": tau, "max_size": args.max_size}
         return head, rows, ["mu", "tau", "value=n", "integral"]
     if cmd == "onehole":
-        q, fmt_q = ("Q", half_string) if args.half_format == "fraction" else ("two_q", int)
+        q = "Q" if (half := args.half_format == "fraction") else "two_q"
         rows = []
         for m in range(1, args.max_m + 1):
             cells = sorted(onehole.lmov_one_hole(m, tau).items())
-            entries = [{"g": g, q: fmt_q(v), "n": n} for (g, v), n in cells]
+            entries = [{"g": g, q: half_string(v) if half else v, "n": n} for (g, v), n in cells]
             rows.append({"m": m, "tau": tau, "entries": entries})
         return {"table": "onehole", "tau": tau}, rows, ["m", "tau", "g", q, "n"]
     if cmd == "ov":

@@ -139,6 +139,18 @@ def test_a_table_request_loads_no_argument_parser():
     assert '"table": "disc"' in run.stdout
 
 
+def test_a_csv_table_request_loads_no_csv_module():
+    # lmov writes CSV by its own field rule: no request pays for csv.writer
+    code = ("import sys, lmov.cli; names = {'csv', '_csv'}; "
+            "lmov.cli.main(['onehole', '--tau', '1', '--max-m', '2', '--format', 'csv']); "
+            "print(sorted(names & set(sys.modules)), file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stderr == "[]\n"
+    assert run.stdout.startswith("m,tau,g,two_q,n\n1,1,")
+
+
 def test_main_freezes_the_heap_and_import_does_not():
     # the freeze belongs to a process that runs one command line: importing
     # lmov.cli leaves its importer's collector as it was
