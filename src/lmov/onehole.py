@@ -178,20 +178,24 @@ def colored_sum(m: int, tau: int) -> tuple:
 
 def closed_form_is_colored_sum(m: int, tau: int) -> bool:
     """Whether E_m (``colored_sum``) is (-1)^(m tau) m! times the closed form
-    (``_cleared_rows``), tau != 0, as one packed int per nonzero a-slice.  Two
-    rows with entries below x/2 = 2^(8 width - 1) in absolute value that first
-    differ at slot j have values that differ by x^j (d + x k), 0 < |d| < x: so
-    packing is injective on such rows, as E_m is by its l1 bound.  A cleared
-    row with max |c| m! >= x/2, on the other q^(1/2)-parity or starting (on a
-    nonzero entry) below E_m is a mismatch; so is E_m not divisible by m!."""
+    (``_cleared_rows``), tau != 0, as one packed int per nonzero a-slice: the
+    scaled row, after as many zeros as it starts above E_m, packed at E_m's
+    width.  ``_pack`` writes entries in [-x/2, x/2), x = 2^(8 width), and
+    refuses any other row with None: those are balanced residues mod x, so
+    two such rows that first differ at slot j have values that differ by
+    x^j (d + x k), 0 < |d| < x, and packing is injective on them, -x/2
+    included.  E_m is among them by its l1 bound.  A cleared row that
+    ``_pack`` refuses, on the other q^(1/2)-parity, starting (on a nonzero
+    entry) below E_m or on a slice that E_m lacks is a mismatch; so is E_m
+    not divisible by m!."""
     width, packed = colored_sum(m, tau)
     rows = {v: r for v, r in _cleared_rows(m, tau).items() if any(r[1])}
-    fact, lo, half = factorial(m), -(m * abs(tau) - 1) * m, 1 << (8 * width - 1)
-    scale = (-1) ** ((m * tau) % 2) * fact
+    lo = -(m * abs(tau) - 1) * m
+    scale = (-1) ** ((m * tau) % 2) * factorial(m)
     for v, (u0, row) in rows.items():
         shift, odd = divmod(u0 - lo, 2)
-        if (odd or shift < 0 or max(map(abs, row)) * fact >= half
-                or packed.get(v) != (scale * _pack(row, width)) << (8 * width * shift)):
+        want = None if odd or shift < 0 else _pack([0] * shift + [scale * c for c in row], width)
+        if want is None or packed.get(v) != want:
             return False
     return rows.keys() == {v for v, p in packed.items() if p}
 
@@ -317,7 +321,6 @@ def dlog_mu(mu: Partition, tau: int) -> PochFrac:
 
 
 class GeneralHoleResult(NamedTuple):
-    target: LaurentQA | None  # z^2 * z_mu * g-hat_mu, when it is a Laurent polynomial
     table: dict | None  # {(g, two_q): n}, when the z^2-basis rewrite exists
     failures: list  # failure records; empty when the table exists
 
@@ -348,12 +351,11 @@ def g_mu_general(mu: Partition, tau: int) -> GeneralHoleResult:
     size = sum(mu)
     sized = exact_div(s.num * Z_SQUARED, mu + tuple(range(1, size + 1)))
     if sized is None:
-        return GeneralHoleResult(None, None, [{"mu": mu, "reason": "denominator did not clear"}])
+        return GeneralHoleResult(None, [{"mu": mu, "reason": "denominator did not clear"}])
     target = sized.shift(du=size).div((-1) ** (len(mu) % 2) * size)
     if target is None:
-        return GeneralHoleResult(None, None, [{"mu": mu, "reason": "non-integer entries"}])
+        return GeneralHoleResult(None, [{"mu": mu, "reason": "non-integer entries"}])
     table = to_z_basis(target)
     if table is None:
-        return GeneralHoleResult(target, None,
-                                 [{"mu": mu, "reason": "target not in Z[z^2, a^(+-1/2)]"}])
-    return GeneralHoleResult(target, table, [])
+        return GeneralHoleResult(None, [{"mu": mu, "reason": "target not in Z[z^2, a^(+-1/2)]"}])
+    return GeneralHoleResult(table, [])

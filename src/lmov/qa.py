@@ -15,9 +15,8 @@ Exponents live on the half-integer lattice and are stored doubled:
 exponent bookkeeping is plain integer arithmetic.  Coefficients are ints;
 ``div`` (by an int, one divmod per coefficient) and ``exact_div`` return
 None where a remainder arises, as ``arith.div_one_minus`` does, and the
-caller decides what a refusal means.  Coefficient arithmetic is
-duck-typed, so a caller may hold other exact numbers.  Every sum is a
-``dot``: neither class has ``+``, ``-`` or ``**``.
+caller decides what a refusal means.  Every sum is a ``dot``: neither
+class has ``+``, ``-`` or ``**``.
 
 ``LaurentQA.dot`` is the one product loop: the sum of c a b over (c, a, b)
 triples, every term pair of every product added into one dict whose zeros
@@ -25,13 +24,18 @@ are dropped once.  ``*`` is a one-term ``dot``, as in ``PochFrac``, whose
 ``dot`` folds each product's q-binomial into the same sum.  The integer
 hot paths (the one-hole chain, the colored sum, the annulus kernel log) run
 on one dense int row per a-slice instead, carried as its value at
-x = 2^(8 width) (``_pack``, ``_unpack``) at the width that ``_width`` sets
-from an l1 bound: a product of two rows (``_nonneg_mul``), or of a row
-and a geometric factor (``_packed_geometric``), is then one big-int
-multiply, and the z^2 rewrite (``_z2_row``) one int recurrence.  Slots
-of 1, 2, 4 or 8 bytes are packed and read by one ``struct`` call
-(``_nonneg_mul``, ``_unpack``).  Every division is by factors 1 - x^k, as
-strided running sums (``arith.div_one_minus``).
+x = 2^(8 width) at the width that ``_width`` sets from an l1 bound: a
+product of two rows (``_nonneg_mul``), or of a row and a geometric
+factor (``_packed_geometric``), is then one big-int multiply, and the
+z^2 rewrite (``_z2_row``) one int recurrence.  ``LaurentQA.rows`` is the
+one layout of a LaurentQA as dense rows, which ``exact_div`` and
+``to_z_basis`` read.  One codec packs and reads every row: ``_pack``
+writes each entry as a signed slot in two's complement, and refuses with
+None an entry outside [-x/2, x/2); ``_unpack`` reads the slots back.
+Slots of 1, 2, 4 or 8 bytes take one ``struct`` call each way.  Every
+division is by factors 1 - x^k, as strided running sums
+(``arith.div_one_minus``).  Packed rows and the z^2 rewrite take ints
+only.
 
 ``_z2_row`` rewrites a row as a polynomial in z^2 = q - 2 + q^(-1), or
 refuses it with None unless it is a palindrome in integer powers of q
@@ -50,7 +54,6 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from itertools import accumulate
-from math import lcm
 from typing import Iterable, Mapping
 
 from .arith import div_one_minus, gaussian_binomial
@@ -63,13 +66,9 @@ from .arith import div_one_minus, gaussian_binomial
 def _width(bound: int) -> int:
     """The byte width of a packed slot for entries of absolute value at most
     the int bound >= 0: the least width with bound < 2^(8 width - 1), so
-    that ``_unpack``'s bias leaves no slot negative and no slot carries."""
+    that every such entry is a signed slot that ``_pack`` writes and
+    ``_unpack`` reads."""
     return bound.bit_length() // 8 + 1
-
-
-# the struct format of an unsigned slot of 1, 2, 4 or 8 bytes; its signed
-# format is the lower case
-_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _nonneg_mul(a: list, b: list) -> list:
@@ -78,20 +77,11 @@ def _nonneg_mul(a: list, b: list) -> list:
     entries, so max a max b min(len a, len b) bounds it; each slot is wide
     enough for that bound (``_width``), and no slot carries into the next.
     A width of at most 8 bytes rounds up to 1, 2, 4 or 8, so that
-    ``struct`` packs each list and unpacks the product in one call; a wider
-    slot goes through one bytes object per entry."""
+    ``struct`` packs each list and unpacks the product in one call."""
     n = _width(max(*a, 1) * max(*b, 1) * min(len(a), len(b)))  # >= every input, too
-    length = len(a) + len(b) - 1
     if n <= 8:
         n = 1 << (n - 1).bit_length()
-        fmt = _UNSIGNED[n]
-        pa = int.from_bytes(struct.pack(f"<{len(a)}{fmt}", *a), "little")
-        pb = int.from_bytes(struct.pack(f"<{len(b)}{fmt}", *b), "little")
-        return list(struct.unpack(f"<{length}{fmt}", (pa * pb).to_bytes(length * n, "little")))
-    pa = int.from_bytes(b"".join(c.to_bytes(n, "little") for c in a), "little")
-    pb = int.from_bytes(b"".join(c.to_bytes(n, "little") for c in b), "little")
-    raw = (pa * pb).to_bytes(length * n, "little")
-    return [int.from_bytes(raw[k : k + n], "little") for k in range(0, len(raw), n)]
+    return _unpack(_pack(a, n) * _pack(b, n), n, len(a) + len(b) - 1)
 
 
 def _packed_geometric(width: int, step: int, count: int) -> int:
@@ -99,33 +89,46 @@ def _packed_geometric(width: int, step: int, count: int) -> int:
     return int.from_bytes(b"\x01".ljust(width * step, b"\x00") * count, "little")
 
 
+# the struct format of a signed slot of 1, 2, 4 or 8 bytes
+_SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
 @lru_cache(maxsize=None)
 def _slots(width: int, length: int) -> tuple:
-    """The bias, 2^(8 width - 1) in each of length slots, and at a width of
-    1, 2, 4 or 8 bytes the ``struct`` reader of that many signed slots
+    """The top bit 2^(8 width - 1) of each of length slots, and at a width
+    of 1, 2, 4 or 8 bytes the ``struct`` codec of that many signed slots
     (None at any other width)."""
-    bias = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * length, "little")
-    fmt = _UNSIGNED.get(width)
-    return bias, fmt and struct.Struct(f"<{length}{fmt.lower()}").unpack
+    top = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * length, "little")
+    fmt = _SIGNED.get(width)
+    return top, fmt and struct.Struct(f"<{length}{fmt}")
 
 
-def _pack(row: list, width: int) -> int:
-    """The row's value at x = 2^(8 width), each entry below 2^(8 width - 1) in absolute value."""
-    half = 1 << (8 * width - 1)
-    raw = b"".join([(c + half).to_bytes(width, "little") for c in row])
-    return int.from_bytes(raw, "little") - _slots(width, len(row))[0]
+def _pack(row: list, width: int) -> int | None:
+    """The int row's value at x = 2^(8 width), or None unless every entry
+    lies in [-2^(8 width - 1), 2^(8 width - 1)).  Each entry is written in
+    two's complement, by one ``struct`` call at a width of 1, 2, 4 or 8
+    bytes (``_slots``); read as one unsigned int, a negative entry c stands
+    as c + x there, so each slot whose top bit is set takes x back."""
+    top, codec = _slots(width, len(row))
+    try:
+        raw = codec.pack(*row) if codec else b"".join(
+            [c.to_bytes(width, "little", signed=True) for c in row])
+    except (struct.error, OverflowError):
+        return None
+    raw = int.from_bytes(raw, "little")
+    return raw - ((raw & top) << 1)
 
 
 def _unpack(packed: int, width: int, length: int) -> list:
-    """``_pack``'s inverse on rows of the given length whose entries are all
-    below 2^(8 width - 1) in absolute value: adding the bias leaves no slot
-    negative, and flipping each slot's top bit back leaves the slot's entry
+    """``_pack``'s inverse on rows of the given length whose entries all lie
+    in [-2^(8 width - 1), 2^(8 width - 1)): adding each slot's top bit
+    leaves no slot negative, and flipping it back leaves the slot's entry
     in two's complement, which ``struct`` reads in one call at a width of
     1, 2, 4 or 8 bytes (``_slots``)."""
-    bias, read = _slots(width, length)
-    raw = ((packed + bias) ^ bias).to_bytes(width * length, "little")
-    if read:
-        return list(read(raw))
+    top, codec = _slots(width, length)
+    raw = ((packed + top) ^ top).to_bytes(width * length, "little")
+    if codec:
+        return list(codec.unpack(raw))
     return [int.from_bytes(raw[k : k + width], "little", signed=True)
             for k in range(0, len(raw), width)]
 
@@ -171,11 +174,21 @@ class LaurentQA:
     def items(self):
         return iter(self._c.items())
 
-    def a_slices(self) -> dict:
-        """Group coefficients by a-exponent: v -> {u: coefficient}."""
-        out: dict = {}
+    def rows(self) -> dict:
+        """The coefficients as dense rows in steps of q: (v, u % 2) -> (lo,
+        row) for each a-exponent v and q^(1/2)-parity that has a term, with
+        row[e] the coefficient of q^((lo + 2 e)/2) a^(v/2) from the lowest
+        term up."""
+        parts: dict = {}
         for (u, v), c in self._c.items():
-            out.setdefault(v, {})[u] = c
+            parts.setdefault((v, u % 2), {})[u] = c
+        out = {}
+        for key, part in parts.items():
+            lo = min(part)
+            row = [0] * ((max(part) - lo) // 2 + 1)
+            for u, c in part.items():
+                row[(u - lo) // 2] = c
+            out[key] = (lo, row)
         return out
 
     def __eq__(self, other) -> bool:
@@ -276,30 +289,21 @@ def exact_div(f: LaurentQA, exponents: Iterable[int]) -> LaurentQA | None:
 
     Each a-slice of f splits into its two q^(1/2)-parities; the factors have
     integer q-exponents, so they divide the slice exactly when they divide
-    each part.  A nonempty part is laid out as one dense row in steps of q,
-    from its lowest term, and divided by one factor 1 - x^i at a time
-    (``div_one_minus``).  A factor that leaves a remainder refuses the
-    whole division."""
+    each part.  Each part is one dense row in steps of q (``rows``),
+    divided by one factor 1 - x^i at a time (``div_one_minus``).  A factor
+    that leaves a remainder refuses the whole division."""
     exponents = tuple(exponents)
     if min(exponents, default=1) < 1:
         raise ValueError("exact_div needs exponents >= 1")
     out: dict = {}
-    for v, sl in f.a_slices().items():
-        parts: dict = {}
-        for u, c in sl.items():
-            parts.setdefault(u % 2, {})[u] = c
-        for part in parts.values():
-            lo = min(part)
-            row = [0] * ((max(part) - lo) // 2 + 1)
-            for u, c in part.items():
-                row[(u - lo) // 2] = c
-            for i in exponents:
-                row = div_one_minus(row, i)
-                if row is None:
-                    return None
-            for e, c in enumerate(row):
-                if c:
-                    out[(lo + 2 * e, v)] = c
+    for (v, _), (lo, row) in f.rows().items():
+        for i in exponents:
+            row = div_one_minus(row, i)
+            if row is None:
+                return None
+        for e, c in enumerate(row):
+            if c:
+                out[(lo + 2 * e, v)] = c
     return LaurentQA._make(out)
 
 
@@ -346,15 +350,7 @@ def _z2_rewrite(h: list) -> list:
     q^0, with running sums s: z^2 vanishes at q = 1, so c_g is the
     palindrome's value there, 2 s[-1] - top[-1].  Less c_g at q^0, it has a
     double root at q = 1, so its quotient by z^2 = (1 - q)^2 / q is exact;
-    its half from q^(N-1) down is the running sum of s[:-1].
-
-    A row of exact non-int numbers (Fractions) is cleared by the lcm of its
-    denominators; its pairs are divided back in the row's own arithmetic."""
-    norm = sum(map(abs, h))
-    if type(norm) is not int:
-        d = lcm(*(c.denominator for c in h))
-        zero = norm - norm
-        return [(g, (zero + c) / d) for g, c in _z2_rewrite([(c * d).numerator for c in h])]
+    its half from q^(N-1) down is the running sum of s[:-1]."""
     n = len(h)
     if n >= _Z2_RUNNING_SUMS_FROM:
         out = []
@@ -366,7 +362,7 @@ def _z2_rewrite(h: list) -> list:
                 out.append((g, c))
             top = list(accumulate(s[:-1]))
         return out[::-1]
-    width = _width(2 * norm * _chebyshev_l1(n - 1))
+    width = _width(2 * sum(map(abs, h)) * _chebyshev_l1(n - 1))
     if width <= 8:
         width = 1 << (width - 1).bit_length()
     shift = 8 * width
@@ -393,18 +389,12 @@ def to_z_basis(f: LaurentQA) -> dict | None:
     the dict {(g, v): n}, n nonzero, with f = sum n (z^2)^g a^(v/2).  When f
     is z^2 g_m the key g is the genus label and v doubles the charge Q.
 
-    Each slice is laid out as one row in steps of q from its lowest term
-    and read by ``_z2_row``, one ``_z2_rewrite`` per slice; None when a
-    slice mixes the two q^(1/2)-parities or ``_z2_row`` refuses it.
+    Each row of ``rows``, one per a-slice and q^(1/2)-parity, is read by
+    ``_z2_row``; None when it refuses one, as it refuses the odd lowest
+    exponent of a slice's half-integer powers of q.
     """
     table: dict = {}
-    for v, sl in f.a_slices().items():
-        lo = min(sl)
-        row = [0] * ((max(sl) - lo) // 2 + 1)
-        for u, c in sl.items():
-            if (u - lo) % 2:
-                return None
-            row[(u - lo) // 2] = c
+    for (v, _), (lo, row) in f.rows().items():
         pairs = _z2_row(lo, row)
         if pairs is None:
             return None

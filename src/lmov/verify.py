@@ -125,10 +125,10 @@ def check_onehole_chain(max_m: int, tau_range: range) -> Report:
 
 
 def check_gaussian_form(max_m: int, tau_range: range) -> Report:
+    if min(tau_range, default=1) < 1:
+        raise ValueError("gaussian closed form needs tau >= 1")
     rep = Report()
     for tau in tau_range:
-        if tau < 1:
-            raise ValueError("gaussian closed form needs tau >= 1")
         for m in range(1, max_m + 1):
             if not onehole.closed_form_is_colored_sum(m, tau):
                 rep.failures.append({"tau": tau, "m": m})

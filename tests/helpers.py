@@ -4,10 +4,11 @@ They restate textbook definitions next to the library so that the tests
 can check the library's structure (the p-adic congruences behind the
 integrality proofs, partition multiplicities, the pairing matrix M, a JSON
 round trip of LaurentQA, ``lsum``, the one sum of LaurentQAs that the
-tests and the reference take, as a ``LaurentQA.dot``, an int a-row as a
-LaurentQA, the one-hole rows as a LaurentQA, among them
-the closed form and the colored sum unpacked and divided by m!, the
-a-side quantum integer {n}_a, a row packed at 2^(8 width)) without the
+tests and the reference take, as a ``LaurentQA.dot``, the a-slices of a
+LaurentQA, an int a-row as a LaurentQA, the one-hole rows as a
+LaurentQA, among them the closed form and the colored sum unpacked and
+divided by m!, the a-side quantum integer {n}_a, a row packed at
+2^(8 width) by Horner's rule) without the
 library shipping them, plus a runner that captures the command line's
 output, a recorder of the slot widths that a module unpacks at, a cache
 reset, and a division for series exps over PochFrac or with non-integral
@@ -33,6 +34,14 @@ def lsum(*terms) -> LaurentQA:
     """The sum of c f over the (c, f) pairs: one ``LaurentQA.dot``, the
     only sum that LaurentQA has."""
     return LaurentQA.dot((c, f, LaurentQA.one()) for c, f in terms)
+
+
+def a_slices(f: LaurentQA) -> dict:
+    """The coefficients of f grouped by a-exponent: v -> {u: coefficient}."""
+    out: dict = {}
+    for (u, v), c in f.items():
+        out.setdefault(v, {})[u] = c
+    return out
 
 
 def a_row(row: list) -> LaurentQA:

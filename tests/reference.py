@@ -77,7 +77,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd
 from typing import Callable, Mapping
 
-from helpers import a_row, lsum, quantum_int_a, quantum_prod
+from helpers import a_row, a_slices, lsum, quantum_int_a, quantum_prod
 from lmov import cli, genus0
 from lmov.arith import TheoremViolation, div_one_minus, divisors, moebius
 from lmov.genus0 import _annulus_column
@@ -327,7 +327,7 @@ def to_z_basis(f: LaurentQA) -> dict:
     tolerance is exact zero.
     """
     table: dict = {}
-    for v, sl in f.a_slices().items():
+    for v, sl in a_slices(f).items():
         for u, c in sl.items():
             if u % 2:
                 raise ZBasisError(f"half-odd q-exponent u={u} in a-slice v={v}")
@@ -1035,7 +1035,7 @@ class RationalQ:
 
     @classmethod
     def from_laurent(cls, f: LaurentQA) -> RationalQ:
-        sl = f.a_slices()
+        sl = a_slices(f)
         if not sl:
             return cls.zero()
         if set(sl) != {0}:
@@ -1186,7 +1186,7 @@ class RationalQA:
     @classmethod
     def from_laurent(cls, f: LaurentQA) -> RationalQA:
         out = {}
-        for v, sl in f.a_slices().items():
+        for v, sl in a_slices(f).items():
             lo, dense = _slice_to_dense(sl)
             out[v] = RationalQ(tuple(dense), (1,), lo, _normalized=True)
         return cls(out)

@@ -62,16 +62,31 @@ def test_invariant_modules_import_none_of_each_other(module):
     assert not lmov_imports(module) & INVARIANTS
 
 
+def imported_modules(module: str) -> set:
+    """The names of the modules that ``module`` imports or imports from."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for a in node.names}
+    return names | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+
+
 @pytest.mark.parametrize("module", sorted(set(MODULES) - {"arith"}))
 def test_exact_algebra_imports_nothing_from_fractions(module):
     # the package stores ints only: a remainder is reported where it
     # arises, never kept as a Fraction; arith alone spells the ratio of a
     # failed division with one (ratio_text)
-    tree = ast.parse((SRC / f"{module}.py").read_text())
-    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-             for a in node.names]
-    names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert "fractions" not in names
+    assert "fractions" not in imported_modules(module)
+
+
+def test_qa_alone_knows_the_slot_format():
+    # one slot codec (qa._pack, qa._unpack): no other module packs with
+    # struct or shifts an int by a computed slot offset
+    assert [m for m in MODULES if "struct" in imported_modules(m)] == ["qa"]
+    for module in set(MODULES) - {"qa"}:
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.BinOp)
+                    and isinstance(node.op, (ast.LShift, ast.RShift))
+                    and not isinstance(node.right, ast.Constant)], module
 
 
 def test_only_cli_imports_verify():
@@ -109,6 +124,15 @@ def qa_names(module: str) -> set:
 def test_genus0_runs_on_packed_int_rows():
     # the mirror-curve kernel is an int a-row: no LaurentQA in genus0
     assert qa_names("genus0") == {"_pack", "_unpack", "_packed_geometric", "_width"}
+
+
+def test_onehole_packs_through_the_qa_codec():
+    # the colored sum and its certificate run on packed int rows, which
+    # only qa writes and reads
+    assert qa_names("onehole") == {
+        "LaurentQA", "PochFrac", "Z_SQUARED", "exact_div", "one_minus_q_prod", "quantum_int",
+        "to_z_basis", "_nonneg_mul", "_pack", "_packed_geometric", "_width", "_z2_row",
+    }
 
 
 def test_dot_is_the_only_sum_of_laurent_polynomials():

@@ -31,7 +31,7 @@ from lmov.onehole import (
     verify_recursion,
 )
 from lmov.partitions import partitions_of, z_factor
-from lmov.qa import LaurentQA, PochFrac, quantum_int, to_z_basis
+from lmov.qa import LaurentQA, PochFrac, _pack, quantum_int, to_z_basis
 from reference import (
     RationalQ,
     RationalQA,
@@ -290,6 +290,17 @@ def test_onehole_chain_reports_colored_sum_mismatch(monkeypatch):
     assert {f["reason"] for f in rep.failures} == {"closed form != colored sum"}
 
 
+def test_gaussian_form_refuses_its_tau_range_before_the_first_cell(monkeypatch):
+    # tau 2 and 1 come before 0 in the range, but none of them is certified
+    calls, real = [], onehole.colored_sum
+    monkeypatch.setattr(onehole, "colored_sum", lambda m, t: calls.append((m, t)) or real(m, t))
+    with pytest.raises(ValueError, match=r"^gaussian closed form needs tau >= 1$"):
+        verify.check_gaussian_form(2, range(2, -1, -1))
+    assert calls == []
+    assert verify.check_gaussian_form(2, range(2, 0, -1)).ok
+    assert calls == [(1, 2), (2, 2), (1, 1), (2, 1)]
+
+
 @pytest.mark.parametrize("tau", [t for t in range(-6, 7) if t])
 def test_packed_certificate_matches_the_dict_comparison(tau):
     # the closed form against the definition as LaurentQA dicts, both from
@@ -309,8 +320,8 @@ def _mutants(m: int, tau: int) -> dict:
     u0, row = rows[v]
     half = 1 << (8 * width - 1)
     big = -(-half // factorial(m))  # the least entry with |c| m! >= 2^(8 width - 1)
-    # same value at x = 2^(8 width) as the true row: only the width check
-    # tells them apart
+    # same value at x = 2^(8 width) as the true row: only the range of
+    # qa._pack tells them apart
     alias = [row[0] + (1 << 8 * width), row[1] - 1] + row[2:]
     return {
         "entry + 1": {**rows, v: (u0, [row[0] + 1] + row[1:])},
@@ -339,12 +350,14 @@ def test_packed_certificate_refuses_every_mutant(m, tau, monkeypatch):
 
 
 def test_alias_row_packs_to_the_true_row():
-    # the alias mutant is refused by the width check alone
+    # the alias mutant is refused by qa._pack's None alone: scaled by -5!, its
+    # first entry is past the top of a signed slot
     rows, (width, _) = onehole._cleared_rows(5, 3), onehole.colored_sum(5, 3)
     v = max(rows)
     _, alias = _mutants(5, 3)["alias of the true row"][v]
     assert pack(alias, width) == pack(rows[v][1], width)
     assert max(alias) * factorial(5) >= 2 ** (8 * width - 1)
+    assert _pack([-factorial(5) * c for c in alias], width) is None
 
 
 def test_colored_sum_suites_build_no_laurent(monkeypatch):
@@ -567,7 +580,9 @@ def test_general_partition_matches_reference():
                 ).scale(sum(mu)), (mu, tau)
                 want = reference.g_mu_target(mu, tau).as_laurent()
                 assert want is not None
-                assert g_mu_general(mu, tau).target == want, (mu, tau)
+                # the z^2 rewrite is injective, so equal tables mean equal targets
+                table = g_mu_general(mu, tau).table
+                assert table is not None and table == to_z_basis(want), (mu, tau)
 
 
 def test_g_mu_general_integral_sweep():
@@ -648,7 +663,7 @@ def test_general_denominator_failure_is_recorded(monkeypatch):
 
     monkeypatch.setattr(onehole, "exact_div", broken)
     r = g_mu_general((2, 1), 1)
-    assert (r.target, r.table) == (None, None)
+    assert r.table is None
     assert r.failures == [{"mu": (2, 1), "reason": "denominator did not clear"}]
     assert verify.check_general_partition(3, range(1, 2)).failures == [
         {"tau": 1, "mu": (2, 1), "reason": "denominator did not clear"}
@@ -660,7 +675,7 @@ def test_non_integer_general_entries_are_recorded(monkeypatch):
     # on q^0 of that slice of the target, which stays palindromic, but the
     # division by +-|mu| then leaves a remainder there
     mu, tau = (1, 1), 1
-    size, v = sum(mu), min(g_mu_general(mu, tau).target.a_slices())
+    size, v = sum(mu), min(v for _, v in g_mu_general(mu, tau).table)
     real = onehole.exact_div
 
     def bumped(f, exponents):
@@ -672,7 +687,7 @@ def test_non_integer_general_entries_are_recorded(monkeypatch):
     monkeypatch.setattr(onehole, "exact_div", bumped)
     r = g_mu_general(mu, tau)
     assert r.failures == [{"mu": mu, "reason": "non-integer entries"}]
-    assert r.target is None and r.table is None
+    assert r.table is None
 
 
 def test_a_target_off_the_z2_basis_is_recorded(monkeypatch):
@@ -680,7 +695,7 @@ def test_a_target_off_the_z2_basis_is_recorded(monkeypatch):
     # lands on q^1 of that slice of the target: the division by +-|mu| is
     # exact, but the slice is no palindrome, so it has no z^2 rewrite
     mu, tau = (1, 1), 1
-    size, v = sum(mu), min(g_mu_general(mu, tau).target.a_slices())
+    size, v = sum(mu), min(v for _, v in g_mu_general(mu, tau).table)
     real = onehole.exact_div
 
     def bumped(f, exponents):
@@ -693,8 +708,7 @@ def test_a_target_off_the_z2_basis_is_recorded(monkeypatch):
     r = g_mu_general(mu, tau)
     reason = "target not in Z[z^2, a^(+-1/2)]"
     assert r.failures == [{"mu": mu, "reason": reason}]
-    sl = r.target.a_slices()[v]
-    assert r.table is None and sl.get(2, 0) != sl.get(-2, 0)
+    assert r.table is None
     assert verify.check_general_partition(2, range(1, 2)).failures == [
         {"tau": 1, "mu": mu, "reason": reason}
     ]

@@ -5,7 +5,8 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    is_one, laurent_from_json, laurent_to_json, lsum, pack, quantum_int_a, quantum_prod, support,
+    a_slices, is_one, laurent_from_json, laurent_to_json, lsum, pack, quantum_int_a, quantum_prod,
+    support,
 )
 from lmov.arith import divisors
 from lmov.qa import (
@@ -36,7 +37,7 @@ coeffs = st.integers(-9, 9)
 keys = st.tuples(st.integers(-6, 6), st.integers(-4, 4))
 laurents = st.dictionaries(keys, coeffs, max_size=6).map(LaurentQA)
 nonzero_laurents = laurents.filter(bool)
-bivariate_laurents = nonzero_laurents.filter(lambda f: set(f.a_slices()) != {0})
+bivariate_laurents = nonzero_laurents.filter(lambda f: set(a_slices(f)) != {0})
 laurents_60 = st.dictionaries(keys, st.integers(-60, 60), max_size=6).map(LaurentQA)
 
 
@@ -234,20 +235,29 @@ def test_nonneg_mul_matches_the_double_loop(a, b):
     assert _nonneg_mul(a, b) == want
 
 
-int_or_fraction_rows = st.lists(st.integers(-9, 9), max_size=8) | st.lists(
-    st.fractions(min_value=-5, max_value=5, max_denominator=6), max_size=8
-)
-
-
 @given(st.integers(1, 9), st.data())
 def test_unpack_round_trips_rows_up_to_the_slot_extremes(width, data):
-    # +-(2^(8 width - 1) - 1), side by side and in the top slot, leave no
-    # slot negative and carry into no other slot
+    # 2^(8 width - 1) - 1 and -2^(8 width - 1), side by side and in the top
+    # slot, leave no slot negative and carry into no other slot
     top = 2 ** (8 * width - 1) - 1
-    inner = data.draw(st.lists(st.integers(-top, top), max_size=8))
-    row = data.draw(st.permutations([top, -top, top, -top] + inner))
+    inner = data.draw(st.lists(st.integers(-top - 1, top), max_size=8))
+    row = data.draw(st.permutations([top, -top - 1, top, -top - 1] + inner))
     assert _unpack(pack(row, width), width, len(row)) == row
     assert _pack(row, width) == pack(row, width)
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_pack_takes_exactly_the_signed_slot_range(width):
+    # -2^(8 width - 1) packs and reads back, alone and in any slot; one past
+    # either end of the range refuses the whole row with None, on the struct
+    # path (1, 2, 4 and 8 bytes) and on the bytes path alike
+    half = 2 ** (8 * width - 1)
+    for row in ([-half], [-half, half - 1, -half], [0, 0, -half]):
+        assert _pack(row, width) == pack(row, width)
+        assert _unpack(_pack(row, width), width, len(row)) == row
+    for bad in (half, -half - 1):
+        assert _pack([bad], width) is None
+        assert _pack([1, bad, -1], width) is None
 
 
 @given(st.integers(0, 2**200))
@@ -366,7 +376,7 @@ long_int_rows = st.integers(1, 400).flatmap(lambda n: st.lists(
     st.integers(-9, 9) | st.integers(-2**40, 2**40), min_size=n, max_size=n))
 
 
-@given(int_or_fraction_rows.filter(bool) | long_int_rows)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=8) | long_int_rows)
 @example([(-1) ** k * (2**40 - k) for k in range(_Z2_RUNNING_SUMS_FROM - 1)])
 @example([(-1) ** k * (2**40 - k) for k in range(_Z2_RUNNING_SUMS_FROM)])
 def test_z2_rewrite_matches_the_top_down_reference(half):
@@ -375,9 +385,7 @@ def test_z2_rewrite_matches_the_top_down_reference(half):
     got = _z2_rewrite(list(half))
     assert got == reference.z2_rewrite(list(half))
     assert [g for g, _ in got] == sorted({g for g, _ in got}, reverse=True)
-    assert all(c for _, c in got)
-    if all(type(c) is int for c in half):
-        assert all(type(c) is int for _, c in got)
+    assert all(type(c) is int and c for _, c in got)
 
 
 def _chebyshev_rows(n):
@@ -481,16 +489,13 @@ def test_z_basis_roundtrip(terms):
 
 
 @st.composite
-def q_symmetric(draw, fractional):
+def q_symmetric(draw):
     """A LaurentQA whose a-slices are palindromic in integral powers of q."""
-    c = (
-        st.fractions(min_value=-9, max_value=9, max_denominator=6)
-        if fractional
-        else st.integers(-50, 50)
-    )
     slices = draw(
         st.dictionaries(
-            st.integers(-3, 3), st.dictionaries(st.integers(0, 12), c, max_size=8), max_size=4
+            st.integers(-3, 3),
+            st.dictionaries(st.integers(0, 12), st.integers(-50, 50), max_size=8),
+            max_size=4,
         )
     )
     d: dict = {}
@@ -500,13 +505,13 @@ def q_symmetric(draw, fractional):
     return LaurentQA(d)
 
 
-@given(st.booleans().flatmap(q_symmetric))
+@given(q_symmetric())
 def test_z_basis_matches_dict_reference(f):
     assert to_z_basis(f) == reference.to_z_basis(f)
 
 
 @given(
-    st.booleans().flatmap(q_symmetric),
+    q_symmetric(),
     st.booleans(),
     st.integers(0, 12),
     st.sampled_from([1, -1]),
