@@ -321,6 +321,8 @@ def main(argv=None) -> int:
         return EXIT_THEOREM
     except OSError as e:  # the output could not be written
         where = args.out or "stdout"
+        if e.filename not in (None, where):  # the temporary file beside it
+            where += f": {e.filename}"
         print(f"lmov: error: cannot write {where}: {e.strerror or e}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:

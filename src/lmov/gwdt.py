@@ -1,10 +1,11 @@
 """Reduced open-string partition function, Ooguri-Vafa and
 Donaldson-Thomas extraction, and the GW/DT series identity.
 
-Everything here is a-free.  The x^n coefficient of every series is a
-PochFrac, an exact Laurent numerator over the known denominator (q;q)_n,
-so "is a Laurent polynomial" decisions are exact divisions by known
-products of factors 1 - q^i, never numeric truncations.
+Everything here is a-free: the x^n coefficient of every series is a
+PochRow, one dense int row in steps of q over the known denominator
+(q;q)_n.  Each level of a series map is one packed big-int sum, and "is a
+Laurent polynomial" is an exact division of a row by known factors
+1 - q^i (``arith.div_one_minus``), never a numeric truncation.
 
 Ooguri-Vafa route: the log levels of the reduced series Z_tau(q, x) =
 sum H_n(q) x^n, taken once, feed the plethystic logarithm, carried as its
@@ -28,18 +29,18 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arith import TheoremViolation, ratio_text
-from .qa import LaurentQA, PochFrac, exact_div, one_minus_q_prod
+from .arith import TheoremViolation, div_one_minus, ratio_text
+from .qa import PochRow, _one_minus_q_row
 from .series import plethystic_dexp, plethystic_dlog, series_dlog
 
 
-def h_top(n: int, tau: int) -> PochFrac:
+def h_top(n: int, tau: int) -> PochRow:
     """Top-charge row coefficient
     (-1)^(n(tau-1)) q^(n(n-1)tau/2 + n^2/2) / prod_{i<=n}(1-q^i)."""
     if n < 0:
         raise ValueError("h_top needs n >= 0")
     sign = (-1) ** ((n * (tau - 1)) % 2)
-    return PochFrac(LaurentQA.monomial(n * (n - 1) * tau + n * n, c=sign), n)
+    return PochRow(n * (n - 1) * tau + n * n, [sign], n)
 
 
 def z_tau_series(tau: int, order: int) -> list:
@@ -52,10 +53,7 @@ def coha_series(loops: int, order: int) -> list:
     sum_n q^(-(m-1) n(n-1)/2) / prod_{i<=n}(1-q^i) t^n."""
     if loops < 1:
         raise ValueError("coha_series needs loops >= 1")
-    return [
-        PochFrac(LaurentQA.monomial(-(loops - 1) * n * (n - 1)), n)
-        for n in range(order + 1)
-    ]
+    return [PochRow(-(loops - 1) * n * (n - 1), [1], n) for n in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +72,17 @@ class OVTable(NamedTuple):
 
 def _bps_levels(levels: list):
     """The plethystic levels g_m = m f_m of the series whose ``series_dlog``
-    is ``levels``, each read through (1-q) g_m, level by level: the pairs
-    (g_m, terms), where terms lists (u, c, c / m) over the terms c q^(u/2)
-    of (1-q) g_m in ascending u, the quotient None where m leaves a
-    remainder, and terms is None where (1-q) g_m is not a Laurent polynomial."""
+    is ``levels``, each read through (1-q) g_m, its row divided by 1 - q^i
+    for 2 <= i <= m: the pairs (g_m, terms), where terms lists (u, c, c / m)
+    over the terms c q^(u/2) of (1-q) g_m in ascending u, the quotient None
+    where m leaves a remainder, and terms is None where a division does."""
     for m, g in enumerate(plethystic_dlog(levels), start=1):
-        num = exact_div(g.num, range(2, m + 1))  # (1-q) g_m: over (q;q)_m / (1-q)
-        yield g, None if num is None else [(u, c, None if c % m else c // m)
-                                           for (u, _), c in sorted(num.items())]
+        row = g.row[:]  # (1-q) g_m: the numerator over (q;q)_m / (1-q)
+        for i in range(2, m + 1):
+            if (row := div_one_minus(row, i)) is None:
+                break
+        yield g, None if row is None else [(g.lo + 2 * e, c, None if c % m else c // m)
+                                           for e, c in enumerate(row) if c]
 
 
 def ooguri_vafa(tau: int, max_m: int) -> OVTable:
@@ -123,12 +124,22 @@ def ov_reconstruction_residue(table: OVTable, levels: list):
     ``plethystic_dexp`` of the g_m is compared with ``levels``.  Exp is
     triangular with leading weight 1 (E_n is D_n / n plus terms in D_k,
     k < n): the first level that differs is the first coefficient that does.
+
+    Level n lies in q^(n/2) Z[q, 1/q], as H_n does (n(n-1) tau + n^2 = n
+    mod 2), and so do the g_m below n and their Adams maps: an N_{m,k} with
+    k + 1 - m odd is a term of D_m that level m lacks, and ends the rows.
     """
     gs = []
     for m in range(1, table.max_m + 1):
-        tower = LaurentQA({(k + 1, 0): -m * nmk for k, nmk in table.rows[m].items()})
-        gs.append(PochFrac(tower * one_minus_q_prod(range(2, m + 1)), m))
-    return next((n for n, d in enumerate(plethystic_dexp(gs)) if d != levels[n]), None)
+        tower = {k + 1: -m * nmk for k, nmk in table.rows[m].items() if nmk}
+        if any((u - m) % 2 for u in tower):
+            break
+        lo = min(tower, default=m)
+        row = [tower.get(u, 0) for u in range(lo, max(tower, default=m) + 1, 2)]
+        over = PochRow(0, _one_minus_q_row(range(2, m + 1)), m)  # 1/(1-q) over (q;q)_m
+        gs.append(PochRow.dot([(1, PochRow(lo, row, 0), over)]))
+    bad = len(gs) + 1 if len(gs) < table.max_m else None
+    return next((n for n, d in enumerate(plethystic_dexp(gs) if gs else ()) if d != levels[n]), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +205,8 @@ def gwdt_check(tau: int, order: int) -> list:
     p = coha_series(-tau, order)
     failures = []
     for n in range(order + 1):
-        sub = PochFrac(LaurentQA.monomial(n, c=(-1) ** ((n * (tau - 1)) % 2)), 0)
-        if z[n] != p[n] * sub:
+        sign = (-1) ** ((n * (tau - 1)) % 2)  # p[n] times sign q^(n/2)
+        if z[n] != PochRow(p[n].lo + n, p[n].scale(sign).row, p[n].n):
             failures.append({"n": n})
     return failures
 

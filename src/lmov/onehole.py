@@ -57,6 +57,7 @@ from .partitions import (
 from .qa import (
     LaurentQA,
     PochFrac,
+    PochRow,
     Z_SQUARED,
     _nonneg_mul,
     _pack,
@@ -104,12 +105,12 @@ def verify_recursion(max_n: int) -> list:
     return [{"n": n} for n, (p, r) in enumerate(pairs) if p != r]
 
 
-def row_top_step(h: PochFrac, n: int, tau: int) -> PochFrac:
+def row_top_step(h: PochRow, n: int, tau: int) -> PochRow:
     """H_(n+1) from H_n, both on the top a-slice, by the framed row
     recursion, where hook_n is a^(1/2) q^(n+1/2):
     H_(n+1) = -(-1)^tau q^(n tau + n + 1/2) H_n / (1 - q^(n+1)),
     a numerator over (q;q)_(n+1) from one over (q;q)_n."""
-    return PochFrac(h.num.shift(du=2 * n * tau + 2 * n + 1).scale(-((-1) ** (tau % 2))), n + 1)
+    return PochRow(h.lo + 2 * n * tau + 2 * n + 1, h.scale(-((-1) ** (tau % 2))).row, n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,52 +1,50 @@
-"""Exact algebra in the variables q^(1/2) and a^(1/2).
-
-Two layers, both over int coefficients:
+"""Exact algebra in the variables q^(1/2) and a^(1/2), over int coefficients.
 
 * ``LaurentQA`` -- Laurent polynomials in q^(1/2), a^(1/2).
 * ``PochFrac``  -- a LaurentQA numerator over the q-Pochhammer symbol
-  (q;q)_n, the denominator that every x^n coefficient of the reduced
-  partition function and of the loop-quiver series carries.  Since the
-  denominator is known in advance, no rational-function normal form is
-  ever built: "is a Laurent polynomial" is one ``exact_div`` by a
-  product of factors 1 - q^i, named by its exponents i.
+  (q;q)_n, the denominator that every x^n coefficient of the one-hole
+  power-sum series carries.
+* ``PochRow``   -- the same value when it is a-free, as one dense int row
+  in steps of q, (lo, row, n): every coefficient of the reduced partition
+  function and of the loop-quiver series, and every level of their logs.
 
-Exponents live on the half-integer lattice and are stored doubled:
-``u`` counts powers of q^(1/2) and ``v`` counts powers of a^(1/2), so all
-exponent bookkeeping is plain integer arithmetic.  Coefficients are ints;
-``div`` (by an int, one divmod per coefficient) and ``exact_div`` return
-None where a remainder arises, as ``arith.div_one_minus`` does, and the
-caller decides what a refusal means.  Every sum is a ``dot``: neither
-class has ``+``, ``-`` or ``**``.
+Since the denominator is known in advance, no rational-function normal
+form is ever built: "is a Laurent polynomial" is an exact division by a
+product of factors 1 - q^i.  Exponents are stored doubled: ``u`` counts
+powers of q^(1/2) and ``v`` powers of a^(1/2).  ``div`` (by an int, one
+divmod per coefficient) and ``exact_div`` return None where a remainder
+arises, as ``arith.div_one_minus`` does, and the caller decides what a
+refusal means.  Every sum is a ``dot``, the sum of c a b over (c, a, b)
+triples; no class has ``+``, ``-`` or ``**``.  ``LaurentQA.dot`` adds every
+term pair into one dict; ``PochFrac.dot`` folds each product's q-binomial
+into that sum.
 
-``LaurentQA.dot`` is the one product loop: the sum of c a b over (c, a, b)
-triples, every term pair of every product added into one dict whose zeros
-are dropped once.  ``*`` is a one-term ``dot``, as in ``PochFrac``, whose
-``dot`` folds each product's q-binomial into the same sum.  The integer
-hot paths (the one-hole chain, the colored sum, the annulus kernel log) run
-on one dense int row per a-slice instead, carried as its value at
-x = 2^(8 width) at the width that ``_width`` sets from an l1 bound: a
-product of two rows (``_nonneg_mul``), or of a row and a geometric
-factor (``_packed_geometric``), is then one big-int multiply, and the
-z^2 rewrite (``_z2_row``) one int recurrence.  ``LaurentQA.rows`` is the
-one layout of a LaurentQA as dense rows, which ``exact_div`` and
-``to_z_basis`` read.  One codec packs and reads every row: ``_pack``
-writes each entry as a signed slot in two's complement, and refuses with
-None an entry outside [-x/2, x/2); ``_unpack`` reads the slots back.
-Slots of 1, 2, 4 or 8 bytes take one ``struct`` call each way.  Every
-division is by factors 1 - x^k, as strided running sums
-(``arith.div_one_minus``).  Packed rows and the z^2 rewrite take ints
-only.
+The integer hot paths (the one-hole chain, the colored sum, the annulus
+kernel log, the a-free series) run on dense int rows instead, each carried
+as its value at x = 2^(8 width), at the width that ``_width`` sets from an
+l1 bound on the entries of the result (``_slot_width`` rounds it up to 1,
+2, 4 or 8 bytes, which ``struct`` reads in one call).  A product of two
+rows (``_nonneg_mul``), or of a row and a geometric factor
+(``_packed_geometric``), is then one big-int multiply.  ``PochRow.dot``
+packs each level of a series at its own width, from the bound
+sum |c| |a|_1 |b|_1 C(n, a.n), and reads the whole sum back once; an
+Adams map is a stride, then one packed product.  One codec packs and reads
+every row: ``_pack`` writes each entry as a signed slot in two's
+complement, and refuses with None an entry outside [-x/2, x/2); ``_unpack``
+reads the slots back.  ``LaurentQA.rows`` is the one layout of a LaurentQA
+as dense rows, which ``exact_div`` and ``to_z_basis`` read.  Every division
+is by factors 1 - x^k, as strided running sums (``arith.div_one_minus``).
 
 ``_z2_row`` rewrites a row as a polynomial in z^2 = q - 2 + q^(-1), or
 refuses it with None unless it is a palindrome in integer powers of q
 centred on q^0.  With t = q + 1/q = 2 + z^2, q^e + q^(-e) is a difference
 of two Chebyshev polynomials in t, so the coefficients in z^2 of the whole
 row are those of one Chebyshev recurrence, run on one int at
-z^2 = 2^(8 width): a shift and three adds per term of the half, and one
-``_unpack`` (``_z2_rewrite``); from 320 terms on, where its slots grow too
-wide, the half is read bottom-up by running sums.  ``to_z_basis`` reads
-each a-slice of a LaurentQA as one such row, into the dict {(g, v): n} of
-f = sum n (z^2)^g a^(v/2), or None: the one-hole tables' genus grading.
+z^2 = 2^(8 width), and read by one ``_unpack`` (``_z2_rewrite``); from 320
+terms on, where its slots grow too wide, the half is read bottom-up by
+running sums.  ``to_z_basis`` reads each a-slice of a LaurentQA as one such
+row, into the dict {(g, v): n} of f = sum n (z^2)^g a^(v/2), or None: the
+one-hole tables' genus grading.
 """
 
 from __future__ import annotations
@@ -54,6 +52,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from itertools import accumulate
+from math import comb
 from typing import Iterable, Mapping
 
 from .arith import div_one_minus, gaussian_binomial
@@ -71,16 +70,20 @@ def _width(bound: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
+def _slot_width(bound: int) -> int:
+    """``_width`` of the bound, rounded up to 1, 2, 4 or 8 bytes when it is
+    at most 8, so that ``struct`` packs and reads each slot in one call."""
+    n = _width(bound)
+    return 1 << (n - 1).bit_length() if n <= 8 else n
+
+
 def _nonneg_mul(a: list, b: list) -> list:
     """The product of two dense lists of non-negative ints by one big-int
     multiply.  A product slot sums at most min(len a, len b) products of
     entries, so max a max b min(len a, len b) bounds it; each slot is wide
-    enough for that bound (``_width``), and no slot carries into the next.
-    A width of at most 8 bytes rounds up to 1, 2, 4 or 8, so that
-    ``struct`` packs each list and unpacks the product in one call."""
-    n = _width(max(*a, 1) * max(*b, 1) * min(len(a), len(b)))  # >= every input, too
-    if n <= 8:
-        n = 1 << (n - 1).bit_length()
+    enough for that bound (``_slot_width``), and no slot carries into the
+    next."""
+    n = _slot_width(max(*a, 1) * max(*b, 1) * min(len(a), len(b)))  # >= every input, too
     return _unpack(_pack(a, n) * _pack(b, n), n, len(a) + len(b) - 1)
 
 
@@ -342,8 +345,7 @@ def _z2_rewrite(h: list) -> list:
     y_N - y_(N-2) = 2 y_N - (2 + w) y_(N-1) - T_N.  Each U_k(w) has
     coefficients >= 0 that sum to F_(2k+2) (``_chebyshev_l1``), so no c_g
     exceeds |T (1 - x^2)|_1 F_(2N+2) <= 2 |h|_1 F_(2N+2), which sets the
-    width; ``_unpack`` reads every c_g at once.  A width of at most 8 bytes
-    rounds up to 1, 2, 4 or 8, which ``_unpack`` reads in one call.
+    width (``_slot_width``); ``_unpack`` reads every c_g at once.
 
     From ``_Z2_RUNNING_SUMS_FROM`` terms on, where the slots grow too wide,
     the rewrite runs bottom-up instead, on the half ``top`` from q^N down to
@@ -362,9 +364,7 @@ def _z2_rewrite(h: list) -> list:
                 out.append((g, c))
             top = list(accumulate(s[:-1]))
         return out[::-1]
-    width = _width(2 * sum(map(abs, h)) * _chebyshev_l1(n - 1))
-    if width <= 8:
-        width = 1 << (width - 1).bit_length()
+    width = _slot_width(2 * sum(map(abs, h)) * _chebyshev_l1(n - 1))
     shift = 8 * width
     y0 = y1 = 0
     for t in reversed(h):
@@ -407,29 +407,50 @@ def to_z_basis(f: LaurentQA) -> dict | None:
 # coefficients over the q-Pochhammer symbol (q;q)_n
 # ---------------------------------------------------------------------------
 
+def _q_laurent(row: list, lo: int = 0) -> LaurentQA:
+    """The a-free LaurentQA sum row[e] q^((lo + 2 e)/2)."""
+    return LaurentQA._make({(lo + 2 * e, 0): c for e, c in enumerate(row) if c})
+
+
+def _one_minus_q_row(exponents: Iterable[int]) -> list:
+    """prod over i in exponents of (1 - q^i), a dense row from q^0."""
+    row = [1]
+    for i in exponents:
+        row = [x - y for x, y in zip(row + [0] * i, [0] * i + row)]
+    return row
+
+
 def one_minus_q_prod(exponents: Iterable[int]) -> LaurentQA:
     """prod over i in exponents of (1 - q^i); the empty product is 1."""
-    c = {0: 1}
-    for i in exponents:
-        nxt = dict(c)
-        for e, x in c.items():
-            nxt[e + i] = nxt.get(e + i, 0) - x
-        c = {e: x for e, x in nxt.items() if x}
-    return LaurentQA._make({(2 * e, 0): x for e, x in c.items()})
+    return _q_laurent(_one_minus_q_row(exponents))
 
 
 @lru_cache(maxsize=None)
-def _q_binomial(n: int, k: int) -> LaurentQA:
-    # [n choose k]_q = (q;q)_n / ((q;q)_k (q;q)_(n-k))
-    return LaurentQA._make(
-        {(2 * e, 0): c for e, c in enumerate(gaussian_binomial(n, k)) if c}
-    )
+def _q_binomial(n: int, k: int) -> list:
+    # [n choose k]_q = (q;q)_n / ((q;q)_k (q;q)_(n-k)), a dense row from q^0
+    return gaussian_binomial(n, k)
 
 
 @lru_cache(maxsize=None)
-def _adams_factor(n: int, d: int) -> LaurentQA:
+def _adams_factor(n: int, d: int) -> list:
     # (q;q)_(dn) / (q^d;q^d)_n: the factors 1 - q^i, i <= dn, d not dividing i
-    return one_minus_q_prod(i for i in range(1, d * n + 1) if i % d)
+    return _one_minus_q_row(i for i in range(1, d * n + 1) if i % d)
+
+
+def _one_degree(terms: Iterable) -> tuple:
+    """The (c, a, b) triples with c, a and b nonzero, and their one degree
+    n = a.n + b.n (0 when there is none): zero has no degree and is
+    skipped, and nonzero terms of two degrees are refused, even where a
+    partial sum of them cancels."""
+    parts, n = [], None
+    for c, a, b in terms:
+        if c and a and b:
+            if n is None:
+                n = a.n + b.n
+            elif a.n + b.n != n:
+                raise ValueError(f"cannot add over (q;q)_{n} and (q;q)_{a.n + b.n}")
+            parts.append((c, a, b))
+    return parts, n or 0
 
 
 class PochFrac:
@@ -439,9 +460,7 @@ class PochFrac:
     shape keeps it under products (the denominators combine through a
     q-binomial), Adams operations, sums of equal degree and scaling by an
     int, which is all that the log and plethystic log of ``lmov.series``
-    do.  ``dot`` is the only sum: zero has no degree and is skipped, and
-    nonzero terms of different degrees are refused, even where a partial
-    sum of them cancels.
+    do.  ``dot`` is the only sum, over one degree (``_one_degree``).
     Equality compares (num, n), so at equal n it is equality of rational
     functions.
     """
@@ -475,20 +494,11 @@ class PochFrac:
     def dot(terms: Iterable) -> PochFrac:
         """The sum of c a b over the (c, a, b) triples, c an int, as one
         ``LaurentQA.dot`` of the numerators: a product of two positive
-        degrees enters as a.num b.num times the q-binomial [n, a.n].  Zero
-        terms are skipped; the others must share one degree n."""
-        parts, n = [], None
-        for c, a, b in terms:
-            if not (c and a.num and b.num):
-                continue
-            m = a.n + b.n
-            if n is None:
-                n = m
-            elif m != n:
-                raise ValueError(f"cannot add over (q;q)_{n} and (q;q)_{m}")
-            parts.append((c, a.num * b.num, _q_binomial(m, a.n)) if a.n and b.n
-                         else (c, a.num, b.num))
-        return PochFrac(LaurentQA.dot(parts), n or 0)
+        degrees enters as a.num b.num times the q-binomial [n, a.n]."""
+        parts, n = _one_degree(terms)
+        return PochFrac(LaurentQA.dot(
+            (c, a.num * b.num, _q_laurent(_q_binomial(n, a.n))) if a.n and b.n
+            else (c, a.num, b.num) for c, a, b in parts), n)
 
     def scale(self, c: int) -> PochFrac:
         return PochFrac(self.num.scale(c), self.n)
@@ -497,7 +507,85 @@ class PochFrac:
         """Substitute q -> q^d, a -> a^d; the degree becomes d n."""
         if d == 1 or not self.num:
             return self
-        return PochFrac(self.num.adams(d) * _adams_factor(self.n, d), d * self.n)
+        return PochFrac(self.num.adams(d) * _q_laurent(_adams_factor(self.n, d)), d * self.n)
 
     def __repr__(self) -> str:
         return f"({self.num!r}) / (q;q)_{self.n}"
+
+
+class PochRow:
+    """An a-free PochFrac as one dense int row: the value
+    sum_e row[e] q^((lo + 2 e)/2) / (q;q)_n, the row trimmed of zeros at
+    both ends, and (lo, row, n) = (0, [], 0) for zero.  It has PochFrac's
+    ring and text.  Each x^n coefficient of an a-free series has one
+    q^(1/2)-parity, that of lo, so one row in steps of q holds it; a sum of
+    both parities is refused, as one of two degrees is."""
+
+    __slots__ = ("lo", "row", "n")
+
+    def __init__(self, lo: int, row: list, n: int):
+        i, j = 0, len(row)
+        while j and not row[j - 1]:
+            j -= 1
+        while i < j and not row[i]:
+            i += 1
+        self.lo, self.row, self.n = (lo + 2 * i, row[i:j], n) if j else (0, [], 0)
+
+    @classmethod
+    def zero(cls) -> PochRow:
+        return cls(0, [], 0)
+
+    @classmethod
+    def one(cls) -> PochRow:
+        return cls(0, [1], 0)
+
+    def __bool__(self) -> bool:
+        return bool(self.row)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PochRow) and self.lo == other.lo and self.n == other.n
+                and self.row == other.row)
+
+    @staticmethod
+    def dot(terms: Iterable) -> PochRow:
+        """The sum of c a b over the (c, a, b) triples, c an int, as one packed
+        sum, a product of two positive degrees times the q-binomial [n, a.n]
+        of l1 norm C(n, a.n): so sum |c| |a|_1 |b|_1 C(n, a.n) bounds every
+        entry and sets the width.  Each product of packed rows is shifted by
+        its steps of q above the lowest term, and the sum read back once."""
+        parts, n = _one_degree(terms)
+        if not parts:
+            return PochRow.zero()
+        lo = min(a.lo + b.lo for _, a, b in parts)
+        bound = length = 0
+        for c, a, b in parts:
+            k, steps = a.n if b.n else 0, a.lo + b.lo - lo
+            if steps % 2:
+                raise ValueError("cannot add integer and half-integer powers of q in one row")
+            bound += abs(c) * sum(map(abs, a.row)) * sum(map(abs, b.row)) * comb(n, k)
+            length = max(length, steps // 2 + len(a.row) + len(b.row) + k * (n - k) - 1)
+        width, total = _slot_width(bound), 0
+        for c, a, b in parts:
+            p = c * _pack(a.row, width) * _pack(b.row, width)
+            if a.n and b.n:
+                p *= _pack(_q_binomial(n, a.n), width)
+            total += p << 4 * width * (a.lo + b.lo - lo)
+        return PochRow(lo, _unpack(total, width, length), n)
+
+    def scale(self, c: int) -> PochRow:
+        return PochRow(self.lo, [x * c for x in self.row], self.n)
+
+    def adams(self, d: int) -> PochRow:
+        """Substitute q -> q^d; the degree becomes d n.  The row, packed at d
+        times the width, is its stride by d, and its product with the row of
+        (q;q)_(dn) / (q^d;q^d)_n (``_adams_factor``) is one multiply."""
+        if d == 1 or not self.row:
+            return self
+        f = _adams_factor(self.n, d)
+        width = _slot_width(sum(map(abs, self.row)) * sum(map(abs, f)))
+        packed = _pack(self.row, d * width) * _pack(f, width)
+        length = d * (len(self.row) - 1) + len(f)
+        return PochRow(d * self.lo, _unpack(packed, width, length), d * self.n)
+
+    def __repr__(self) -> str:
+        return f"({_q_laurent(self.row, self.lo)!r}) / (q;q)_{self.n}"

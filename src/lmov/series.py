@@ -7,9 +7,9 @@ methods ``zero``, ``one`` and ``dot`` (the sum of c a b over (c, a, b)
 triples, c an int: every map builds each level as one ``dot``, and none
 adds with ``+``), ``adams`` for the plethystic maps, and ``div`` (exact
 division by an int, None on a remainder) for ``series_dexp``.  LaurentQA
-from :mod:`lmov.qa` qualifies; so does PochFrac for the other maps, as
-slot n of each list they build has x-degree n, so each ``dot`` is over
-one (q;q)_n.
+from :mod:`lmov.qa` qualifies; so do PochFrac and, for a-free series,
+PochRow (one packed sum per level) for the other maps, as slot n of each
+list they build has x-degree n, so each ``dot`` is over one (q;q)_n.
 
 A log is carried as its levels D_n = n [x^n] log S, the coefficients of
 x d/dx log S: they have integer weights, so a reader divides once, where

@@ -18,7 +18,7 @@ from math import factorial
 from . import genus0, gwdt, onehole, twist
 from .arith import TheoremViolation
 from .partitions import mn_character, partitions_of, permutation_count, z_factor
-from .qa import Z_SQUARED, LaurentQA, PochFrac, to_z_basis
+from .qa import Z_SQUARED, LaurentQA, PochRow, to_z_basis
 from .series import plethystic_dexp, plethystic_dlog, series_dexp, series_dlog
 
 
@@ -92,7 +92,7 @@ def check_recursion(max_n: int, tau_range: range) -> Report:
     the closed form ``gwdt.h_top(n, tau)`` that the OV extraction reads."""
     rep = Report(onehole.verify_recursion(max_n))
     for tau in tau_range:
-        h = PochFrac.one()
+        h = PochRow.one()
         for n in range(max_n + 1):
             if h != gwdt.h_top(n, tau):
                 rep.failures.append({"tau": tau, "n": n, "reason": "top slice != gwdt.h_top"})

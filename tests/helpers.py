@@ -5,7 +5,7 @@ can check the library's structure (the p-adic congruences behind the
 integrality proofs, partition multiplicities, the pairing matrix M, a JSON
 round trip of LaurentQA, ``lsum``, the one sum of LaurentQAs that the
 tests and the reference take, as a ``LaurentQA.dot``, the a-slices of a
-LaurentQA, an int a-row as a LaurentQA, the one-hole rows as a
+LaurentQA, a PochRow as a PochFrac, an int a-row as a LaurentQA, the one-hole rows as a
 LaurentQA, among them the closed form and the colored sum unpacked and
 divided by m!, the a-side quantum integer {n}_a, a row packed at
 2^(8 width) by Horner's rule) without the
@@ -27,7 +27,7 @@ from unittest.mock import patch
 from lmov import onehole
 from lmov.cli import EXIT_OK, main
 from lmov.partitions import mn_character, partitions_of, z_factor
-from lmov.qa import LaurentQA, PochFrac, _unpack, quantum_int
+from lmov.qa import LaurentQA, PochFrac, PochRow, _unpack, quantum_int
 
 
 def lsum(*terms) -> LaurentQA:
@@ -42,6 +42,11 @@ def a_slices(f: LaurentQA) -> dict:
     for (u, v), c in f.items():
         out.setdefault(v, {})[u] = c
     return out
+
+
+def poch_frac(r: PochRow) -> PochFrac:
+    """The PochFrac of the same value as the PochRow r."""
+    return PochFrac(LaurentQA({(r.lo + 2 * e, 0): c for e, c in enumerate(r.row)}), r.n)
 
 
 def a_row(row: list) -> LaurentQA:

@@ -77,7 +77,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd
 from typing import Callable, Mapping
 
-from helpers import a_row, a_slices, lsum, quantum_int_a, quantum_prod
+from helpers import a_row, a_slices, lsum, poch_frac, quantum_int_a, quantum_prod
 from lmov import cli, genus0
 from lmov.arith import TheoremViolation, div_one_minus, divisors, moebius
 from lmov.genus0 import _annulus_column
@@ -90,7 +90,7 @@ from lmov.partitions import (
     scale_down,
     z_factor,
 )
-from lmov.qa import LaurentQA, PochFrac, one_minus_q_prod, quantum_int
+from lmov.qa import LaurentQA, PochFrac, PochRow, one_minus_q_prod, quantum_int
 from lmov.series import series_dlog
 
 
@@ -1284,8 +1284,10 @@ class RationalQA:
         return " + ".join(f"a^({v}/2)*[{self._m[v]!r}]" for v in sorted(self._m))
 
 
-def as_rational(f: PochFrac) -> RationalQA:
+def as_rational(f: PochFrac | PochRow) -> RationalQA:
     """num / (q;q)_n as an a-graded rational function."""
+    if isinstance(f, PochRow):
+        f = poch_frac(f)
     den = RationalQ.from_laurent(one_minus_q_prod(range(1, f.n + 1)))
     return RationalQA.from_laurent(f.num).div_rational(den)
 

@@ -283,6 +283,25 @@ def test_out_is_atomic(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["disc.json"]
 
 
+def _no_such_file(path, mode):
+    # what creating a file beside /proc/version meets
+    raise FileNotFoundError(2, "No such file or directory", path)
+
+
+def test_out_names_the_temporary_file_it_could_not_create(tmp_path, monkeypatch, capsys):
+    # the bytes go first to a temporary file beside the target: when that
+    # cannot be created, the message names it after the target
+    out = tmp_path / "disc.json"
+    argv = ["disc", "--tau", "1", "--max-m", "2", "--out", str(out)]
+    with monkeypatch.context() as m:
+        m.setattr("lmov.io.open", _no_such_file, raising=False)
+        assert main(argv) == EXIT_USAGE
+    tmp = f"{out}.{os.getpid()}.tmp"
+    err = capsys.readouterr().err
+    assert err == f"lmov: error: cannot write {out}: {tmp}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_all_quick(capsys):
     code, text = run(["verify-all", "--quick", "--seed", "7"], capsys)
     assert code == EXIT_OK

@@ -19,13 +19,14 @@ from lmov.gwdt import (
     ov_reconstruction_residue,
     z_tau_series,
 )
-from lmov.qa import LaurentQA, PochFrac
+from lmov.arith import div_one_minus
+from lmov.qa import LaurentQA, PochRow
 from lmov.series import plethystic_dexp, plethystic_dlog, series_dlog
 from lmov.twist import b_minus, b_plus
 from reference import RationalQ, as_rational, dt_rows, framed_row, one_minus_q_pow, ov_rows
 
 
-def _rational(f: PochFrac) -> RationalQ:
+def _rational(f: PochRow) -> RationalQ:
     return as_rational(f).slice(0)
 
 
@@ -34,7 +35,7 @@ def _rational(f: PochFrac) -> RationalQ:
 
 def test_h_top_base_values():
     for tau in (-3, 0, 2):
-        assert h_top(0, tau) == PochFrac.one()
+        assert h_top(0, tau) == PochRow.one()
         want = RationalQ.monomial(1, (-1) ** ((tau - 1) % 2)) / one_minus_q_pow(1)
         assert _rational(h_top(1, tau)) == want
 
@@ -54,13 +55,13 @@ def test_h_top_equals_framed_row_top_slice():
 
 def test_z_tau_series_shape():
     z = z_tau_series(1, 5)
-    assert z[0] == PochFrac.one()
+    assert z[0] == PochRow.one()
     assert z[1] == h_top(1, 1)
 
 
 def test_coha_series_values():
     p = coha_series(3, 4)
-    assert p[0] == PochFrac.one()
+    assert p[0] == PochRow.one()
     assert _rational(p[1]) == RationalQ.one() / one_minus_q_pow(1)
     # loops = 1: no numerator twist
     p1 = coha_series(1, 4)
@@ -99,7 +100,7 @@ def test_plethystic_dlog_levels_have_integer_numerators():
     series += [_twisted_coha(loops, 8) for loops in range(1, 6)]
     for z in series:
         for m, g in enumerate(plethystic_dlog(series_dlog(z)), start=1):
-            assert all(type(c) is int for _, c in g.num.items()), m
+            assert all(type(c) is int for c in g.row), m
 
 
 @pytest.mark.parametrize(
@@ -131,15 +132,16 @@ def test_ooguri_vafa_takes_the_log_once(monkeypatch):
 def test_non_integer_level_entries_keep_their_failure_text(monkeypatch):
     # one coefficient of (1-q) m f_m off by one is no longer divisible by m = 2:
     # -2 q becomes -q at tau = 1, and 2 q^-1 becomes 3 q^-1 for two loops
-    real = gwdt.exact_div
+    real = gwdt.div_one_minus
 
-    def off_by_one(f, exponents):
-        out = real(f, exponents)
-        if exponents != range(2, 3):
-            return out
-        return lsum((1, out), (1, LaurentQA.monomial(2 if dict(out.items()).get((2, 0)) else -2)))
+    def off_by_one(row, k):
+        out = real(row, k)
+        if k == 2:  # level 2, the one level of these requests that divides
+            assert out in ([-2], [2])
+            out[0] += 1
+        return out
 
-    monkeypatch.setattr(gwdt, "exact_div", off_by_one)
+    monkeypatch.setattr(gwdt, "div_one_minus", off_by_one)
     assert ooguri_vafa(1, 2).failures == [
         {"m": 2, "k": 1, "reason": "non-integer 1/2"},
         {"reason": "product reconstruction mismatch"},
@@ -161,30 +163,45 @@ def test_non_integer_level_entries_keep_their_failure_text(monkeypatch):
     (LaurentQA({(-4, 0): 1, (1, 0): 2}), r"non-integer DT entry c_\(2,2\) = 1/2"),
 ])
 def test_dt_failures_keep_their_text_and_order(monkeypatch, extra, message):
-    # dt_extract(2, 2) with ``extra`` added to (1-q) 2 L_2, which is 2 q^-1
-    real = gwdt.exact_div
+    # dt_extract(2, 2) with ``extra`` added to (1-q) 2 L_2, which is 2 q^-1:
+    # a row in steps of q holds one parity, so ``extra`` joins the level's
+    # terms, each read as (u, c, c / 2) in ascending u
+    real = gwdt._bps_levels
     level = plethystic_dlog(series_dlog(_twisted_coha(2, 2)))[1]
-    assert real(level.num, range(2, 3)) == LaurentQA.monomial(-2, c=2)
+    assert (level.lo, div_one_minus(level.row[:], 2)) == (-2, [2])
 
-    def patched(f, exponents):
-        out = real(f, exponents)
-        return lsum((1, out), (1, extra)) if exponents == range(2, 3) else out
+    def patched(levels):
+        for n, (g, terms) in enumerate(real(levels), start=1):
+            if n == 2:
+                assert terms == [(-2, 2, 1)]
+                total = dict(lsum((1, LaurentQA.monomial(-2, c=2)), (1, extra)).items())
+                terms = [(u, c, None if c % 2 else c // 2) for (u, _), c in sorted(total.items())]
+            yield g, terms
 
-    monkeypatch.setattr(gwdt, "exact_div", patched)
+    monkeypatch.setattr(gwdt, "_bps_levels", patched)
     with pytest.raises(TheoremViolation, match=f"^{message}$"):
         dt_extract(2, 2)
 
 
 def test_levels_that_do_not_clear_keep_their_failure_text(monkeypatch):
     # (q;q)_3 / (1-q) divides the numerator of each level 3, and no longer
-    # does once 1 is added to it: (1-q) f_3 and (1-q) L_3 are not Laurent
-    real = gwdt.exact_div
+    # does once 1 is added to its lowest coefficient (a row in steps of q
+    # holds no q^0 beside the q^(1/2) powers of f_3): (1-q) f_3 and (1-q) L_3
+    # are not Laurent
+    real = gwdt.div_one_minus
+    numerators = []
 
-    def broken(f, exponents):
-        return real(lsum((1, f), (1, LaurentQA.one())) if exponents == range(2, 4) else f,
-                    exponents)
+    def broken(row, k):
+        if k == 2:
+            numerators.append(row[:])
+        elif k == 3:  # level 3, the one level of these requests with this factor:
+            row = numerators[-1]  # its numerator, last divided by 1 - q^2
+            row[0] += 1
+            if (row := real(row, 2)) is None:
+                return None
+        return real(row, k)
 
-    monkeypatch.setattr(gwdt, "exact_div", broken)
+    monkeypatch.setattr(gwdt, "div_one_minus", broken)
     table = ooguri_vafa(1, 3)
     level = plethystic_dlog(series_dlog(z_tau_series(1, 3)))[2]
     assert table.rows[3] == {} and table.rows[2]
@@ -200,16 +217,20 @@ def test_levels_that_do_not_clear_keep_their_failure_text(monkeypatch):
 # --- against the RationalQ reference ---------------------------------------------
 
 
-@pytest.mark.parametrize("tau", range(-3, 4))
+# past the FULL bounds (tau -5..5 at m <= 8, loops <= 5 at n <= 6): each
+# packed level sits at its own width, which grows with the level
+
+
+@pytest.mark.parametrize("tau", range(-5, 6))
 def test_ov_matches_reference(tau):
-    table = ooguri_vafa(tau, 5)
+    table = ooguri_vafa(tau, 12)
     assert table.failures == []
-    assert table.rows == ov_rows(tau, 5)
+    assert table.rows == ov_rows(tau, 12)
 
 
-@pytest.mark.parametrize("loops", [1, 2, 3])
+@pytest.mark.parametrize("loops", range(1, 7))
 def test_dt_matches_reference(loops):
-    assert dt_extract(loops, 5).rows == dt_rows(loops, 5)
+    assert dt_extract(loops, 10).rows == dt_rows(loops, 10)
 
 
 # --- Ooguri-Vafa -----------------------------------------------------------------
@@ -249,6 +270,22 @@ def test_ov_reconstruction_residue_names_the_first_bad_level(tau):
         rows[m] = dict(rows[m])
         rows[m][k] = rows[m].get(k, 0) + 1
         assert ov_reconstruction_residue(table._replace(rows=rows), levels) == m, (tau, m, k)
+
+
+def test_ov_reconstruction_residue_names_an_entry_off_the_level_lattice():
+    # level m of Z_tau holds the powers q^(m/2 + j) alone: an entry N_{m,k}
+    # with k + 1 - m odd (here at m = 1, and at m = 3 below a bad m = 2) is
+    # a term that no level has, and the first level that differs is named
+    table = ooguri_vafa(2, 4)
+    levels = series_dlog(z_tau_series(2, 4))
+    rows = {m: dict(r) for m, r in table.rows.items()}
+    rows[1][1] = 5
+    assert ov_reconstruction_residue(table._replace(rows=rows), levels) == 1
+    rows = {m: dict(r) for m, r in table.rows.items()}
+    rows[3][min(rows[3]) + 1] = 1
+    assert ov_reconstruction_residue(table._replace(rows=rows), levels) == 3
+    rows[2][min(rows[2])] += 1
+    assert ov_reconstruction_residue(table._replace(rows=rows), levels) == 2
 
 
 def test_ov_negative_entries_are_not_failures():
@@ -363,7 +400,7 @@ def _win_mul(a, b, umax):
     return _win_trim(out, umax)
 
 
-def _win_rational(f: PochFrac):
+def _win_rational(f: PochRow):
     # expand num/den upward to the window using the den linear recurrence
     r = _rational(f)
     if not r:

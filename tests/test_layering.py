@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import lmov
-from lmov.qa import LaurentQA
+from lmov.qa import LaurentQA, PochRow
 
 SRC = Path(lmov.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
@@ -130,13 +130,22 @@ def test_onehole_packs_through_the_qa_codec():
     # the colored sum and its certificate run on packed int rows, which
     # only qa writes and reads
     assert qa_names("onehole") == {
-        "LaurentQA", "PochFrac", "Z_SQUARED", "exact_div", "one_minus_q_prod", "quantum_int",
-        "to_z_basis", "_nonneg_mul", "_pack", "_packed_geometric", "_width", "_z2_row",
+        "LaurentQA", "PochFrac", "PochRow", "Z_SQUARED", "exact_div", "one_minus_q_prod",
+        "quantum_int", "to_z_basis", "_nonneg_mul", "_pack", "_packed_geometric", "_width",
+        "_z2_row",
     }
 
 
+def test_gwdt_runs_on_packed_rows():
+    # every a-free series is a list of PochRows, whose products qa packs and
+    # reads: no LaurentQA, PochFrac or exact_div in gwdt, whose one other
+    # name from qa is the row of (q^2;q)_(m-1) behind each rebuilt tower
+    assert qa_names("gwdt") == {"PochRow", "_one_minus_q_row"}
+
+
 def test_dot_is_the_only_sum_of_laurent_polynomials():
-    assert not {"__add__", "__sub__", "__neg__", "__pow__"} & set(vars(LaurentQA))
+    for cls in (LaurentQA, PochRow):
+        assert not {"__add__", "__sub__", "__neg__", "__pow__"} & set(vars(cls)), cls
 
 
 def test_the_cli_starts_without_dataclasses_or_inspect():

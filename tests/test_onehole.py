@@ -31,7 +31,7 @@ from lmov.onehole import (
     verify_recursion,
 )
 from lmov.partitions import partitions_of, z_factor
-from lmov.qa import LaurentQA, PochFrac, _pack, quantum_int, to_z_basis
+from lmov.qa import LaurentQA, PochFrac, PochRow, _pack, quantum_int, to_z_basis
 from reference import (
     RationalQ,
     RationalQA,
@@ -108,12 +108,12 @@ def test_verify_recursion_reports_every_broken_step(monkeypatch, corrupt):
 
 def _unsigned_step(h, n, tau):
     # the top-slice step without its (-1)^tau
-    return PochFrac(h.num.shift(du=2 * n * tau + 2 * n + 1).scale(-1), n + 1)
+    return PochRow(h.lo + 2 * n * tau + 2 * n + 1, h.scale(-1).row, n + 1)
 
 
 def _overtwisted_step(h, n, tau):
     # the top-slice step with q^(n (tau + 1)) for q^(n tau)
-    return PochFrac(h.num.shift(du=2 * n * (tau + 1) + 2 * n + 1).scale(-((-1) ** (tau % 2))), n + 1)
+    return PochRow(h.lo + 2 * n * (tau + 1) + 2 * n + 1, h.scale(-((-1) ** (tau % 2))).row, n + 1)
 
 
 @pytest.mark.parametrize(

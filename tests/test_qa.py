@@ -5,13 +5,15 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    a_slices, is_one, laurent_from_json, laurent_to_json, lsum, pack, quantum_int_a, quantum_prod,
-    support,
+    a_slices, is_one, laurent_from_json, laurent_to_json, lsum, pack, poch_frac, quantum_int_a,
+    quantum_prod, support,
 )
+from lmov import qa
 from lmov.arith import divisors
 from lmov.qa import (
     LaurentQA,
     PochFrac,
+    PochRow,
     _Z2_RUNNING_SUMS_FROM,
     _chebyshev_l1,
     _nonneg_mul,
@@ -145,23 +147,23 @@ def test_adams_is_ring_hom(f, g, d):
 
 @st.composite
 def mixed_parity_dividends(draw):
-    """A nonzero LaurentQA, with int or Fraction coefficients, whose a-slice
-    at v0 holds both an integer and a half-integer power of q."""
+    """A nonzero LaurentQA with int coefficients, as ``qa`` takes them,
+    whose a-slice at v0 holds both an integer and a half-integer power of
+    q; its coefficients are scaled by an int, at times one beyond a
+    machine word."""
     d = dict(draw(st.dictionaries(keys, coeffs, max_size=6)))
     v0 = draw(st.integers(-4, 4))
     d[(2 * draw(st.integers(-3, 3)), v0)] = draw(st.integers(1, 9))
     d[(2 * draw(st.integers(-3, 2)) + 1, v0)] = draw(st.integers(-9, -1))
-    if draw(st.booleans()):
-        den = draw(st.integers(2, 6))
-        d = {k: Fraction(c, den) for k, c in d.items()}
-    return LaurentQA(d)
+    scale = draw(st.sampled_from([1, 2, -3, 2**64 + 1]))
+    return LaurentQA({k: c * scale for k, c in d.items()})
 
 
 @given(
     mixed_parity_dividends(),
     st.lists(st.integers(1, 4), max_size=5),
     keys,
-    st.sampled_from([-2, -1, 1, Fraction(1, 3)]),
+    st.sampled_from([-2, -1, 1, 3]),
 )
 def test_exact_div_roundtrip(f, exponents, spot, c):
     # f prod (1 - q^i) divided by the same exponents, repeats included, is
@@ -170,8 +172,7 @@ def test_exact_div_roundtrip(f, exponents, spot, c):
     prod = one_minus_q_prod(exponents)
     got = exact_div(f * prod, exponents)
     assert got == f == reference.exact_div(f * prod, prod)
-    if all(type(c) is int for _, c in f.items()):
-        assert all(type(c) is int for _, c in got.items())
+    assert all(type(c) is int for _, c in got.items())
     if not exponents:
         return
     off = lsum((1, f * prod), (1, LaurentQA.monomial(*spot, c)))
@@ -626,6 +627,130 @@ def test_pochfrac_degrees():
     assert inv * inv == PochFrac(LaurentQA({(0, 0): 1, (2, 0): 1}), 2)
     # adams_2(1/(1-q)) = 1/(1-q^2) = (1-q)/(q;q)_2
     assert inv.adams(2) == PochFrac(one_minus_q, 2)
+
+
+# ---------------------------------------------------------------------------
+# PochRow against the PochFrac path and the schoolbook product
+# ---------------------------------------------------------------------------
+
+q_rows = st.lists(st.integers(-9, 9) | st.integers(-10**30, 10**30) | st.just(0), max_size=6)
+
+
+@st.composite
+def poch_rows(draw, n=None, parity=None):
+    """A PochRow with entries of both signs, zeros and big ints among them;
+    zero rows and degree-0 values come up, and lo has the given parity, or
+    either."""
+    lo = draw(st.integers(-8, 8))
+    if parity is not None:
+        lo += (lo - parity) % 2
+    return PochRow(lo, draw(q_rows), draw(st.integers(0, 4)) if n is None else n)
+
+
+@st.composite
+def poch_row_terms(draw):
+    """(n, terms): (c, a, b) triples with a.n + b.n = n and one parity of
+    a.lo + b.lo, c = 0 among them."""
+    n, parity = draw(st.integers(0, 5)), draw(st.integers(0, 1))
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        k, p = draw(st.integers(0, n)), draw(st.integers(0, 1))
+        a, b = draw(poch_rows(k, p)), draw(poch_rows(n - k, (parity - p) % 2))
+        terms.append((draw(st.integers(-5, 5)), a, b))
+    return n, terms
+
+
+def _schoolbook(n, terms) -> LaurentQA:
+    # sum c a b [n, a.n]_q by reference.laurent_mul, the q-binomial dense
+    mul = reference.laurent_mul
+    return _laurent_sum(mul(mul(poch_frac(a).num, poch_frac(b).num),
+                            _dense_q_binomial(n, a.n) if a.n and b.n else LaurentQA.one()).scale(c)
+                        for c, a, b in terms)
+
+
+def _at_each_slot_edge(test):
+    # one product entry of 2^(8w - 1) - 1, the top of a w-byte slot, and of
+    # 2^(8w - 1), one past it, at every width that struct packs and beyond
+    for w in (1, 2, 3, 4, 8, 9):
+        for top in (2 ** (8 * w - 1) - 1, 2 ** (8 * w - 1)):
+            for c in (1, -1):
+                test = example((2, [(c, PochRow(1, [top], 2), PochRow(-3, [1], 0))]))(test)
+                test = example((2, [(c, PochRow(0, [top - 1, 0], 1), PochRow(0, [1], 1)),
+                                    (c, PochRow(2, [1], 1), PochRow(-2, [1], 1))]))(test)
+    return test
+
+
+@given(poch_row_terms())
+@_at_each_slot_edge
+def test_poch_row_dot_matches_pochfrac_and_the_schoolbook_product(n_terms):
+    n, terms = n_terms
+    got = PochRow.dot(terms)
+    assert poch_frac(got) == PochFrac.dot([(c, poch_frac(a), poch_frac(b)) for c, a, b in terms])
+    want = _schoolbook(n, terms)
+    assert poch_frac(got) == PochFrac(want, n)
+    # the row is trimmed, and zero is (0, [], 0) whatever its terms' degree
+    assert (got.row[:1] + got.row[-1:]).count(0) == 0
+    assert got or (got.lo, got.row, got.n) == (0, [], 0)
+
+
+def _at_each_adams_edge(test):
+    # a degree-0 monomial has the Adams factor 1: its one entry is its l1
+    # bound, at the top of a w-byte slot and one past it
+    for w in (1, 2, 3, 4, 8, 9):
+        for top in (2 ** (8 * w - 1) - 1, 2 ** (8 * w - 1)):
+            test = example(PochRow(1, [-top], 0), 2, 1)(test)
+    return test
+
+
+@given(poch_rows(), st.integers(1, 4), st.integers(-4, 4))
+@_at_each_adams_edge
+def test_poch_row_adams_and_scale_match_pochfrac(a, d, c):
+    assert poch_frac(a.adams(d)) == poch_frac(a).adams(d)
+    assert poch_frac(a.scale(c)) == poch_frac(a).scale(c)
+    assert repr(a) == repr(poch_frac(a))
+
+
+@given(poch_rows(), st.integers(2, 4))
+def test_poch_row_adams_is_a_ring_map(a, d):
+    # (a a)^[d] = a^[d] a^[d]: the Adams factor carries the q-binomial of the
+    # product to that of the images
+    square = PochRow.dot([(1, a, a)])
+    assert square.adams(d) == PochRow.dot([(1, a.adams(d), a.adams(d))])
+
+
+@pytest.mark.parametrize("row", [[1], [3, -1], [0, 2, 0, -5]])
+def test_poch_row_products_with_degree_zero_build_no_q_binomial(row):
+    # [n, 0] = [n, n] = 1: a product with a degree-0 factor builds no q-binomial
+    qa._q_binomial.cache_clear()
+    a, b, one = PochRow(3, row, 4), PochRow(-2, row[::-1], 0), PochRow.one()
+    assert PochRow.dot([(2, a, b), (-1, b, a), (1, a, one)]) == PochRow.dot(
+        [(1, a, b), (1, one, a)])
+    assert qa._q_binomial.cache_info().currsize == 0
+    assert PochRow.dot([(1, a, a)]) and qa._q_binomial.cache_info().currsize == 1
+
+
+def test_poch_row_refuses_two_degrees_and_two_parities():
+    x, y, one = PochRow(1, [2], 3), PochRow(0, [1, 1], 2), PochRow.one()
+    with pytest.raises(ValueError, match=r"^cannot add over \(q;q\)_3 and \(q;q\)_2$"):
+        PochRow.dot([(1, x, one), (-1, x, one), (1, y, one)])
+    with pytest.raises(ValueError, match="half-integer"):
+        PochRow.dot([(1, x, one), (1, PochRow(0, [1], 3), one)])
+    # zero terms have no degree and no parity, and a cancelled sum is zero
+    assert PochRow.dot([(1, x, one), (0, y, one), (1, PochRow.zero(), x)]) == x
+    assert PochRow.dot([(1, x, one), (-1, x, one)]) == PochRow.zero()
+    assert PochRow(5, [0, 0], 4) == PochRow.zero() and not PochRow(5, [0], 4)
+
+
+def test_poch_row_examples():
+    # 1/(1-q) * 1/(1-q) = (1+q)/(q;q)_2, and adams_2(1/(1-q)) = (1-q)/(q;q)_2
+    inv = PochRow(0, [1], 1)
+    assert PochRow.dot([(1, inv, inv)]) == PochRow(0, [1, 1], 2)
+    assert inv.adams(2) == PochRow(0, [1, -1], 2)
+    # q^(1/2) / (1-q) at q -> q^3: q^(3/2) (1-q)(1-q^2) / (q;q)_3
+    assert PochRow(1, [1], 1).adams(3) == PochRow(3, [1, -1, -1, 1], 3)
+    assert PochRow(0, [0, 0, 7, 0], 2) == PochRow(4, [7], 2)
+    assert repr(PochRow(-3, [2, 0, -1], 2)) == "(2*q^(-3/2) + -1*q^(1/2)) / (q;q)_2"
+    assert repr(PochRow.zero()) == "(0) / (q;q)_0"
 
 
 # ---------------------------------------------------------------------------
